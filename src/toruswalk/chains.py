@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactcore import Scalar, TorusPoint
+from .exactcore import ExactCheckError, Scalar, TorusPoint
 from .fractal import AffineIFS
 from .spectral import CoefficientFunction, DiscreteMeasure, SelfSimilarSpec, convolve
 
@@ -119,9 +119,10 @@ def stationary_distribution(
     b = [_Q0] * (n - 1) + [_Q1]
     v = _solve_exact(a, b)
     for i in range(n):
-        check = sum(v[j] * transition[j][i] for j in range(n))
-        assert check == v[i], "stationarity residual nonzero"
-    assert all(x >= 0 for x in v)
+        if sum(v[j] * transition[j][i] for j in range(n)) != v[i]:
+            raise ExactCheckError(f"stationarity residual nonzero at state {i}")
+    if any(x < 0 for x in v):
+        raise ExactCheckError("stationary vector has a negative entry")
     return tuple(v)
 
 

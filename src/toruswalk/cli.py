@@ -280,12 +280,12 @@ def _weyl_rows(ws: dict) -> list[list[str]]:
     return [[",".join(str(i) for i in k), _fmt(v)] for k, v in items]
 
 
-def _running_discrepancy(points: np.ndarray, checkpoints: int = 20):
+def _running_discrepancy(points: np.ndarray, error_bound: float, checkpoints: int = 20):
     n = len(points)
     rows = []
     for i in range(1, checkpoints + 1):
         m = max(1, (n * i) // checkpoints)
-        sub = stats.OrbitSample(points[:m, :1], 0.0, 64)
+        sub = stats.OrbitSample(points[:m, :1], error_bound, 64)
         rows.append([m, _fmt(stats.star_discrepancy_1d(sub))])
     return rows
 
@@ -333,7 +333,7 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
         _write_csv(
             outdir / "discrepancy.csv",
             ["n", "star_discrepancy"],
-            _running_discrepancy(orbit.points),
+            _running_discrepancy(orbit.points, orbit.error_bound),
         )
         sidecars.append("discrepancy.csv")
     if rotation and cfg.get("control_q"):
@@ -372,10 +372,11 @@ def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     log2_tail = bound_bits - word_len * per_step
     tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
     digits, points = stats.digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
+    bound = stats.digits_error_bound(err + tail_ulps, bits, base, count)
     max_len = cfg["L"]
     freqs = stats.block_frequencies(digits, max_len)
     deviations = stats.block_deviations(freqs, base, max_len)
-    sample = stats.OrbitSample(points, 2.0 ** -50, bits)
+    sample = stats.OrbitSample(points, bound, bits)
     disc = stats.star_discrepancy_1d(sample)
     rows = []
     for length in range(1, max_len + 1):
@@ -389,7 +390,7 @@ def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     _write_csv(
         outdir / "discrepancy.csv",
         ["n", "star_discrepancy"],
-        _running_discrepancy(points[:, None]),
+        _running_discrepancy(points[:, None], bound),
     )
     results = {
         "N": count,
@@ -516,7 +517,9 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     else:
         c_scalar = t1 * Fraction(d_value, d_value - 1)
         endo = fractal.AffineEndo(IntMatrix.scalar(d_value), (Scalar.rational(0, basis),))
-        orb = fractal.walk_orbit_fixed([endo], TorusPoint([c_scalar]), [1] * n_steps)
+        orb = fractal.walk_orbit_fixed(
+            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
+        )
         precision_used = orb.precision_bits
         alphas = (orb.points[:, 0] - float(c_scalar)) % 1.0
 

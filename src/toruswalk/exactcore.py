@@ -24,6 +24,7 @@ __all__ = [
     "BasisMismatchError",
     "NearIntegerError",
     "IndeterminateExpansionError",
+    "ExactCheckError",
     "IrrationalBasis",
     "Scalar",
     "TorusPoint",
@@ -62,6 +63,13 @@ class NearIntegerError(ArithmeticError):
 
 class IndeterminateExpansionError(ArithmeticError):
     """An eigenvalue modulus lies within the decision margin of 1."""
+
+
+class ExactCheckError(ArithmeticError):
+    """A computed result failed the exact check that certifies it.
+
+    Raised in place of an assert, so the check survives ``python -O``.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +792,8 @@ def parse_scalar(text: str, basis: IrrationalBasis) -> Scalar:
             raise ValueError(f"cannot parse scalar term {term!r} in {text!r}")
         num = int(m.group("num"))
         den = int(m.group("den") or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in scalar term {term!r} in {text!r}")
         q = Fraction(sgn * num, den)
         name = m.group("name")
         if name is None:

@@ -5,7 +5,8 @@ The contracting system is f_i(x) = D^{-r_i} x + t_i for an expanding integer
 matrix D; the matching walk maps are h_i(x) = D^{r_i}(x + t_i).  All identity
 checks run on matched finite prefixes so both sides are exact Scalars; long
 orbits for statistics use a fixed-point integer path whose precision budget
-is computed from the word length.
+is computed from the word length, evaluated by one divide-and-conquer engine
+that composes blocks of affine maps exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from .exactcore import (
     AdaptedNorm,
     IntMatrix,
     IrrationalBasis,
+    NearIntegerError,
     Scalar,
     TorusPoint,
     adapted_norm,
@@ -50,6 +53,9 @@ __all__ = [
     "precision_budget",
     "walk_orbit_fixed",
     "code_prefix_fixed",
+    "digits_from_fixed",
+    "digits_error_bound",
+    "TRUNCATION_SLACK",
 ]
 
 logger = logging.getLogger(__name__)
@@ -396,6 +402,282 @@ def _error_to_float(err_ulps: int, bits: int) -> float:
     return float(2.0 ** (shift - bits))
 
 
+# The orbit engine.  A block of steps x -> M_a x + beta_a (mod 1) composes
+# exactly to x -> M x + sum_k C_k beta_k with integer matrices (M, C_k); the
+# offsets beta_k are read only when a block is applied, at the precision the
+# block needs.  A run solves the left half of its steps at that half's
+# precision, jumps to the midpoint with the left block map (one multiplication
+# at the precision of the whole range), drops the low bits the right half
+# cannot use and recurses; blocks that amplify by few bits run the plain loop.
+# N steps amplifying by up to D each cost O(M(N log D) log N), M(n) being the
+# cost of one n-bit multiplication.
+#
+# Every dropped bit is tracked in ulps, so each point is certified to lie
+# within TRUNCATION_SLACK of the step-by-step fixed-point recursion on the
+# same p-bit inputs, whose own error bookkeeping is replayed exactly.
+
+# Bits kept beyond what the amplification of a block uses, plus log2(N).
+_GUARD_BITS = 160
+#: certified distance between engine points and the step-by-step recursion
+TRUNCATION_SLACK = 2.0 ** -120
+# Blocks amplifying by at most this many bits run the plain loop.
+_LEAF_BITS = 320
+# Block maps of at most this many steps are composed by a plain loop.
+_MAP_LEAF_STEPS = 64
+# The plain loop stores its points after at most this many steps.
+_CHUNK_STEPS = 1024
+_OUT_SCALE = 2.0 ** -53
+
+
+def _matvec(m, v) -> list[int]:
+    return [sum(map(mul, row, v)) for row in m]
+
+
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _matadd(a, b):
+    return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
+
+
+def _norm(m) -> int:
+    """Max absolute row sum: how much the matrix amplifies a max-norm error."""
+    return max(sum(abs(x) for x in row) for row in m)
+
+
+def _compose(later, earlier):
+    """(M2, C2) o (M1, C1) = (M2 M1, M2 C1 + C2)."""
+    m2, c2 = later
+    m1, c1 = earlier
+    return _matmul(m2, m1), [
+        None if x is None else _matadd(_matmul(m2, x), y) for x, y in zip(c1, c2)
+    ]
+
+
+def _block_map(mats, active, letters, lo, hi):
+    """Exact composition of steps lo..hi-1 of x -> mats[a] x + beta_a.
+
+    Returns (M, C) with x_hi = M x_lo + sum_k C[k] beta_k: M is the product
+    of the step matrices and C[k] sums, over the steps with letter k, the
+    product of the matrices after that step (None where active[k] is false).
+    """
+    if hi - lo > _MAP_LEAF_STEPS:
+        mid = (lo + hi) // 2
+        return _compose(
+            _block_map(mats, active, letters, mid, hi),
+            _block_map(mats, active, letters, lo, mid),
+        )
+    seq = letters[lo:hi].tolist()
+    d = len(mats[0])
+    if d == 1:  # plain ints: the per-step tuple work would dominate
+        ms = [m[0][0] for m in mats]
+        prod = 1
+        sums = [0] * len(mats)
+        for a in reversed(seq):
+            sums[a] += prod
+            prod *= ms[a]
+        return ((prod,),), [((c,),) if on else None for c, on in zip(sums, active)]
+    prod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    sums = [tuple((0,) * d for _ in range(d)) if on else None for on in active]
+    for a in reversed(seq):
+        if sums[a] is not None:
+            sums[a] = _matadd(sums[a], prod)
+        prod = _matmul(prod, mats[a])
+    return prod, sums
+
+
+class _Orbit:
+    """Inputs, precision schedule and outputs of one engine run.
+
+    Letter k acts as x -> mats[k] x + offsets[k] / 2^p (mod 1); `leaf` is the
+    plain loop that fills `points` (and `digits`).  The run refers to nothing
+    that refers back to it, so it is freed as soon as the caller drops it.
+    """
+
+    def __init__(self, mats, offsets, letters, p, leaf):
+        self.mats = mats
+        self.offsets = offsets
+        self.active = [any(off) for off in offsets]
+        # an offset read at q bits is exact when its low p - q bits are zero
+        self.zeros = [
+            min((b & -b).bit_length() - 1 if b else p for b in off) for off in offsets
+        ]
+        self.amps = [max(_norm(m), 1) for m in mats]
+        self.letters = letters
+        self.p = p
+        self.guard = _GUARD_BITS + len(letters).bit_length()
+        self.leaf = leaf
+        self.points = np.empty((len(letters), len(mats[0])))
+        self.spread = 0.0  # largest truncation error of a point
+        self.digits: list[int] = []
+        self.fixed = 0  # digit runs: the exact p-bit input and its error
+        self.fixed_err = 0
+
+
+def _amp_bits(run: _Orbit, lo: int, hi: int) -> float:
+    """log2 of an upper bound on the amplification of steps lo+1..hi."""
+    seq = run.letters[lo:hi]
+    return sum(
+        math.log2(amp) * np.count_nonzero(seq == k)
+        for k, amp in enumerate(run.amps)
+        if amp > 1
+    )
+
+
+def _truncate(state, q, t, e, bits):
+    """Drop a q-bit state to `bits` bits (if fewer): the dropped low bits join
+    the truncation error t, and the tracked input error e is rounded up."""
+    if bits >= q:
+        return state, q, t, e
+    s = q - bits
+    low = (1 << s) - 1
+    r = max(x & low for x in state)
+    return [x >> s for x in state], bits, -(-(t + r) >> s), -(-e >> s)
+
+
+def _jump(run: _Orbit, block, state, q, t, e):
+    """Apply a block map to a q-bit state, reading the offsets at q bits."""
+    m, c = block
+    shift = run.p - q
+    acc = _matvec(m, state)
+    amp = _norm(m)
+    t *= amp
+    for k, ck in enumerate(c):
+        if ck is None:
+            continue
+        acc = list(map(add, acc, _matvec(ck, [b >> shift for b in run.offsets[k]])))
+        if shift > run.zeros[k]:
+            t += _norm(ck)
+    mask = (1 << q) - 1
+    return [a & mask for a in acc], t, amp * e
+
+
+def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e, need_map):
+    """Points of steps lo+1..hi, which amplify by up to 2^amp_bits, from the
+    q-bit state at step lo.  That state lies within t ulps of the step-by-step
+    recursion's state; e is the recursion's own error in the same ulps
+    (tracked for digit runs, 0 for walks).  Returns the block map of the
+    range when need_map is set."""
+    if hi - lo <= 1 or amp_bits <= _LEAF_BITS:
+        run.leaf(run, lo, hi, state, q, t, e)
+        return _block_map(run.mats, run.active, run.letters, lo, hi) if need_map else None
+    mid = (lo + hi) // 2
+    bits = _amp_bits(run, lo, mid)
+    entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
+    left = _solve(run, lo, mid, bits, *entry, True)
+    state, t, e = _jump(run, left, state, q, t, e)
+    bits = _amp_bits(run, mid, hi)
+    entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
+    right = _solve(run, mid, hi, bits, *entry, need_map)
+    return _compose(right, left) if need_map else None
+
+
+def _run(run: _Orbit, state, e=0) -> _Orbit:
+    """Solve all steps from the exact p-bit state (e ulps from the truth)."""
+    n = len(run.letters)
+    bits = _amp_bits(run, 0, n)
+    _solve(run, 0, n, bits, *_truncate(state, run.p, 0, e, math.ceil(bits) + run.guard), False)
+    if run.spread > TRUNCATION_SLACK:
+        raise PrecisionExceededError(
+            f"truncation error {run.spread:.3e} exceeds the engine's slack"
+        )
+    return run
+
+
+def _emit(run: _Orbit, lo, hi, out, t, q) -> None:
+    """Store the top 53 bits of the states of steps lo+1..hi; t ulps at q
+    bound their truncation error."""
+    shape = (hi - lo, run.points.shape[1])
+    run.points[lo:hi] = np.array(out, dtype=float).reshape(shape) * _OUT_SCALE
+    run.spread = max(run.spread, _error_to_float(t, q))
+
+
+def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
+    """Plain loop x <- M_a x + beta_a mod 2^q with offsets read at q bits."""
+    shift = run.p - q
+    offs = [[b >> shift for b in off] for off in run.offsets]
+    inexact = [int(shift > z) for z in run.zeros]
+    amps = run.amps
+    mats = run.mats
+    mask = (1 << q) - 1
+    take = q - 53
+    for start in range(lo, hi, _CHUNK_STEPS):
+        stop = min(hi, start + _CHUNK_STEPS)
+        seq = run.letters[start:stop].tolist()
+        out = []
+        if len(state) == 1:  # plain ints: the per-step list work would dominate
+            ms = [m[0][0] for m in mats]
+            bs = [off[0] for off in offs]
+            s = state[0]
+            for a in seq:
+                s = (ms[a] * s + bs[a]) & mask
+                t = t * amps[a] + inexact[a]
+                out.append(s >> take)
+            state = [s]
+        else:
+            for a in seq:
+                state = [(x + b) & mask for x, b in zip(_matvec(mats[a], state), offs[a])]
+                t = t * amps[a] + inexact[a]
+                out.extend([x >> take for x in state])
+        _emit(run, start, stop, out, t, q)
+
+
+def _digit_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
+    """Plain loop x <- D x mod 2^q with the near-integer certificate.
+
+    A step is accepted when the state stays more than t + e ulps from an
+    integer: the step-by-step recursion then passes its own test with the
+    same digit.  Otherwise the loop restarts at that step from the exact
+    p-bit state, where the test is the recursion's own and a failure raises.
+    """
+    base = run.mats[0][0][0]
+    mask = (1 << q) - 1
+    take = q - 53
+    s = state[0]
+    thr = t + e
+    digits = run.digits
+    for start in range(lo, hi, _CHUNK_STEPS):
+        stop = min(hi, start + _CHUNK_STEPS)
+        out = []
+        for n in range(start, stop):
+            s *= base
+            thr *= base
+            digit = s >> q
+            s &= mask
+            if s < thr or s > mask - thr:
+                if q == run.p and not t:
+                    raise NearIntegerError(
+                        f"digit {n + 1} not certifiable at {q} bits; raise precision"
+                    )
+                _emit(run, start, n, out, t * base ** (n - lo), q)
+                power = base ** n
+                exact = (run.fixed * power) & ((1 << run.p) - 1)
+                return _digit_leaf(run, n, hi, [exact], run.p, 0, run.fixed_err * power)
+            digits.append(digit)
+            out.append(s >> take)
+        _emit(run, start, stop, out, t * base ** (stop - lo), q)
+
+
+def _orbit_error_bound(err_ulps: int, bits: int, dim: int = 1) -> float:
+    """Uniform per-point bound of an engine orbit whose step-by-step
+    recursion carries err_ulps of error at `bits` bits: that error rounded up
+    to a power of two, one float ulp 2^-53 per coordinate, and the engine's
+    certified TRUNCATION_SLACK."""
+    return _error_to_float(err_ulps, bits) + dim * _OUT_SCALE + TRUNCATION_SLACK
+
+
+def _letter_indices(w, alphabet: int) -> np.ndarray:
+    """0-based letter indices of a word over {1, ..., alphabet}."""
+    letters = np.asarray(w.letters if isinstance(w, Word) else w).reshape(-1)
+    if letters.size and (letters.min() < 1 or letters.max() > alphabet):
+        raise ValueError("letters must index the map family (1-based)")
+    indices = letters.astype(np.min_scalar_type(-alphabet))
+    indices -= 1
+    return indices
+
+
 def walk_orbit_fixed(
     endos: Sequence[AffineEndo],
     x0: TorusPoint,
@@ -405,14 +687,26 @@ def walk_orbit_fixed(
 ) -> NumericOrbit:
     """Numeric trajectory of h_{w_n} o ... o h_{w_1}(x0) at certified precision.
 
-    State is a vector of fixed-point integers modulo 2^p with p from
-    precision_budget (or the explicit override); the initial rounding error
-    is amplified explicitly and the run aborts if it ever threatens the
-    guaranteed 2^-32 output accuracy.
+    x0 and the offsets are read as fixed-point integers at p bits, p from
+    precision_budget (or the explicit override).  The points are those of
+    the step-by-step recursion x <- L_a x + beta_a mod 2^p to within
+    TRUNCATION_SLACK, computed by the block engine above in O(M(N) log N)
+    instead of O(N^2): a block of steps composes exactly to
+    x -> L x + sum_k C_k beta_k, the state entering a block carries the bits
+    that block amplifies plus 160 + log2(N) guard bits (never more than p),
+    and blocks amplifying by at most 320 bits, such as a whole rotation, run
+    the plain loop.  The recursion's error bookkeeping
+    err <- amp_a * err + (offset error), amp_a the max row sum of L_a (at
+    least 1), is composed exactly before any orbit work: if it reaches
+    2^(p-33) ulps, i.e. 2^-33, within the word, PrecisionExceededError names
+    the first such step.  error_bound is the final err in ulps rounded up to
+    a power of two, plus 2^-53 per coordinate for the float output, plus
+    TRUNCATION_SLACK.
     """
-    letters = _letters(w)
+    letters = _letter_indices(w, len(endos))
     n_steps = len(letters)
     d = endos[0].dimension
+    mats = [e.linear.rows for e in endos]
     p = precision_bits or precision_budget([e.linear for e in endos], n_steps, guard_bits)
     if p < 64:
         raise ValueError("precision must be at least 64 bits")
@@ -424,47 +718,30 @@ def walk_orbit_fixed(
         x, e = s.fixed_point(p)
         state.append(x & mask)
         err = max(err, e)
-    offsets: list[list[int]] = []
+    offsets: list[tuple[int, ...]] = []
     offset_errs: list[int] = []
-    amps: list[int] = []
     for endo in endos:
-        off = []
-        oe = 1
-        for s in endo.offset:
-            x, e = s.fixed_point(p)
-            off.append(x)
-            oe = max(oe, e)
-        offsets.append(off)
-        offset_errs.append(oe)
-        amps.append(max(sum(abs(x) for x in row) for row in endo.linear.rows))
+        fixed = [s.fixed_point(p) for s in endo.offset]
+        offsets.append(tuple(x & mask for x, _ in fixed))
+        offset_errs.append(max([1] + [e for _, e in fixed]))
 
-    out = np.empty((n_steps, d), dtype=float)
-    errs_bits_limit = 1 << (p - 33)
-    take = p - 53
-    scale = float(2.0 ** -53)
-    rows_list = [e.linear.rows for e in endos]
-    for i, a in enumerate(letters):
-        rows = rows_list[a - 1]
-        off = offsets[a - 1]
-        new = []
-        for r in range(d):
-            acc = off[r]
-            row = rows[r]
-            for c in range(d):
-                m = row[c]
-                if m:
-                    acc += m * state[c]
-            new.append(acc & mask)
-        state = new
-        err = err * amps[a - 1] + offset_errs[a - 1]
-        if err >= errs_bits_limit:
-            raise PrecisionExceededError(
-                f"error budget exhausted at step {i + 1} of {n_steps}"
-            )
-        for r in range(d):
-            out[i, r] = (state[r] >> take) * scale
-    bound = _error_to_float(err, p) + d * 2.0 ** -53
-    return NumericOrbit(points=out, error_bound=bound, precision_bits=p)
+    amps = [max(_norm(m), 1) for m in mats]
+    growth, sums = _block_map(
+        [((a,),) for a in amps], [True] * len(amps), letters, 0, n_steps
+    )
+    final_err = growth[0][0] * err + sum(c[0][0] * oe for c, oe in zip(sums, offset_errs))
+    limit = 1 << (p - 33)
+    if n_steps and final_err >= limit:
+        for step, a in enumerate(letters.tolist(), 1):
+            err = err * amps[a] + offset_errs[a]
+            if err >= limit:
+                break
+        raise PrecisionExceededError(f"error budget exhausted at step {step} of {n_steps}")
+
+    run = _run(_Orbit(mats, offsets, letters, p, _walk_leaf), state)
+    return NumericOrbit(
+        points=run.points, error_bound=_orbit_error_bound(final_err, p, d), precision_bits=p
+    )
 
 
 def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
@@ -472,26 +749,68 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
 
     Returns (X, E, bits): X / 2^bits approximates f_{w_1} o...o f_{w_n}(0)
     with error at most E ulps (word-truncation error not included; see
-    coding_tail_bound).
+    coding_tail_bound).  With S = r_{w_1} + ... + r_{w_n} the prefix is
+    exactly sum_k t_k U_k / D^S, where U_k sums D^(S - r_{w_1} - ... -
+    r_{w_{j-1}}) over the positions j with w_j = k.  The integers D^S and U_k
+    are the engine's block map of the word: a product tree, exact at every
+    level, costing O(M(N) log N).  X is one floor division of sum_k T_k U_k by D^S with T_k the translations
+    at `bits` bits, and E = ceil(E_T sum_k |U_k| / |D^S|) plus one ulp when
+    the division is inexact.  Nothing is refused here: the digits drawn from
+    X (digits_from_fixed) carry E and the word-truncation error.
     """
     if ifs.dimension != 1:
         raise ValueError("fixed-point coding path is one-dimensional")
-    letters = _letters(w)
+    letters = _letter_indices(w, ifs.alphabet)
     d_scalar = ifs.d_matrix.rows[0][0]
+    mults = [d_scalar ** r for r in ifs.exponents]
     t_fixed = []
     t_err = 1
     for t in ifs.translations:
         x, e = t.coords[0].fixed_point(bits)
         t_fixed.append(x)
         t_err = max(t_err, e)
-    v = 0
-    err = 0
-    for a in reversed(letters):
-        div = d_scalar ** ifs.exponents[a - 1]
-        # floor division keeps |true - v| within 1 ulp for either sign of div
-        v = v // div + t_fixed[a - 1]
-        err = -(-err // abs(div)) + 1 + t_err
+    power, sums = _block_map(
+        [((m,),) for m in mults], [True] * len(mults), letters, 0, len(letters)
+    )
+    denom = power[0][0]
+    numers = [c[0][0] * m for c, m in zip(sums, mults)]
+    v, rem = divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
+    err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
     return v, err, bits
+
+
+def digits_from_fixed(
+    fixed: int, err_ulps: int, bits: int, base: int, count: int
+) -> tuple[list[int], np.ndarray]:
+    """Certified digits of a fixed-point value, plus the orbit points.
+
+    Returns (digits, points) where digits[m-1] = floor(D * frac(D^(m-1) x))
+    and points[m-1] = frac(D^m x) as floats, for m = 1..count, x being
+    fixed / 2^bits with err_ulps of error.  The orbit x -> D x mod 1 runs in
+    the block engine in O(M(N) log N) instead of O(N^2): a block of n steps
+    is x -> D^n x, the state entering it carries ceil(n log2 D) + 160 +
+    log2(N) bits (never more than `bits`), and blocks of at most 320 bits run
+    the plain loop.  Refusal is per digit, not at 2^-33: a step is accepted
+    when its state stays more than the tracked error from an integer;
+    otherwise it is redone from the exact state at `bits` bits, where the
+    test is the step-by-step recursion's own (err_ulps * D^m ulps), and its
+    failure raises NearIntegerError for that digit.  Digits are those of the
+    recursion, and each point lies within digits_error_bound(err_ulps, bits,
+    base, count).
+    """
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    run = _Orbit([((base,),)], [(0,)], np.zeros(count, dtype=np.int8), bits, _digit_leaf)
+    run.fixed = fixed & ((1 << bits) - 1)
+    run.fixed_err = max(1, err_ulps)
+    _run(run, [run.fixed], run.fixed_err)
+    return run.digits, run.points.reshape(count)
+
+
+def digits_error_bound(err_ulps: int, bits: int, base: int, count: int) -> float:
+    """Uniform per-point bound of the orbit points digits_from_fixed returns
+    for the same arguments."""
+    return _orbit_error_bound(max(1, err_ulps) * base ** count, bits)
 
 
 def walk_letter_stream(

@@ -16,7 +16,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactcore import IntMatrix, Scalar, TorusPoint, commute, is_expanding, mat_apply
+from .exactcore import (
+    ExactCheckError,
+    IntMatrix,
+    Scalar,
+    TorusPoint,
+    commute,
+    is_expanding,
+    mat_apply,
+)
 
 __all__ = ["DensityVerdict", "is_dense", "condition_walk", "condition_ifs"]
 
@@ -122,7 +130,8 @@ def is_dense(points: Sequence[TorusPoint]) -> DensityVerdict:
         scale = lcm(scale, acc.denominator)
     witness = tuple(x * scale for x in k_int)
     verdict = DensityVerdict(dense=False, witness=witness, tested=tuple(pts))
-    assert verdict.witness_pairs_integral(), "internal witness check failed"
+    if not verdict.witness_pairs_integral():
+        raise ExactCheckError(f"witness {witness} does not pair the set into Z")
     return verdict
 
 

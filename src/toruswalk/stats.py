@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactcore import NearIntegerError, Scalar
+from .exactcore import Scalar
+from .fractal import digits_error_bound, digits_from_fixed
 
 __all__ = [
     "OrbitSample",
@@ -27,6 +28,7 @@ __all__ = [
     "star_discrepancy_1d",
     "extract_digits",
     "digits_from_fixed",
+    "digits_error_bound",
     "block_frequencies",
     "digit_block_freqs",
     "block_deviations",
@@ -181,36 +183,6 @@ def extract_digits(x: Scalar, base: int, count: int) -> list[int]:
     fixed, err = x.fixed_point(bits)
     digits, _ = digits_from_fixed(fixed, err, bits, base, count)
     return digits
-
-
-def digits_from_fixed(
-    fixed: int, err_ulps: int, bits: int, base: int, count: int
-) -> tuple[list[int], np.ndarray]:
-    """Certified digits of a fixed-point value, plus the orbit points.
-
-    Returns (digits, points) where digits[m-1] = floor(D * frac(D^(m-1) x))
-    and points[m-1] = frac(D^m x) as floats, for m = 1..count.  Raises
-    NearIntegerError when the amplified error no longer certifies a digit.
-    """
-    mask = (1 << bits) - 1
-    frac_fixed = fixed & mask
-    err = max(1, err_ulps)
-    take = bits - 53
-    scale = 2.0 ** -53
-    digits = []
-    points = np.empty(count, dtype=float)
-    for i in range(count):
-        frac_fixed *= base
-        err *= base
-        digit = frac_fixed >> bits
-        frac_fixed &= mask
-        if frac_fixed < err or frac_fixed > mask - err:
-            raise NearIntegerError(
-                f"digit {i + 1} not certifiable at {bits} bits; raise precision"
-            )
-        digits.append(digit)
-        points[i] = (frac_fixed >> take) * scale
-    return digits, points
 
 
 def block_frequencies(

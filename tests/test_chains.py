@@ -14,7 +14,8 @@ from toruswalk.chains import (
     stationary_distribution,
     stationary_power_iteration,
 )
-from toruswalk.exactcore import IrrationalBasis, Scalar, TorusPoint
+from toruswalk import chains
+from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint
 from toruswalk.fractal import AffineIFS
 
 B = IrrationalBasis(("sqrt2",))
@@ -127,6 +128,20 @@ class TestStationaryDistribution:
     def test_reducible_rejected(self):
         t = [[F(1), F(0)], [F(0), F(1)]]
         with pytest.raises(ReducibleChainError):
+            stationary_distribution(t)
+
+    def test_residual_guard_raises_typed_error(self, monkeypatch):
+        # a solver returning a non-stationary vector must not pass unnoticed
+        monkeypatch.setattr(chains, "_solve_exact", lambda a, b: [F(1), F(0)])
+        t = [[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]]
+        with pytest.raises(ExactCheckError, match="residual"):
+            stationary_distribution(t)
+
+    def test_nonnegativity_guard_raises_typed_error(self, monkeypatch):
+        # -pi is stationary for T but not a probability vector
+        monkeypatch.setattr(chains, "_solve_exact", lambda a, b: [F(-1, 2), F(-1, 2)])
+        t = [[F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)]]
+        with pytest.raises(ExactCheckError, match="negative"):
             stationary_distribution(t)
 
     def test_exact_vs_power_iteration(self):

@@ -321,6 +321,10 @@ class TestTextSyntax:
             s = random_scalar(rng, ALPHA, denom_max=12)
             assert parse_scalar(format_scalar(s), ALPHA).coeffs == s.coeffs
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar("0/0", ALPHA)
+
     @settings(max_examples=60)
     @given(st.text(max_size=20))
     def test_fuzz_never_crashes_uncontrolled(self, text):

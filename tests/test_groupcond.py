@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from toruswalk.exactcore import IntMatrix, IrrationalBasis, Scalar, TorusPoint
-from toruswalk.groupcond import condition_ifs, condition_walk, is_dense
+from toruswalk.exactcore import ExactCheckError, IntMatrix, IrrationalBasis, Scalar, TorusPoint
+from toruswalk.groupcond import DensityVerdict, condition_ifs, condition_walk, is_dense
 from conftest import random_point, random_rational
 
 B = IrrationalBasis(("sqrt2",))
@@ -48,6 +48,11 @@ class TestIsDense:
         assert not verdict.dense
         assert verdict.witness_pairs_integral()
         assert brute_force_witness(verdict.tested, 4) == (2,)
+
+    def test_witness_guard_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(DensityVerdict, "witness_pairs_integral", lambda self: False)
+        with pytest.raises(ExactCheckError, match="witness"):
+            is_dense([rational_point(Fraction(1, 2))])
 
     def test_sqrt2_dense(self):
         # 1-dim: a single irrational point generates a dense subgroup

@@ -1,0 +1,400 @@
+"""Differential tests: the block orbit engine against the step-by-step loops.
+
+reference_orbits.py keeps the original O(N^2) loops.  The engine must give
+points within the sum of both certified bounds, bounds no larger than the
+loops', identical digits, and raise exactly where the loops raise.
+"""
+
+import contextlib
+import gc
+import math
+import weakref
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference_orbits as ref
+from toruswalk import cli, fractal
+from toruswalk.exactcore import (
+    IndeterminateExpansionError,
+    IntMatrix,
+    IrrationalBasis,
+    NearIntegerError,
+    Scalar,
+    TorusPoint,
+    commute,
+    is_expanding,
+)
+from toruswalk.fractal import (
+    AffineEndo,
+    AffineIFS,
+    PrecisionExceededError,
+    code_prefix_fixed,
+    digits_error_bound,
+    digits_from_fixed,
+    walk_orbit_fixed,
+)
+
+B = IrrationalBasis(("sqrt2", "sqrt3"))
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+scalars = st.builds(lambda r, a, b: Scalar(B, (r, a, b)), fractions, fractions, fractions)
+# lengths below one plain-loop leaf (320 bits of amplification) and far above
+lengths = st.one_of(st.integers(0, 40), st.integers(600, 2500))
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return "raised", (type(exc), str(exc))
+
+
+def torus_gap(a: np.ndarray, b: np.ndarray) -> float:
+    gap = np.abs(a - b) % 1.0
+    return float(np.max(np.minimum(gap, 1.0 - gap), initial=0.0))
+
+
+def assert_walks_agree(endos, x0, letters, precision_bits=None):
+    new = outcome(walk_orbit_fixed, endos, x0, letters, precision_bits=precision_bits)
+    old = outcome(ref.walk_orbit_fixed, endos, x0, letters, precision_bits=precision_bits)
+    assert new[0] == old[0]
+    if new[0] == "raised":
+        assert new[1] == old[1]
+        return
+    new, old = new[1], old[1]
+    assert new.precision_bits == old.precision_bits
+    assert new.error_bound <= old.error_bound
+    assert torus_gap(new.points, old.points) <= new.error_bound + old.error_bound
+
+
+@st.composite
+def scalar_family(draw):
+    """Commuting expanding maps x -> D_i x + alpha_i on the circle."""
+    k = draw(st.integers(1, 3))
+    ds = draw(st.lists(st.sampled_from([-5, -3, -2, 2, 3, 4, 5]), min_size=k, max_size=k))
+    return [AffineEndo(IntMatrix.scalar(d), (draw(scalars),)) for d in ds]
+
+
+@st.composite
+def rotation_family(draw):
+    """Rotations x -> x + alpha_i: amplification 1."""
+    return [AffineEndo(IntMatrix.identity(1), (draw(scalars),)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def mixed_family(draw):
+    """A rotation next to an expanding map: the rotation's offsets pile up in
+    the block maps instead of being amplified away."""
+    d = draw(st.sampled_from([-3, -2, 2, 3]))
+    return [
+        AffineEndo(IntMatrix.identity(1), (draw(scalars),)),
+        AffineEndo(IntMatrix.scalar(d), (draw(scalars),)),
+    ]
+
+
+@st.composite
+def matrix_family(draw):
+    """Commuting expanding 2x2 maps: A and A + cI for an expanding A."""
+    rows = draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2)
+    )
+    c = draw(st.integers(-2, 2))
+    base = IntMatrix.from_rows(rows)
+    shifted = IntMatrix.from_rows(
+        [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
+    for m in (base, shifted):
+        try:
+            assume(is_expanding(m))
+        except IndeterminateExpansionError:
+            assume(False)
+    assert commute(base, shifted)
+    return [AffineEndo(m, (draw(scalars), draw(scalars))) for m in (base, shifted)]
+
+
+def letters_for(draw, endos, n):
+    return draw(st.lists(st.integers(1, len(endos)), min_size=n, max_size=n))
+
+
+class TestWalkOrbit:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.one_of(scalar_family(), mixed_family()), lengths)
+    def test_one_dimensional(self, data, endos, n):
+        letters = letters_for(data.draw, endos, n)
+        assert_walks_agree(endos, TorusPoint([data.draw(scalars)]), letters)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), matrix_family(), lengths)
+    def test_two_dimensional(self, data, endos, n):
+        letters = letters_for(data.draw, endos, n)
+        x0 = TorusPoint([data.draw(scalars), data.draw(scalars)])
+        assert_walks_agree(endos, x0, letters)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), rotation_family(), st.integers(0, 6000))
+    def test_rotation(self, data, endos, n):
+        # amplification 1: the whole orbit is one plain loop at small precision
+        letters = letters_for(data.draw, endos, n)
+        assert_walks_agree(endos, TorusPoint([data.draw(scalars)]), letters)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), scalar_family(), st.integers(200, 1500), st.integers(-40, 40))
+    def test_raises_where_the_loop_raises(self, data, endos, n, slack):
+        # explicit precisions around the point where the budget runs out
+        letters = letters_for(data.draw, endos, n)
+        amp = sum(math.log2(abs(e.linear.rows[0][0])) for e in endos) / len(endos)
+        precision = max(64, int(n * amp) + 33 + slack)
+        assert_walks_agree(endos, TorusPoint([data.draw(scalars)]), letters, precision)
+
+    def test_precision_64_raises_like_the_loop(self):
+        endos = [
+            AffineEndo(IntMatrix.scalar(2), (Scalar(B, (Fraction(0), Fraction(0), Fraction(0))),)),
+            AffineEndo(IntMatrix.scalar(3), (Scalar(B, (Fraction(0), Fraction(1), Fraction(0))),)),
+        ]
+        letters = np.random.default_rng(3).integers(1, 3, size=4000)
+        x0 = TorusPoint([Scalar.rational(Fraction(1, 7), B)])
+        with pytest.raises(PrecisionExceededError) as new:
+            walk_orbit_fixed(endos, x0, letters, precision_bits=64)
+        with pytest.raises(PrecisionExceededError) as old:
+            ref.walk_orbit_fixed(endos, x0, letters, precision_bits=64)
+        assert str(new.value) == str(old.value)
+
+    def test_letters_out_of_range_rejected(self):
+        endo = AffineEndo(IntMatrix.scalar(2), (Scalar.rational(0, B),))
+        with pytest.raises(ValueError, match="letters"):
+            walk_orbit_fixed([endo], TorusPoint([Scalar.rational(0, B)]), [1, 2])
+
+
+@st.composite
+def cantor_like(draw):
+    d = draw(st.sampled_from([-3, -2, 2, 3, 4]))
+    k = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    translations = [[draw(scalars)] for _ in range(k)]
+    return AffineIFS.create(d, exponents, translations)
+
+
+class TestCodePrefix:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), cantor_like(), lengths, st.integers(64, 1024))
+    def test_agrees_with_the_loop(self, data, ifs, n, bits):
+        word = data.draw(st.lists(st.integers(1, ifs.alphabet), min_size=n, max_size=n))
+        value, err, got_bits = code_prefix_fixed(ifs, word, bits)
+        old_value, old_err, _ = ref.code_prefix_fixed(ifs, word, bits)
+        assert got_bits == bits
+        assert abs(value - old_value) <= err + old_err
+        assert err <= old_err
+
+
+def value_for(draw, base, count):
+    bits = math.ceil(count * math.log2(base)) + 96
+    fixed, err = draw(scalars).fixed_point(bits)
+    return fixed, err, bits
+
+
+class TestDigits:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 5, 10]), lengths)
+    def test_agrees_with_the_loop(self, data, base, count):
+        fixed, err, bits = value_for(data.draw, base, count)
+        new = outcome(digits_from_fixed, fixed, err, bits, base, count)
+        old = outcome(ref.digits_from_fixed, fixed, err, bits, base, count)
+        assert new[0] == old[0]
+        if new[0] == "raised":
+            assert new[1] == old[1]
+            return
+        (digits, points), (old_digits, old_points) = new[1], old[1]
+        assert digits == old_digits
+        bound = digits_error_bound(err, bits, base, count)
+        assert torus_gap(points, old_points) <= 2 * bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.integers(300, 2000),
+        st.floats(0.05, 0.999),
+        st.integers(1, 50),
+        st.one_of(st.integers(1, 4), st.integers(2**20, 2**40)),
+        st.sampled_from([-1, 0, 1]),
+    )
+    def test_near_integer_values_decided_like_the_loop(self, base, count, where, c, err, side):
+        """A value placed within (side -1), at (0) or just outside (1) the
+        error of a digit boundary at step m: either both raise at the same
+        digit, or both certify the same digits."""
+        bits = math.ceil(count * math.log2(base)) + 96
+        m = int(where * count)
+        power = base ** m
+        # fixed * D^m = c * 2^bits + r (mod 2^bits) with r about err * D^m
+        target = c * (1 << bits) + max(0, err + side) * power
+        fixed = -(-target // power)
+        new = outcome(digits_from_fixed, fixed, err, bits, base, count)
+        old = outcome(ref.digits_from_fixed, fixed, err, bits, base, count)
+        assert new[0] == old[0]
+        if new[0] == "raised":
+            assert new[1] == old[1]
+        else:
+            assert new[1][0] == old[1][0]
+
+    def test_value_within_error_of_boundary_raises(self):
+        base, count, m = 3, 1000, 400
+        bits = math.ceil(count * math.log2(base)) + 96
+        fixed = -(-(5 << bits) // base ** m)  # fixed * 3^400 = 5 * 2^bits + r, r < 3^400
+        with pytest.raises(NearIntegerError) as new:
+            digits_from_fixed(fixed, 1, bits, base, count)
+        with pytest.raises(NearIntegerError) as old:
+            ref.digits_from_fixed(fixed, 1, bits, base, count)
+        assert str(new.value) == str(old.value)
+
+
+class TestRationalCase:
+    def test_irrational_t1_alpha_orbit_agrees_with_the_loop(self, tmp_path, monkeypatch):
+        # rational differences, irrational t_1: the alpha orbit runs in the engine
+        cfg = {
+            "kind": "rational-case",
+            "irrationals": ["sqrt2"],
+            "D": 3,
+            "t": ["1*sqrt2", "1*sqrt2 + 1/3"],
+            "N": 3000,
+            "K": 4,
+            "seed": 5,
+        }
+        new = cli.run(cfg, tmp_path / "engine")
+        monkeypatch.setattr(fractal, "walk_orbit_fixed", ref.walk_orbit_fixed)
+        old = cli.run(cfg, tmp_path / "loop")
+        assert new["precision_bits"] == old["precision_bits"]
+        for k, v in old["results"]["weyl"].items():
+            assert abs(float(new["results"]["weyl"][k]) - float(v)) <= 1e-12
+
+
+class TestJump:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(64, 400))
+    def test_tracked_error_covers_truncated_state_and_offsets(self, data, d, k, p):
+        """One truncation and one jump at q < p bits stay within the tracked
+        ulps of the exact block applied at p bits."""
+        entries = st.integers(-3, 3)
+        mats = [
+            tuple(tuple(data.draw(entries) for _ in range(d)) for _ in range(d)) for _ in range(k)
+        ]
+        # offsets with many ones below the cut make reading them at q bits lose almost an ulp
+        words = st.integers(0, (1 << p) - 1) | st.just((1 << p) - 1) | st.just((1 << (p - 1)) - 1)
+        offsets = [tuple(data.draw(words) for _ in range(d)) for _ in range(k)]
+        n = data.draw(st.integers(1, 150))
+        word = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        letters = np.array(word, dtype=np.int8)
+        state = [data.draw(words) for _ in range(d)]
+        run = fractal._Orbit(mats, offsets, letters, p, fractal._walk_leaf)
+        block = fractal._block_map(mats, run.active, letters, 0, n)
+        m, c = block
+
+        def dot(row, vec):
+            return sum(x * y for x, y in zip(row, vec))
+
+        exact = [
+            (dot(row, state) + sum(dot(ck[i], off) for ck, off in zip(c, offsets) if ck)) % (1 << p)
+            for i, row in enumerate(m)
+        ]
+        truncated, q, t, _ = fractal._truncate(state, p, 0, 0, data.draw(st.integers(53, p)))
+        moved, t, _ = fractal._jump(run, block, truncated, q, t, 0)
+        for got, want in zip(moved, exact):
+            gap = (got * (1 << (p - q)) - want) % (1 << p)
+            assert min(gap, (1 << p) - gap) <= t << (p - q)
+
+
+@contextlib.contextmanager
+def thin_guard(bits):
+    """Run the engine with few guard bits, so that its truncation error is
+    visible, and collect the truncation error each run reports."""
+    spreads = []
+    run = fractal._run
+
+    def spy(*args):
+        result = run(*args)
+        spreads.append(result.spread)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractal, "_GUARD_BITS", bits)
+        mp.setattr(fractal, "TRUNCATION_SLACK", 1.0)
+        mp.setattr(fractal, "_run", spy)
+        yield spreads
+
+
+class TestTrackedTruncation:
+    """The tracked truncation error must cover the real distance to the
+    step-by-step loop, and digits must stay the loop's, even when so few guard
+    bits remain that the points visibly move (by about 2^-20)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.one_of(scalar_family(), matrix_family()), st.integers(600, 2500))
+    def test_walk(self, data, endos, n):
+        letters = letters_for(data.draw, endos, n)
+        x0 = TorusPoint([data.draw(scalars) for _ in range(endos[0].dimension)])
+        old = outcome(ref.walk_orbit_fixed, endos, x0, letters)
+        assume(old[0] == "ok")
+        with thin_guard(8) as spreads:
+            new = walk_orbit_fixed(endos, x0, letters)
+        assert torus_gap(new.points, old[1].points) <= spreads[-1] + 2.0 ** -53
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.one_of(rotation_family(), mixed_family()), st.integers(600, 6000))
+    def test_walk_with_small_amplification(self, data, endos, n):
+        # offsets read at few bits: their truncation dominates the error
+        letters = letters_for(data.draw, endos, n)
+        x0 = TorusPoint([data.draw(scalars)])
+        old = ref.walk_orbit_fixed(endos, x0, letters)
+        with thin_guard(44) as spreads:
+            new = walk_orbit_fixed(endos, x0, letters)
+        assert torus_gap(new.points, old.points) <= spreads[-1] + 2.0 ** -53
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 5, 10]), st.integers(600, 2500))
+    def test_digits(self, data, base, count):
+        fixed, err, bits = value_for(data.draw, base, count)
+        old = outcome(ref.digits_from_fixed, fixed, err, bits, base, count)
+        with thin_guard(0) as spreads:
+            new = outcome(digits_from_fixed, fixed, err, bits, base, count)
+        assert new[0] == old[0]
+        if new[0] == "raised":
+            assert new[1] == old[1]
+            return
+        (digits, points), (old_digits, old_points) = new[1], old[1]
+        assert digits == old_digits
+        assert torus_gap(points, old_points) <= spreads[-1] + 2.0 ** -53
+
+
+class TestNoReferenceCycles:
+    """Engine runs are freed by reference counting alone."""
+
+    def test_walk_points_die_with_the_orbit(self):
+        endos = [
+            AffineEndo(IntMatrix.scalar(2), (Scalar.rational(0, B),)),
+            AffineEndo(IntMatrix.scalar(3), (Scalar(B, (Fraction(0), Fraction(1), Fraction(0))),)),
+        ]
+        letters = np.random.default_rng(5).integers(1, 3, size=3000)
+        gc.disable()
+        try:
+            orbit = walk_orbit_fixed(endos, TorusPoint([Scalar.rational(Fraction(1, 7), B)]), letters)
+            points = weakref.ref(orbit.points)
+            del orbit
+            assert points() is None
+        finally:
+            gc.enable()
+
+    def test_digit_points_die_when_dropped(self):
+        x = Scalar(B, (Fraction(0), Fraction(2, 3), Fraction(0)))
+        bits = math.ceil(3000 * math.log2(3)) + 96
+        fixed, err = x.fixed_point(bits)
+        gc.disable()
+        try:
+            digits, points = digits_from_fixed(fixed, err, bits, 3, 3000)
+            alive = [weakref.ref(points), weakref.ref(points.base)]
+            del digits, points
+            assert all(r() is None for r in alive)
+        finally:
+            gc.enable()
