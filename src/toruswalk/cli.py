@@ -213,18 +213,38 @@ def normalize_config(raw: dict) -> dict:
             raise ConfigError("field 'measures': expected a non-empty table")
         cfg["measures"] = {}
         for name, m in sorted(measures.items()):
-            cfg["measures"][name] = {
-                "base": int(_require(m, "base", kind)),
-                "atoms": check_scalars(_as_scalar_list(m["atoms"], "atoms"), "atoms"),
-                "weights": check_scalars(
-                    [str(w) for w in m.get("weights", [f"1/{len(m['atoms'])}"] * len(m["atoms"]))],
-                    "weights",
-                ),
-            }
+            field = f"measures.{name}"
+            if not isinstance(m, dict):
+                raise ConfigError(f"field '{field}': expected a table")
+            for key in ("base", "atoms"):
+                if key not in m:
+                    raise ConfigError(f"field '{field}.{key}': missing")
+            try:
+                base = int(m["base"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"field '{field}.base': expected an integer") from exc
+            if abs(base) < 2:
+                raise ConfigError(f"field '{field}.base': |base| must be >= 2")
+            atoms = check_scalars(_as_scalar_list(m["atoms"], f"{field}.atoms"), f"{field}.atoms")
+            weights = check_scalars(
+                [str(w) for w in m.get("weights", [f"1/{len(atoms)}"] * len(atoms))],
+                f"{field}.weights",
+            )
+            try:
+                spectral.SelfSimilarSpec.create(base, _fractions(atoms), _fractions(weights))
+            except ValueError as exc:
+                raise ConfigError(f"field '{field}': {exc}") from exc
+            cfg["measures"][name] = {"base": base, "atoms": atoms, "weights": weights}
         cfg["dump_range"] = int(raw.get("dump_range", 32))
+        if cfg["dump_range"] < 0:
+            raise ConfigError("field 'dump_range': must be >= 0")
         cfg["tol"] = float(raw.get("tol", 1e-9))
+        if not (math.isfinite(cfg["tol"]) and cfg["tol"] > 0):
+            raise ConfigError("field 'tol': must be a finite number > 0")
         zc = []
         for check in raw.get("zero_checks", []):
+            if not isinstance(check, dict):
+                raise ConfigError("field 'zero_checks': expected a list of tables")
             if check.get("measure") not in cfg["measures"]:
                 raise ConfigError("zero_checks: unknown measure name")
             if check.get("pattern") not in ("odd", "twice_odd"):
@@ -245,6 +265,8 @@ def normalize_config(raw: dict) -> dict:
                 raise ConfigError("haar_convolution: expected two measure names")
         cfg["haar_convolution"] = conv
         cfg["haar_range"] = int(raw.get("haar_range", 1000))
+        if cfg["haar_range"] < 1:
+            raise ConfigError("field 'haar_range': must be >= 1")
     return cfg
 
 
@@ -476,55 +498,13 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
 
     tail_len = max(8, math.ceil(60 / math.log2(abs(d_value)))) + 4
     letters = fractal.walk_letter_stream(probs, rng, n_steps + tail_len)
-
-    # eta_m along the same letter stream, plus empirical state frequencies
-    index = {a: i for i, a in enumerate(eta.states)}
-    table = [
-        [index[eta.next_state(a, j + 1)] for j in range(len(probs))] for a in eta.states
-    ]
-    state_floats = np.array([float(a) for a in eta.states])
-    eta_idx = np.empty(n_steps, dtype=np.int64)
-    state = index[eta.deltas_tilde[letters[0] - 1]]
-    eta_idx[0] = state
-    for m in range(1, n_steps):
-        state = table[state][letters[m] - 1]
-        eta_idx[m] = state
+    points, eta_idx, bound, precision_used = _rational_case_points(
+        eta, t_scalars, letters, n_steps
+    )
     freq = np.bincount(eta_idx, minlength=len(eta.states)) / n_steps
     exact_p = np.array([float(x) for x in eta.stationary])
     state_dev = float(np.max(np.abs(freq - exact_p)))
-
-    # coded tails pi(T^m i) via a truncated moving sum (double precision)
-    t_floats = np.array([float(s) for s in t_scalars])
-    tarr = t_floats[letters - 1]
-    weights = (1.0 / d_value) ** np.arange(tail_len)
-    tails = np.zeros(n_steps)
-    for j in range(tail_len):
-        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
-
-    # alpha_m: exact cycle when t_1 is rational, fixed-point orbit otherwise
-    t1 = t_scalars[0]
-    precision_used = None
-    if t1.is_rational():
-        c = Fraction(d_value, d_value - 1) * t1.rational_part
-        alphas = np.empty(n_steps)
-        o = c * d_value
-        o -= o.numerator // o.denominator
-        for m in range(n_steps):
-            a = o - c
-            alphas[m] = float(a - (a.numerator // a.denominator))
-            o *= d_value
-            o -= o.numerator // o.denominator
-    else:
-        c_scalar = t1 * Fraction(d_value, d_value - 1)
-        endo = fractal.AffineEndo(IntMatrix.scalar(d_value), (Scalar.rational(0, basis),))
-        orb = fractal.walk_orbit_fixed(
-            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
-        )
-        precision_used = orb.precision_bits
-        alphas = (orb.points[:, 0] - float(c_scalar)) % 1.0
-
-    points = (alphas + state_floats[eta_idx] + tails) % 1.0
-    sample = stats.OrbitSample(points, 2.0 ** -40, 64)
+    sample = stats.OrbitSample(points, bound, 64)
     ws = stats.weyl_sums(sample, k_max)
 
     results = {
@@ -546,7 +526,7 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
             for a, p, f in zip(eta.states, eta.stationary, freq)
         ],
     )
-    if t1.is_rational() and all(s.is_rational() for s in t_scalars):
+    if all(s.is_rational() for s in t_scalars):
         law = chains.limit_law_fourier(eta, ifs)
         results["char_dev"] = stats.compare_to_fourier(sample, law, k_max)
         means = stats.character_means(sample, k_max)
@@ -569,6 +549,95 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
         results["char_dev"] = None
         results["note"] = "t_1 irrational: limit law not finitely computable"
     return results, sidecars, precision_used
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _float_and_error(s: Scalar) -> tuple[float, float]:
+    """float(s) and a bound on its distance from s."""
+    val, err = s.evaluate(64)
+    f = float(val)
+    return f, float(err) + abs(f) * _UNIT_ROUNDOFF
+
+
+def _rational_case_points(eta, t_scalars, letters: np.ndarray, n_steps: int):
+    """Points x_m = alpha_m + eta_m + pi(T^m i) of the rational case in
+    float64, m < n_steps, along `letters` (n_steps letters plus the tail).
+
+    Returns (points, eta state index per step, per-point error bound,
+    precision of the alpha orbit or None when t_1 is rational).  The bound,
+    with u = 2^-53, L the tail length, T = max|t_i|, G = 1 / (1 - 1/|D|),
+    adds: the truncated tail T |D|^-L G; the moving sum, whose terms carry
+    the float error of t_i plus at most (j + 2) u from (1/D)^j, u from the
+    product and (L - 1) u from the additions, below (2L + 4) u T G plus the
+    t_i errors times G; the float error of alpha_m and of the states eta_m;
+    and u |partial sum| for each of the two additions plus u for mod 1.
+    """
+    d_value = eta.d_value
+    tail_len = len(letters) - n_steps
+
+    # eta_m along the letter stream
+    index = {a: i for i, a in enumerate(eta.states)}
+    table = [
+        [index[eta.next_state(a, j + 1)] for j in range(len(t_scalars))] for a in eta.states
+    ]
+    state_floats = np.array([float(a) for a in eta.states])
+    eta_idx = np.empty(n_steps, dtype=np.int64)
+    state = index[eta.deltas_tilde[letters[0] - 1]]
+    eta_idx[0] = state
+    for m in range(1, n_steps):
+        state = table[state][letters[m] - 1]
+        eta_idx[m] = state
+
+    # coded tails pi(T^m i) via a truncated moving sum (double precision)
+    t_pairs = [_float_and_error(s) for s in t_scalars]
+    t_floats = np.array([f for f, _ in t_pairs])
+    tarr = t_floats[letters - 1]
+    weights = (1.0 / d_value) ** np.arange(tail_len)
+    tails = np.zeros(n_steps)
+    for j in range(tail_len):
+        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
+
+    # alpha_m: exact cycle when t_1 is rational, fixed-point orbit otherwise
+    t1 = t_scalars[0]
+    precision_used = None
+    if t1.is_rational():
+        c = Fraction(d_value, d_value - 1) * t1.rational_part
+        alphas = np.empty(n_steps)
+        o = c * d_value
+        o -= o.numerator // o.denominator
+        for m in range(n_steps):
+            a = o - c
+            alphas[m] = float(a - (a.numerator // a.denominator))
+            o *= d_value
+            o -= o.numerator // o.denominator
+        alpha_err = _UNIT_ROUNDOFF
+    else:
+        c_scalar = t1 * Fraction(d_value, d_value - 1)
+        endo = fractal.AffineEndo(IntMatrix.scalar(d_value), (Scalar.rational(0, t1.basis),))
+        orb = fractal.walk_orbit_fixed(
+            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
+        )
+        precision_used = orb.precision_bits
+        c_float, c_err = _float_and_error(c_scalar)
+        alphas = (orb.points[:, 0] - c_float) % 1.0
+        alpha_err = orb.error_bound + c_err + (2.0 + abs(c_float)) * _UNIT_ROUNDOFF
+
+    points = (alphas + state_floats[eta_idx] + tails) % 1.0
+
+    geo = 1.0 / (1.0 - 1.0 / abs(d_value))
+    t_max = max(abs(f) for f, _ in t_pairs)
+    t_err = max(e for _, e in t_pairs)
+    s_max = float(max(abs(a) for a in eta.states))
+    bound = (
+        t_max * abs(d_value) ** -tail_len * geo
+        + ((2 * tail_len + 4) * _UNIT_ROUNDOFF * t_max + t_err) * geo
+        + alpha_err
+        + s_max * _UNIT_ROUNDOFF
+        + (2.0 * (1.0 + s_max + t_max * geo) + 1.0) * _UNIT_ROUNDOFF
+    )
+    return points, eta_idx, bound, precision_used
 
 
 def _run_fourier(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
@@ -619,7 +688,23 @@ def _run_fourier(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
                 routing = False
         results["routing_consistent"] = routing
         results["haar_range"] = cfg["haar_range"]
+    results["diagnostics"] = {
+        name: _fourier_diagnostics(specs[name], fn, tol) for name, fn in coeff_fns.items()
+    }
     return results, sidecars, None
+
+
+def _fourier_diagnostics(spec, coeffs, tol: float) -> dict:
+    """How one measure's coefficients were computed: how many, the deepest
+    truncated product among them (None when none needed a product), and by
+    which character evaluator."""
+    evaluated = coeffs.evaluated()
+    products = [abs(n) for n, v in evaluated.items() if n and not v.exact_zero]
+    return {
+        "coefficients": len(evaluated),
+        "max_depth": spectral.truncation_depth(spec, max(products), tol) if products else None,
+        "evaluator": spectral.EVALUATOR,
+    }
 
 
 _RUNNERS = {
@@ -843,7 +928,9 @@ SCHEMA_DOC = {
         "zero_checks": "[{measure, pattern: odd|twice_odd, k_max, m_max}]",
         "haar_convolution": "[nameA, nameB] or null",
         "haar_range": "N for is-Haar check",
-        "tol": "product truncation tolerance",
+        "tol": "product truncation tolerance (finite, > 0)",
+        "results.diagnostics": "per measure: coefficients evaluated, max_depth "
+        "(deepest truncated product, null when every value was an exact zero), evaluator",
     },
     "report": {
         "schema": REPORT_SCHEMA,

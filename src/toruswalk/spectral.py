@@ -7,6 +7,14 @@ certified error bound and an `exact_zero` flag.  Exact zeros are detected
 only through the equal-weight two-atom cosine criterion (n * (a2 - a1) *
 D^-s in 1/2 + Z), which covers every exact claim needed; all other small
 values are reported as numerically below the certified error.
+
+Every character average sum_i w_i e(n a_i D^-s), e(x) = exp(2 pi i x), goes
+through one float64 evaluator, `_character_average`.  It reduces each angle
+with exact integers to the nearest quarter turn plus an offset of at most
+1/8 turn, so quarter turns come out exactly as +-1 and +-i; the offset goes
+through one correctly rounded integer division and libm `cos`/`sin`.  Its
+docstring derives why the result stays inside the per-factor rounding
+allowance `(k + 2) 2^-52` that the certified errors state.
 """
 
 from __future__ import annotations
@@ -14,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import mpmath
+from typing import Callable, Sequence
 
 __all__ = [
     "FourierValue",
@@ -28,7 +34,12 @@ __all__ = [
     "convolve",
     "classify_index",
     "is_haar_up_to",
+    "truncation_depth",
+    "EVALUATOR",
 ]
+
+#: name of the character evaluator, reported in run diagnostics
+EVALUATOR = "float64-octant"
 
 _Q0 = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -50,19 +61,89 @@ def _frac(q: Fraction) -> Fraction:
     return q - (q.numerator // q.denominator)
 
 
-def _character_sum(
-    pairs: Iterable[tuple[Fraction, Fraction]], prec: int = 96
+# floor(pi * 2^124), so that 0 <= pi - _PI_SCALED * 2^-124 < 2^-124
+_PI_SCALED = 0x3243F6A8885A308D313198A2E0370734
+# an offset rho / (4 M) turns is pi rho / (2 M) = _PI_SCALED rho / (M << 125)
+# radians
+_PI_SHIFT = 125
+
+
+def _over_common_denominator(atoms: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(Q, [A_i]) with a_i = A_i / Q for one common denominator Q."""
+    q = math.lcm(*(a.denominator for a in atoms))
+    return q, [a.numerator * (q // a.denominator) for a in atoms]
+
+
+def _character_average(
+    numerators: Sequence[int], weights: Sequence[float], n: int, modulus: int
 ) -> complex:
-    """sum w * e^{2 pi i a} for rational (w, a), at `prec` working bits."""
-    with mpmath.workprec(prec):
-        total = mpmath.mpc(0)
-        two_pi = 2 * mpmath.pi
-        for w, a in pairs:
-            af = _frac(a)
-            ang = two_pi * mpmath.mpf(af.numerator) / af.denominator
-            weight = mpmath.mpf(w.numerator) / w.denominator
-            total += weight * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-        return complex(total)
+    """sum_i w_i e(n A_i / modulus) in float64, for rational weights w_i >= 0
+    with sum 1 given as their correctly rounded floats.
+
+    Each angle is reduced with exact integers: 4 n A_i = q M + rho with
+    -M/2 < rho <= M/2 (M = modulus), so e(n A_i / M) = i^q e(rho / (4 M))
+    with an offset of at most 1/8 turn.  Quarter turns (rho = 0) give
+    exactly 1, i, -1 or -i; otherwise phi = pi rho / (2 M), |phi| <= pi/4,
+    comes from one correctly rounded integer division, and the factor i^q
+    only swaps and negates cos(phi) and sin(phi).
+
+    Error, with u = 2^-53 and k atoms, as complex magnitudes throughout
+    (a component-wise worst case is too coarse for k = 2):
+
+    * angle: phi is computed from pi truncated to 124 bits and rounded once,
+      so |phi^ - phi| <= u pi/4 + 2^-126 < 0.79 u; since
+      |e(x + d) - e(x)| <= 2 pi |d| (d in turns), i.e. |exp(i a) - exp(i b)|
+      <= |a - b|, this moves the character by < 0.79 u.
+    * libm: assuming `cos` and `sin` are within 1 ulp (glibc documents at
+      most 1 ulp for both), and since |cos(phi^)| and |sin(phi^)| are below 1, each
+      component is off by at most 2^-53: < 1.42 u in magnitude.
+    * weights: |w^_i - w_i| <= u w_i, at most u in total as |e| = 1.
+    * accumulation: each component is a length-k dot product, off by at most
+      gamma_k sum_i w^_i |component_i| with gamma_k = k u / (1 - k u); by the
+      triangle inequality in C the error vector is at most gamma_k
+      sum_i w^_i |e^_i| ~ k u.  With k = 1 (weight exactly 1) the weights
+      and the accumulation are exact.
+
+    So one average is within eta_k = (k + 3.21) u of the exact value, to
+    first order, which is inside the stated `(k + 2) 2^-52 = (2k + 4) u`
+    for every k >= 1.  A product of S + 1 such factors (|factor| <= 1, the
+    first multiplication by 1 + 0j exact) adds at most sqrt(5) u per further
+    complex multiplication (Brent, Percival & Zimmermann, Math. Comp. 76,
+    2007; 2 u when the platform fuses multiply-adds), in all
+    (S + 1) (eta_k + 2.24 u) <= (S + 1) (2k + 4) u for k >= 2 and
+    (S + 1) 4.45 u <= (S + 1) 6 u for k = 1, which fits the stated
+    `(S + 2) (k + 2) 2^-52` with at least 0.55 u (S + 1) to spare for the
+    second-order terms; those stay below (S + 1)^2 (20 u)^2, far smaller for
+    every depth S <= 1100 that float64 tail bounds can produce.
+    """
+    re = im = 0.0
+    n4 = 4 * n
+    half = modulus >> 1
+    scaled = modulus << _PI_SHIFT
+    for a, w in zip(numerators, weights):
+        quadrant, rho = divmod(n4 * a, modulus)
+        if rho > half:
+            quadrant += 1
+            rho -= modulus
+        if rho:
+            phi = _PI_SCALED * rho / scaled
+            c, s = math.cos(phi), math.sin(phi)
+        else:
+            c, s = 1.0, 0.0
+        quadrant &= 3
+        if quadrant == 0:
+            re += w * c
+            im += w * s
+        elif quadrant == 1:
+            re -= w * s
+            im += w * c
+        elif quadrant == 2:
+            re -= w * c
+            im -= w * s
+        else:
+            re += w * s
+            im -= w * c
+    return complex(re, im)
 
 
 class DiscreteMeasure:
@@ -109,10 +190,11 @@ class DiscreteMeasure:
 
 
 def fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
-    """Character average sum_j w_j e^{2 pi i n a_j} at high working precision.
+    """Character average sum_j w_j e^{2 pi i n a_j} in float64.
 
     exact_zero fires on the equal-weight two-atom criterion
-    n (a2 - a1) in 1/2 + Z.
+    n (a2 - a1) in 1/2 + Z.  The certified error (k + 2) 2^-52 bounds the
+    float64 evaluation (see `_character_average`).
     """
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
@@ -120,9 +202,8 @@ def fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
         gap = _frac((measure.atoms[1] - measure.atoms[0]) * n)
         if gap == _HALF:
             return FourierValue(0j, 0.0, exact_zero=True)
-    val = _character_sum((w, a * n) for a, w in zip(measure.atoms, measure.weights))
-    # the 96-bit internal sum is exact at this scale; the final conversion to
-    # a 53-bit complex dominates the certified error
+    q, numerators = _over_common_denominator(measure.atoms)
+    val = _character_average(numerators, [float(w) for w in measure.weights], n, q)
     return FourierValue(val, (len(measure.atoms) + 2) * 2.0 ** -52, exact_zero=False)
 
 
@@ -160,14 +241,34 @@ class SelfSimilarSpec:
         return CoefficientFunction(lambda n: self.fourier(n, tol), name="selfsimilar")
 
 
+def _depth(lead: float, d_abs: int, tol: float) -> int:
+    """Smallest S with sum_{s > S} lead |D|^-s < log1p(tol)."""
+    budget = math.log1p(tol)
+    s_cut = 0
+    while lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs) >= budget:
+        s_cut += 1
+    return s_cut
+
+
+def truncation_depth(spec: SelfSimilarSpec, n: int, tol: float) -> int:
+    """Last scale S that `fourier_selfsimilar` keeps for frequency n: the
+    scale-s factor is within lead |D|^-s of 1, lead = 2 pi |n| max|Delta|, and
+    S is the smallest depth whose neglected tail stays below log1p(tol)."""
+    lead = 2.0 * math.pi * abs(n) * float(max(abs(a) for a in spec.atoms))
+    return _depth(lead, abs(spec.base), tol)
+
+
 def fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> FourierValue:
     """Truncated infinite-product Fourier coefficient with certified tail.
 
     The factor at scale s differs from 1 by at most 2 pi |n| max|Delta| |D|^-s,
-    so the truncation point S is chosen to make the neglected tail < tol.
-    exact_zero fires when an equal-weight two-atom factor vanishes exactly.
+    so the truncation point S (`truncation_depth`) is chosen to make the
+    neglected tail < tol.  exact_zero fires when an equal-weight two-atom
+    factor vanishes exactly.  The S + 1 factors are float64 character
+    averages; `_character_average` derives why their product stays within
+    the rounding term (S + 2)(k + 2) 2^-52 of the certified error.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
@@ -185,24 +286,19 @@ def fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> Fou
                 return FourierValue(0j, 0.0, exact_zero=True)
             gap /= spec.base
 
-    # truncation: sum_{s > S} 2 pi |n| delta_max |D|^-s < log1p(tol)
     lead = 2.0 * math.pi * abs(n) * float(delta_max)
-    budget = math.log1p(tol)
-    s_cut = 0
-    while lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs) >= budget:
-        s_cut += 1
-
+    s_cut = _depth(lead, d_abs, tol)
+    # scale s has angle n A_i / (Q D^s) = (+-n) A_i / (Q |D|^s)
+    modulus, numerators = _over_common_denominator(spec.atoms)
+    weights = [float(w) for w in spec.weights]
+    flip = spec.base < 0
     prod = 1.0 + 0j
-    scale = Fraction(n)
     for _ in range(s_cut + 1):
-        factor = _character_sum(
-            ((w, a * scale) for a, w in zip(spec.atoms, spec.weights))
-        )
-        prod *= factor
-        scale /= spec.base
+        prod *= _character_average(numerators, weights, n, modulus)
+        modulus *= d_abs
+        if flip:
+            n = -n
     tail_err = math.expm1(lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs))
-    # each factor arrives as a 53-bit complex; |factor| <= 1 keeps the
-    # accumulated product rounding linear in the factor count
     round_err = (s_cut + 2) * (len(spec.atoms) + 2) * 2.0 ** -52
     return FourierValue(prod, tail_err + round_err, exact_zero=False)
 
@@ -225,6 +321,10 @@ class CoefficientFunction:
             cached = self._fn(n)
             self._memo[n] = cached
         return cached
+
+    def evaluated(self) -> dict[int, FourierValue]:
+        """Every coefficient computed so far, by index."""
+        return dict(self._memo)
 
     @classmethod
     def haar(cls) -> "CoefficientFunction":

@@ -1,11 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruswalk import spectral
 from toruswalk.cli import (
     ConfigError,
     canonical_json,
@@ -16,6 +22,8 @@ from toruswalk.cli import (
     run,
     verify_report,
 )
+
+F = Fraction
 
 WALK_CFG = {
     "kind": "walk-sim",
@@ -275,3 +283,155 @@ class TestPrecisionPolicy:
         cfg = dict(WALK_CFG, N=40, precision=256)
         report = run(cfg, tmp_path)
         assert report["precision_bits"] == 256
+
+
+FOURIER_CFG = {
+    "kind": "fourier",
+    "measures": {
+        "mu0": {"base": 4, "atoms": ["0", "1/2"]},
+        "nu": {"base": 4, "atoms": ["0", "1/4"]},
+        "tri": {"base": 3, "atoms": ["0", "1/3", "2/3"], "weights": ["1/4", "1/2", "1/4"]},
+    },
+    "tol": 1e-12,
+    "dump_range": 40,
+    "zero_checks": [{"measure": "mu0", "pattern": "odd", "k_max": 2, "m_max": 5}],
+    "haar_convolution": ["nu", "mu0"],
+    "haar_range": 20,
+}
+
+
+class TestFourierRun:
+    def test_byte_identical_reports_with_diagnostics(self, tmp_path):
+        r1 = run(FOURIER_CFG, tmp_path / "a")
+        r2 = run(FOURIER_CFG, tmp_path / "b")
+        assert report_body(r1) == report_body(r2)
+        diag = r1["results"]["diagnostics"]
+        assert sorted(diag) == ["mu0", "nu", "tri"]
+        for name, entry in diag.items():
+            assert entry["evaluator"] == spectral.EVALUATOR
+            assert entry["coefficients"] >= 2 * 40 + 1
+        # the deepest product of tri is its largest dumped frequency
+        tri = spectral.SelfSimilarSpec.create(
+            3, [0, F(1, 3), F(2, 3)], [F(1, 4), F(1, 2), F(1, 4)]
+        )
+        assert diag["tri"]["max_depth"] == spectral.truncation_depth(tri, 40, 1e-12)
+        assert diag["tri"]["coefficients"] == 2 * 40 + 1
+
+    def test_only_exact_zeros_have_no_depth(self, tmp_path):
+        cfg = {"kind": "fourier", "measures": {"mu0": {"base": 4, "atoms": ["0", "1/2"]}},
+               "dump_range": 0, "zero_checks": [{"measure": "mu0", "pattern": "odd"}]}
+        diag = run(cfg, tmp_path)["results"]["diagnostics"]["mu0"]
+        assert diag["max_depth"] is None
+        assert diag["coefficients"] == 1 + 6 * 41
+
+
+def _fourier_run_error(tmp_path, capsys, edit) -> str:
+    """stderr of a `toruswalk run` of FOURIER_CFG changed by `edit`, which
+    must exit with status 2."""
+    cfg = json.loads(json.dumps(FOURIER_CFG))
+    edit(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+    return capsys.readouterr().err
+
+
+class TestFourierConfigErrors:
+    def test_measure_without_atoms(self, tmp_path, capsys):
+        err = _fourier_run_error(tmp_path, capsys, lambda c: c["measures"]["mu0"].pop("atoms"))
+        assert "'measures.mu0.atoms'" in err
+
+    def test_nan_tol(self, tmp_path, capsys):
+        assert "'tol'" in _fourier_run_error(tmp_path, capsys, lambda c: c.update(tol="nan"))
+
+    def test_negative_dump_range(self, tmp_path, capsys):
+        err = _fourier_run_error(tmp_path, capsys, lambda c: c.update(dump_range=-1))
+        assert "'dump_range'" in err
+
+    def test_haar_range_below_one(self, tmp_path, capsys):
+        err = _fourier_run_error(tmp_path, capsys, lambda c: c.update(haar_range=0))
+        assert "'haar_range'" in err
+
+    def test_base_below_two(self, tmp_path, capsys):
+        err = _fourier_run_error(tmp_path, capsys, lambda c: c["measures"]["mu0"].update(base=-1))
+        assert "'measures.mu0.base'" in err
+
+    def test_non_integer_base(self, tmp_path, capsys):
+        err = _fourier_run_error(
+            tmp_path, capsys, lambda c: c["measures"]["mu0"].update(base="four")
+        )
+        assert "'measures.mu0.base'" in err
+
+    def test_zero_check_not_a_table(self, tmp_path, capsys):
+        err = _fourier_run_error(tmp_path, capsys, lambda c: c.update(zero_checks=[1]))
+        assert "'zero_checks'" in err
+
+    def test_nan_tol_rejected_by_library(self):
+        spec = spectral.SelfSimilarSpec.create(4, [0, F(1, 3)])
+        with pytest.raises(ValueError):
+            spectral.fourier_selfsimilar(spec, 1, math.nan)
+
+
+class TestImportPath:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        src = Path(spectral.__file__).resolve().parents[1]
+        code = "import sys, toruswalk.cli; print('mpmath' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestRationalCasePoints:
+    """The float64 points of the rational case against exact Fraction points
+    computed from the definitions, within the derived per-point bound."""
+
+    @pytest.mark.parametrize(
+        "d, ts, tail_len",
+        [
+            (3, ["1/5", "7/10"], 42),
+            (2, ["1/3", "2/3", "0"], 64),
+            (5, ["7/3", "-1/6"], 30),
+            (3, ["1/5", "7/10"], 6),  # short tail: the truncation term dominates
+        ],
+    )
+    def test_points_within_bound(self, d, ts, tail_len):
+        from toruswalk import chains, cli
+        from toruswalk.exactcore import IrrationalBasis, parse_scalar
+
+        basis = IrrationalBasis(())
+        t_scalars = [parse_scalar(t, basis) for t in ts]
+        t_exact = [F(t) for t in ts]
+        eta = chains.build_eta_chain(d, t_scalars)
+        n, extra = 150, 160
+        letters = np.random.default_rng(d * tail_len).integers(
+            1, len(ts) + 1, size=n + tail_len + extra
+        )
+        points, eta_idx, bound, precision = cli._rational_case_points(
+            eta, t_scalars, letters[: n + tail_len], n
+        )
+        assert precision is None
+        if tail_len >= 30:
+            assert bound < 2.0 ** -40
+        c = F(d, d - 1) * t_exact[0]
+        t_max = max(abs(t) for t in t_exact)
+        state = eta.deltas_tilde[letters[0] - 1]
+        worst = F(0)
+        for m in range(n):
+            if m:
+                state = eta.next_state(state, int(letters[m]))
+            assert eta.states[eta_idx[m]] == state
+            depth = len(letters) - m - 1
+            tail = sum(
+                t_exact[letters[m + 1 + j] - 1] * F(1, d) ** j for j in range(depth)
+            )
+            # what the extra letters leave out is below t_max |D|^-depth G
+            rest = t_max * F(1, d) ** depth * F(d, d - 1)
+            exact = c * d ** (m + 1) - c + state + tail
+            gap = (F(float(points[m])) - exact) % 1
+            gap = min(gap, 1 - gap)
+            assert gap <= F(bound) + rest
+            worst = max(worst, gap)
+        assert worst > 0

@@ -1,0 +1,123 @@
+"""Differential tests: the float64 character evaluator in `spectral` against
+the earlier mpmath path (tests/reference_fourier.py) and against 200-bit
+products of the same factors."""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference_fourier as ref
+from toruswalk import spectral
+from toruswalk.spectral import (
+    DiscreteMeasure,
+    SelfSimilarSpec,
+    fourier_discrete,
+    fourier_selfsimilar,
+    truncation_depth,
+)
+
+F = Fraction
+ULP_52 = 2.0 ** -52
+
+bases = st.sampled_from([b for b in range(-7, 8) if abs(b) >= 2])
+atoms = st.builds(F, st.integers(-120, 120), st.integers(1, 60))
+# large frequencies exercise deep products, small ones hit the exact zeros
+freqs = st.one_of(st.integers(-10 ** 12, 10 ** 12), st.integers(-64, 64))
+tols = st.floats(4.0, 14.0).map(lambda e: 10.0 ** -e)
+
+
+@st.composite
+def weight_lists(draw, k: int) -> list[Fraction]:
+    if k == 2 and draw(st.booleans()):
+        return [F(1, 2), F(1, 2)]
+    raw = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k))
+    return [F(w, sum(raw)) for w in raw]
+
+
+@st.composite
+def self_similar_specs(draw) -> SelfSimilarSpec:
+    k = draw(st.integers(1, 5))
+    points = draw(st.lists(atoms, min_size=k, max_size=k))
+    return SelfSimilarSpec.create(draw(bases), points, draw(weight_lists(k)))
+
+
+@st.composite
+def discrete_measures(draw) -> DiscreteMeasure:
+    k = draw(st.integers(1, 5))
+    points = draw(st.lists(atoms, min_size=k, max_size=k))
+    return DiscreteMeasure(points, draw(weight_lists(k)))
+
+
+class TestAgainstMpmathPath:
+    @settings(max_examples=150, deadline=None)
+    @given(self_similar_specs(), freqs, tols)
+    def test_selfsimilar(self, spec, n, tol):
+        new = fourier_selfsimilar(spec, n, tol)
+        old = ref.fourier_selfsimilar(spec, n, tol)
+        assert new.exact_zero == old.exact_zero
+        assert new.error <= old.error
+        assert abs(new.value - old.value) <= new.error + old.error
+
+    @settings(max_examples=150, deadline=None)
+    @given(discrete_measures(), freqs)
+    def test_discrete(self, measure, n):
+        new = fourier_discrete(measure, n)
+        old = ref.fourier_discrete(measure, n)
+        assert new.exact_zero == old.exact_zero
+        assert new.error <= old.error
+        assert abs(new.value - old.value) <= new.error + old.error
+
+
+class TestRoundingTerm:
+    """The float64 error alone, measured against 200-bit arithmetic, stays
+    inside the rounding term the certified error states."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(self_similar_specs(), freqs, tols)
+    def test_selfsimilar_product(self, spec, n, tol):
+        new = fourier_selfsimilar(spec, n, tol)
+        assume(not new.exact_zero)
+        stated = (truncation_depth(spec, n, tol) + 2) * (len(spec.atoms) + 2) * ULP_52
+        assert ref.distance(new.value, ref.truncated_product(spec, n, tol)) <= stated
+
+    @settings(max_examples=150, deadline=None)
+    @given(discrete_measures(), freqs)
+    def test_discrete_average(self, measure, n):
+        new = fourier_discrete(measure, n)
+        assume(not new.exact_zero)
+        stated = (len(measure.atoms) + 2) * ULP_52
+        assert ref.distance(new.value, ref.discrete_sum(measure, n)) <= stated
+
+    def test_octant_boundaries(self):
+        # offsets of exactly +-1/8 turn and just either side of them
+        big = 10 ** 12
+        for j in range(16):
+            for shift in (F(0), F(1, big), F(-1, big)):
+                measure = DiscreteMeasure.point_mass(F(j, 16) + shift)
+                for n in (1, 3, -7):
+                    got = fourier_discrete(measure, n)
+                    assert ref.distance(got.value, ref.discrete_sum(measure, n)) <= 3 * ULP_52
+
+
+class TestExactAngles:
+    @pytest.mark.parametrize("quarter", range(4))
+    def test_quarter_turns(self, quarter):
+        units = [1 + 0j, 1j, -1 + 0j, -1j]
+        measure = DiscreteMeasure.point_mass(F(quarter, 4))
+        for n in (1, 2, 3, 5, -1, -6, 4 * 10 ** 12 + 3):
+            assert fourier_discrete(measure, n).value == units[n * quarter % 4]
+
+    def test_quarter_turns_deep_in_the_product(self):
+        # n a_i D^-s at 0, 1/4, 1/2, 3/4 turn for large moduli Q |D|^s
+        modulus = 7 * 5 ** 30
+        for quarter, unit in enumerate([1 + 0j, 1j, -1 + 0j, -1j]):
+            got = spectral._character_average([quarter * modulus], [1.0], 1, 4 * modulus)
+            assert got == unit
+
+    def test_pi_constant(self):
+        with mpmath.workprec(300):
+            gap = mpmath.pi * mpmath.mpf(2) ** 124 - spectral._PI_SCALED
+            assert 0 <= gap < 1
