@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactcore import ExactCheckError, Scalar, TorusPoint
+from . import fractal
+from .exactcore import ExactCheckError, Scalar, TorusPoint, _bareiss_reduce, frac
 from .fractal import AffineIFS
 from .spectral import CoefficientFunction, DiscreteMeasure, SelfSimilarSpec, convolve
 
@@ -43,11 +44,7 @@ class RationalityError(ValueError):
 
 
 class ReducibleChainError(ValueError):
-    """The transition structure is not irreducible (or not aperiodic)."""
-
-
-def _frac(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
+    """The transition structure is not irreducible."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,45 +60,50 @@ def _check_row_stochastic(transition: Sequence[Sequence[Fraction]]) -> None:
             raise ValueError("rows must be nonnegative and sum to 1")
 
 
-def _strongly_connected(adj: list[list[int]]) -> bool:
+def _strong_components(adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the states reachable from state 0.
+
+    One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1, 1972).  A component
+    is listed before every component that reaches it, so the first one is
+    closed; the graph is strongly connected iff the first holds every state.
+    """
     n = len(adj)
+    # discovery index: -1 while unvisited, n once its component is listed,
+    # so that edges into listed components leave `low` alone
+    order = [-1] * n
+    low = [0] * n
+    order[0] = low[0] = 0
+    count = 1
+    stack = [0]
+    work = [(0, iter(adj[0]))]
+    components: list[list[int]] = []
+    while work:
+        u, edges = work[-1]
+        for v in edges:
+            if order[v] < 0:
+                order[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                work.append((v, iter(adj[v])))
+                break
+            low[u] = min(low[u], order[v])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[u])
+            if low[u] == order[u]:
+                component = [stack.pop()]
+                while component[-1] != u:
+                    component.append(stack.pop())
+                for v in component:
+                    order[v] = n
+                components.append(component)
+    return components
 
-    def reach(start: int, edges: list[list[int]]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
 
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for u, outs in enumerate(adj):
-        for v in outs:
-            radj[v].append(u)
-    return len(reach(0, adj)) == n and len(reach(0, radj)) == n
-
-
-def _period(adj: list[list[int]]) -> int:
-    """gcd of cycle lengths of a strongly connected digraph."""
-    from math import gcd
-
-    n = len(adj)
-    level = [-1] * n
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-            else:
-                g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 0
+def _irreducible(adj: list[list[int]]) -> bool:
+    return len(_strong_components(adj)[0]) == len(adj)
 
 
 def stationary_distribution(
@@ -111,7 +113,7 @@ def stationary_distribution(
     _check_row_stochastic(transition)
     n = len(transition)
     adj = [[j for j, x in enumerate(row) if x > 0] for row in transition]
-    if not _strongly_connected(adj):
+    if not _irreducible(adj):
         raise ReducibleChainError("chain is reducible; stationary vector not unique")
     # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I
     a = [[Fraction(transition[j][i]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -128,19 +130,10 @@ def stationary_distribution(
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     n = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ReducibleChainError("singular system; chain lacks a unique solution")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    reduced, pivots, scale, _ = _bareiss_reduce([row + [x] for row, x in zip(a, b)], n)
+    if len(pivots) < n:
+        raise ReducibleChainError("singular system; chain lacks a unique solution")
+    return [Fraction(row[n], scale) for row in reduced]
 
 
 def stationary_power_iteration(
@@ -154,47 +147,31 @@ def stationary_power_iteration(
     return v
 
 
+def _closed_class(adj: list[list[int]]) -> list[int]:
+    """Sorted members of the smallest closed class reachable from state 0;
+    on a tie in size, the class holding the smallest state."""
+    components = _strong_components(adj)
+    label = {}
+    for c, members in enumerate(components):
+        for u in members:
+            label[u] = c
+    closed = [
+        members
+        for c, members in enumerate(components)
+        if all(label[v] == c for u in members for v in adj[u])
+    ]
+    return sorted(min(closed, key=lambda members: (len(members), min(members))))
+
+
 def _terminal_class_stationary(
     transition: list[list[Fraction]],
 ) -> tuple[Fraction, ...]:
     """Exact stationary vector supported on one closed recurrent class."""
-    n = len(transition)
-    adj = [[j for j, x in enumerate(row) if x > 0] for row in transition]
-    # find a terminal SCC by following reachability greedily
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-
-    def closure(start: int) -> set[int]:
-        grp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in grp:
-                    grp.add(v)
-                    frontier.append(v)
-        return grp
-
-    # a state whose forward closure is minimal spans a terminal class
-    best: set[int] | None = None
-    for s in sorted(seen):
-        c = closure(s)
-        if best is None or len(c) < len(best):
-            best = c
-    assert best is not None
-    members = sorted(best)
-    # restricted chain is stochastic (class is closed) and irreducible
-    idx = {m: i for i, m in enumerate(members)}
+    members = _closed_class([[j for j, x in enumerate(row) if x > 0] for row in transition])
+    # the restricted chain is stochastic (the class is closed) and irreducible
     sub = [[transition[u][v] for v in members] for u in members]
-    subvec = stationary_distribution(sub)
-    out = [_Q0] * n
-    for m, val in zip(members, subvec):
+    out = [_Q0] * len(transition)
+    for m, val in zip(members, stationary_distribution(sub)):
         out[m] = val
     return tuple(out)
 
@@ -221,7 +198,7 @@ class FiniteStationary:
 
     def map_state(self, i: int, a: Fraction) -> Fraction:
         """Image of a + x0 under h_i, expressed by its A-component."""
-        return _frac(self.d_values[i] * a + self.betas[i])
+        return frac(self.d_values[i] * a + self.betas[i])
 
     def pushforward_is_stationary(self) -> bool:
         """Exact check that sum_i P_i (h_i)_* nu = nu as atomic measures."""
@@ -264,7 +241,7 @@ def build_finite_stationary(
                 "beta_j is irrational: the irrationality condition holds "
                 "and the walk has no finite stationary support of this form"
             )
-        betas.append(_frac(beta.rational_part))
+        betas.append(frac(beta.rational_part))
 
     q = lcm(*(b.denominator for b in betas)) if betas else 1
     a_values = [Fraction(i, q) for i in range(q)]
@@ -272,7 +249,7 @@ def build_finite_stationary(
     transition = [[_Q0] * q for _ in range(q)]
     for d, beta, p in zip(d_values, betas, probabilities):
         for a in a_values:
-            target = _frac(d * a + beta)
+            target = frac(d * a + beta)
             transition[index[a]][index[target]] += p
     trans = [list(row) for row in transition]
     stationary = _terminal_class_stationary(trans)
@@ -305,28 +282,26 @@ class EtaChain:
     stationary: tuple[Fraction, ...]
 
     def next_state(self, state: Fraction, letter: int) -> Fraction:
-        return _frac(self.d_value * state + self.deltas_tilde[letter - 1])
+        return frac(self.d_value * state + self.deltas_tilde[letter - 1])
+
+    def walk(self, letters: np.ndarray) -> np.ndarray:
+        """State indices of eta_1, ..., eta_n along n 1-based letters."""
+        index = {a: i for i, a in enumerate(self.states)}
+        table = [
+            [index[self.next_state(a, j)] for j in range(1, len(self.deltas_tilde) + 1)]
+            for a in self.states
+        ]
+        # eta_1 = Dd_{i_1} is the step from eta_0 = 0, a state since delta_1 = 0
+        state = index[_Q0]
+        path = []
+        for letter in np.asarray(letters).tolist():
+            state = table[state][letter - 1]
+            path.append(state)
+        return np.array(path, dtype=np.int64)
 
     def simulate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """State indices of an n-step run started from eta_1 = Dd_{i_1}."""
-        index = {a: i for i, a in enumerate(self.states)}
-        table = np.array(
-            [
-                [index[self.next_state(a, j + 1)] for j in range(len(self.deltas_tilde))]
-                for a in self.states
-            ],
-            dtype=np.int64,
-        )
-        p = np.array([float(x) for x in self.probabilities])
-        p /= p.sum()
-        letters = rng.choice(len(self.deltas_tilde), size=n, p=p)
-        out = np.empty(n, dtype=np.int64)
-        state = index[self.deltas_tilde[letters[0]]]
-        out[0] = state
-        for m in range(1, n):
-            state = table[state, letters[m]]
-            out[m] = state
-        return out
+        return self.walk(fractal.walk_letter_stream(self.probabilities, rng, n))
 
     def stationary_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.states, self.stationary)
@@ -340,7 +315,7 @@ def build_eta_chain(
     """Build the carry chain for an IFS x -> x/D + t_i with rational t_i - t_1.
 
     The state set is the forward-reachable part of {0, 1/q, ..., (q-1)/q};
-    irreducibility and aperiodicity are verified structurally.
+    irreducibility is verified structurally.
     """
     k = len(translations)
     if k < 1:
@@ -360,7 +335,7 @@ def build_eta_chain(
             raise RationalityError("translation differences must all be rational")
         deltas.append(diff.rational_part)
     q = lcm(*(d.denominator for d in deltas)) if deltas else 1
-    deltas_tilde = [_frac(d_value * d) for d in deltas]
+    deltas_tilde = [frac(d_value * d) for d in deltas]
 
     # forward-reachable states from the law of eta_1
     states: list[Fraction] = []
@@ -373,7 +348,7 @@ def build_eta_chain(
         seen.add(a)
         states.append(a)
         for dt in deltas_tilde:
-            nxt = _frac(d_value * a + dt)
+            nxt = frac(d_value * a + dt)
             if nxt not in seen:
                 frontier.append(nxt)
     states.sort()
@@ -382,16 +357,14 @@ def build_eta_chain(
     transition = [[_Q0] * n for _ in range(n)]
     for a in states:
         for dt, p in zip(deltas_tilde, probabilities):
-            transition[index[a]][index[_frac(d_value * a + dt)]] += p
+            transition[index[a]][index[frac(d_value * a + dt)]] += p
 
     adj = [[j for j, x in enumerate(row) if x > 0] for row in transition]
-    if not _strongly_connected(adj):
+    if not _irreducible(adj):
         raise ReducibleChainError("eta chain is not irreducible on its state set")
-    if _period(adj) != 1:
-        raise ReducibleChainError("eta chain is not aperiodic")
-    # structural witness: delta_1 = 0 puts 0 in the state set with a self-loop
-    zero_idx = index[_Q0]
-    assert transition[zero_idx][zero_idx] >= probabilities[0]
+    # No period check: delta_1 = 0, so 0 is a state with the self-loop
+    # 0 -> 0 of probability p_1 > 0, and an irreducible chain with a
+    # self-loop is aperiodic.
     stationary = stationary_distribution(transition)
     return EtaChain(
         d_value=int(d_value),
@@ -417,13 +390,13 @@ def alpha_orbit_measure(d_value: int, t1: Fraction) -> DiscreteMeasure:
     c = Fraction(d_value, d_value - 1) * Fraction(t1)
     seen: dict[Fraction, int] = {}
     orbit: list[Fraction] = []
-    x = _frac(c * d_value)  # alpha_1 + c = D c
+    x = frac(c * d_value)  # alpha_1 + c = D c
     while x not in seen:
         seen[x] = len(orbit)
         orbit.append(x)
-        x = _frac(x * d_value)
+        x = frac(x * d_value)
     cycle = orbit[seen[x] :]
-    atoms = [_frac(v - c) for v in cycle]
+    atoms = [frac(v - c) for v in cycle]
     k = len(atoms)
     weights: dict[Fraction, Fraction] = {}
     for a in atoms:

@@ -34,6 +34,7 @@ from .exactcore import (
     IrrationalBasis,
     Scalar,
     TorusPoint,
+    frac,
     parse_scalar,
 )
 
@@ -577,18 +578,7 @@ def _rational_case_points(eta, t_scalars, letters: np.ndarray, n_steps: int):
     d_value = eta.d_value
     tail_len = len(letters) - n_steps
 
-    # eta_m along the letter stream
-    index = {a: i for i, a in enumerate(eta.states)}
-    table = [
-        [index[eta.next_state(a, j + 1)] for j in range(len(t_scalars))] for a in eta.states
-    ]
-    state_floats = np.array([float(a) for a in eta.states])
-    eta_idx = np.empty(n_steps, dtype=np.int64)
-    state = index[eta.deltas_tilde[letters[0] - 1]]
-    eta_idx[0] = state
-    for m in range(1, n_steps):
-        state = table[state][letters[m] - 1]
-        eta_idx[m] = state
+    eta_idx = eta.walk(letters[:n_steps])
 
     # coded tails pi(T^m i) via a truncated moving sum (double precision)
     t_pairs = [_float_and_error(s) for s in t_scalars]
@@ -605,13 +595,10 @@ def _rational_case_points(eta, t_scalars, letters: np.ndarray, n_steps: int):
     if t1.is_rational():
         c = Fraction(d_value, d_value - 1) * t1.rational_part
         alphas = np.empty(n_steps)
-        o = c * d_value
-        o -= o.numerator // o.denominator
+        o = frac(c * d_value)
         for m in range(n_steps):
-            a = o - c
-            alphas[m] = float(a - (a.numerator // a.denominator))
-            o *= d_value
-            o -= o.numerator // o.denominator
+            alphas[m] = float(frac(o - c))
+            o = frac(o * d_value)
         alpha_err = _UNIT_ROUNDOFF
     else:
         c_scalar = t1 * Fraction(d_value, d_value - 1)
@@ -624,6 +611,7 @@ def _rational_case_points(eta, t_scalars, letters: np.ndarray, n_steps: int):
         alphas = (orb.points[:, 0] - c_float) % 1.0
         alpha_err = orb.error_bound + c_err + (2.0 + abs(c_float)) * _UNIT_ROUNDOFF
 
+    state_floats = np.array([float(a) for a in eta.states])
     points = (alphas + state_floats[eta_idx] + tails) % 1.0
 
     geo = 1.0 / (1.0 - 1.0 / abs(d_value))

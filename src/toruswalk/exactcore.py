@@ -37,6 +37,7 @@ __all__ = [
     "mat_apply",
     "evaluate",
     "fractional_part",
+    "frac",
     "is_expanding",
     "commute",
     "adapted_norm",
@@ -323,6 +324,11 @@ def evaluate(a: Scalar, p: int) -> tuple[Fraction, Fraction]:
     return a.evaluate(p)
 
 
+def frac(q: Fraction) -> Fraction:
+    """Exact fractional part q - floor(q) of a rational, in [0, 1)."""
+    return q - (q.numerator // q.denominator)
+
+
 def fractional_part(a: Scalar, p: int = 64) -> Fraction:
     """Fractional part of a Scalar with error <= 2**(4-p).
 
@@ -332,25 +338,65 @@ def fractional_part(a: Scalar, p: int = 64) -> Fraction:
     guess, and the caller should raise p.
     """
     if a.is_rational():
-        q = a.rational_part
-        return q - (q.numerator // q.denominator)
+        return frac(a.rational_part)
     if p < 8:
         raise ValueError("precision must be >= 8 bits")
     size = 1 + sum(abs(c) for c in a.coeffs)
     extra = max(8, size.numerator.bit_length() + 6)
     val, err = a.evaluate(p + extra)
     # err <= 2**(1-p-extra) * size <= 2**(-p-5)
-    frac = val - (val.numerator // val.denominator)
+    f = frac(val)
     guard = Fraction(1, 1 << (p - 4))
-    if frac <= guard or 1 - frac <= guard:
+    if f <= guard or 1 - f <= guard:
         raise NearIntegerError(
             f"value within 2^{4 - p} of an integer at precision {p}; raise p"
         )
-    return frac
+    return f
 
 
 # ---------------------------------------------------------------------------
 # integer matrices
+
+
+def _bareiss_reduce(
+    rows: Iterable[Sequence[Rational]], width: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan reduction of a rational matrix.
+
+    Each row is first scaled to integers by the lcm of its own denominators;
+    pivots are taken in the first `width` columns only, so extra columns ride
+    along as right-hand sides.  Returns (reduced rows, pivot columns, scale,
+    sign): row i of the reduced form has `scale` at pivots[i], every pivot
+    column is zero elsewhere, and a reduced row equals `scale` times the
+    corresponding row of the reduced row echelon form over Q.  `scale` is the
+    last pivot's leading minor (1 with no pivot) and `sign` the parity of the
+    row swaps, so a full-rank square matrix has determinant sign * scale.
+    Every division below is exact, because every entry is a minor of the
+    scaled input (Bareiss, Math. Comp. 22, 1968).
+    """
+    a = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        piv = pivot_row[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        prev = piv
+    return a, pivots, prev, sign
 
 
 @dataclass(frozen=True)
@@ -416,45 +462,17 @@ class IntMatrix:
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
-        d = self.dimension
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, d):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[-1][-1]
+        _, pivots, scale, sign = _bareiss_reduce(self.rows, self.dimension)
+        return sign * scale if len(pivots) == self.dimension else 0
 
     def inverse_rational(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse as a Fraction matrix (Gauss-Jordan over Q)."""
+        """Exact inverse as a Fraction matrix."""
         d = self.dimension
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[d:]) for row in aug)
+        aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(self.rows)]
+        reduced, pivots, scale, _ = _bareiss_reduce(aug, d)
+        if len(pivots) < d:
+            raise ZeroDivisionError("matrix is singular")
+        return tuple(tuple(Fraction(x, scale) for x in row[d:]) for row in reduced)
 
     def apply(self, vector: Sequence[Scalar]) -> list[Scalar]:
         return mat_apply(self.rows, vector)
@@ -552,12 +570,9 @@ class TorusPoint:
 
     def reduced(self) -> "TorusPoint":
         """Canonical representative: rational parts reduced into [0, 1)."""
-        out = []
-        for s in self.coords:
-            q = s.rational_part
-            q -= q.numerator // q.denominator
-            out.append(Scalar(s.basis, (q,) + s.coeffs[1:]))
-        return TorusPoint(out)
+        return TorusPoint(
+            [Scalar(s.basis, (frac(s.rational_part),) + s.coeffs[1:]) for s in self.coords]
+        )
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         return TorusPoint([a + b for a, b in zip(self.coords, other.coords)])
@@ -569,11 +584,7 @@ class TorusPoint:
         return TorusPoint([-a for a in self.coords])
 
     def _key(self):
-        out = []
-        for s in self.coords:
-            q = s.rational_part
-            out.append((q - q.numerator // q.denominator, s.coeffs[1:]))
-        return tuple(out)
+        return tuple((frac(s.rational_part), s.coeffs[1:]) for s in self.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):

@@ -259,10 +259,8 @@ def coding_tail_bound(ifs: AffineIFS, n: int) -> float:
 
 def sample_word(ifs: AffineIFS, rng: np.random.Generator, n: int) -> Word:
     """n i.i.d. letters with law P from a seeded generator."""
-    p = np.array([float(q) for q in ifs.probabilities])
-    p /= p.sum()
-    letters = rng.choice(np.arange(1, ifs.alphabet + 1), size=n, p=p)
-    return Word(tuple(int(a) for a in letters), ifs.alphabet)
+    letters = walk_letter_stream(ifs.probabilities, rng, n)
+    return Word(tuple(letters.tolist()), ifs.alphabet)
 
 
 def walk_trajectory(

@@ -24,6 +24,7 @@ from .exactcore import (
     commute,
     is_expanding,
     mat_apply,
+    _bareiss_reduce,
 )
 
 __all__ = ["DensityVerdict", "is_dense", "condition_walk", "condition_ifs"]
@@ -47,8 +48,7 @@ class DensityVerdict:
         """Exact re-verification that the witness annihilates every point."""
         if self.dense:
             return self.witness is None
-        assert self.witness is not None
-        if all(x == 0 for x in self.witness):
+        if self.witness is None or all(x == 0 for x in self.witness):
             return False
         for point in self.tested:
             acc = Scalar.rational(0, point.basis)
@@ -64,32 +64,17 @@ def _rank_and_kernel(
 ) -> tuple[int, list[Fraction] | None]:
     """Rank over Q of the d x m column family and, if rank < d, a nonzero
     rational vector k with k.c = 0 for every column c."""
-    # Row-reduce the m x d matrix whose rows are the columns; kernel of that
-    # matrix (right kernel) is the annihilator we need.
-    rows = [list(col) for col in columns]
-    pivots: list[int] = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == d:
-            return d, None
+    # The right kernel of the m x d matrix whose rows are the columns is the
+    # annihilator we need.
+    reduced, pivots, scale, _ = _bareiss_reduce(columns, d)
+    if len(pivots) == d:
+        return d, None
     free = next(c for c in range(d) if c not in pivots)
     k = [_Q0] * d
     k[free] = Fraction(1)
-    for i, c in enumerate(pivots):
-        k[c] = -rows[i][free]
-    return r, k
+    for row, c in zip(reduced, pivots):
+        k[c] = Fraction(-row[free], scale)
+    return len(pivots), k
 
 
 def is_dense(points: Sequence[TorusPoint]) -> DensityVerdict:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .exactcore import frac
+
 __all__ = [
     "FourierValue",
     "DiscreteMeasure",
@@ -55,10 +57,6 @@ class FourierValue:
 
     def provably_zero(self) -> bool:
         return self.exact_zero or abs(self.value) < self.error
-
-
-def _frac(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
 
 
 # floor(pi * 2^124), so that 0 <= pi - _PI_SCALED * 2^-124 < 2^-124
@@ -161,7 +159,7 @@ class DiscreteMeasure:
                 raise ValueError("weights must be nonnegative")
             if w == 0:
                 continue
-            key = _frac(Fraction(a))
+            key = frac(Fraction(a))
             merged[key] = merged.get(key, _Q0) + w
         if not merged or sum(merged.values()) != 1:
             raise ValueError("weights must sum to 1")
@@ -199,7 +197,7 @@ def fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
     if len(measure.atoms) == 2 and measure.weights[0] == measure.weights[1]:
-        gap = _frac((measure.atoms[1] - measure.atoms[0]) * n)
+        gap = frac((measure.atoms[1] - measure.atoms[0]) * n)
         if gap == _HALF:
             return FourierValue(0j, 0.0, exact_zero=True)
     q, numerators = _over_common_denominator(measure.atoms)

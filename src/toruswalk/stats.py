@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactcore import Scalar
+from .exactcore import Scalar, frac
 from .fractal import digits_error_bound, digits_from_fixed
 
 __all__ = [
@@ -170,14 +170,13 @@ def extract_digits(x: Scalar, base: int, count: int) -> list[int]:
     if count < 1:
         raise ValueError("need at least one digit")
     if x.is_rational():
-        frac = x.rational_part
-        frac = frac - (frac.numerator // frac.denominator)
-        # pow(b, c, 1) == 0 covers frac == 0; otherwise den | base^count
-        if pow(base, count, frac.denominator) == 0:
+        q = frac(x.rational_part)
+        # pow(b, c, 1) == 0 covers q == 0; otherwise den | base^count
+        if pow(base, count, q.denominator) == 0:
             raise ValueError(
                 f"value is a base-{base} rational terminating within {count} digits"
             )
-        return _digits_of_rational(frac, base, count)
+        return _digits_of_rational(q, base, count)
 
     bits = math.ceil(count * math.log2(base)) + 96
     fixed, err = x.fixed_point(bits)

@@ -1,0 +1,146 @@
+"""Exact linear algebra and chain-graph routines as first written, kept as
+references for the fraction-free elimination and the Tarjan pass.
+
+Three Gauss-Jordan eliminations over Fraction (inverse, chain solve, rank and
+kernel), the division-by-previous-pivot determinant, and the reachability
+searches that decided irreducibility and picked the terminal class.  The
+library must agree with them exactly (see test_exact_elimination.py); nothing
+in src/ imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from toruswalk.chains import ReducibleChainError
+
+_Q0 = Fraction(0)
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    d = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(d - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, d):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def inverse_rational(rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse as a Fraction matrix (Gauss-Jordan over Q)."""
+    d = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[d:]) for row in aug)
+
+
+def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Solution of a x = b for square nonsingular a (Gauss-Jordan over Q)."""
+    n = len(a)
+    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ReducibleChainError("singular system; chain lacks a unique solution")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def rank_and_kernel(
+    columns: list[list[Fraction]], d: int
+) -> tuple[int, list[Fraction] | None]:
+    """Rank over Q of the d x m column family and, if rank < d, a nonzero
+    rational vector k with k.c = 0 for every column c."""
+    rows = [list(col) for col in columns]
+    pivots: list[int] = []
+    r = 0
+    for c in range(d):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == d:
+            return d, None
+    free = next(c for c in range(d) if c not in pivots)
+    k = [_Q0] * d
+    k[free] = Fraction(1)
+    for i, c in enumerate(pivots):
+        k[c] = -rows[i][free]
+    return r, k
+
+
+def reach(start: int, edges: list[list[int]]) -> set[int]:
+    """States reachable from `start`, itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in edges[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def strongly_connected(adj: list[list[int]]) -> bool:
+    """Every state reaches state 0 and is reached from it."""
+    n = len(adj)
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for u, outs in enumerate(adj):
+        for v in outs:
+            radj[v].append(u)
+    return len(reach(0, adj)) == n and len(reach(0, radj)) == n
+
+
+def terminal_class(adj: list[list[int]]) -> list[int]:
+    """Sorted members of the first smallest forward closure among the states
+    reachable from state 0: a state whose closure is minimal spans a closed
+    class."""
+    best: set[int] | None = None
+    for s in sorted(reach(0, adj)):
+        c = reach(s, adj)
+        if best is None or len(c) < len(best):
+            best = c
+    return sorted(best)

@@ -1,0 +1,191 @@
+"""Differential tests: the fraction-free elimination and the Tarjan pass
+against the Fraction Gauss-Jordan routines and reachability searches.
+
+reference_linalg.py keeps the routines as first written.  Determinants,
+inverses, chain solves, ranks, kernel vectors and terminal classes must be
+identical, and singular input must raise the same error with the same
+message.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_linalg as ref
+from toruswalk import chains
+from toruswalk.exactcore import IntMatrix, _bareiss_reduce
+from toruswalk.groupcond import _rank_and_kernel
+
+small_ints = st.integers(-6, 6)
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return "raised", (type(exc), str(exc))
+
+
+@st.composite
+def matrices(draw, entries, max_dim=6):
+    """Square d x d matrices, d = 1..max_dim, often singular: a drawn share
+    of the rows are combinations of the others."""
+    d = draw(st.integers(1, max_dim))
+    rows = [draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(d)]
+    for i in range(d):
+        if i and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+            rows[i] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)]
+    perm = draw(st.permutations(range(d)))
+    return [rows[i] for i in perm]
+
+
+@st.composite
+def column_families(draw):
+    """m columns in Q^d, d = 1..6, spanning a drawn rank r <= d."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d))
+    basis = [draw(st.lists(fractions, min_size=d, max_size=d)) for _ in range(r)]
+    m = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(m):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        columns.append(
+            [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(d)]
+        )
+    return columns, d
+
+
+def chain_rows(rng: np.random.Generator, n: int, density: float) -> list[list[Fraction]]:
+    """A random row-stochastic Fraction matrix; every row has an entry."""
+    rows = []
+    for i in range(n):
+        weights = [int(w) if rng.random() < density else 0 for w in rng.integers(1, 7, n)]
+        if not any(weights):
+            weights[int(rng.integers(n))] = 1
+        total = sum(weights)
+        rows.append([Fraction(w, total) for w in weights])
+    return rows
+
+
+def stationary_system(transition):
+    """v (T - I) = 0 with sum(v) = 1, as stationary_distribution states it."""
+    n = len(transition)
+    a = [[transition[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a[n - 1] = [Fraction(1)] * n
+    return a, [Fraction(0)] * (n - 1) + [Fraction(1)]
+
+
+class TestMatrices:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(small_ints))
+    def test_det(self, rows):
+        assert IntMatrix.from_rows(rows).det() == ref.det(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(small_ints))
+    def test_inverse(self, rows):
+        new = outcome(IntMatrix.from_rows(rows).inverse_rational)
+        assert new == outcome(ref.inverse_rational, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(fractions), st.data())
+    def test_solve(self, a, data):
+        b = data.draw(st.lists(fractions, min_size=len(a), max_size=len(a)))
+        assert outcome(chains._solve_exact, a, b) == outcome(ref.solve_exact, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_families())
+    def test_rank_and_kernel(self, family):
+        columns, d = family
+        assert _rank_and_kernel(columns, d) == ref.rank_and_kernel(columns, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(column_families())
+    def test_pivots_share_one_scale(self, family):
+        columns, d = family
+        reduced, pivots, scale, _ = _bareiss_reduce(columns, d)
+        for i, row in enumerate(reduced):
+            assert [row[c] for c in pivots] == [scale if k == i else 0 for k in range(len(pivots))]
+            if i >= len(pivots):
+                assert not any(row)
+
+    def test_stationary_solve_60_states(self):
+        transition = chain_rows(np.random.default_rng(60), 60, 0.3)
+        a, b = stationary_system(transition)
+        assert chains.stationary_distribution(transition) == tuple(ref.solve_exact(a, b))
+
+
+@st.composite
+def digraphs(draw):
+    """Digraphs on n = 1..14 states, every state with an out-edge: a drawn
+    number of blocks, each a cycle plus extra edges inside it (so closed and
+    strongly connected, often of equal sizes), and transient states with
+    edges anywhere."""
+    n = draw(st.integers(1, 14))
+    blocks = draw(st.integers(1, min(4, n)))
+    label = [draw(st.integers(0, blocks)) for _ in range(n)]  # `blocks` marks transient
+    if draw(st.booleans()):
+        label[0] = blocks  # state 0 then often reaches several closed blocks
+    adj = [set() for _ in range(n)]
+    for b in range(blocks):
+        members = [u for u in range(n) if label[u] == b]
+        for u, v in zip(members, members[1:] + members[:1]):
+            adj[u].add(v)
+    for u in range(n):
+        allowed = [v for v in range(n) if label[u] == blocks or label[v] == label[u]]
+        adj[u].update(draw(st.lists(st.sampled_from(allowed), max_size=3)))
+        if not adj[u]:
+            adj[u].add(draw(st.sampled_from(allowed)))
+    return [sorted(outs) for outs in adj]
+
+
+class TestGraphs:
+    @settings(max_examples=250, deadline=None)
+    @given(digraphs())
+    def test_components(self, adj):
+        components = chains._strong_components(adj)
+        # exactly the mutual-reachability classes of the states seen from 0
+        forward = {u: ref.reach(u, adj) for u in ref.reach(0, adj)}
+        classes = {
+            frozenset(v for v in forward if u in forward[v] and v in forward[u]) for u in forward
+        }
+        assert len(components) == len(classes)
+        assert {frozenset(c) for c in components} == classes
+        # each component is listed before every component that reaches it
+        position = {u: i for i, c in enumerate(components) for u in c}
+        assert all(position[v] <= position[u] for u in forward for v in adj[u])
+
+    @settings(max_examples=250, deadline=None)
+    @given(digraphs())
+    # two closed classes of size 2: the one holding the smallest state wins
+    @example([[1, 2], [4], [3], [2], [1]])
+    def test_terminal_class(self, adj):
+        assert chains._closed_class(adj) == ref.terminal_class(adj)
+
+    @settings(max_examples=250, deadline=None)
+    @given(digraphs())
+    def test_irreducible(self, adj):
+        assert chains._irreducible(adj) == ref.strongly_connected(adj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(), st.integers(0, 2**32 - 1))
+    def test_terminal_class_stationary(self, adj, seed):
+        rng = np.random.default_rng(seed)
+        transition = []
+        for outs in adj:
+            weights = [int(w) for w in rng.integers(1, 5, len(outs))]
+            row = [Fraction(0)] * len(adj)
+            for v, w in zip(outs, weights):
+                row[v] = Fraction(w, sum(weights))
+            transition.append(row)
+        members = ref.terminal_class(adj)
+        a, b = stationary_system([[transition[u][v] for v in members] for u in members])
+        expected = [Fraction(0)] * len(adj)
+        for m, x in zip(members, ref.solve_exact(a, b)):
+            expected[m] = x
+        assert chains._terminal_class_stationary(transition) == tuple(expected)
