@@ -10,15 +10,22 @@ limit measure nu * p * mu_K.  All linear algebra is exact over Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from . import fractal
-from .exactcore import ExactCheckError, Scalar, TorusPoint, _bareiss_reduce, frac
+from .exactcore import (
+    ExactCheckError,
+    IntMatrix,
+    Scalar,
+    TorusPoint,
+    _bareiss_reduce,
+    frac,
+)
 from .fractal import AffineIFS
 from .spectral import CoefficientFunction, DiscreteMeasure, SelfSimilarSpec, convolve
 
@@ -33,6 +40,7 @@ __all__ = [
     "stationary_power_iteration",
     "alpha_orbit_measure",
     "limit_law_fourier",
+    "rational_case_points",
 ]
 
 _Q0 = Fraction(0)
@@ -51,13 +59,28 @@ class ReducibleChainError(ValueError):
 # exact chain linear algebra
 
 
-def _check_row_stochastic(transition: Sequence[Sequence[Fraction]]) -> None:
+def _nonzeros(transition: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Column indices of the nonzero entries, row by row."""
+    return [[j for j, x in enumerate(row) if x != 0] for row in transition]
+
+
+def _check_row_stochastic(transition: Sequence[Sequence[Fraction]], adj: list[list[int]]) -> None:
     n = len(transition)
-    for row in transition:
+    for row, cols in zip(transition, adj):
         if len(row) != n:
             raise ValueError("transition matrix must be square")
-        if any(x < 0 for x in row) or sum(row) != 1:
+        if any(row[j] < 0 for j in cols) or sum(row[j] for j in cols) != 1:
             raise ValueError("rows must be nonnegative and sum to 1")
+
+
+def _residual_state(transition, adj: list[list[int]], v: Sequence[Fraction]) -> int | None:
+    """First state i with sum_j v_j T[j][i] != v_i, or None when v T = v.
+    The sums run over the nonzero entries listed in `adj` only."""
+    acc = [_Q0] * len(v)
+    for j, cols in enumerate(adj):
+        for i in cols:
+            acc[i] += v[j] * transition[j][i]
+    return next((i for i, (a, x) in enumerate(zip(acc, v)) if a != x), None)
 
 
 def _strong_components(adj: list[list[int]]) -> list[list[int]]:
@@ -110,9 +133,9 @@ def stationary_distribution(
     transition: Sequence[Sequence[Fraction]],
 ) -> tuple[Fraction, ...]:
     """Exact unique stationary vector of an irreducible row-stochastic matrix."""
-    _check_row_stochastic(transition)
+    adj = _nonzeros(transition)
+    _check_row_stochastic(transition, adj)
     n = len(transition)
-    adj = [[j for j, x in enumerate(row) if x > 0] for row in transition]
     if not _irreducible(adj):
         raise ReducibleChainError("chain is reducible; stationary vector not unique")
     # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I
@@ -120,9 +143,9 @@ def stationary_distribution(
     a[n - 1] = [_Q1] * n
     b = [_Q0] * (n - 1) + [_Q1]
     v = _solve_exact(a, b)
-    for i in range(n):
-        if sum(v[j] * transition[j][i] for j in range(n)) != v[i]:
-            raise ExactCheckError(f"stationarity residual nonzero at state {i}")
+    residual = _residual_state(transition, adj, v)
+    if residual is not None:
+        raise ExactCheckError(f"stationarity residual nonzero at state {residual}")
     if any(x < 0 for x in v):
         raise ExactCheckError("stationary vector has a negative entry")
     return tuple(v)
@@ -167,13 +190,25 @@ def _terminal_class_stationary(
     transition: list[list[Fraction]],
 ) -> tuple[Fraction, ...]:
     """Exact stationary vector supported on one closed recurrent class."""
-    members = _closed_class([[j for j, x in enumerate(row) if x > 0] for row in transition])
+    members = _closed_class(_nonzeros(transition))
     # the restricted chain is stochastic (the class is closed) and irreducible
     sub = [[transition[u][v] for v in members] for u in members]
     out = [_Q0] * len(transition)
     for m, val in zip(members, stationary_distribution(sub)):
         out[m] = val
     return tuple(out)
+
+
+def _probabilities(probabilities: Sequence[Fraction] | None, k: int) -> list[Fraction]:
+    """One positive probability per map, summing to 1; uniform by default."""
+    if probabilities is None:
+        return [Fraction(1, k)] * k
+    probabilities = [Fraction(p) for p in probabilities]
+    if len(probabilities) != k:
+        raise ValueError(f"need one probability per map: {len(probabilities)} for {k} maps")
+    if any(p <= 0 for p in probabilities) or sum(probabilities) != 1:
+        raise ValueError("probabilities must be positive and sum to 1")
+    return probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +243,21 @@ class FiniteStationary:
                 acc[self.map_state(i, a)] += p * w
         return all(acc[a] == w for a, w in zip(self.a_values, self.stationary))
 
+    def support_is_invariant(self, alphas: Sequence[Scalar]) -> bool:
+        """Exact check, through Scalar arithmetic, that every map h_i(x) =
+        D_i x + alpha_i sends the support A + x0 into itself."""
+        support = set(self.support_points())
+        return all(
+            fractal.AffineEndo(IntMatrix.scalar(d), (alpha,))(pt) in support
+            for d, alpha in zip(self.d_values, alphas)
+            for pt in support
+        )
+
+    def stationary_is_exact(self) -> bool:
+        """Exact check that v T = v for the stationary vector v."""
+        transition = self.transition
+        return _residual_state(transition, _nonzeros(transition), self.stationary) is None
+
 
 def build_finite_stationary(
     d_values: Sequence[int],
@@ -225,11 +275,7 @@ def build_finite_stationary(
         raise ValueError("need one alpha per D")
     if any(abs(d) < 2 for d in d_values):
         raise ValueError("all D_i must be expanding (|D_i| >= 2)")
-    if probabilities is None:
-        probabilities = [Fraction(1, k)] * k
-    probabilities = [Fraction(p) for p in probabilities]
-    if any(p <= 0 for p in probabilities) or sum(probabilities) != 1:
-        raise ValueError("probabilities must be positive and sum to 1")
+    probabilities = _probabilities(probabilities, k)
 
     d1 = d_values[0]
     x0 = alphas[0] * Fraction(-1, d1 - 1)
@@ -243,7 +289,7 @@ def build_finite_stationary(
             )
         betas.append(frac(beta.rational_part))
 
-    q = lcm(*(b.denominator for b in betas)) if betas else 1
+    q = math.lcm(*(b.denominator for b in betas)) if betas else 1
     a_values = [Fraction(i, q) for i in range(q)]
     index = {a: i for i, a in enumerate(a_values)}
     transition = [[_Q0] * q for _ in range(q)]
@@ -251,8 +297,7 @@ def build_finite_stationary(
         for a in a_values:
             target = frac(d * a + beta)
             transition[index[a]][index[target]] += p
-    trans = [list(row) for row in transition]
-    stationary = _terminal_class_stationary(trans)
+    stationary = _terminal_class_stationary(transition)
     return FiniteStationary(
         x0=x0,
         q=q,
@@ -322,11 +367,7 @@ def build_eta_chain(
         raise ValueError("need at least one translation")
     if abs(d_value) < 2:
         raise ValueError("D must be expanding (|D| >= 2)")
-    if probabilities is None:
-        probabilities = [Fraction(1, k)] * k
-    probabilities = [Fraction(p) for p in probabilities]
-    if any(p <= 0 for p in probabilities) or sum(probabilities) != 1:
-        raise ValueError("probabilities must be positive and sum to 1")
+    probabilities = _probabilities(probabilities, k)
 
     deltas = []
     for t in translations:
@@ -334,7 +375,7 @@ def build_eta_chain(
         if not diff.is_rational():
             raise RationalityError("translation differences must all be rational")
         deltas.append(diff.rational_part)
-    q = lcm(*(d.denominator for d in deltas)) if deltas else 1
+    q = math.lcm(*(d.denominator for d in deltas)) if deltas else 1
     deltas_tilde = [frac(d_value * d) for d in deltas]
 
     # forward-reachable states from the law of eta_1
@@ -359,8 +400,7 @@ def build_eta_chain(
         for dt, p in zip(deltas_tilde, probabilities):
             transition[index[a]][index[frac(d_value * a + dt)]] += p
 
-    adj = [[j for j, x in enumerate(row) if x > 0] for row in transition]
-    if not _irreducible(adj):
+    if not _irreducible(_nonzeros(transition)):
         raise ReducibleChainError("eta chain is not irreducible on its state set")
     # No period check: delta_1 = 0, so 0 is a state with the self-loop
     # 0 -> 0 of probability p_1 > 0, and an irreducible chain with a
@@ -381,27 +421,31 @@ def build_eta_chain(
 # limit law nu * p * mu_K
 
 
+def _alpha_orbit(
+    d_value: int, t1: Fraction
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """c = D t1 / (D - 1), and the preperiod and the cycle of the times-D
+    orbit frac(D^m c), m >= 1, which is eventually periodic for rational c.
+    alpha_m = D^m c - c runs through them."""
+    c = Fraction(d_value, d_value - 1) * Fraction(t1)
+    seen: dict[Fraction, int] = {}
+    orbit: list[Fraction] = []
+    x = frac(c * d_value)
+    while x not in seen:
+        seen[x] = len(orbit)
+        orbit.append(x)
+        x = frac(x * d_value)
+    return c, orbit[: seen[x]], orbit[seen[x] :]
+
+
 def alpha_orbit_measure(d_value: int, t1: Fraction) -> DiscreteMeasure:
     """Limit distribution of alpha_m = D^m c - c with c = D t1 / (D - 1).
 
     The times-D orbit of the rational c is eventually periodic; the limit law
     is uniform on the cycle, translated by -c.
     """
-    c = Fraction(d_value, d_value - 1) * Fraction(t1)
-    seen: dict[Fraction, int] = {}
-    orbit: list[Fraction] = []
-    x = frac(c * d_value)  # alpha_1 + c = D c
-    while x not in seen:
-        seen[x] = len(orbit)
-        orbit.append(x)
-        x = frac(x * d_value)
-    cycle = orbit[seen[x] :]
-    atoms = [frac(v - c) for v in cycle]
-    k = len(atoms)
-    weights: dict[Fraction, Fraction] = {}
-    for a in atoms:
-        weights[a] = weights.get(a, _Q0) + Fraction(1, k)
-    return DiscreteMeasure(list(weights.keys()), list(weights.values()))
+    c, _, cycle = _alpha_orbit(d_value, t1)
+    return DiscreteMeasure.uniform([v - c for v in cycle])
 
 
 def limit_law_fourier(eta: EtaChain, ifs: AffineIFS) -> CoefficientFunction:
@@ -433,3 +477,96 @@ def limit_law_fourier(eta: EtaChain, ifs: AffineIFS) -> CoefficientFunction:
     return convolve(
         convolve(nu.coefficients(), p_measure.coefficients()), mu.coefficients()
     )
+
+
+# ---------------------------------------------------------------------------
+# float64 orbit of the rational case
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _float_and_error(s: Scalar) -> tuple[float, float]:
+    """float(s) and a bound on its distance from s."""
+    val, err = s.evaluate(64)
+    f = float(val)
+    return f, float(err) + abs(f) * _UNIT_ROUNDOFF
+
+
+def rational_case_points(
+    eta: EtaChain, translations: Sequence[Scalar], rng: np.random.Generator, n: int
+):
+    """n points x_m = alpha_m + eta_m + pi(T^m i) of the rational-difference
+    walk in float64, along n letters drawn with the chain's law plus enough
+    tail letters that the truncated coding tail stays below 2^-60 max|t_i|
+    / (1 - 1/|D|).
+
+    Returns (points, eta state index per step, per-point error bound,
+    precision of the alpha orbit or None when t_1 is rational).
+    """
+    tail_len = max(8, math.ceil(60 / math.log2(abs(eta.d_value)))) + 4
+    letters = fractal.walk_letter_stream(eta.probabilities, rng, n + tail_len)
+    return _rational_case_points(eta, translations, letters, n)
+
+
+def _rational_case_points(eta: EtaChain, t_scalars, letters: np.ndarray, n_steps: int):
+    """Points x_m = alpha_m + eta_m + pi(T^m i) of the rational case in
+    float64, m < n_steps, along `letters` (n_steps letters plus the tail).
+
+    Returns what rational_case_points returns.  The bound, with u = 2^-53,
+    L the tail length, T = max|t_i|, G = 1 / (1 - 1/|D|), adds: the
+    truncated tail T |D|^-L G; the moving sum, whose terms carry the float
+    error of t_i plus at most (j + 2) u from (1/D)^j, u from the product and
+    (L - 1) u from the additions, below (2L + 4) u T G plus the t_i errors
+    times G; the float error of alpha_m and of the states eta_m; and
+    u |partial sum| for each of the two additions plus u for mod 1.
+    """
+    d_value = eta.d_value
+    tail_len = len(letters) - n_steps
+
+    eta_idx = eta.walk(letters[:n_steps])
+
+    # coded tails pi(T^m i) via a truncated moving sum (double precision)
+    t_pairs = [_float_and_error(s) for s in t_scalars]
+    tarr = np.array([f for f, _ in t_pairs])[letters - 1]
+    weights = (1.0 / d_value) ** np.arange(tail_len)
+    tails = np.zeros(n_steps)
+    for j in range(tail_len):
+        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
+
+    # alpha_m: the exact preperiod and cycle when t_1 is rational, the
+    # fixed-point orbit otherwise
+    t1 = t_scalars[0]
+    precision_used = None
+    if t1.is_rational():
+        c, preperiod, cycle = _alpha_orbit(d_value, t1.rational_part)
+        head = [float(frac(o - c)) for o in preperiod[:n_steps]]
+        repeat = [float(frac(o - c)) for o in cycle]
+        alphas = np.concatenate([head, np.resize(repeat, n_steps - len(head))])
+        alpha_err = _UNIT_ROUNDOFF
+    else:
+        c_scalar = t1 * Fraction(d_value, d_value - 1)
+        endo = fractal.AffineEndo(IntMatrix.scalar(d_value), (Scalar.rational(0, t1.basis),))
+        orb = fractal.walk_orbit_fixed(
+            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
+        )
+        precision_used = orb.precision_bits
+        c_float, c_err = _float_and_error(c_scalar)
+        alphas = (orb.points[:, 0] - c_float) % 1.0
+        alpha_err = orb.error_bound + c_err + (2.0 + abs(c_float)) * _UNIT_ROUNDOFF
+
+    state_floats = np.array([float(a) for a in eta.states])
+    points = (alphas + state_floats[eta_idx] + tails) % 1.0
+
+    geo = 1.0 / (1.0 - 1.0 / abs(d_value))
+    t_max = max(abs(f) for f, _ in t_pairs)
+    t_err = max(e for _, e in t_pairs)
+    s_max = float(max(abs(a) for a in eta.states))
+    bound = (
+        t_max * abs(d_value) ** -tail_len * geo
+        + ((2 * tail_len + 4) * _UNIT_ROUNDOFF * t_max + t_err) * geo
+        + alpha_err
+        + s_max * _UNIT_ROUNDOFF
+        + (2.0 * (1.0 + s_max + t_max * geo) + 1.0) * _UNIT_ROUNDOFF
+    )
+    return points, eta_idx, bound, precision_used

@@ -34,7 +34,6 @@ from .exactcore import (
     IrrationalBasis,
     Scalar,
     TorusPoint,
-    frac,
     parse_scalar,
 )
 
@@ -115,6 +114,21 @@ def normalize_config(raw: dict) -> dict:
                 raise ConfigError(f"field {field!r}: bad scalar {s!r}: {exc}") from exc
         return strings
 
+    def vector(value, field, dim=None):
+        """A scalar vector; a plain string is a one-dimensional one."""
+        vec = [value] if isinstance(value, str) else list(value)
+        if dim is not None and len(vec) != dim:
+            raise ConfigError(f"field {field!r}: entry dimension mismatch")
+        return check_scalars([str(x) for x in vec], field)
+
+    def probabilities(given, count: int, field: str = "P") -> list[str]:
+        """One probability per map (or atom), uniform when not given."""
+        if given is None:
+            given = [f"1/{count}"] * count
+        if not isinstance(given, list) or len(given) != count:
+            raise ConfigError(f"field {field!r}: expected a list of {count} probabilities")
+        return check_scalars([str(p) for p in given], field)
+
     if kind in ("walk-sim", "rotation-case"):
         cfg["N"] = int(raw.get("N", 100000))
         cfg["K"] = int(raw.get("K", 8))
@@ -135,27 +149,16 @@ def normalize_config(raw: dict) -> dict:
             if "control_q" in raw:
                 cfg["control_q"] = int(raw["control_q"])
         dim = len(cfg["D"][0]) if kind == "walk-sim" else 1
-        alpha_vecs = []
-        for a in alphas:
-            vec = [a] if isinstance(a, str) else list(a)
-            if len(vec) != dim:
-                raise ConfigError("field 'alpha': entry dimension mismatch")
-            alpha_vecs.append(check_scalars([str(x) for x in vec], "alpha"))
-        cfg["alpha"] = alpha_vecs
-        x0 = raw.get("x0", ["0"] * dim)
-        x0 = [x0] if isinstance(x0, str) else list(x0)
-        cfg["x0"] = check_scalars([str(x) for x in x0], "x0")
-        cfg["P"] = check_scalars(
-            [str(p) for p in raw.get("P", [f"1/{len(alpha_vecs)}"] * len(alpha_vecs))],
-            "P",
-        )
+        cfg["alpha"] = [vector(a, "alpha", dim) for a in alphas]
+        cfg["x0"] = vector(raw.get("x0", ["0"] * dim), "x0")
+        cfg["P"] = probabilities(raw.get("P"), len(alphas))
     elif kind == "normality":
         cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
         cfg["r"] = [int(x) for x in _require(raw, "r", kind)]
         cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
-        cfg["P"] = check_scalars(
-            [str(p) for p in raw.get("P", [f"1/{len(cfg['t'])}"] * len(cfg["t"]))], "P"
-        )
+        if len(cfg["r"]) != len(cfg["t"]):
+            raise ConfigError(f"field 'r': expected {len(cfg['t'])} exponents, one per map")
+        cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
         cfg["N"] = int(raw.get("N", 10000))
         cfg["L"] = int(raw.get("L", 2))
         if cfg["N"] < 1 or not 1 <= cfg["L"] <= cfg["N"]:
@@ -169,31 +172,19 @@ def normalize_config(raw: dict) -> dict:
             d_raw = _require(raw, "D", kind)
             cfg["D"] = [_as_matrix(m, "D") for m in d_raw]
             dim = len(cfg["D"][0])
-            cfg["alpha"] = [
-                check_scalars(
-                    [str(x) for x in ([a] if isinstance(a, str) else a)], "alpha"
-                )
-                for a in _require(raw, "alpha", kind)
-            ]
+            cfg["alpha"] = [vector(a, "alpha") for a in _require(raw, "alpha", kind)]
         else:
             cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
             cfg["r"] = [int(x) for x in _require(raw, "r", kind)]
             dim = len(cfg["D"])
-            cfg["t"] = [
-                check_scalars(
-                    [str(x) for x in ([t] if isinstance(t, str) else t)], "t"
-                )
-                for t in _require(raw, "t", kind)
-            ]
+            cfg["t"] = [vector(t, "t") for t in _require(raw, "t", kind)]
     elif kind == "rational-case":
         d_mat = _as_matrix(_require(raw, "D", kind), "D")
         if len(d_mat) != 1:
             raise ConfigError("field 'D': rational-case is one-dimensional")
         cfg["D"] = d_mat
         cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
-        cfg["P"] = check_scalars(
-            [str(p) for p in raw.get("P", [f"1/{len(cfg['t'])}"] * len(cfg["t"]))], "P"
-        )
+        cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
         cfg["N"] = int(raw.get("N", 100000))
         cfg["K"] = int(raw.get("K", 8))
     elif kind == "stationary-support":
@@ -204,10 +195,7 @@ def normalize_config(raw: dict) -> dict:
         cfg["alpha"] = check_scalars(
             _as_scalar_list(_require(raw, "alpha", kind), "alpha"), "alpha"
         )
-        cfg["P"] = check_scalars(
-            [str(p) for p in raw.get("P", [f"1/{len(cfg['alpha'])}"] * len(cfg["alpha"]))],
-            "P",
-        )
+        cfg["P"] = probabilities(raw.get("P"), len(cfg["alpha"]))
     elif kind == "fourier":
         measures = _require(raw, "measures", kind)
         if not isinstance(measures, dict) or not measures:
@@ -227,10 +215,7 @@ def normalize_config(raw: dict) -> dict:
             if abs(base) < 2:
                 raise ConfigError(f"field '{field}.base': |base| must be >= 2")
             atoms = check_scalars(_as_scalar_list(m["atoms"], f"{field}.atoms"), f"{field}.atoms")
-            weights = check_scalars(
-                [str(w) for w in m.get("weights", [f"1/{len(atoms)}"] * len(atoms))],
-                f"{field}.weights",
-            )
+            weights = probabilities(m.get("weights"), len(atoms), f"{field}.weights")
             try:
                 spectral.SelfSimilarSpec.create(base, _fractions(atoms), _fractions(weights))
             except ValueError as exc:
@@ -328,11 +313,8 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
         mats = [IntMatrix.from_rows(m) for m in cfg["D"]]
     endos = [fractal.AffineEndo(m, tuple(a)) for m, a in zip(mats, alphas)]
     x0 = TorusPoint(_scalars(cfg["x0"], basis))
-    probs = _fractions(cfg["P"])
-    if len(probs) != len(endos):
-        raise ConfigError("field 'P': needs one probability per map")
     n_steps = cfg["N"]
-    letters = fractal.walk_letter_stream(probs, rng, n_steps)
+    letters = fractal.walk_letter_stream(_fractions(cfg["P"]), rng, n_steps)
     precision = None if cfg["precision"] == "auto" else cfg["precision"]
     orbit = fractal.walk_orbit_fixed(endos, x0, letters, precision_bits=precision)
     sample = stats.OrbitSample(orbit.points, orbit.error_bound, orbit.precision_bits)
@@ -379,23 +361,8 @@ def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     if base < 2:
         raise ConfigError("normality digits need D >= 2")
     count = cfg["N"]
-    digit_bits = math.ceil(count * math.log2(base)) + 96
-    if cfg["precision"] != "auto":
-        digit_bits = max(digit_bits, cfg["precision"])
-    # word long enough that the coding tail stays far below one ulp
-    rho = ifs.adapted.rho_certified
-    rmin = min(ifs.exponents)
-    diameter = fractal.coding_tail_bound(ifs, 0)
-    bound_bits = math.log2(diameter) if diameter > 0 else 0.0
-    per_step = rmin * math.log2(rho)
-    word_len = int((digit_bits + 16 + max(0.0, bound_bits)) / per_step) + 2
-    word = fractal.sample_word(ifs, rng, word_len)
-    fixed, err, bits = fractal.code_prefix_fixed(ifs, word, digit_bits)
-    # word-truncation error in ulps, computed in log space (2^bits overflows)
-    log2_tail = bound_bits - word_len * per_step
-    tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
-    digits, points = stats.digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
-    bound = stats.digits_error_bound(err + tail_ulps, bits, base, count)
+    min_bits = 0 if cfg["precision"] == "auto" else cfg["precision"]
+    digits, points, bound, bits, word_len = stats.sample_digits(ifs, rng, count, min_bits)
     max_len = cfg["L"]
     freqs = stats.block_frequencies(digits, max_len)
     deviations = stats.block_deviations(freqs, base, max_len)
@@ -451,21 +418,8 @@ def _run_condition_check(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str],
 
 
 def _run_stationary_support(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
-    basis = _basis_of(cfg)
-    alphas = _scalars(cfg["alpha"], basis)
+    alphas = _scalars(cfg["alpha"], _basis_of(cfg))
     fs = chains.build_finite_stationary(cfg["D"], alphas, _fractions(cfg["P"]))
-    # exact invariance of the support, re-verified through Scalar arithmetic
-    support = fs.support_points()
-    invariance = True
-    for i, d in enumerate(fs.d_values):
-        h_i = fractal.AffineEndo(IntMatrix.scalar(d), (alphas[i],))
-        for pt in support:
-            if h_i(pt) not in support:
-                invariance = False
-    stationary_exact = all(
-        sum(fs.stationary[j] * fs.transition[j][i] for j in range(fs.q)) == fs.stationary[i]
-        for i in range(fs.q)
-    )
     results = {
         "x0": str(fs.x0),
         "q": fs.q,
@@ -473,8 +427,8 @@ def _run_stationary_support(cfg: dict, rng, outdir: Path) -> tuple[dict, list[st
         "betas": [str(b) for b in fs.betas],
         "transition": [[str(x) for x in row] for row in fs.transition],
         "stationary": [str(x) for x in fs.stationary],
-        "invariance_exact": invariance,
-        "stationary_exact": stationary_exact,
+        "invariance_exact": fs.support_is_invariant(alphas),
+        "stationary_exact": fs.stationary_is_exact(),
         "pushforward_stationary": fs.pushforward_is_stationary(),
     }
     _write_csv(
@@ -496,11 +450,8 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     )
     n_steps = cfg["N"]
     k_max = cfg["K"]
-
-    tail_len = max(8, math.ceil(60 / math.log2(abs(d_value)))) + 4
-    letters = fractal.walk_letter_stream(probs, rng, n_steps + tail_len)
-    points, eta_idx, bound, precision_used = _rational_case_points(
-        eta, t_scalars, letters, n_steps
+    points, eta_idx, bound, precision_used = chains.rational_case_points(
+        eta, t_scalars, rng, n_steps
     )
     freq = np.bincount(eta_idx, minlength=len(eta.states)) / n_steps
     exact_p = np.array([float(x) for x in eta.stationary])
@@ -530,13 +481,9 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     if all(s.is_rational() for s in t_scalars):
         law = chains.limit_law_fourier(eta, ifs)
         results["char_dev"] = stats.compare_to_fourier(sample, law, k_max)
-        means = stats.character_means(sample, k_max)
         rows = []
-        for n in range(-k_max, k_max + 1):
-            if n == 0:
-                continue
+        for (n,), emp in sorted(stats.character_means(sample, k_max).items()):
             v = law(n)
-            emp = means[(n,)]
             rows.append(
                 [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(abs(emp - v.value))]
             )
@@ -550,82 +497,6 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
         results["char_dev"] = None
         results["note"] = "t_1 irrational: limit law not finitely computable"
     return results, sidecars, precision_used
-
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _float_and_error(s: Scalar) -> tuple[float, float]:
-    """float(s) and a bound on its distance from s."""
-    val, err = s.evaluate(64)
-    f = float(val)
-    return f, float(err) + abs(f) * _UNIT_ROUNDOFF
-
-
-def _rational_case_points(eta, t_scalars, letters: np.ndarray, n_steps: int):
-    """Points x_m = alpha_m + eta_m + pi(T^m i) of the rational case in
-    float64, m < n_steps, along `letters` (n_steps letters plus the tail).
-
-    Returns (points, eta state index per step, per-point error bound,
-    precision of the alpha orbit or None when t_1 is rational).  The bound,
-    with u = 2^-53, L the tail length, T = max|t_i|, G = 1 / (1 - 1/|D|),
-    adds: the truncated tail T |D|^-L G; the moving sum, whose terms carry
-    the float error of t_i plus at most (j + 2) u from (1/D)^j, u from the
-    product and (L - 1) u from the additions, below (2L + 4) u T G plus the
-    t_i errors times G; the float error of alpha_m and of the states eta_m;
-    and u |partial sum| for each of the two additions plus u for mod 1.
-    """
-    d_value = eta.d_value
-    tail_len = len(letters) - n_steps
-
-    eta_idx = eta.walk(letters[:n_steps])
-
-    # coded tails pi(T^m i) via a truncated moving sum (double precision)
-    t_pairs = [_float_and_error(s) for s in t_scalars]
-    t_floats = np.array([f for f, _ in t_pairs])
-    tarr = t_floats[letters - 1]
-    weights = (1.0 / d_value) ** np.arange(tail_len)
-    tails = np.zeros(n_steps)
-    for j in range(tail_len):
-        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
-
-    # alpha_m: exact cycle when t_1 is rational, fixed-point orbit otherwise
-    t1 = t_scalars[0]
-    precision_used = None
-    if t1.is_rational():
-        c = Fraction(d_value, d_value - 1) * t1.rational_part
-        alphas = np.empty(n_steps)
-        o = frac(c * d_value)
-        for m in range(n_steps):
-            alphas[m] = float(frac(o - c))
-            o = frac(o * d_value)
-        alpha_err = _UNIT_ROUNDOFF
-    else:
-        c_scalar = t1 * Fraction(d_value, d_value - 1)
-        endo = fractal.AffineEndo(IntMatrix.scalar(d_value), (Scalar.rational(0, t1.basis),))
-        orb = fractal.walk_orbit_fixed(
-            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
-        )
-        precision_used = orb.precision_bits
-        c_float, c_err = _float_and_error(c_scalar)
-        alphas = (orb.points[:, 0] - c_float) % 1.0
-        alpha_err = orb.error_bound + c_err + (2.0 + abs(c_float)) * _UNIT_ROUNDOFF
-
-    state_floats = np.array([float(a) for a in eta.states])
-    points = (alphas + state_floats[eta_idx] + tails) % 1.0
-
-    geo = 1.0 / (1.0 - 1.0 / abs(d_value))
-    t_max = max(abs(f) for f, _ in t_pairs)
-    t_err = max(e for _, e in t_pairs)
-    s_max = float(max(abs(a) for a in eta.states))
-    bound = (
-        t_max * abs(d_value) ** -tail_len * geo
-        + ((2 * tail_len + 4) * _UNIT_ROUNDOFF * t_max + t_err) * geo
-        + alpha_err
-        + s_max * _UNIT_ROUNDOFF
-        + (2.0 * (1.0 + s_max + t_max * geo) + 1.0) * _UNIT_ROUNDOFF
-    )
-    return points, eta_idx, bound, precision_used
 
 
 def _run_fourier(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:

@@ -63,7 +63,7 @@ class NearIntegerError(ArithmeticError):
 
 
 class IndeterminateExpansionError(ArithmeticError):
-    """An eigenvalue modulus lies within the decision margin of 1."""
+    """Kept for compatibility: the exact expansion test never raises it."""
 
 
 class ExactCheckError(ArithmeticError):
@@ -500,35 +500,42 @@ def commute(a: IntMatrix, b: IntMatrix) -> bool:
     return a.commutes_with(b)
 
 
-_EXPANSION_MARGIN = 1e-9
+def _characteristic_polynomial(m: IntMatrix) -> list[int]:
+    """Integer coefficients c_0, ..., c_n = 1 of det(zI - M), lowest first.
 
-
-def is_expanding(d_matrix: IntMatrix, margin: float = _EXPANSION_MARGIN) -> bool:
-    """True iff every complex eigenvalue has modulus > 1.
-
-    Integer-decidable obstructions (|det| < 2, or a root-of-unity eigenvalue
-    detected by det(D^k - I) = 0 for k <= 12) return False exactly; the rest
-    is decided numerically with the given margin, raising
-    IndeterminateExpansionError inside the margin band.
+    Faddeev-LeVerrier: M_1 = I, M_k = M M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(M M_k) / k, where every division is exact.
     """
-    if abs(d_matrix.det()) < 2:
-        # all moduli > 1 forces |det| > 1 and det is an integer
-        return False
-    ident = IntMatrix.identity(d_matrix.dimension)
-    power = ident
-    for _ in range(12):
-        power = power @ d_matrix
-        if (power - ident).det() == 0:
-            return False  # eigenvalue is a root of unity, modulus exactly 1
-    eig = np.linalg.eigvals(d_matrix.as_array())
-    low = float(np.min(np.abs(eig)))
-    if low > 1.0 + margin:
-        return True
-    if low < 1.0 - margin:
-        return False
-    raise IndeterminateExpansionError(
-        f"minimal eigenvalue modulus {low!r} within {margin} of 1"
-    )
+    n = m.dimension
+    coeffs = [0] * n + [1]
+    m_k = IntMatrix.scalar(0, n)
+    for k in range(1, n + 1):
+        m_k = m @ m_k + IntMatrix.scalar(coeffs[n - k + 1], n)
+        product = m @ m_k
+        coeffs[n - k] = -sum(product.rows[i][i] for i in range(n)) // k
+    return coeffs
+
+
+def is_expanding(d_matrix: IntMatrix) -> bool:
+    """True iff every complex eigenvalue has modulus > 1, decided exactly.
+
+    The eigenvalues all lie outside the closed unit disc iff the roots of the
+    reversed characteristic polynomial q(z) = z^n p(1/z) all lie inside the
+    open one.  The Schur-Cohn reduction decides that in integers: q = a_0 +
+    ... + a_n z^n is Schur-stable iff |a_0| < |a_n| and (a_n q - a_0 q*)/z
+    is, where q* reverses q (Bistritz, Proc. IEEE 72(9), 1984).  Its first
+    step is |det| >= 2.  No float is involved, so the verdict is never
+    indeterminate and IndeterminateExpansionError is not raised.
+    """
+    q = _characteristic_polynomial(d_matrix)[::-1]
+    while len(q) > 1:
+        a0, an = q[0], q[-1]
+        if abs(a0) >= abs(an):
+            return False
+        q = [an * x - a0 * y for x, y in zip(q[1:], q[-2::-1])]
+        content = math.gcd(*q)  # > 0: the new leading term an^2 - a0^2 is not 0
+        q = [x // content for x in q]
+    return True
 
 
 # ---------------------------------------------------------------------------

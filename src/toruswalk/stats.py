@@ -16,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactcore import Scalar, frac
-from .fractal import digits_error_bound, digits_from_fixed
+from . import fractal
+from .exactcore import IntMatrix, Scalar, frac
+from .fractal import AffineIFS, digits_error_bound, digits_from_fixed
 
 __all__ = [
     "OrbitSample",
@@ -27,6 +28,7 @@ __all__ = [
     "weyl_sums",
     "star_discrepancy_1d",
     "extract_digits",
+    "sample_digits",
     "digits_from_fixed",
     "digits_error_bound",
     "block_frequencies",
@@ -178,10 +180,38 @@ def extract_digits(x: Scalar, base: int, count: int) -> list[int]:
             )
         return _digits_of_rational(q, base, count)
 
-    bits = math.ceil(count * math.log2(base)) + 96
+    bits = fractal.precision_budget([IntMatrix.scalar(base)], count)
     fixed, err = x.fixed_point(bits)
     digits, _ = digits_from_fixed(fixed, err, bits, base, count)
     return digits
+
+
+def sample_digits(
+    ifs: AffineIFS, rng: np.random.Generator, count: int, min_bits: int = 0
+) -> tuple[list[int], np.ndarray, float, int, int]:
+    """First `count` base-D digits of a point drawn from a one-dimensional
+    IFS's self-similar measure, certified.
+
+    The point is the coded value of a random word long enough that the
+    coding tail stays far below one ulp of the precision budget (raised to
+    `min_bits` if smaller); its digits carry the coding error plus the tail.
+    Returns (digits, orbit points frac(D^m x), per-point error bound, bits,
+    word length).
+    """
+    base = ifs.d_matrix.rows[0][0]
+    digit_bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
+    diameter = fractal.coding_tail_bound(ifs, 0)
+    bound_bits = math.log2(diameter) if diameter > 0 else 0.0
+    per_step = min(ifs.exponents) * math.log2(ifs.adapted.rho_certified)
+    word_len = int((digit_bits + 16 + max(0.0, bound_bits)) / per_step) + 2
+    word = fractal.sample_word(ifs, rng, word_len)
+    fixed, err, bits = fractal.code_prefix_fixed(ifs, word, digit_bits)
+    # word-truncation error in ulps, computed in log space (2^bits overflows)
+    log2_tail = bound_bits - word_len * per_step
+    tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
+    digits, points = digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
+    bound = digits_error_bound(err + tail_ulps, bits, base, count)
+    return digits, points, bound, bits, word_len
 
 
 def block_frequencies(

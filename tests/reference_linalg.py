@@ -1,11 +1,13 @@
 """Exact linear algebra and chain-graph routines as first written, kept as
-references for the fraction-free elimination and the Tarjan pass.
+references for the fraction-free elimination, the Tarjan pass and the exact
+expansion test.
 
 Three Gauss-Jordan eliminations over Fraction (inverse, chain solve, rank and
-kernel), the division-by-previous-pivot determinant, and the reachability
-searches that decided irreducibility and picked the terminal class.  The
-library must agree with them exactly (see test_exact_elimination.py); nothing
-in src/ imports this module.
+kernel), the division-by-previous-pivot determinant, the reachability
+searches that decided irreducibility and picked the terminal class, and the
+expansion test that probed roots of unity and then read float eigenvalues.
+The library must agree with them exactly (see test_exact_elimination.py and
+test_exactcore.py); nothing in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from toruswalk.chains import ReducibleChainError
+from toruswalk.exactcore import IndeterminateExpansionError, IntMatrix
 
 _Q0 = Fraction(0)
 
@@ -144,3 +149,30 @@ def terminal_class(adj: list[list[int]]) -> list[int]:
         if best is None or len(c) < len(best):
             best = c
     return sorted(best)
+
+
+def is_expanding(d_matrix: IntMatrix, margin: float = 1e-9) -> bool:
+    """True iff every complex eigenvalue has modulus > 1.
+
+    Integer-decidable obstructions (|det| < 2, or a root-of-unity eigenvalue
+    detected by det(D^k - I) = 0 for k <= 12) return False exactly; the rest
+    is decided numerically with the given margin, raising
+    IndeterminateExpansionError inside the margin band.
+    """
+    if abs(d_matrix.det()) < 2:
+        return False
+    ident = IntMatrix.identity(d_matrix.dimension)
+    power = ident
+    for _ in range(12):
+        power = power @ d_matrix
+        if (power - ident).det() == 0:
+            return False
+    eig = np.linalg.eigvals(d_matrix.as_array())
+    low = float(np.min(np.abs(eig)))
+    if low > 1.0 + margin:
+        return True
+    if low < 1.0 - margin:
+        return False
+    raise IndeterminateExpansionError(
+        f"minimal eigenvalue modulus {low!r} within {margin} of 1"
+    )

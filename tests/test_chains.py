@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -72,8 +73,33 @@ class TestFiniteStationary:
                     assert fs.map_state(i, a) in fs.a_values
             assert fs.pushforward_is_stationary()
 
+    def _example(self):
+        alphas = [rational(F(1, 11)), rational(F(2, 13))]
+        return build_finite_stationary([2, 3], alphas), alphas
+
+    def test_shifted_support_not_invariant(self):
+        fs, alphas = self._example()
+        assert fs.support_is_invariant(alphas)
+        moved = dataclasses.replace(fs, x0=fs.x0 + F(1, 7 * fs.q))
+        assert not moved.support_is_invariant(alphas)
+
+    def test_perturbed_vector_not_stationary(self):
+        fs, _ = self._example()
+        assert fs.stationary_is_exact()
+        v = list(fs.stationary)
+        v[0], v[1] = v[0] + F(1, 1000), v[1] - F(1, 1000)
+        assert not dataclasses.replace(fs, stationary=tuple(v)).stationary_is_exact()
+
+    def test_probability_count_must_match(self):
+        with pytest.raises(ValueError, match="one probability per map"):
+            build_finite_stationary([2, 3], [rational(F(1, 3)), rational(F(1, 5))], [F(1)])
+
 
 class TestEtaChain:
+    def test_probability_count_must_match(self):
+        with pytest.raises(ValueError, match="one probability per map"):
+            build_eta_chain(3, [rational(0), rational(F(1, 2))], [F(1, 3), F(1, 3), F(1, 3)])
+
     def test_worked_example_biased(self):
         eta = build_eta_chain(3, [rational(0), rational(F(1, 2))], [F(1, 3), F(2, 3)])
         assert eta.states == (F(0), F(1, 2))

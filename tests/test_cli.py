@@ -363,6 +363,12 @@ class TestFourierConfigErrors:
         )
         assert "'measures.mu0.base'" in err
 
+    def test_weight_count_named(self, tmp_path, capsys):
+        err = _fourier_run_error(
+            tmp_path, capsys, lambda c: c["measures"]["tri"].update(weights=["1/2", "1/2"])
+        )
+        assert "'measures.tri.weights'" in err
+
     def test_zero_check_not_a_table(self, tmp_path, capsys):
         err = _fourier_run_error(tmp_path, capsys, lambda c: c.update(zero_checks=[1]))
         assert "'zero_checks'" in err
@@ -371,6 +377,34 @@ class TestFourierConfigErrors:
         spec = spectral.SelfSimilarSpec.create(4, [0, F(1, 3)])
         with pytest.raises(ValueError):
             spectral.fourier_selfsimilar(spec, 1, math.nan)
+
+
+# One config per kind that takes P: each has two maps, given one probability.
+_SHORT_P = {
+    "walk-sim": WALK_CFG,
+    "rotation-case": {"kind": "rotation-case", "alpha": ["1/2", "1/3"], "N": 10},
+    "normality": {"kind": "normality", "D": 3, "r": [1, 1], "t": ["0", "2/3"], "N": 10},
+    "rational-case": {"kind": "rational-case", "D": 3, "t": ["1/5", "7/10"], "N": 10},
+    "stationary-support": {"kind": "stationary-support", "D": [2, 3], "alpha": ["1/3", "1/5"]},
+}
+
+
+class TestProbabilityCount:
+    @pytest.mark.parametrize("kind", sorted(_SHORT_P))
+    def test_short_p_named(self, kind, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(_SHORT_P[kind], P=["1"])))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        assert "field 'P'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_long_p_named(self):
+        with pytest.raises(ConfigError, match="'P'"):
+            normalize_config(dict(_SHORT_P["stationary-support"], P=["1/3"] * 3))
+
+    def test_normality_r_count_named(self):
+        with pytest.raises(ConfigError, match="'r'"):
+            normalize_config(dict(_SHORT_P["normality"], r=[1]))
 
 
 class TestImportPath:
@@ -395,10 +429,11 @@ class TestRationalCasePoints:
             (2, ["1/3", "2/3", "0"], 64),
             (5, ["7/3", "-1/6"], 30),
             (3, ["1/5", "7/10"], 6),  # short tail: the truncation term dominates
+            (3, ["1/27", "1/2"], 42),  # c = 1/18: preperiod [1/6], cycle [1/2]
         ],
     )
     def test_points_within_bound(self, d, ts, tail_len):
-        from toruswalk import chains, cli
+        from toruswalk import chains
         from toruswalk.exactcore import IrrationalBasis, parse_scalar
 
         basis = IrrationalBasis(())
@@ -409,7 +444,7 @@ class TestRationalCasePoints:
         letters = np.random.default_rng(d * tail_len).integers(
             1, len(ts) + 1, size=n + tail_len + extra
         )
-        points, eta_idx, bound, precision = cli._rational_case_points(
+        points, eta_idx, bound, precision = chains._rational_case_points(
             eta, t_scalars, letters[: n + tail_len], n
         )
         assert precision is None

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from toruswalk.exactcore import (
     NearIntegerError,
     Scalar,
     TorusPoint,
+    _characteristic_polynomial,
     adapted_norm,
     commute,
     evaluate,
@@ -27,6 +29,7 @@ from toruswalk.exactcore import (
     scalar_scale,
 )
 from conftest import random_expanding_matrix, random_scalar
+import reference_linalg
 
 ALPHA = IrrationalBasis(("sqrt2",))
 
@@ -184,6 +187,58 @@ class TestExpansion:
             if expanding:
                 assert abs(m.det()) >= 2
                 found += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(st.integers(-5, 5), min_size=d, max_size=d), min_size=d, max_size=d
+            )
+        )
+    )
+    def test_agrees_with_eigenvalue_reference(self, rows):
+        # the exact test decides wherever the float reference does, the same way
+        m = IntMatrix.from_rows(rows)
+        try:
+            expected = reference_linalg.is_expanding(m)
+        except IndeterminateExpansionError:
+            expected = None
+        verdict = is_expanding(m)
+        assert isinstance(verdict, bool)
+        if expected is not None:
+            assert verdict == expected
+
+    def test_order_fifteen_roots_of_unity(self):
+        # companion of the 15th cyclotomic polynomial (+) [2]: det 2, and its
+        # eigenvalues of modulus 1 are roots of unity of order 15 > 12, which
+        # the reference's power probes miss and its float eigenvalues cannot
+        # separate from 1
+        phi15 = [1, -1, 0, 1, -1, 1, 0, -1, 1]  # lowest coefficient first
+        rows = [[0] * 9 for _ in range(9)]
+        for i in range(8):
+            rows[i][7] = -phi15[i]
+            if i:
+                rows[i][i - 1] = 1
+        rows[8][8] = 2
+        m = IntMatrix.from_rows(rows)
+        assert m.det() == 2
+        with pytest.raises(IndeterminateExpansionError):
+            reference_linalg.is_expanding(m)
+        assert not is_expanding(m)
+
+    def test_characteristic_polynomial_values(self, rng):
+        # a monic degree-d polynomial is fixed by its values at d points
+        for _ in range(50):
+            d = int(rng.integers(1, 6))
+            m = IntMatrix.from_rows(rng.integers(-6, 7, size=(d, d)).tolist())
+            coeffs = _characteristic_polynomial(m)
+            assert len(coeffs) == d + 1 and coeffs[-1] == 1
+            for z in range(-2, d):
+                value = sum(c * z**i for i, c in enumerate(coeffs))
+                assert value == (IntMatrix.scalar(z, d) - m).det()
+
+    def test_no_margin_parameter(self):
+        assert list(inspect.signature(is_expanding).parameters) == ["d_matrix"]
 
 
 class TestCommute:
