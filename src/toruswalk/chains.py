@@ -24,6 +24,7 @@ from .exactcore import (
     Scalar,
     TorusPoint,
     _bareiss_reduce,
+    _multimodular_solve,
     frac,
 )
 from .fractal import AffineIFS
@@ -61,7 +62,7 @@ class ReducibleChainError(ValueError):
 
 def _nonzeros(transition: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Column indices of the nonzero entries, row by row."""
-    return [[j for j, x in enumerate(row) if x != 0] for row in transition]
+    return [[j for j, x in enumerate(row) if x] for row in transition]
 
 
 def _check_row_stochastic(transition: Sequence[Sequence[Fraction]], adj: list[list[int]]) -> None:
@@ -138,9 +139,16 @@ def stationary_distribution(
     n = len(transition)
     if not _irreducible(adj):
         raise ReducibleChainError("chain is reducible; stationary vector not unique")
-    # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I
-    a = [[Fraction(transition[j][i]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    a[n - 1] = [_Q1] * n
+    # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I,
+    # the last one replaced by ones; filled from the nonzero entries only
+    a = [[0] * n for _ in range(n - 1)]
+    for j, cols in enumerate(adj):
+        for i in cols:
+            if i < n - 1:
+                a[i][j] = transition[j][i]
+    for i in range(n - 1):
+        a[i][i] -= 1
+    a.append([_Q1] * n)
     b = [_Q0] * (n - 1) + [_Q1]
     v = _solve_exact(a, b)
     residual = _residual_state(transition, adj, v)
@@ -152,6 +160,19 @@ def stationary_distribution(
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """The unique solution of the square system a x = b.
+
+    Multi-modular first: a candidate from word-size primes, CRT and rational
+    reconstruction is returned only when A is full rank mod some prime p,
+    which makes det A nonzero mod p and so nonzero over Q, and A v = b holds
+    exactly; then v is the unique solution A^-1 b.  Otherwise (A singular
+    mod a prime, the modulus past twice the squared Hadamard bound, or the
+    primes used up) the fraction-free elimination decides, and a singular A
+    raises ReducibleChainError.
+    """
+    v = _multimodular_solve(a, b)
+    if v is not None:
+        return v
     n = len(a)
     reduced, pivots, scale, _ = _bareiss_reduce([row + [x] for row, x in zip(a, b)], n)
     if len(pivots) < n:

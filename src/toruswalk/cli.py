@@ -95,14 +95,28 @@ def normalize_config(raw: dict) -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
+
+    def integer(value, field, minimum=None):
+        """An integer field, at least `minimum` when one is given."""
+        try:
+            n = int(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field {field!r}: expected an integer, got {value!r}") from exc
+        if minimum is not None and n < minimum:
+            raise ConfigError(f"field {field!r}: must be >= {minimum}")
+        return n
+
+    def integers(value, field):
+        if not isinstance(value, list):
+            raise ConfigError(f"field {field!r}: expected a list of integers")
+        return [integer(x, field) for x in value]
+
     cfg: dict = {"kind": kind}
-    cfg["seed"] = int(raw.get("seed", 0))
+    cfg["seed"] = integer(raw.get("seed", 0), "seed")
     cfg["irrationals"] = sorted(str(s) for s in raw.get("irrationals", []))
     precision = raw.get("precision", "auto")
     if precision != "auto":
-        precision = int(precision)
-        if precision < 64:
-            raise ConfigError("field 'precision': explicit bits must be >= 64")
+        precision = integer(precision, "precision", 64)
     cfg["precision"] = precision
     basis = IrrationalBasis(tuple(cfg["irrationals"]))
 
@@ -130,10 +144,8 @@ def normalize_config(raw: dict) -> dict:
         return check_scalars([str(p) for p in given], field)
 
     if kind in ("walk-sim", "rotation-case"):
-        cfg["N"] = int(raw.get("N", 100000))
-        cfg["K"] = int(raw.get("K", 8))
-        if cfg["N"] < 1 or cfg["K"] < 1:
-            raise ConfigError("fields 'N' and 'K' must be >= 1")
+        cfg["N"] = integer(raw.get("N", 100000), "N", 1)
+        cfg["K"] = integer(raw.get("K", 8), "K", 1)
         alphas = _require(raw, "alpha", kind)
         if kind == "walk-sim":
             d_raw = _require(raw, "D", kind)
@@ -147,22 +159,22 @@ def normalize_config(raw: dict) -> dict:
         else:
             cfg["D"] = None
             if "control_q" in raw:
-                cfg["control_q"] = int(raw["control_q"])
+                cfg["control_q"] = integer(raw["control_q"], "control_q")
         dim = len(cfg["D"][0]) if kind == "walk-sim" else 1
         cfg["alpha"] = [vector(a, "alpha", dim) for a in alphas]
-        cfg["x0"] = vector(raw.get("x0", ["0"] * dim), "x0")
+        cfg["x0"] = vector(raw.get("x0", ["0"] * dim), "x0", dim)
         cfg["P"] = probabilities(raw.get("P"), len(alphas))
     elif kind == "normality":
         cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
-        cfg["r"] = [int(x) for x in _require(raw, "r", kind)]
+        cfg["r"] = integers(_require(raw, "r", kind), "r")
         cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
         if len(cfg["r"]) != len(cfg["t"]):
             raise ConfigError(f"field 'r': expected {len(cfg['t'])} exponents, one per map")
         cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
-        cfg["N"] = int(raw.get("N", 10000))
-        cfg["L"] = int(raw.get("L", 2))
-        if cfg["N"] < 1 or not 1 <= cfg["L"] <= cfg["N"]:
-            raise ConfigError("need N >= 1 and 1 <= L <= N")
+        cfg["N"] = integer(raw.get("N", 10000), "N", 1)
+        cfg["L"] = integer(raw.get("L", 2), "L", 1)
+        if cfg["L"] > cfg["N"]:
+            raise ConfigError("field 'L': must be <= N")
     elif kind == "condition-check":
         which = raw.get("condition", "ifs")
         if which not in ("walk", "ifs"):
@@ -170,12 +182,17 @@ def normalize_config(raw: dict) -> dict:
         cfg["condition"] = which
         if which == "walk":
             d_raw = _require(raw, "D", kind)
+            if not isinstance(d_raw, list) or not d_raw:
+                raise ConfigError("field 'D': expected a non-empty list of matrices/integers")
             cfg["D"] = [_as_matrix(m, "D") for m in d_raw]
             dim = len(cfg["D"][0])
-            cfg["alpha"] = [vector(a, "alpha") for a in _require(raw, "alpha", kind)]
+            alphas = _require(raw, "alpha", kind)
+            if not isinstance(alphas, list) or len(alphas) != len(cfg["D"]):
+                raise ConfigError("fields 'D' and 'alpha': need one alpha per matrix")
+            cfg["alpha"] = [vector(a, "alpha") for a in alphas]
         else:
             cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
-            cfg["r"] = [int(x) for x in _require(raw, "r", kind)]
+            cfg["r"] = integers(_require(raw, "r", kind), "r")
             dim = len(cfg["D"])
             cfg["t"] = [vector(t, "t") for t in _require(raw, "t", kind)]
     elif kind == "rational-case":
@@ -185,8 +202,8 @@ def normalize_config(raw: dict) -> dict:
         cfg["D"] = d_mat
         cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
         cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
-        cfg["N"] = int(raw.get("N", 100000))
-        cfg["K"] = int(raw.get("K", 8))
+        cfg["N"] = integer(raw.get("N", 100000), "N", 1)
+        cfg["K"] = integer(raw.get("K", 8), "K", 1)
     elif kind == "stationary-support":
         d_raw = _require(raw, "D", kind)
         if not isinstance(d_raw, list) or not all(isinstance(x, int) for x in d_raw):
@@ -208,10 +225,7 @@ def normalize_config(raw: dict) -> dict:
             for key in ("base", "atoms"):
                 if key not in m:
                     raise ConfigError(f"field '{field}.{key}': missing")
-            try:
-                base = int(m["base"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field '{field}.base': expected an integer") from exc
+            base = integer(m["base"], f"{field}.base")
             if abs(base) < 2:
                 raise ConfigError(f"field '{field}.base': |base| must be >= 2")
             atoms = check_scalars(_as_scalar_list(m["atoms"], f"{field}.atoms"), f"{field}.atoms")
@@ -221,9 +235,7 @@ def normalize_config(raw: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"field '{field}': {exc}") from exc
             cfg["measures"][name] = {"base": base, "atoms": atoms, "weights": weights}
-        cfg["dump_range"] = int(raw.get("dump_range", 32))
-        if cfg["dump_range"] < 0:
-            raise ConfigError("field 'dump_range': must be >= 0")
+        cfg["dump_range"] = integer(raw.get("dump_range", 32), "dump_range", 0)
         cfg["tol"] = float(raw.get("tol", 1e-9))
         if not (math.isfinite(cfg["tol"]) and cfg["tol"] > 0):
             raise ConfigError("field 'tol': must be a finite number > 0")
@@ -239,8 +251,8 @@ def normalize_config(raw: dict) -> dict:
                 {
                     "measure": check["measure"],
                     "pattern": check["pattern"],
-                    "k_max": int(check.get("k_max", 5)),
-                    "m_max": int(check.get("m_max", 20)),
+                    "k_max": integer(check.get("k_max", 5), "zero_checks.k_max"),
+                    "m_max": integer(check.get("m_max", 20), "zero_checks.m_max"),
                 }
             )
         cfg["zero_checks"] = zc
@@ -250,9 +262,7 @@ def normalize_config(raw: dict) -> dict:
             if len(conv) != 2 or any(c not in cfg["measures"] for c in conv):
                 raise ConfigError("haar_convolution: expected two measure names")
         cfg["haar_convolution"] = conv
-        cfg["haar_range"] = int(raw.get("haar_range", 1000))
-        if cfg["haar_range"] < 1:
-            raise ConfigError("field 'haar_range': must be >= 1")
+        cfg["haar_range"] = integer(raw.get("haar_range", 1000), "haar_range", 1)
     return cfg
 
 
@@ -457,7 +467,9 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     exact_p = np.array([float(x) for x in eta.stationary])
     state_dev = float(np.max(np.abs(freq - exact_p)))
     sample = stats.OrbitSample(points, bound, 64)
-    ws = stats.weyl_sums(sample, k_max)
+    # one pass of characters serves the Weyl sums, char_dev and chars.csv
+    means = stats.character_means(sample, k_max)
+    ws = {k: abs(v) for k, v in means.items()}
 
     results = {
         "N": n_steps,
@@ -480,9 +492,9 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     )
     if all(s.is_rational() for s in t_scalars):
         law = chains.limit_law_fourier(eta, ifs)
-        results["char_dev"] = stats.compare_to_fourier(sample, law, k_max)
+        results["char_dev"] = stats.fourier_deviation(means, law)
         rows = []
-        for (n,), emp in sorted(stats.character_means(sample, k_max).items()):
+        for (n,), emp in sorted(means.items()):
             v = law(n)
             rows.append(
                 [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(abs(emp - v.value))]

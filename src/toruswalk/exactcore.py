@@ -399,6 +399,128 @@ def _bareiss_reduce(
     return a, pivots, prev, sign
 
 
+# The 32 largest primes below 2^31: residues stay below 2^31, so the
+# product of two residues fits in an int64.  Their product, about 2^992,
+# certifies solutions whose numerators and denominators have up to about
+# 495 bits each.
+_WORD_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921,
+)
+
+
+def _solve_mod_prime(
+    entries: list[tuple[int, int, Rational]], n: int, p: int
+) -> list[int] | None:
+    """x with A x = b mod p, or None when A is singular mod p.
+
+    `entries` lists (row, column, value) for the nonzero entries of the
+    n x (n + 1) matrix [A | b]; p divides no denominator.  Gauss-Jordan over
+    int64 residues, one vectorised row update per pivot.
+    """
+    m = np.zeros((n, n + 1), dtype=np.int64)
+    inverses: dict[int, int] = {}
+    values = []
+    for _, _, x in entries:
+        den = x.denominator
+        if den not in inverses:
+            inverses[den] = pow(den, -1, p)
+        values.append(x.numerator * inverses[den] % p)
+    if entries:
+        rows, cols, _ = zip(*entries)
+        m[list(rows), list(cols)] = values
+    for c in range(n):
+        nonzero = np.flatnonzero(m[c:, c])
+        if nonzero.size == 0:
+            return None
+        r = c + int(nonzero[0])
+        if r != c:
+            m[[c, r]] = m[[r, c]]
+        pivot_row = m[c, c:] * pow(int(m[c, c]), -1, p) % p
+        m[c, c:] = pivot_row
+        factors = m[:, c].copy()
+        factors[c] = 0
+        others = np.flatnonzero(factors)
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(factors[others], pivot_row)) % p
+    return m[:, n].tolist()
+
+
+def _rational_reconstruction(u: int, m: int) -> Fraction | None:
+    """The fraction r/s = u mod m with |r|, |s| <= sqrt(m / 2) and
+    gcd(s, m) = 1, or None when there is none; unique when it exists.
+
+    Wang's half-extended Euclidean algorithm (Wang, Proc. SYMSAC 1981; von
+    zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., section 5.10):
+    stop at the first remainder r_j <= sqrt(m / 2); every step keeps
+    r_j = s_j u mod m, and the pair is the answer iff gcd(r_j, s_j) = 1.
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        t = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - t * r1, s1, s0 - t * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _multimodular_solve(
+    a: Sequence[Sequence[Rational]], b: Sequence[Rational]
+) -> list[Fraction] | None:
+    """The solution of the square system a x = b, certified exactly, or None
+    when fraction-free elimination has to decide.
+
+    Solves mod each word-size prime that divides no denominator, combines
+    the residues by CRT and rebuilds every entry by rational reconstruction.
+    A candidate is returned only when A is full rank mod a prime, so that
+    det A != 0 over Q, and A v = b holds exactly in Fractions, so that v is
+    the unique solution.  None when A is singular mod a prime, when the
+    modulus has passed 2 H^2 without a certified candidate (H the Hadamard
+    bound of [A | b] with each row scaled to integers, which bounds every
+    numerator and denominator of the solution by Cramer's rule), or when the
+    primes run out.
+    """
+    n = len(a)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    entries = [(i, j, x) for i, row in enumerate(rows) for j, x in row]
+    entries += [(i, n, x) for i, x in enumerate(b) if x]
+    denominators = {x.denominator for _, _, x in entries}
+    modulus, lifted, hadamard_sq = 1, [0] * n, None
+    for p in _WORD_PRIMES:
+        if any(den % p == 0 for den in denominators):
+            continue
+        residues = _solve_mod_prime(entries, n, p)
+        if residues is None:
+            return None
+        # Chinese remaindering: keep lifted mod the modulus, fix it mod p
+        inverse = pow(modulus, -1, p)
+        lifted = [u + modulus * ((r - u) * inverse % p) for u, r in zip(lifted, residues)]
+        modulus *= p
+        candidate = []
+        for u in lifted:
+            v = _rational_reconstruction(u, modulus)
+            if v is None:
+                break
+            candidate.append(v)
+        else:
+            if all(sum(x * candidate[j] for j, x in row) == bi for row, bi in zip(rows, b)):
+                return candidate
+        if hadamard_sq is None:
+            hadamard_sq = 1
+            for row, bi in zip(rows, b):
+                scaled = [x for _, x in row] + [bi]
+                den = math.lcm(*(x.denominator for x in scaled))
+                hadamard_sq *= sum((x.numerator * (den // x.denominator)) ** 2 for x in scaled)
+        if modulus > 2 * hadamard_sq:
+            return None
+    return None
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Square integer matrix with exact products, powers and inverses."""

@@ -37,6 +37,7 @@ __all__ = [
     "all_blocks",
     "subsequence_compare",
     "compare_to_fourier",
+    "fourier_deviation",
     "koksma_bound",
 ]
 
@@ -309,7 +310,12 @@ def compare_to_fourier(sample: OrbitSample, coefficients, k_max: int) -> float:
     """
     if sample.dimension != 1:
         raise ValueError("implemented for d = 1 only")
-    means = character_means(sample, k_max)
+    return fourier_deviation(character_means(sample, k_max), coefficients)
+
+
+def fourier_deviation(means: dict[tuple[int, ...], complex], coefficients) -> float:
+    """max over the one-dimensional frequencies (k,) of `means` of
+    |means[(k,)] - coefficients(k).value|."""
     worst = 0.0
     for (k,), emp in means.items():
         worst = max(worst, abs(emp - coefficients(k).value))

@@ -325,16 +325,23 @@ class TestFourierRun:
         assert diag["coefficients"] == 1 + 6 * 41
 
 
+def _run_error(tmp_path, capsys, cfg) -> str:
+    """stderr of a `toruswalk run` of `cfg`, which must exit with status 2
+    and write no report."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    return capsys.readouterr().err
+
+
 def _fourier_run_error(tmp_path, capsys, edit) -> str:
     """stderr of a `toruswalk run` of FOURIER_CFG changed by `edit`, which
     must exit with status 2."""
     cfg = json.loads(json.dumps(FOURIER_CFG))
     edit(cfg)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    capsys.readouterr()
-    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
-    return capsys.readouterr().err
+    return _run_error(tmp_path, capsys, cfg)
 
 
 class TestFourierConfigErrors:
@@ -405,6 +412,59 @@ class TestProbabilityCount:
     def test_normality_r_count_named(self):
         with pytest.raises(ConfigError, match="'r'"):
             normalize_config(dict(_SHORT_P["normality"], r=[1]))
+
+
+_RATIONAL_CFG = _SHORT_P["rational-case"]
+
+
+class TestIntegerFields:
+    def test_rational_case_n_zero(self, tmp_path, capsys):
+        err = _run_error(tmp_path, capsys, dict(_RATIONAL_CFG, N=0))
+        assert "field 'N'" in err and "Traceback" not in err
+
+    def test_rational_case_k_zero(self, tmp_path, capsys):
+        assert "field 'K'" in _run_error(tmp_path, capsys, dict(_RATIONAL_CFG, K=0))
+
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            (dict(WALK_CFG, N="x"), "'N'"),
+            (dict(WALK_CFG, K="x"), "'K'"),
+            (dict(WALK_CFG, seed="x"), "'seed'"),
+            (dict(WALK_CFG, precision="x"), "'precision'"),
+            (dict(_SHORT_P["normality"], L="x"), "'L'"),
+            (dict(_SHORT_P["normality"], r=[1, "x"]), "'r'"),
+            (dict(COND_CFG, r="x"), "'r'"),
+            (dict(_SHORT_P["rotation-case"], control_q="x"), "'control_q'"),
+            (dict(FOURIER_CFG, dump_range="x"), "'dump_range'"),
+            (dict(FOURIER_CFG, haar_range="x"), "'haar_range'"),
+            (
+                dict(FOURIER_CFG, zero_checks=[{"measure": "mu0", "pattern": "odd", "k_max": "z"}]),
+                "'zero_checks.k_max'",
+            ),
+            (
+                dict(FOURIER_CFG, zero_checks=[{"measure": "mu0", "pattern": "odd", "m_max": "z"}]),
+                "'zero_checks.m_max'",
+            ),
+        ],
+    )
+    def test_non_integer_named(self, cfg, field):
+        with pytest.raises(ConfigError, match=field):
+            normalize_config(cfg)
+
+    @pytest.mark.parametrize("kind", ["walk-sim", "rotation-case"])
+    def test_x0_dimension(self, kind, tmp_path, capsys):
+        cfg = dict(_SHORT_P[kind], x0=["1/7", "1/3"])
+        assert "field 'x0'" in _run_error(tmp_path, capsys, cfg)
+
+    def test_condition_walk_empty_d(self, tmp_path, capsys):
+        cfg = {"kind": "condition-check", "condition": "walk", "D": [], "alpha": []}
+        err = _run_error(tmp_path, capsys, cfg)
+        assert "field 'D'" in err and "Traceback" not in err
+
+    def test_condition_walk_alpha_count(self, tmp_path, capsys):
+        cfg = {"kind": "condition-check", "condition": "walk", "D": [2, 3], "alpha": ["1/3"]}
+        assert "'alpha'" in _run_error(tmp_path, capsys, cfg)
 
 
 class TestImportPath:

@@ -1,5 +1,6 @@
 """Differential tests: the fraction-free elimination and the Tarjan pass
-against the Fraction Gauss-Jordan routines and reachability searches.
+against the Fraction Gauss-Jordan routines and reachability searches, and
+the multi-modular chain solve against both.
 
 reference_linalg.py keeps the routines as first written.  Determinants,
 inverses, chain solves, ranks, kernel vectors and terminal classes must be
@@ -7,15 +8,24 @@ identical, and singular input must raise the same error with the same
 message.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_linalg as ref
-from toruswalk import chains
-from toruswalk.exactcore import IntMatrix, _bareiss_reduce
+from toruswalk import chains, exactcore
+from toruswalk.exactcore import (
+    IntMatrix,
+    Scalar,
+    _WORD_PRIMES,
+    _bareiss_reduce,
+    _multimodular_solve,
+    _rational_reconstruction,
+)
 from toruswalk.groupcond import _rank_and_kernel
 
 small_ints = st.integers(-6, 6)
@@ -189,3 +199,114 @@ class TestGraphs:
         for m, x in zip(members, ref.solve_exact(a, b)):
             expected[m] = x
         assert chains._terminal_class_stationary(transition) == tuple(expected)
+
+
+def bareiss_solve(a, b):
+    """The solution of a x = b read from one fraction-free elimination."""
+    n = len(a)
+    reduced, pivots, scale, _ = _bareiss_reduce([row + [x] for row, x in zip(a, b)], n)
+    assert len(pivots) == n
+    return [Fraction(row[n], scale) for row in reduced]
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes the multi-modular solve eliminates modulo, in order."""
+    used = []
+    solve_mod_prime = exactcore._solve_mod_prime
+
+    def spy(entries, n, p):
+        used.append(p)
+        return solve_mod_prime(entries, n, p)
+
+    monkeypatch.setattr(exactcore, "_solve_mod_prime", spy)
+    return used
+
+
+class TestMultimodular:
+    def test_word_primes(self):
+        assert len(set(_WORD_PRIMES)) == len(_WORD_PRIMES)
+        for p in _WORD_PRIMES:
+            assert 2 < p < 2**31
+            assert all(p % d for d in range(3, math.isqrt(p) + 1, 2)), p
+
+    def test_reconstruction(self):
+        m = _WORD_PRIMES[0] * _WORD_PRIMES[1]
+        for x in [Fraction(0), Fraction(-1), Fraction(5, 7), Fraction(-123456, 98765)]:
+            u = x.numerator * pow(x.denominator, -1, m) % m
+            assert _rational_reconstruction(u, m) == x
+        # 2^31 / 3 needs about 62 bits of numerator and denominator together
+        assert _rational_reconstruction(2**31 * pow(3, -1, m) % m, m) is None
+
+    def test_determinant_divisible_by_first_prime(self, primes_used):
+        p = _WORD_PRIMES[0]
+        a = [[Fraction(x) for x in row] for row in [[1, 2, 3], [4, 5, 6], [7, 8, p + 9]]]
+        assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, p + 9]]).det() == -3 * p
+        b = [Fraction(1), Fraction(-2, 3), Fraction(5)]
+        # singular mod p: the modular path hands over to Bareiss elimination
+        assert _multimodular_solve(a, b) is None
+        assert primes_used == [p]
+        assert chains._solve_exact(a, b) == ref.solve_exact(a, b)
+
+    def test_denominator_divisible_by_a_listed_prime(self, primes_used):
+        p = _WORD_PRIMES[0]
+        a = [[Fraction(1, p), Fraction(1)], [Fraction(1), Fraction(2, 3)]]
+        b = [Fraction(1), Fraction(-1, 5)]
+        expected = ref.solve_exact(a, b)
+        assert _multimodular_solve(a, b) == expected
+        assert p not in primes_used and primes_used
+        assert chains._solve_exact(a, b) == expected
+
+    def test_crt_for_numerators_beyond_one_prime(self, primes_used):
+        p = _WORD_PRIMES[0]
+        x = [Fraction(p + 5), Fraction(-(2**40 + 1), 7), Fraction(-3, 4)]
+        # one prime alone reads p + 5 as 5: only the exact check rejects it
+        assert _rational_reconstruction(x[0].numerator % p, p) == 5
+        a = [[Fraction(v) for v in row] for row in [[2, 1, 0], [1, 3, 1], [0, 1, 4]]]
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+        assert _multimodular_solve(a, b) == x
+        assert len(primes_used) >= 3
+        assert chains._solve_exact(a, b) == x == ref.solve_exact(a, b)
+
+    def test_one_prime_for_small_answers(self, primes_used):
+        a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+        b = [Fraction(1), Fraction(-1, 3)]
+        assert _multimodular_solve(a, b) == [Fraction(1, 3), Fraction(2, 3)]
+        assert primes_used == [_WORD_PRIMES[0]]
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1, 2], [2, 4]],
+            [[Fraction(1, 3), Fraction(2, 5), 1], [0, 0, 0], [1, 1, 1]],
+            [[Fraction(1, 2), Fraction(1, 2), 0], [0, 1, -1], [1, 2, -1]],
+        ],
+    )
+    def test_singular_system_same_error(self, a):
+        a = [[Fraction(x) for x in row] for row in a]
+        b = [Fraction(1)] * len(a)
+        assert _multimodular_solve(a, b) is None
+        new = outcome(chains._solve_exact, a, b)
+        assert new[0] == "raised"
+        assert new == outcome(ref.solve_exact, a, b)
+
+    # seeded alphas and probabilities; D_2 shares a factor with q, so the
+    # stationary vector is not uniform and its denominators need several primes
+    @pytest.mark.parametrize("p1, p2", [(11, 13), (17, 19)])
+    def test_stationary_support_matches_bareiss(self, p1, p2, primes_used):
+        rng = np.random.default_rng(p1 * p2)
+        alphas = [Fraction(int(rng.integers(1, p1)), p1), Fraction(int(rng.integers(1, p2)), p2)]
+        weights = [int(w) for w in rng.integers(1, 9, 2)]
+        probabilities = [Fraction(w, sum(weights)) for w in weights]
+        fs = chains.build_finite_stationary(
+            [2, p2], [Scalar.rational(x) for x in alphas], probabilities
+        )
+        assert fs.q == p1 * p2
+        members = chains._closed_class(chains._nonzeros(fs.transition))
+        a, b = stationary_system([[fs.transition[u][v] for v in members] for u in members])
+        expected = [Fraction(0)] * fs.q
+        for m, x in zip(members, bareiss_solve(a, b)):
+            expected[m] = x
+        assert fs.stationary == tuple(expected)
+        assert len(set(fs.stationary)) > 2
+        assert len(primes_used) > 1
