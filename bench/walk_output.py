@@ -1,0 +1,161 @@
+"""Cost of the walk-sim output path: the trajectory writer and the d > 1
+Weyl grid.
+
+Times the row-by-row `csv.writer` trajectory writer (the reference kept in
+`tests/reference_output.py`) against the chunked `cli._write_points_csv` at
+N = 25k, 50k and 100k points in d = 1 and N = 20k in d = 2, checking that
+both write the same bytes; then the per-frequency 2-D Weyl grid (one
+`np.exp` per frequency, the previous `stats.character_means`) against the
+conjugate-symmetric one at K = 8 and N = 10k, 20k and 40k, checking that
+every value is bitwise equal.  Fits the growth exponent in N of each timing.
+The points are seeded uniform samples of [0, 1)^d: both the writers and the
+grid cost the same on any float64 coordinates.
+
+    PYTHONPATH=src python3 bench/walk_output.py [--out BENCH_walk.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from toruswalk import cli, stats
+
+from stationary_scaling import _cpu
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import reference_output  # noqa: E402
+
+WRITER_SIZES = [(25_000, 1), (50_000, 1), (100_000, 1), (20_000, 2)]
+GRID_SIZES = [10_000, 20_000, 40_000]
+GRID_K = 8
+
+
+def _points(count: int, dim: int) -> np.ndarray:
+    return np.random.default_rng(count + dim).random((count, dim))
+
+
+def _median_seconds(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _per_frequency_grid(sample: stats.OrbitSample, k_max: int) -> dict:
+    """One `np.exp` per frequency of the d > 1 grid, as before the grid took
+    out[-k] as the conjugate of out[k]."""
+    pts = sample.points
+    out = {}
+    for k in stats._frequency_grid(k_max, sample.dimension):
+        phase = pts @ np.asarray(k, dtype=float)
+        out[k] = complex(np.mean(np.exp(2j * np.pi * phase)))
+    return out
+
+
+def measure_writer(count: int, dim: int, repeats: int, workdir: Path) -> dict:
+    pts = _points(count, dim)
+    ref_path, new_path = workdir / "reference.csv", workdir / "chunked.csv"
+    reference_s = _median_seconds(lambda: reference_output.write_points_csv(ref_path, pts), repeats)
+    chunked_s = _median_seconds(lambda: cli._write_points_csv(new_path, pts), repeats)
+    if ref_path.read_bytes() != new_path.read_bytes():
+        raise AssertionError(f"N={count}, d={dim}: the writers' bytes differ")
+    return {
+        "N": count,
+        "d": dim,
+        "bytes": new_path.stat().st_size,
+        "reference_s": reference_s,
+        "chunked_s": chunked_s,
+        "speedup": reference_s / chunked_s,
+    }
+
+
+def measure_grid(count: int, repeats: int) -> dict:
+    sample = stats.OrbitSample(_points(count, 2), 0.0, 64)
+    before = _per_frequency_grid(sample, GRID_K)
+    after = stats.character_means(sample, GRID_K)
+    if list(before) != list(after) or any(
+        np.float64(a.real).tobytes() != np.float64(b.real).tobytes()
+        or np.float64(a.imag).tobytes() != np.float64(b.imag).tobytes()
+        for a, b in zip(before.values(), after.values())
+    ):
+        raise AssertionError(f"N={count}: the grids' values differ")
+    per_frequency_s = _median_seconds(lambda: _per_frequency_grid(sample, GRID_K), repeats)
+    symmetric_s = _median_seconds(lambda: stats.character_means(sample, GRID_K), repeats)
+    return {
+        "N": count,
+        "d": 2,
+        "K": GRID_K,
+        "frequencies": len(after),
+        "per_frequency_s": per_frequency_s,
+        "conjugate_symmetric_s": symmetric_s,
+        "speedup": per_frequency_s / symmetric_s,
+    }
+
+
+def growth_exponent(rows: list[dict], key: str) -> float:
+    """Least-squares slope of log(rows[key]) against log(N)."""
+    x = np.log([r["N"] for r in rows])
+    y = np.log([r[key] for r in rows])
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default="BENCH_walk.json")
+    parser.add_argument("--repeats", type=int, default=5, help="timed runs per size (median)")
+    args = parser.parse_args()
+    writer_rows, grid_rows = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for count, dim in WRITER_SIZES:
+            writer_rows.append(measure_writer(count, dim, args.repeats, Path(tmp)))
+            print(json.dumps(writer_rows[-1]))
+    for count in GRID_SIZES:
+        grid_rows.append(measure_grid(count, args.repeats))
+        print(json.dumps(grid_rows[-1]))
+    one_d = [r for r in writer_rows if r["d"] == 1]
+    record = {
+        "benchmark": "walk-sim output path: trajectory.csv writer and the 2-D Weyl grid",
+        "writer": {
+            "reference": "csv.writer, one row per point, format(v, '.17g') per cell",
+            "chunked": f"cli._write_points_csv, {cli._POINTS_CHUNK_ROWS} rows per '%'",
+            "rows": writer_rows,
+            "reference_growth_exponent_n": growth_exponent(one_d, "reference_s"),
+            "chunked_growth_exponent_n": growth_exponent(one_d, "chunked_s"),
+        },
+        "weyl_grid": {
+            "per_frequency": "one np.exp per nonzero k in [-K, K]^2",
+            "conjugate_symmetric": "stats.character_means: out[k] = conj(out[-k]) once -k is done",
+            "rows": grid_rows,
+            "per_frequency_growth_exponent_n": growth_exponent(grid_rows, "per_frequency_s"),
+            "conjugate_symmetric_growth_exponent_n": growth_exponent(
+                grid_rows, "conjugate_symmetric_s"
+            ),
+        },
+        "repeats": args.repeats,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu": _cpu(),
+            "nproc": len(os.sched_getaffinity(0)),
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(f"-> {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -136,9 +136,16 @@ def stationary_distribution(
     """Exact unique stationary vector of an irreducible row-stochastic matrix."""
     adj = _nonzeros(transition)
     _check_row_stochastic(transition, adj)
-    n = len(transition)
     if not _irreducible(adj):
         raise ReducibleChainError("chain is reducible; stationary vector not unique")
+    return _stationary_irreducible(transition, adj)
+
+
+def _stationary_irreducible(transition, adj: list[list[int]]) -> tuple[Fraction, ...]:
+    """The stationary vector of a row-stochastic chain already known to be
+    irreducible, whose nonzero entries `adj` lists row by row; `transition`
+    has one row per state and is read only at those entries."""
+    n = len(transition)
     # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I,
     # the last one replaced by ones; filled from the nonzero entries only
     a = [[0] * n for _ in range(n - 1)]
@@ -211,11 +218,16 @@ def _terminal_class_stationary(
     transition: list[list[Fraction]],
 ) -> tuple[Fraction, ...]:
     """Exact stationary vector supported on one closed recurrent class."""
-    members = _closed_class(_nonzeros(transition))
+    adj = _nonzeros(transition)
+    _check_row_stochastic(transition, adj)
+    members = _closed_class(adj)
     # the restricted chain is stochastic (the class is closed) and irreducible
-    sub = [[transition[u][v] for v in members] for u in members]
+    # (the class is strongly connected); its rows hold only their nonzeros
+    position = {u: i for i, u in enumerate(members)}
+    sub_adj = [[position[v] for v in adj[u]] for u in members]
+    sub = [{position[v]: transition[u][v] for v in adj[u]} for u in members]
     out = [_Q0] * len(transition)
-    for m, val in zip(members, stationary_distribution(sub)):
+    for m, val in zip(members, _stationary_irreducible(sub, sub_adj)):
         out[m] = val
     return tuple(out)
 
@@ -421,12 +433,14 @@ def build_eta_chain(
         for dt, p in zip(deltas_tilde, probabilities):
             transition[index[a]][index[frac(d_value * a + dt)]] += p
 
-    if not _irreducible(_nonzeros(transition)):
+    adj = _nonzeros(transition)
+    _check_row_stochastic(transition, adj)
+    if not _irreducible(adj):
         raise ReducibleChainError("eta chain is not irreducible on its state set")
     # No period check: delta_1 = 0, so 0 is a state with the self-loop
     # 0 -> 0 of probability p_1 > 0, and an irreducible chain with a
     # self-loop is aperiodic.
-    stationary = stationary_distribution(transition)
+    stationary = _stationary_irreducible(transition, adj)
     return EtaChain(
         d_value=int(d_value),
         q=q,

@@ -293,6 +293,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# rows formatted per `%` in _write_points_csv: enough to amortise the
+# interpreter, few enough that the chunk's strings stay small
+_POINTS_CHUNK_ROWS = 2048
+
+
+def _write_points_csv(path: Path, points: np.ndarray) -> None:
+    """Write an (N, d) point array as header `n,x0,...` and one row per
+    point: its 1-based index, then each coordinate as %.17g, CRLF line ends.
+
+    The bytes are those of `_write_csv` with `_fmt` cells; each chunk of
+    rows is one interleaved list formatted by a single `%`.
+    """
+    count, dim = points.shape
+    width = dim + 1
+    row_fmt = "%d" + ",%.17g" * dim + "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(["n"] + [f"x{j}" for j in range(dim)]) + "\r\n")
+        for start in range(0, count, _POINTS_CHUNK_ROWS):
+            stop = min(start + _POINTS_CHUNK_ROWS, count)
+            flat: list = [0] * ((stop - start) * width)
+            flat[0::width] = range(start + 1, stop + 1)
+            for j in range(dim):
+                flat[j + 1 :: width] = points[start:stop, j].tolist()
+            fh.write(row_fmt * (stop - start) % tuple(flat))
+
+
 def _weyl_rows(ws: dict) -> list[list[str]]:
     items = sorted(ws.items())
     return [[",".join(str(i) for i in k), _fmt(v)] for k, v in items]
@@ -338,11 +364,7 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     }
     sidecars = ["weyl.csv", "trajectory.csv"]
     _write_csv(outdir / "weyl.csv", ["k", "abs_S_N"], _weyl_rows(ws))
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["n"] + [f"x{i}" for i in range(dim)],
-        ([i + 1] + [_fmt(v) for v in row] for i, row in enumerate(orbit.points)),
-    )
+    _write_points_csv(outdir / "trajectory.csv", orbit.points)
     if dim == 1:
         results["star_discrepancy"] = stats.star_discrepancy_1d(sample)
         _write_csv(
@@ -764,6 +786,7 @@ SCHEMA_DOC = {
     "rotation-case": {
         "alpha": "list of scalars (translations)",
         "x0": "scalar",
+        "P": "selection probabilities (rationals, default uniform)",
         "control_q": "optional: also report |S_N(q)|",
         "N": "steps",
         "K": "character range",
@@ -807,6 +830,8 @@ SCHEMA_DOC = {
         "schema": REPORT_SCHEMA,
         "determinism": "identical (config, seed) gives identical report except 'timestamp'",
         "sidecars": "CSV files listed in the report, written next to report.json",
+        "trajectory.csv": "walk-sim and rotation-case: header 'n,x0,...,x{d-1}', one row "
+        "per orbit point (1-based n, coordinates as %.17g), CRLF line ends",
     },
 }
 

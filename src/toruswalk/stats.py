@@ -113,12 +113,17 @@ def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], co
         z = np.exp(2j * np.pi * pts[:, 0])
         power = np.ones_like(z)
         for k in range(1, k_max + 1):
-            power = power * z
+            power *= z
             mean = complex(np.mean(power))
             out[(k,)] = mean
             out[(-k,)] = mean.conjugate()
         return out
     for k in _frequency_grid(k_max, sample.dimension):
+        negated = tuple(-c for c in k)
+        if negated in out:
+            # bit for bit: pts @ -k is -(pts @ k), exp(-it) is conj(exp(it))
+            out[k] = out[negated].conjugate()
+            continue
         phase = pts @ np.asarray(k, dtype=float)
         out[k] = complex(np.mean(np.exp(2j * np.pi * phase)))
     return out

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from toruswalk import spectral
 from toruswalk.cli import (
+    SCHEMA_DOC,
     ConfigError,
     canonical_json,
     config_hash,
@@ -88,6 +89,63 @@ class TestConfigNormalization:
             normalize_config(raw)
         except (ConfigError, ValueError, TypeError):
             pass
+
+
+# one config per kind (condition-check in both variants), every optional
+# field given
+SCHEMA_CFGS = [
+    WALK_CFG,
+    {
+        "kind": "rotation-case",
+        "irrationals": ["sqrt2"],
+        "alpha": ["1/2", "1/4*sqrt2"],
+        "P": ["1/3", "2/3"],
+        "control_q": 2,
+    },
+    {"kind": "normality", "irrationals": ["sqrt2"], "D": 3, "r": [1, 1], "t": ["0", "2/3*sqrt2"]},
+    COND_CFG,
+    {
+        "kind": "condition-check",
+        "condition": "walk",
+        "irrationals": ["sqrt2"],
+        "D": [2, 3],
+        "alpha": ["0", "1*sqrt2"],
+    },
+    {"kind": "rational-case", "D": 3, "t": ["1/5", "7/10"]},
+    {"kind": "stationary-support", "D": [2, 3], "alpha": ["1/11", "2/13"]},
+    {
+        "kind": "fourier",
+        "measures": {"mu0": {"base": 4, "atoms": ["0", "1/2"]}, "nu": {"base": 4, "atoms": ["0", "1/4"]}},
+        "zero_checks": [{"measure": "mu0", "pattern": "odd"}],
+        "haar_convolution": ["nu", "mu0"],
+    },
+]
+
+
+class TestSchemaDoc:
+    @staticmethod
+    def _documented(kind: str) -> set[str]:
+        doc = dict(SCHEMA_DOC["config"], **SCHEMA_DOC[kind])
+        names = set(doc)
+        # condition-check names its fields inside the "walk fields" and
+        # "ifs fields" lines: "D (matrices), alpha (scalar vectors)"
+        for line in ("walk fields", "ifs fields"):
+            if line in doc:
+                names.update(part.split()[0] for part in doc[line].split(", "))
+        return names
+
+    @pytest.mark.parametrize("raw", SCHEMA_CFGS, ids=lambda c: f"{c['kind']}-{c.get('condition', '')}")
+    def test_every_normalized_field_documented(self, raw):
+        cfg = normalize_config(raw)
+        given = {key for key, value in cfg.items() if value is not None}
+        assert given - self._documented(cfg["kind"]) == set()
+
+    def test_every_kind_documented(self):
+        assert {c["kind"] for c in SCHEMA_CFGS} == set(SCHEMA_DOC) - {"config", "report"}
+
+    def test_trajectory_format_documented(self):
+        line = SCHEMA_DOC["report"]["trajectory.csv"]
+        assert "n,x0" in line and "%.17g" in line and "CRLF" in line
 
 
 class TestRunDeterminism:

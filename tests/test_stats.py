@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from toruswalk.stats import (
     KOKSMA_CONSTANT,
     OrbitSample,
     block_deviations,
+    character_means,
     compare_to_fourier,
     digit_block_freqs,
     extract_digits,
@@ -67,6 +69,19 @@ class TestWeylSums:
         bad = OrbitSample(np.array([0.5]), 1e-9, 20)
         with pytest.raises(ValueError):
             weyl_sums(bad, 2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_conjugate_grid_matches_brute_force_bitwise(self, dim):
+        # the d > 1 grid takes out[-k] as conj(out[k]); every value must be
+        # the bits of evaluating its own frequency
+        pts = np.random.default_rng(40 + dim).random((3001, dim))
+        means = character_means(OrbitSample(pts, 0.0, 64), 3)
+        grid = [k for k in itertools.product(range(-3, 4), repeat=dim) if any(k)]
+        assert list(means) == grid
+        for k, value in means.items():
+            brute = complex(np.mean(np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))))
+            for got, want in ((value.real, brute.real), (value.imag, brute.imag)):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
 
 
 class TestStarDiscrepancy:
