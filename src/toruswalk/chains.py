@@ -216,9 +216,13 @@ def _closed_class(adj: list[list[int]]) -> list[int]:
 
 def _terminal_class_stationary(
     transition: list[list[Fraction]],
+    _adj: list[list[int]] | None = None,
 ) -> tuple[Fraction, ...]:
-    """Exact stationary vector supported on one closed recurrent class."""
-    adj = _nonzeros(transition)
+    """Exact stationary vector supported on one closed recurrent class.
+
+    `_adj` lists the nonzero columns of each row in increasing order, when
+    the caller already knows them; otherwise the rows are scanned."""
+    adj = _nonzeros(transition) if _adj is None else _adj
     _check_row_stochastic(transition, adj)
     members = _closed_class(adj)
     # the restricted chain is stochastic (the class is closed) and irreducible
@@ -324,13 +328,17 @@ def build_finite_stationary(
 
     q = math.lcm(*(b.denominator for b in betas)) if betas else 1
     a_values = [Fraction(i, q) for i in range(q)]
-    index = {a: i for i, a in enumerate(a_values)}
     transition = [[_Q0] * q for _ in range(q)]
+    targets: list[set[int]] = [set() for _ in range(q)]
     for d, beta, p in zip(d_values, betas, probabilities):
-        for a in a_values:
-            target = frac(d * a + beta)
-            transition[index[a]][index[target]] += p
-    stationary = _terminal_class_stationary(transition)
+        # frac(d i/q + beta) = ((d i + q beta) mod q) / q
+        shift = beta.numerator * (q // beta.denominator)
+        for i in range(q):
+            j = (d * i + shift) % q
+            transition[i][j] += p
+            targets[i].add(j)
+    # every probability is positive, so the targets are the nonzero entries
+    stationary = _terminal_class_stationary(transition, [sorted(row) for row in targets])
     return FiniteStationary(
         x0=x0,
         q=q,

@@ -77,38 +77,55 @@ class ExactCheckError(ArithmeticError):
 # evaluator registry
 
 
-def _sqrt_evaluator(n: int) -> Evaluator:
-    def ev(p: int) -> tuple[Fraction, Fraction]:
-        if p < 1:
-            raise ValueError("precision must be >= 1 bit")
-        # floor(2^p * sqrt(n)) is exact; the truncation error is < 2^-p.
-        num = math.isqrt(n << (2 * p))
-        return Fraction(num, 1 << p), Fraction(1, 1 << p)
+#: A dyadic constant maps a bit precision p >= 1 to integers (N, s): N / 2^s
+#: lies within 2^-p of the constant.
+Dyadic = Callable[[int], tuple[int, int]]
 
+# the Fraction evaluator of each built-in constant -> its dyadic function
+_DYADIC: dict[Evaluator, Dyadic] = {}
+
+
+def _dyadic_evaluator(dyadic: Dyadic) -> Evaluator:
+    """The Fraction evaluator of a dyadic constant (error bound 2^-p)."""
+
+    def ev(p: int) -> tuple[Fraction, Fraction]:
+        num, scale = dyadic(p)
+        return Fraction(num, 1 << scale), Fraction(1, 1 << p)
+
+    _DYADIC[ev] = dyadic
     return ev
 
 
-def _mpmath_evaluator(expr: str) -> Evaluator:
-    def ev(p: int) -> tuple[Fraction, Fraction]:
+def _sqrt_dyadic(n: int) -> Dyadic:
+    def dyadic(p: int) -> tuple[int, int]:
+        if p < 1:
+            raise ValueError("precision must be >= 1 bit")
+        # floor(2^p * sqrt(n)) is exact; the truncation error is < 2^-p.
+        return math.isqrt(n << (2 * p)), p
+
+    return dyadic
+
+
+def _mpmath_dyadic(expr: str) -> Dyadic:
+    def dyadic(p: int) -> tuple[int, int]:
         if p < 1:
             raise ValueError("precision must be >= 1 bit")
         import mpmath
 
+        # mpmath constants are correct to within a few ulps at p+16 bits.
         with mpmath.workprec(p + 16):
             sign, man, exp, _ = mpmath.mpf(getattr(mpmath, expr))._mpf_
-        approx = Fraction(man) * Fraction(2) ** exp
         if sign:
-            approx = -approx
-        # mpmath constants are correct to within a few ulps at p+16 bits.
-        return approx, Fraction(1, 1 << p)
+            man = -man
+        return (man << exp, 0) if exp >= 0 else (man, -exp)
 
-    return ev
+    return dyadic
 
 
 _REGISTRY: dict[str, Evaluator] = {
-    "pi": _mpmath_evaluator("pi"),
-    "e": _mpmath_evaluator("e"),
-    "phi": _mpmath_evaluator("phi"),
+    "pi": _dyadic_evaluator(_mpmath_dyadic("pi")),
+    "e": _dyadic_evaluator(_mpmath_dyadic("e")),
+    "phi": _dyadic_evaluator(_mpmath_dyadic("phi")),
 }
 
 _SQRT_NAME = re.compile(r"^sqrt([0-9]+)$")
@@ -130,7 +147,7 @@ def resolve_evaluator(name: str) -> Evaluator:
         n = int(m.group(1))
         if n <= 0 or math.isqrt(n) ** 2 == n:
             raise ValueError(f"{name}: argument is a perfect square, not irrational")
-        ev = _sqrt_evaluator(n)
+        ev = _dyadic_evaluator(_sqrt_dyadic(n))
         _REGISTRY[name] = ev
         return ev
     raise KeyError(f"unknown irrational symbol {name!r}")
@@ -271,12 +288,44 @@ class Scalar:
         return val, err
 
     def fixed_point(self, bits: int) -> tuple[int, int]:
-        """(X, E): X/2^bits approximates the value with error <= E ulps."""
-        val, err = self.evaluate(bits + 8)
-        scaled = val * (1 << bits)
-        x = scaled.numerator // scaled.denominator
-        e = err * (1 << bits)
-        return x, 1 + (e.numerator // e.denominator) + 1
+        """(X, E): X/2^bits approximates the value with error <= E ulps.
+
+        X = floor(2^bits * v) and E = 2 + floor(2^bits * err) for (v, err) =
+        evaluate(bits + 8).  When every symbol with a nonzero coefficient is
+        a built-in constant, v is formed over one common denominator
+        lcm(coefficient denominators) * 2^s from the constants' dyadic
+        values N / 2^s, each within 2^-(bits+8), and X and E are integer
+        floor divisions: no Fraction is normalised.
+        """
+        p = bits + 8
+        if p < 8:
+            raise ValueError("precision must be >= 8 bits")
+        used = [
+            (c, _DYADIC.get(resolve_evaluator(name)))
+            for name, c in zip(self.basis.symbols, self.coeffs[1:])
+            if c != 0
+        ]
+        if any(dyadic is None for _, dyadic in used):  # a registered evaluator
+            val, err = self.evaluate(p)
+            scaled = val * (1 << bits)
+            e = err * (1 << bits)
+            return scaled.numerator // scaled.denominator, 2 + e.numerator // e.denominator
+        terms = [(c, *dyadic(p)) for c, dyadic in used]
+        rational = self.coeffs[0]
+        denom = math.lcm(rational.denominator, *(c.denominator for c, _, _ in terms))
+        scale = max((s for _, _, s in terms), default=0)
+        num = rational.numerator * (denom // rational.denominator) << scale
+        weight = 0  # denom * sum |c|
+        for c, n, s in terms:
+            k = c.numerator * (denom // c.denominator)
+            num += k * n << (scale - s)
+            weight += abs(k)
+        # v = num / (denom 2^scale); err = weight 2^-p / denom
+        if bits >= scale:
+            x = (num << (bits - scale)) // denom
+        else:
+            x = (num >> (scale - bits)) // denom
+        return x, 2 + weight // (denom << 8)
 
     def __float__(self) -> float:
         val, _ = self.evaluate(64)

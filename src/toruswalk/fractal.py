@@ -454,6 +454,23 @@ def _compose(later, earlier):
     ]
 
 
+def _scalar_tree(mults, active, letters, lo, hi):
+    """_block_map of a one-dimensional family on plain ints: x -> mults[a] x
+    + beta_a composes to (M, [C_k]) with ints M and C_k (None where active[k]
+    is false)."""
+    if hi - lo > _MAP_LEAF_STEPS:
+        mid = (lo + hi) // 2
+        m2, c2 = _scalar_tree(mults, active, letters, mid, hi)
+        m1, c1 = _scalar_tree(mults, active, letters, lo, mid)
+        return m2 * m1, [None if x is None else m2 * x + y for x, y in zip(c1, c2)]
+    prod = 1
+    sums = [0] * len(mults)
+    for a in reversed(letters[lo:hi].tolist()):
+        sums[a] += prod
+        prod *= mults[a]
+    return prod, [c if on else None for c, on in zip(sums, active)]
+
+
 def _block_map(mats, active, letters, lo, hi):
     """Exact composition of steps lo..hi-1 of x -> mats[a] x + beta_a.
 
@@ -461,6 +478,10 @@ def _block_map(mats, active, letters, lo, hi):
     of the step matrices and C[k] sums, over the steps with letter k, the
     product of the matrices after that step (None where active[k] is false).
     """
+    d = len(mats[0])
+    if d == 1:  # plain ints: the per-step tuple work would dominate
+        prod, sums = _scalar_tree([m[0][0] for m in mats], active, letters, lo, hi)
+        return ((prod,),), [None if c is None else ((c,),) for c in sums]
     if hi - lo > _MAP_LEAF_STEPS:
         mid = (lo + hi) // 2
         return _compose(
@@ -468,15 +489,27 @@ def _block_map(mats, active, letters, lo, hi):
             _block_map(mats, active, letters, lo, mid),
         )
     seq = letters[lo:hi].tolist()
-    d = len(mats[0])
-    if d == 1:  # plain ints: the per-step tuple work would dominate
-        ms = [m[0][0] for m in mats]
-        prod = 1
-        sums = [0] * len(mats)
+    if d == 2:  # written out: prod <- prod M_a and C_a += prod on plain ints
+        flat = [(*m[0], *m[1]) for m in mats]
+        p00, p01, p10, p11 = 1, 0, 0, 1
+        acc = [[0, 0, 0, 0] if on else None for on in active]
         for a in reversed(seq):
-            sums[a] += prod
-            prod *= ms[a]
-        return ((prod,),), [((c,),) if on else None for c, on in zip(sums, active)]
+            c = acc[a]
+            if c is not None:
+                c[0] += p00
+                c[1] += p01
+                c[2] += p10
+                c[3] += p11
+            m00, m01, m10, m11 = flat[a]
+            p00, p01, p10, p11 = (
+                p00 * m00 + p01 * m10,
+                p00 * m01 + p01 * m11,
+                p10 * m00 + p11 * m10,
+                p10 * m01 + p11 * m11,
+            )
+        return ((p00, p01), (p10, p11)), [
+            None if c is None else ((c[0], c[1]), (c[2], c[3])) for c in acc
+        ]
     prod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     sums = [tuple((0,) * d for _ in range(d)) if on else None for on in active]
     for a in reversed(seq):
@@ -601,19 +634,33 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
     mats = run.mats
     mask = (1 << q) - 1
     take = q - 53
+    d = len(state)
+    # d <= 2 is written out on plain ints: the per-step list work would dominate
+    if d == 1:
+        ms = [m[0][0] for m in mats]
+        bs = [off[0] for off in offs]
+    elif d == 2:
+        flat = [(*m[0], *m[1], *off) for m, off in zip(mats, offs)]
     for start in range(lo, hi, _CHUNK_STEPS):
         stop = min(hi, start + _CHUNK_STEPS)
         seq = run.letters[start:stop].tolist()
         out = []
-        if len(state) == 1:  # plain ints: the per-step list work would dominate
-            ms = [m[0][0] for m in mats]
-            bs = [off[0] for off in offs]
+        if d == 1:
             s = state[0]
             for a in seq:
                 s = (ms[a] * s + bs[a]) & mask
                 t = t * amps[a] + inexact[a]
                 out.append(s >> take)
             state = [s]
+        elif d == 2:
+            x, y = state
+            for a in seq:
+                m00, m01, m10, m11, b0, b1 = flat[a]
+                x, y = (m00 * x + m01 * y + b0) & mask, (m10 * x + m11 * y + b1) & mask
+                t = t * amps[a] + inexact[a]
+                out.append(x >> take)
+                out.append(y >> take)
+            state = [x, y]
         else:
             for a in seq:
                 state = [(x + b) & mask for x, b in zip(_matvec(mats[a], state), offs[a])]
@@ -724,10 +771,8 @@ def walk_orbit_fixed(
         offset_errs.append(max([1] + [e for _, e in fixed]))
 
     amps = [max(_norm(m), 1) for m in mats]
-    growth, sums = _block_map(
-        [((a,),) for a in amps], [True] * len(amps), letters, 0, n_steps
-    )
-    final_err = growth[0][0] * err + sum(c[0][0] * oe for c, oe in zip(sums, offset_errs))
+    growth, sums = _scalar_tree(amps, [True] * len(amps), letters, 0, n_steps)
+    final_err = growth * err + sum(c * oe for c, oe in zip(sums, offset_errs))
     limit = 1 << (p - 33)
     if n_steps and final_err >= limit:
         for step, a in enumerate(letters.tolist(), 1):
@@ -767,11 +812,8 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
         x, e = t.coords[0].fixed_point(bits)
         t_fixed.append(x)
         t_err = max(t_err, e)
-    power, sums = _block_map(
-        [((m,),) for m in mults], [True] * len(mults), letters, 0, len(letters)
-    )
-    denom = power[0][0]
-    numers = [c[0][0] * m for c, m in zip(sums, mults)]
+    denom, sums = _scalar_tree(mults, [True] * len(mults), letters, 0, len(letters))
+    numers = [c * m for c, m in zip(sums, mults)]
     v, rem = divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
     err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
     return v, err, bits

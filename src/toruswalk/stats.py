@@ -10,8 +10,10 @@ reproducibly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -230,10 +232,8 @@ def block_frequencies(
     freqs: dict[tuple[int, ...], float] = {}
     for length in range(1, max_len + 1):
         windows = count - length + 1
-        counts: dict[tuple[int, ...], int] = {}
-        for i in range(windows):
-            block = tuple(digits[i : i + length])
-            counts[block] = counts.get(block, 0) + 1
+        # the windows are the tuples of `length` shifted iterators, zipped
+        counts = Counter(zip(*(islice(digits, j, None) for j in range(length))))
         for block, c in counts.items():
             freqs[block] = c / windows
     return freqs

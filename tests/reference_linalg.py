@@ -1,12 +1,13 @@
 """Exact linear algebra and chain-graph routines as first written, kept as
-references for the fraction-free elimination, the Tarjan pass and the exact
-expansion test.
+references for the fraction-free elimination, the Tarjan pass, the exact
+expansion test and the fraction-free fixed-point conversion.
 
 Three Gauss-Jordan eliminations over Fraction (inverse, chain solve, rank and
 kernel), the division-by-previous-pivot determinant, the reachability
 searches that decided irreducibility and picked the terminal class, and the
-expansion test that probed roots of unity and then read float eigenvalues.
-The library must agree with them exactly (see test_exact_elimination.py and
+expansion test that probed roots of unity and then read float eigenvalues,
+and the fixed-point conversion of a Scalar through its Fraction value.  The
+library must agree with them exactly (see test_exact_elimination.py and
 test_exactcore.py); nothing in src/ imports this module.
 """
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from toruswalk.chains import ReducibleChainError
-from toruswalk.exactcore import IndeterminateExpansionError, IntMatrix
+from toruswalk.exactcore import IndeterminateExpansionError, IntMatrix, Scalar
 
 _Q0 = Fraction(0)
 
@@ -176,3 +177,12 @@ def is_expanding(d_matrix: IntMatrix, margin: float = 1e-9) -> bool:
     raise IndeterminateExpansionError(
         f"minimal eigenvalue modulus {low!r} within {margin} of 1"
     )
+
+
+def fixed_point(scalar: Scalar, bits: int) -> tuple[int, int]:
+    """(X, E) of Scalar.fixed_point, through the Fraction value and bound."""
+    val, err = scalar.evaluate(bits + 8)
+    scaled = val * (1 << bits)
+    x = scaled.numerator // scaled.denominator
+    e = err * (1 << bits)
+    return x, 1 + (e.numerator // e.denominator) + 1

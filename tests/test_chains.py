@@ -16,7 +16,7 @@ from toruswalk.chains import (
     stationary_power_iteration,
 )
 from toruswalk import chains
-from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint
+from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint, frac
 from toruswalk.fractal import AffineIFS
 
 B = IrrationalBasis(("sqrt2",))
@@ -72,6 +72,22 @@ class TestFiniteStationary:
                 for a in fs.a_values:
                     assert fs.map_state(i, a) in fs.a_values
             assert fs.pushforward_is_stationary()
+
+    def test_transition_and_vector_match_the_scanned_route(self, rng):
+        # the rows' targets collected while filling give the dense scan's result
+        for _ in range(40):
+            k = int(rng.integers(1, 4))
+            ds = [int(rng.choice([-3, -2, 2, 3, 5])) for _ in range(k)]
+            alphas = [rational(F(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))) for _ in range(k)]
+            weights = [int(w) for w in rng.integers(1, 5, size=k)]
+            probs = [F(w, sum(weights)) for w in weights]
+            fs = build_finite_stationary(ds, alphas, probs)
+            dense = [[F(0)] * fs.q for _ in range(fs.q)]
+            for d, beta, p in zip(ds, fs.betas, probs):
+                for i, a in enumerate(fs.a_values):
+                    dense[i][fs.a_values.index(frac(d * a + beta))] += p
+            assert fs.transition == tuple(map(tuple, dense))
+            assert fs.stationary == chains._terminal_class_stationary(dense)
 
     def _example(self):
         alphas = [rational(F(1, 11)), rational(F(2, 13))]

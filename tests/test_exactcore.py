@@ -25,6 +25,7 @@ from toruswalk.exactcore import (
     is_expanding,
     mat_apply,
     parse_scalar,
+    register_irrational,
     scalar_add,
     scalar_scale,
 )
@@ -129,6 +130,52 @@ class TestEvaluation:
                 )
                 bound = mpmath.mpf(err.numerator) / err.denominator if err else 0
             assert diff <= bound + mpmath.mpf(10) ** -55
+
+
+def _sqrt5_base3(p: int) -> tuple[Fraction, Fraction]:
+    """A registered evaluator with a non-dyadic value: floor(3^p sqrt5) / 3^p."""
+    return Fraction(math.isqrt(5 * 9 ** p), 3 ** p), Fraction(1, 3 ** p)
+
+
+register_irrational("sqrt5_base3", _sqrt5_base3)
+FIXED_BASIS = IrrationalBasis(("sqrt2", "sqrt3", "pi", "e", "phi", "sqrt5_base3"))
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.integers(-(2 ** 70), 2 ** 70).map(Fraction),
+)
+
+
+class TestFixedPoint:
+    """The fraction-free fixed_point against the Fraction formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(coefficients, min_size=7, max_size=7),
+        st.booleans(),
+        st.integers(8, 4096),
+    )
+    def test_agrees_with_the_fraction_formula(self, coeffs, custom, bits):
+        # without the registered symbol every constant takes the dyadic route
+        coeffs = coeffs if custom else coeffs[:6] + [Fraction(0)]
+        scalar = Scalar(FIXED_BASIS, tuple(coeffs))
+        assert scalar.fixed_point(bits) == reference_linalg.fixed_point(scalar, bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coefficients, st.integers(0, 64))
+    def test_rational_values(self, q, bits):
+        scalar = Scalar.rational(q, FIXED_BASIS)
+        assert scalar.fixed_point(bits) == reference_linalg.fixed_point(scalar, bits)
+
+    def test_walk_precision(self):
+        # the precision of the N = 100k walk with D = [2, 3]
+        coeffs = (Fraction(1, 7), Fraction(3), Fraction(-2, 5), Fraction(5, 3), Fraction(-1, 9))
+        scalar = Scalar(FIXED_BASIS, coeffs + (Fraction(7, 2), Fraction(0)))
+        assert scalar.fixed_point(158_593) == reference_linalg.fixed_point(scalar, 158_593)
+
+    def test_negative_bits_rejected(self):
+        with pytest.raises(ValueError, match="precision must be >= 8 bits"):
+            S(1, 1).fixed_point(-1)
 
 
 class TestFractionalPart:

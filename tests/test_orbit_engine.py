@@ -117,6 +117,27 @@ def matrix_family(draw):
     return [AffineEndo(m, (draw(scalars), draw(scalars))) for m in (base, shifted)]
 
 
+@st.composite
+def matrix_family_3d(draw):
+    """Commuting expanding 3x3 maps: A and A + cI for an expanding A."""
+    diagonal = draw(st.sampled_from([-7, -6, 6, 7]))
+    rows = [
+        [draw(st.integers(-2, 2)) + diagonal * (i == j) for j in range(3)] for i in range(3)
+    ]
+    c = draw(st.integers(-1, 1))
+    base = IntMatrix.from_rows(rows)
+    shifted = IntMatrix.from_rows(
+        [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
+    for m in (base, shifted):
+        try:
+            assume(is_expanding(m))
+        except IndeterminateExpansionError:
+            assume(False)
+    assert commute(base, shifted)
+    return [AffineEndo(m, tuple(draw(scalars) for _ in range(3))) for m in (base, shifted)]
+
+
 def letters_for(draw, endos, n):
     return draw(st.lists(st.integers(1, len(endos)), min_size=n, max_size=n))
 
@@ -133,6 +154,14 @@ class TestWalkOrbit:
     def test_two_dimensional(self, data, endos, n):
         letters = letters_for(data.draw, endos, n)
         x0 = TorusPoint([data.draw(scalars), data.draw(scalars)])
+        assert_walks_agree(endos, x0, letters)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data(), matrix_family_3d(), lengths)
+    def test_three_dimensional(self, data, endos, n):
+        # d >= 3 runs the generic d-dimensional loop and block maps
+        letters = letters_for(data.draw, endos, n)
+        x0 = TorusPoint([data.draw(scalars) for _ in range(3)])
         assert_walks_agree(endos, x0, letters)
 
     @settings(max_examples=25, deadline=None)
@@ -304,6 +333,81 @@ class TestJump:
         for got, want in zip(moved, exact):
             gap = (got * (1 << (p - q)) - want) % (1 << p)
             assert min(gap, (1 << p) - gap) <= t << (p - q)
+
+
+def embed(m, size=3):
+    """m as the top-left block of a size x size matrix that is the identity
+    elsewhere: the generic d-dimensional loop then computes m's results."""
+    d = len(m)
+    return tuple(
+        tuple(m[i][j] if i < d and j < d else int(i == j) for j in range(size))
+        for i in range(size)
+    )
+
+
+def top_left(m, d):
+    return tuple(tuple(row[:d]) for row in m[:d])
+
+
+class TestKernels:
+    """The written-out d = 1 and d = 2 kernels against the generic loop, run
+    on their maps embedded in 3 x 3 matrices; results must be identical."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.integers(1, 3))
+    def test_block_map(self, data, d, k):
+        entries = st.integers(-5, 5)
+        mats = [
+            tuple(tuple(data.draw(entries) for _ in range(d)) for _ in range(d)) for _ in range(k)
+        ]
+        active = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        n = data.draw(st.integers(1, 3 * fractal._MAP_LEAF_STEPS))
+        word = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        letters = np.array(word, dtype=np.int8)
+        m, c = fractal._block_map(mats, active, letters, 0, n)
+        generic_m, generic_c = fractal._block_map([embed(x) for x in mats], active, letters, 0, n)
+        assert m == top_left(generic_m, d)
+        assert c == [None if x is None else top_left(x, d) for x in generic_c]
+        if d == 1:
+            prod, sums = fractal._scalar_tree([x[0][0] for x in mats], active, letters, 0, n)
+            assert type(prod) is int and ((prod,),) == m
+            assert [None if x is None else ((x,),) for x in sums] == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(64, 400))
+    def test_walk_leaf(self, data, d, k, p):
+        if data.draw(st.booleans()):  # signed permutations: words across chunks
+            perms = [(1,)] if d == 1 else [(1, 0), (0, 1)]
+            mats = [
+                tuple(tuple(data.draw(st.sampled_from([1, -1])) * x for x in row) for row in perm)
+                for perm in (data.draw(st.permutations(perms)) for _ in range(k))
+            ]
+            n_max = 2 * fractal._CHUNK_STEPS + 100
+        else:  # a leaf amplifies by a few hundred bits at most
+            entries = st.integers(-4, 4)
+            mats = [
+                tuple(tuple(data.draw(entries) for _ in range(d)) for _ in range(d))
+                for _ in range(k)
+            ]
+            n_max = 120
+        # zero offsets make letters inactive; full-width ones keep the top bits busy
+        words = st.just(0) | st.integers(0, (1 << p) - 1) | st.integers(1 << (p - 1), (1 << p) - 1)
+        offsets = [tuple(data.draw(words) for _ in range(d)) for _ in range(k)]
+        n = data.draw(st.integers(1, n_max))
+        word = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        letters = np.array(word, dtype=np.int8)
+        q = data.draw(st.integers(53, p))
+        state = [data.draw(st.integers(0, (1 << q) - 1)) for _ in range(d)]
+        t = data.draw(st.integers(0, 1 << 20))
+        run = fractal._Orbit(mats, offsets, letters, p, fractal._walk_leaf)
+        generic = fractal._Orbit(
+            [embed(x) for x in mats], [off + (0,) * (3 - d) for off in offsets], letters, p,
+            fractal._walk_leaf,
+        )
+        fractal._walk_leaf(run, 0, n, state, q, t, 0)
+        fractal._walk_leaf(generic, 0, n, state + [0] * (3 - d), q, t, 0)
+        assert run.points.tobytes() == generic.points[:, :d].copy().tobytes()
+        assert run.spread == generic.spread
 
 
 @contextlib.contextmanager

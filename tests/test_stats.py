@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruswalk.exactcore import IntMatrix, IrrationalBasis, Scalar, TorusPoint, fractional_part
 from toruswalk.fractal import AffineEndo, walk_trajectory
@@ -12,6 +14,7 @@ from toruswalk.stats import (
     KOKSMA_CONSTANT,
     OrbitSample,
     block_deviations,
+    block_frequencies,
     character_means,
     compare_to_fourier,
     digit_block_freqs,
@@ -164,6 +167,48 @@ class TestDigits:
         for m in range(n):
             frac = fractional_part(points[m].coords[0], 64)
             assert digits[m] == int(frac * base)
+
+
+def window_loop_frequencies(digits, max_len):
+    """block_frequencies as first written: one dict.get per window."""
+    count = len(digits)
+    freqs = {}
+    for length in range(1, max_len + 1):
+        windows = count - length + 1
+        counts = {}
+        for i in range(windows):
+            block = tuple(digits[i : i + length])
+            counts[block] = counts.get(block, 0) + 1
+        for block, c in counts.items():
+            freqs[block] = c / windows
+    return freqs
+
+
+class TestBlockFrequencies:
+    """block_frequencies against the window loop: same keys in the same
+    order, same float values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.lists(st.integers(0, 4), min_size=1, max_size=400))
+    def test_agrees_with_the_window_loop(self, data, digits):
+        max_len = data.draw(st.integers(1, min(len(digits), 6)))
+        for given_digits in (digits, np.array(digits)):
+            got = block_frequencies(given_digits, max_len)
+            want = window_loop_frequencies(given_digits, max_len)
+            assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("digits", [[2], [0, 1, 0, 0, 1], list(range(7))])
+    def test_max_len_equal_to_the_length(self, digits):
+        for given_digits in (digits, np.array(digits)):
+            got = block_frequencies(given_digits, len(given_digits))
+            want = window_loop_frequencies(given_digits, len(given_digits))
+            assert list(got.items()) == list(want.items())
+            assert got[tuple(digits)] == 1.0
+
+    def test_lengths_out_of_range_rejected(self):
+        for max_len in (0, 4):
+            with pytest.raises(ValueError, match="max_len"):
+                block_frequencies([1, 2, 3], max_len)
 
 
 class TestSubsequences:
