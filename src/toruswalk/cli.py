@@ -6,11 +6,15 @@ Subcommands:
     toruswalk verify REPORT --suite NAME
     toruswalk schema
 
-Configs are JSON (nested objects as tables); a file holding a list of
-configs is a batch, executed by a worker pool sized by $TORUSWALK_WORKERS.
-Reports embed the canonical config, its sha256, the seed and PRNG identity;
-rerunning an identical (config, seed) reproduces the report byte-for-byte
-except for the timestamp field.
+Configs are JSON (nested objects as tables).  Each field of each kind is one
+row of `FIELDS`: `normalize_config` parses a config by its rows and
+`toruswalk schema` prints them with their defaults.  A file holding a list
+of configs is a batch, run in order into OUTDIR/experiment_<i>; a job that
+fails writes error.json (field, message, exit class) into its directory, the
+batch goes on, and its exit code is the largest class met.  Reports embed
+the canonical config, its sha256, the seed and PRNG identity; rerunning an
+identical (config, seed) reproduces the report byte-for-byte except for the
+timestamp field.  `verify` applies the suite's rows of `CHECKS`.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ import csv
 import hashlib
 import json
 import math
-import os
+import operator
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,19 +47,18 @@ __all__ = ["ConfigError", "normalize_config", "run", "verify_report", "main"]
 PRNG_NAME = "numpy-PCG64/SeedSequence"
 REPORT_SCHEMA = "toruswalk-report-v1"
 
-KINDS = (
-    "walk-sim",
-    "normality",
-    "condition-check",
-    "rational-case",
-    "fourier",
-    "stationary-support",
-    "rotation-case",
-)
-
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (message names the offending field)."""
+    """Invalid experiment configuration; the message and `field` name the
+    offending field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def _bad(field: str, problem: str) -> ConfigError:
+    return ConfigError(f"field {field!r}: {problem}", field)
 
 
 # ---------------------------------------------------------------------------
@@ -69,200 +73,284 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def _require(config: dict, field: str, kind: str):
-    if field not in config:
-        raise ConfigError(f"kind {kind!r}: missing field {field!r}")
-    return config[field]
+# A parser maps (value, dotted field name, config parsed so far) to the
+# canonical value; scalars are parsed against the config's irrationals.
 
 
-def _as_matrix(value, field: str) -> list[list[int]]:
-    if isinstance(value, int):
-        return [[value]]
-    if isinstance(value, list) and value and all(isinstance(r, list) for r in value):
-        return [[int(x) for x in row] for row in value]
-    raise ConfigError(f"field {field!r}: expected an integer or row-major matrix")
+def _int(value, field, cfg=None, minimum=None) -> int:
+    """An integer; bools and floats with a fractional part are refused."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise _bad(field, f"expected an integer, got {value!r}") from exc
+    if minimum is not None and n < minimum:
+        raise _bad(field, f"must be >= {minimum}")
+    return n
 
-def _as_scalar_list(value, field: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ConfigError(f"field {field!r}: expected a list of scalar strings")
-    return list(value)
+
+def _at_least(minimum: int) -> Callable:
+    return lambda value, field, cfg=None: _int(value, field, minimum=minimum)
+
+
+def _choice(*options) -> Callable:
+    def parse(value, field, cfg=None):
+        if value not in options:
+            raise _bad(field, f"expected one of {options}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _list_of(item: Callable, what: str) -> Callable:
+    def parse(value, field, cfg=None) -> list:
+        if not isinstance(value, list) or not value:
+            raise _bad(field, f"expected a non-empty list of {what}")
+        return [item(x, field, cfg) for x in value]
+
+    return parse
+
+
+def _text(value, field, cfg=None) -> str:
+    if not isinstance(value, str):
+        raise _bad(field, f"expected a string, got {value!r}")
+    return value
+
+
+def _scalar(value, field, cfg) -> str:
+    text = _text(value, field)
+    try:
+        parse_scalar(text, _basis_of(cfg))
+    except ValueError as exc:
+        raise _bad(field, f"bad scalar {text!r}: {exc}") from exc
+    return text
+
+
+def _vector(value, field, cfg) -> list[str]:
+    """A scalar vector; a plain string is a one-dimensional one."""
+    return _scalar_list([value] if isinstance(value, str) else value, field, cfg)
+
+
+def _matrix(value, field, cfg=None) -> list[list[int]]:
+    """A square row-major integer matrix; a plain integer means 1 x 1."""
+    if not isinstance(value, list):
+        return [[_int(value, field)]]
+    if not value or not all(isinstance(row, list) and len(row) == len(value) for row in value):
+        raise _bad(field, "expected an integer or a square row-major matrix")
+    return [[_int(x, field) for x in row] for row in value]
+
+
+_integers = _list_of(_int, "integers")
+_scalar_list = _list_of(_scalar, "scalar strings")
+_vectors = _list_of(_vector, "scalar vectors")
+_matrices = _list_of(_matrix, "matrices/integers")
+
+
+def _symbols(value, field, cfg=None) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise _bad(field, "expected a list of symbol names")
+    try:
+        IrrationalBasis(tuple(value))
+    except (KeyError, ValueError) as exc:
+        raise _bad(field, exc.args[0]) from exc
+    return sorted(value)
+
+
+def _positive_float(value, field, cfg=None) -> float:
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise _bad(field, f"must be a finite number > 0, got {value!r}")
+    return x
+
+
+def _precision(value, field, cfg=None):
+    return value if value == "auto" else _int(value, field, minimum=64)
+
+
+def _measures(value, field, cfg) -> dict:
+    if not isinstance(value, dict) or not value:
+        raise _bad(field, "expected a non-empty table")
+    return {name: _table(m, MEASURE_FIELDS, f"{field}.{name}", cfg) for name, m in sorted(value.items())}
+
+
+def _zero_checks(value, field, cfg) -> list[dict]:
+    if not isinstance(value, list):
+        raise _bad(field, "expected a list of tables")
+    return [_table(check, ZERO_CHECK_FIELDS, field, cfg) for check in value]
+
+
+class _Default(str):
+    """A default that is not a value; the text says what it is."""
+
+
+REQUIRED = _Default("required")
+OPTIONAL = _Default("optional")  # left out of the config when not given
+# filled in by normalize_config after the table pass
+UNIFORM = _Default("default: uniform")
+ORIGIN = _Default("default: the origin")
+
+
+class Field(NamedTuple):
+    """One config field; null or absent means `default`."""
+
+    name: str
+    parse: Callable
+    default: object
+    doc: str
+
+
+def _table(raw, rows: list[Field], field: str = "", cfg: dict | None = None) -> dict:
+    """Parse the table `raw` by `rows`, refusing fields it does not know.
+    Scalars use the irrationals of `cfg`, or of the table itself."""
+    if not isinstance(raw, dict):
+        raise _bad(field, "expected a table")
+    prefix, names = f"{field}." if field else "", [f.name for f in rows]
+    for key in raw:
+        if key not in names:
+            raise _bad(f"{prefix}{key}", f"unknown field; expected one of {names}")
+    out: dict = {}
+    for f in rows:
+        value = f.default if raw.get(f.name) is None else raw[f.name]
+        if value is REQUIRED:
+            raise _bad(prefix + f.name, "missing")
+        if value is not OPTIONAL:
+            fill = value is None or isinstance(value, _Default)
+            out[f.name] = None if fill else f.parse(value, prefix + f.name, cfg or out)
+    return out
+
+
+_MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
+_ALPHAS = Field("alpha", _vectors, REQUIRED, "list of scalar vectors (one per map)")
+_X0 = Field("x0", _vector, ORIGIN, "scalar vector (a string in one dimension)")
+_P = Field("P", _scalar_list, UNIFORM, "selection probabilities (rationals, one per map)")
+_STEPS = Field("N", _at_least(1), 100000, "steps")
+_K = Field("K", _at_least(1), 8, "character range")
+_CONDITION = Field("condition", _choice("walk", "ifs"), "ifs", "'walk' or 'ifs'")
+
+FIELDS: dict[str, list[Field]] = {
+    "walk-sim": [_MAPS, _ALPHAS, _X0, _P, _STEPS, _K],
+    "normality": [
+        Field("D", _matrix, REQUIRED, "expanding integer (base)"),
+        Field("r", _integers, REQUIRED, "positive integer exponents"),
+        Field("t", _scalar_list, REQUIRED, "scalar translations"),
+        _P,
+        Field("N", _at_least(1), 10000, "digits"),
+        Field("L", _at_least(1), 2, "max block length (<= N)"),
+    ],
+    "condition-check": [_CONDITION],
+    "rational-case": [
+        Field("D", _matrix, REQUIRED, "integer >= 2"),
+        Field("t", _scalar_list, REQUIRED, "scalars with rational differences"),
+        _P, _STEPS, _K,
+    ],
+    "fourier": [
+        Field("measures", _measures, REQUIRED, "{name: measure}, see 'measure fields'"),
+        Field("dump_range", _at_least(0), 32, "CSV coefficient range"),
+        Field("tol", _positive_float, 1e-9, "product truncation tolerance (finite, > 0)"),
+        Field("zero_checks", _zero_checks, [], "list of tables, see 'zero_checks fields'"),
+        Field("haar_convolution", _list_of(_text, "measure names"), None, "[nameA, nameB] or null"),
+        Field("haar_range", _at_least(1), 1000, "N for is-Haar check"),
+    ],
+    "stationary-support": [
+        Field("D", _integers, REQUIRED, "list of integers (|D_i| >= 2)"),
+        Field("alpha", _scalar_list, REQUIRED, "scalars"),
+        _P,
+    ],
+    "rotation-case": [
+        Field("D", _choice(None), None, "null: the maps are rotations x -> x + alpha"),
+        _ALPHAS, _X0, _P,
+        Field("control_q", _int, OPTIONAL, "also report |S_N(q)|"),
+        _STEPS, _K,
+    ],
+}
+KINDS = tuple(FIELDS)
+# condition-check takes the rows of its condition as well
+CONDITION_FIELDS = {
+    "walk": [_MAPS, _ALPHAS],
+    "ifs": [
+        Field("D", _matrix, REQUIRED, "matrix"),
+        Field("r", _integers, REQUIRED, "exponents (one per map)"),
+        Field("t", _vectors, REQUIRED, "scalar vectors (one per map)"),
+    ],
+}
+COMMON = [
+    Field("kind", _choice(*KINDS), REQUIRED, f"one of {list(KINDS)}"),
+    Field("seed", _at_least(0), 0, f"PRNG seed ({PRNG_NAME})"),
+    Field("irrationals", _symbols, [], "declared symbol names, e.g. ['sqrt2']; sqrtN, pi, e supported"),
+    Field("precision", _precision, "auto", "'auto' or explicit bits (>= 64)"),
+]
+MEASURE_FIELDS = [
+    Field("base", _int, REQUIRED, "integer with |base| >= 2"),
+    Field("atoms", _scalar_list, REQUIRED, "rationals"),
+    Field("weights", _scalar_list, UNIFORM, "rationals"),
+]
+ZERO_CHECK_FIELDS = [
+    Field("measure", _text, REQUIRED, "measure name"),
+    Field("pattern", _choice("odd", "twice_odd"), REQUIRED, "index family"),
+    Field("k_max", _at_least(0), 5, "largest k in 4^k"),
+    Field("m_max", _at_least(0), 20, "largest |m|"),
+]
+
+
+def _weights(given: list[str] | None, count: int, field: str) -> list[str]:
+    """One probability per map (or atom), uniform when not given."""
+    if given is None:
+        return [f"1/{count}"] * count
+    if len(given) != count:
+        raise _bad(field, f"expected a list of {count} probabilities")
+    return given
 
 
 def normalize_config(raw: dict) -> dict:
-    """Validate and canonicalize a config; parse(serialize(c)) == c holds."""
+    """Validate and canonicalize a config by its kind's rows of `FIELDS`;
+    parse(serialize(c)) == c holds."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
+    kind = COMMON[0].parse(raw.get("kind"), "kind")
+    rows = COMMON + FIELDS[kind]
+    if kind == "condition-check":
+        condition = raw.get("condition")
+        condition = _CONDITION.default if condition is None else condition
+        rows = rows + CONDITION_FIELDS[_CONDITION.parse(condition, "condition")]
+    cfg = _table(raw, rows)
 
-    def integer(value, field, minimum=None):
-        """An integer field, at least `minimum` when one is given."""
-        try:
-            n = int(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {field!r}: expected an integer, got {value!r}") from exc
-        if minimum is not None and n < minimum:
-            raise ConfigError(f"field {field!r}: must be >= {minimum}")
-        return n
-
-    def integers(value, field):
-        if not isinstance(value, list):
-            raise ConfigError(f"field {field!r}: expected a list of integers")
-        return [integer(x, field) for x in value]
-
-    cfg: dict = {"kind": kind}
-    cfg["seed"] = integer(raw.get("seed", 0), "seed")
-    cfg["irrationals"] = sorted(str(s) for s in raw.get("irrationals", []))
-    precision = raw.get("precision", "auto")
-    if precision != "auto":
-        precision = integer(precision, "precision", 64)
-    cfg["precision"] = precision
-    basis = IrrationalBasis(tuple(cfg["irrationals"]))
-
-    def check_scalars(strings, field):
-        for s in strings:
-            try:
-                parse_scalar(s, basis)
-            except Exception as exc:
-                raise ConfigError(f"field {field!r}: bad scalar {s!r}: {exc}") from exc
-        return strings
-
-    def vector(value, field, dim=None):
-        """A scalar vector; a plain string is a one-dimensional one."""
-        vec = [value] if isinstance(value, str) else list(value)
-        if dim is not None and len(vec) != dim:
-            raise ConfigError(f"field {field!r}: entry dimension mismatch")
-        return check_scalars([str(x) for x in vec], field)
-
-    def probabilities(given, count: int, field: str = "P") -> list[str]:
-        """One probability per map (or atom), uniform when not given."""
-        if given is None:
-            given = [f"1/{count}"] * count
-        if not isinstance(given, list) or len(given) != count:
-            raise ConfigError(f"field {field!r}: expected a list of {count} probabilities")
-        return check_scalars([str(p) for p in given], field)
-
+    # rules that span fields
+    maps = cfg.get("alpha", cfg.get("t"))
+    if cfg.get("D") is not None and "alpha" in cfg and len(cfg["D"]) != len(maps):
+        raise ConfigError("fields 'D' and 'alpha': need one alpha per matrix", "alpha")
     if kind in ("walk-sim", "rotation-case"):
-        cfg["N"] = integer(raw.get("N", 100000), "N", 1)
-        cfg["K"] = integer(raw.get("K", 8), "K", 1)
-        alphas = _require(raw, "alpha", kind)
-        if kind == "walk-sim":
-            d_raw = _require(raw, "D", kind)
-            if not isinstance(d_raw, list):
-                raise ConfigError("field 'D': expected a list of matrices/integers")
-            cfg["D"] = [_as_matrix(m, "D") for m in d_raw]
-            if len({len(m) for m in cfg["D"]}) != 1:
-                raise ConfigError("field 'D': matrices must share one dimension")
-            if len(cfg["D"]) != len(alphas):
-                raise ConfigError("fields 'D' and 'alpha': need one alpha per matrix")
-        else:
-            cfg["D"] = None
-            if "control_q" in raw:
-                cfg["control_q"] = integer(raw["control_q"], "control_q")
-        dim = len(cfg["D"][0]) if kind == "walk-sim" else 1
-        cfg["alpha"] = [vector(a, "alpha", dim) for a in alphas]
-        cfg["x0"] = vector(raw.get("x0", ["0"] * dim), "x0", dim)
-        cfg["P"] = probabilities(raw.get("P"), len(alphas))
-    elif kind == "normality":
-        cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
-        cfg["r"] = integers(_require(raw, "r", kind), "r")
-        cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
-        if len(cfg["r"]) != len(cfg["t"]):
-            raise ConfigError(f"field 'r': expected {len(cfg['t'])} exponents, one per map")
-        cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
-        cfg["N"] = integer(raw.get("N", 10000), "N", 1)
-        cfg["L"] = integer(raw.get("L", 2), "L", 1)
-        if cfg["L"] > cfg["N"]:
-            raise ConfigError("field 'L': must be <= N")
-    elif kind == "condition-check":
-        which = raw.get("condition", "ifs")
-        if which not in ("walk", "ifs"):
-            raise ConfigError("field 'condition': expected 'walk' or 'ifs'")
-        cfg["condition"] = which
-        if which == "walk":
-            d_raw = _require(raw, "D", kind)
-            if not isinstance(d_raw, list) or not d_raw:
-                raise ConfigError("field 'D': expected a non-empty list of matrices/integers")
-            cfg["D"] = [_as_matrix(m, "D") for m in d_raw]
-            dim = len(cfg["D"][0])
-            alphas = _require(raw, "alpha", kind)
-            if not isinstance(alphas, list) or len(alphas) != len(cfg["D"]):
-                raise ConfigError("fields 'D' and 'alpha': need one alpha per matrix")
-            cfg["alpha"] = [vector(a, "alpha") for a in alphas]
-        else:
-            cfg["D"] = _as_matrix(_require(raw, "D", kind), "D")
-            cfg["r"] = integers(_require(raw, "r", kind), "r")
-            dim = len(cfg["D"])
-            cfg["t"] = [vector(t, "t") for t in _require(raw, "t", kind)]
-    elif kind == "rational-case":
-        d_mat = _as_matrix(_require(raw, "D", kind), "D")
-        if len(d_mat) != 1:
-            raise ConfigError("field 'D': rational-case is one-dimensional")
-        cfg["D"] = d_mat
-        cfg["t"] = check_scalars(_as_scalar_list(_require(raw, "t", kind), "t"), "t")
-        cfg["P"] = probabilities(raw.get("P"), len(cfg["t"]))
-        cfg["N"] = integer(raw.get("N", 100000), "N", 1)
-        cfg["K"] = integer(raw.get("K", 8), "K", 1)
-    elif kind == "stationary-support":
-        d_raw = _require(raw, "D", kind)
-        if not isinstance(d_raw, list) or not all(isinstance(x, int) for x in d_raw):
-            raise ConfigError("field 'D': expected a list of integers (d = 1)")
-        cfg["D"] = list(d_raw)
-        cfg["alpha"] = check_scalars(
-            _as_scalar_list(_require(raw, "alpha", kind), "alpha"), "alpha"
-        )
-        cfg["P"] = probabilities(raw.get("P"), len(cfg["alpha"]))
-    elif kind == "fourier":
-        measures = _require(raw, "measures", kind)
-        if not isinstance(measures, dict) or not measures:
-            raise ConfigError("field 'measures': expected a non-empty table")
-        cfg["measures"] = {}
-        for name, m in sorted(measures.items()):
-            field = f"measures.{name}"
-            if not isinstance(m, dict):
-                raise ConfigError(f"field '{field}': expected a table")
-            for key in ("base", "atoms"):
-                if key not in m:
-                    raise ConfigError(f"field '{field}.{key}': missing")
-            base = integer(m["base"], f"{field}.base")
-            if abs(base) < 2:
-                raise ConfigError(f"field '{field}.base': |base| must be >= 2")
-            atoms = check_scalars(_as_scalar_list(m["atoms"], f"{field}.atoms"), f"{field}.atoms")
-            weights = probabilities(m.get("weights"), len(atoms), f"{field}.weights")
-            try:
-                spectral.SelfSimilarSpec.create(base, _fractions(atoms), _fractions(weights))
-            except ValueError as exc:
-                raise ConfigError(f"field '{field}': {exc}") from exc
-            cfg["measures"][name] = {"base": base, "atoms": atoms, "weights": weights}
-        cfg["dump_range"] = integer(raw.get("dump_range", 32), "dump_range", 0)
-        cfg["tol"] = float(raw.get("tol", 1e-9))
-        if not (math.isfinite(cfg["tol"]) and cfg["tol"] > 0):
-            raise ConfigError("field 'tol': must be a finite number > 0")
-        zc = []
-        for check in raw.get("zero_checks", []):
-            if not isinstance(check, dict):
-                raise ConfigError("field 'zero_checks': expected a list of tables")
-            if check.get("measure") not in cfg["measures"]:
-                raise ConfigError("zero_checks: unknown measure name")
-            if check.get("pattern") not in ("odd", "twice_odd"):
-                raise ConfigError("zero_checks: pattern must be 'odd' or 'twice_odd'")
-            zc.append(
-                {
-                    "measure": check["measure"],
-                    "pattern": check["pattern"],
-                    "k_max": integer(check.get("k_max", 5), "zero_checks.k_max"),
-                    "m_max": integer(check.get("m_max", 20), "zero_checks.m_max"),
-                }
-            )
-        cfg["zero_checks"] = zc
-        conv = raw.get("haar_convolution")
-        if conv is not None:
-            conv = list(conv)
-            if len(conv) != 2 or any(c not in cfg["measures"] for c in conv):
-                raise ConfigError("haar_convolution: expected two measure names")
-        cfg["haar_convolution"] = conv
-        cfg["haar_range"] = integer(raw.get("haar_range", 1000), "haar_range", 1)
+        dim = len(cfg["D"][0]) if cfg["D"] else 1
+        cfg["x0"] = cfg["x0"] or ["0"] * dim
+        for name, vectors in (("D", cfg["D"] or []), ("alpha", cfg["alpha"]), ("x0", [cfg["x0"]])):
+            if any(len(v) != dim for v in vectors):
+                raise _bad(name, "dimension mismatch")
+    if "r" in cfg and len(cfg["r"]) != len(maps):
+        raise _bad("r", f"expected {len(maps)} exponents, one per map")
+    if "P" in cfg:
+        cfg["P"] = _weights(cfg["P"], len(maps), "P")
+    if kind in ("normality", "rational-case") and len(cfg["D"]) != 1:
+        raise _bad("D", f"{kind} is one-dimensional")
+    if kind == "normality" and cfg["D"][0][0] < 2:
+        raise _bad("D", "normality digits need D >= 2")
+    if "L" in cfg and cfg["L"] > cfg["N"]:
+        raise _bad("L", "must be <= N")
+    for name, m in cfg.get("measures", {}).items():
+        m["weights"] = _weights(m["weights"], len(m["atoms"]), f"measures.{name}.weights")
+        if abs(m["base"]) < 2:
+            raise _bad(f"measures.{name}.base", "|base| must be >= 2")
+        try:
+            spectral.SelfSimilarSpec.create(m["base"], _fractions(m["atoms"]), _fractions(m["weights"]))
+        except ValueError as exc:
+            raise _bad(f"measures.{name}", str(exc)) from exc
+    if any(check["measure"] not in cfg["measures"] for check in cfg.get("zero_checks", [])):
+        raise _bad("zero_checks.measure", "unknown measure name")
+    conv = cfg.get("haar_convolution")
+    if conv is not None and (len(conv) != 2 or any(name not in cfg["measures"] for name in conv)):
+        raise _bad("haar_convolution", "expected two measure names")
     return cfg
 
 
@@ -319,26 +407,28 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
             fh.write(row_fmt * (stop - start) % tuple(flat))
 
 
-def _weyl_rows(ws: dict) -> list[list[str]]:
-    items = sorted(ws.items())
-    return [[",".join(str(i) for i in k), _fmt(v)] for k, v in items]
-
-
-def _running_discrepancy(points: np.ndarray, error_bound: float, checkpoints: int = 20):
+def _running_discrepancy(points: np.ndarray, error_bound: float, checkpoints: int = 20) -> tuple:
+    """discrepancy.csv: the star discrepancy of the first m points at
+    `checkpoints` evenly spaced m."""
     n = len(points)
     rows = []
     for i in range(1, checkpoints + 1):
         m = max(1, (n * i) // checkpoints)
         sub = stats.OrbitSample(points[:m, :1], error_bound, 64)
         rows.append([m, _fmt(stats.star_discrepancy_1d(sub))])
-    return rows
+    return ["n", "star_discrepancy"], rows
+
+
+def _weyl_table(ws: dict) -> dict[str, str]:
+    return {",".join(map(str, k)): _fmt(v) for k, v in sorted(ws.items())}
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: cfg, rng -> (results, sidecars, precision bits); each
+# sidecar is a CSV file name -> (header, rows), or an (N, d) point array
 
 
-def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[dict, list[str], int | None]:
+def _run_walk_like(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int | None]:
     basis = _basis_of(cfg)
     rotation = cfg["kind"] == "rotation-case"
     alphas = [_scalars(vec, basis) for vec in cfg["alpha"]]
@@ -358,21 +448,14 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     results: dict = {
         "N": n_steps,
         "K": cfg["K"],
-        "weyl": {",".join(map(str, k)): _fmt(v) for k, v in sorted(ws.items())},
+        "weyl": _weyl_table(ws),
         "max_weyl": max(ws.values()),
         "error_bound": orbit.error_bound,
     }
-    sidecars = ["weyl.csv", "trajectory.csv"]
-    _write_csv(outdir / "weyl.csv", ["k", "abs_S_N"], _weyl_rows(ws))
-    _write_points_csv(outdir / "trajectory.csv", orbit.points)
+    sidecars = {"weyl.csv": (["k", "abs_S_N"], results["weyl"].items()), "trajectory.csv": orbit.points}
     if dim == 1:
         results["star_discrepancy"] = stats.star_discrepancy_1d(sample)
-        _write_csv(
-            outdir / "discrepancy.csv",
-            ["n", "star_discrepancy"],
-            _running_discrepancy(orbit.points, orbit.error_bound),
-        )
-        sidecars.append("discrepancy.csv")
+        sidecars["discrepancy.csv"] = _running_discrepancy(orbit.points, orbit.error_bound)
     if rotation and cfg.get("control_q"):
         q = cfg["control_q"]
         z = np.exp(2j * np.pi * q * orbit.points[:, 0])
@@ -381,17 +464,13 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
     return results, sidecars, orbit.precision_bits
 
 
-def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[dict, list[str], int | None]:
+def _run_normality(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int | None]:
     basis = _basis_of(cfg)
     ifs = fractal.AffineIFS.create(
         cfg["D"], cfg["r"], [[s] for s in _scalars(cfg["t"], basis)],
         _fractions(cfg["P"]),
     )
-    if ifs.dimension != 1:
-        raise ConfigError("normality runs are one-dimensional")
     base = ifs.d_matrix.rows[0][0]
-    if base < 2:
-        raise ConfigError("normality digits need D >= 2")
     count = cfg["N"]
     min_bits = 0 if cfg["precision"] == "auto" else cfg["precision"]
     digits, points, bound, bits, word_len = stats.sample_digits(ifs, rng, count, min_bits)
@@ -408,12 +487,6 @@ def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
             rows.append(
                 ["".join(map(str, block)), _fmt(f), _fmt(expected), _fmt(abs(f - expected))]
             )
-    _write_csv(outdir / "blocks.csv", ["block", "freq", "expected", "deviation"], rows)
-    _write_csv(
-        outdir / "discrepancy.csv",
-        ["n", "star_discrepancy"],
-        _running_discrepancy(points[:, None], bound),
-    )
     results = {
         "N": count,
         "base": base,
@@ -422,10 +495,14 @@ def _run_normality(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[d
         "max_block_deviation": max(deviations.values()),
         "star_discrepancy": disc,
     }
-    return results, ["blocks.csv", "discrepancy.csv"], bits
+    sidecars = {
+        "blocks.csv": (["block", "freq", "expected", "deviation"], rows),
+        "discrepancy.csv": _running_discrepancy(points[:, None], bound),
+    }
+    return results, sidecars, bits
 
 
-def _run_condition_check(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
+def _run_condition_check(cfg: dict, rng) -> tuple[dict, dict, None]:
     basis = _basis_of(cfg)
     if cfg["condition"] == "walk":
         mats = [IntMatrix.from_rows(m) for m in cfg["D"]]
@@ -446,10 +523,10 @@ def _run_condition_check(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str],
             }
         ),
     }
-    return results, [], None
+    return results, {}, None
 
 
-def _run_stationary_support(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
+def _run_stationary_support(cfg: dict, rng) -> tuple[dict, dict, None]:
     alphas = _scalars(cfg["alpha"], _basis_of(cfg))
     fs = chains.build_finite_stationary(cfg["D"], alphas, _fractions(cfg["P"]))
     results = {
@@ -463,15 +540,11 @@ def _run_stationary_support(cfg: dict, rng, outdir: Path) -> tuple[dict, list[st
         "stationary_exact": fs.stationary_is_exact(),
         "pushforward_stationary": fs.pushforward_is_stationary(),
     }
-    _write_csv(
-        outdir / "stationary.csv",
-        ["state", "weight"],
-        [[str(a), str(w)] for a, w in zip(fs.a_values, fs.stationary)],
-    )
-    return results, ["stationary.csv"], None
+    rows = [[str(a), str(w)] for a, w in zip(fs.a_values, fs.stationary)]
+    return results, {"stationary.csv": (["state", "weight"], rows)}, None
 
 
-def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tuple[dict, list[str], int | None]:
+def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int | None]:
     basis = _basis_of(cfg)
     t_scalars = _scalars(cfg["t"], basis)
     probs = _fractions(cfg["P"])
@@ -491,7 +564,6 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
     sample = stats.OrbitSample(points, bound, 64)
     # one pass of characters serves the Weyl sums, char_dev and chars.csv
     means = stats.character_means(sample, k_max)
-    ws = {k: abs(v) for k, v in means.items()}
 
     results = {
         "N": n_steps,
@@ -501,17 +573,10 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
         "stationary": [str(x) for x in eta.stationary],
         "transition": [[str(x) for x in row] for row in eta.transition],
         "state_freq_dev": state_dev,
-        "weyl": {",".join(map(str, k)): _fmt(v) for k, v in sorted(ws.items())},
+        "weyl": _weyl_table({k: abs(v) for k, v in means.items()}),
     }
-    sidecars = ["states.csv"]
-    _write_csv(
-        outdir / "states.csv",
-        ["state", "stationary", "empirical"],
-        [
-            [str(a), str(p), _fmt(f)]
-            for a, p, f in zip(eta.states, eta.stationary, freq)
-        ],
-    )
+    rows = [[str(a), str(p), _fmt(f)] for a, p, f in zip(eta.states, eta.stationary, freq)]
+    sidecars = {"states.csv": (["state", "stationary", "empirical"], rows)}
     if all(s.is_rational() for s in t_scalars):
         law = chains.limit_law_fourier(eta, ifs)
         results["char_dev"] = stats.fourier_deviation(means, law)
@@ -521,28 +586,22 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator, outdir: Path) -> tup
             rows.append(
                 [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(abs(emp - v.value))]
             )
-        _write_csv(
-            outdir / "chars.csv",
-            ["n", "predicted_re", "predicted_im", "empirical_re", "empirical_im", "abs_diff"],
-            rows,
-        )
-        sidecars.append("chars.csv")
+        header = ["n", "predicted_re", "predicted_im", "empirical_re", "empirical_im", "abs_diff"]
+        sidecars["chars.csv"] = (header, rows)
     else:
         results["char_dev"] = None
         results["note"] = "t_1 irrational: limit law not finitely computable"
     return results, sidecars, precision_used
 
 
-def _run_fourier(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
+def _run_fourier(cfg: dict, rng) -> tuple[dict, dict, None]:
     tol = cfg["tol"]
-    specs = {}
-    coeff_fns = {}
-    for name, m in cfg["measures"].items():
-        specs[name] = spectral.SelfSimilarSpec.create(
-            m["base"], _fractions(m["atoms"]), _fractions(m["weights"])
-        )
-        coeff_fns[name] = specs[name].coefficients(tol)
-    sidecars = []
+    specs = {
+        name: spectral.SelfSimilarSpec.create(m["base"], _fractions(m["atoms"]), _fractions(m["weights"]))
+        for name, m in cfg["measures"].items()
+    }
+    coeff_fns = {name: spec.coefficients(tol) for name, spec in specs.items()}
+    sidecars = {}
     for name, fn in coeff_fns.items():
         rows = []
         for n in range(-cfg["dump_range"], cfg["dump_range"] + 1):
@@ -550,54 +609,24 @@ def _run_fourier(cfg: dict, rng, outdir: Path) -> tuple[dict, list[str], None]:
             rows.append(
                 [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(v.error), int(v.exact_zero)]
             )
-        fname = f"coefficients_{name}.csv"
-        _write_csv(outdir / fname, ["n", "re", "im", "certified_error", "exact_zero"], rows)
-        sidecars.append(fname)
+        sidecars[f"coefficients_{name}.csv"] = (["n", "re", "im", "certified_error", "exact_zero"], rows)
 
     results: dict = {"zero_checks": []}
     for check in cfg["zero_checks"]:
         fn = coeff_fns[check["measure"]]
-        ok = True
-        for k in range(check["k_max"] + 1):
-            for m in range(-check["m_max"], check["m_max"] + 1):
-                n = 4 ** k * ((2 * m + 1) if check["pattern"] == "odd" else (4 * m + 2))
-                if not fn(n).exact_zero:
-                    ok = False
+        ok = spectral.family_exact_zero(fn, check["pattern"], check["k_max"], check["m_max"])
         results["zero_checks"].append(
             {"measure": check["measure"], "pattern": check["pattern"], "all_exact_zero": ok}
         )
     if cfg["haar_convolution"]:
-        a, b = cfg["haar_convolution"]
-        conv = spectral.convolve(coeff_fns[a], coeff_fns[b])
-        results["haar_up_to"] = spectral.is_haar_up_to(conv, cfg["haar_range"])
-        # which measure kills which index family, decided by probing n=1 and 2
-        odd_killer = a if coeff_fns[a](1).exact_zero else b
-        even_killer = a if coeff_fns[a](2).exact_zero else b
-        routing = coeff_fns[odd_killer](1).exact_zero and coeff_fns[even_killer](2).exact_zero
-        for n in range(1, cfg["haar_range"] + 1):
-            _, pattern, _ = spectral.classify_index(n)
-            routed = coeff_fns[odd_killer if pattern == "odd" else even_killer](n)
-            if not routed.exact_zero:
-                routing = False
-        results["routing_consistent"] = routing
+        a, b = (coeff_fns[name] for name in cfg["haar_convolution"])
+        results["haar_up_to"] = spectral.is_haar_up_to(spectral.convolve(a, b), cfg["haar_range"])
+        results["routing_consistent"] = spectral.routing_consistent(a, b, cfg["haar_range"])
         results["haar_range"] = cfg["haar_range"]
     results["diagnostics"] = {
-        name: _fourier_diagnostics(specs[name], fn, tol) for name, fn in coeff_fns.items()
+        name: spectral.diagnostics(specs[name], fn, tol) for name, fn in coeff_fns.items()
     }
     return results, sidecars, None
-
-
-def _fourier_diagnostics(spec, coeffs, tol: float) -> dict:
-    """How one measure's coefficients were computed: how many, the deepest
-    truncated product among them (None when none needed a product), and by
-    which character evaluator."""
-    evaluated = coeffs.evaluated()
-    products = [abs(n) for n, v in evaluated.items() if n and not v.exact_zero]
-    return {
-        "coefficients": len(evaluated),
-        "max_depth": spectral.truncation_depth(spec, max(products), tol) if products else None,
-        "evaluator": spectral.EVALUATOR,
-    }
 
 
 _RUNNERS = {
@@ -612,14 +641,20 @@ _RUNNERS = {
 
 
 def run(raw_config: dict, outdir: Path | str, seed_override: int | None = None) -> dict:
-    """Execute one experiment; returns the report (also written to outdir)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment; returns the report, which is written to
+    outdir with its sidecars once the experiment has succeeded."""
     cfg = normalize_config(raw_config)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    results, sidecars, precision = _RUNNERS[cfg["kind"]](cfg, rng, outdir)
+    results, sidecars, precision = _RUNNERS[cfg["kind"]](cfg, rng)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, table in sidecars.items():
+        if isinstance(table, np.ndarray):
+            _write_points_csv(outdir / name, table)
+        else:
+            _write_csv(outdir / name, *table)
     report = {
         "schema": REPORT_SCHEMA,
         "kind": cfg["kind"],
@@ -629,7 +664,7 @@ def run(raw_config: dict, outdir: Path | str, seed_override: int | None = None) 
         "prng": PRNG_NAME,
         "precision_bits": precision,
         "results": results,
-        "sidecars": sidecars,
+        "sidecars": list(sidecars),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with (outdir / "report.json").open("w") as fh:
@@ -647,13 +682,34 @@ def report_body(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # verification suites
 
+# (suite, check, result field, comparator, limit, label, optional): the field
+# is compared with the limit, or read as a pass/fail flag when the comparator
+# is None; the label is formatted with the results; an optional check is
+# skipped when its field is absent or null.
+CHECKS = [
+    ("walk-sim", "discrepancy", "star_discrepancy", "<=", 0.02, "D*", True),
+    ("rotation-case", "discrepancy", "star_discrepancy", "<=", 0.02, "D*", True),
+    ("rotation-case", "control", "control_char", ">=", 0.9, "|S_N({control_q})|", True),
+    ("normality", "blocks", "max_block_deviation", "<=", 0.02, "max block deviation", False),
+    ("normality", "discrepancy", "star_discrepancy", "<=", 0.03, "D*", False),
+    ("rational-case", "state-frequencies", "state_freq_dev", "<=", 0.01, "max |freq - p|", False),
+    ("rational-case", "characters", "char_dev", "<=", 0.03, "max |emp - predicted|", True),
+    ("fourier", "haar", "haar_up_to", None, None, "Haar up to {haar_range}", True),
+    ("fourier", "routing", "routing_consistent", None, None, "classify_index routing", True),
+    ("stationary-support", "invariance", "invariance_exact", None, None, "h_i(A+x0) in A+x0", False),
+    ("stationary-support", "stationary", "stationary_exact", None, None, "v P = v exactly", False),
+    ("stationary-support", "pushforward", "pushforward_stationary", None, None,
+     "sum_i P_i (h_i)_* nu = nu exactly", False),
+]
+_COMPARE = {"<=": operator.le, ">=": operator.ge}
+
 
 def _check(name: str, ok: bool, detail: str) -> dict:
     return {"check": name, "pass": bool(ok), "detail": detail}
 
 
 def verify_report(report: dict, suite: str) -> list[dict]:
-    """Threshold checks per suite; raises ConfigError on schema problems."""
+    """The suite's checks on a report; raises ConfigError on schema problems."""
     for field in ("schema", "kind", "config", "config_sha256", "results"):
         if field not in report:
             raise ConfigError(f"report missing field {field!r}")
@@ -665,6 +721,8 @@ def verify_report(report: dict, suite: str) -> list[dict]:
         raise ConfigError(
             f"suite {suite!r} does not match report kind {report['kind']!r}"
         )
+    if suite not in KINDS:
+        raise ConfigError(f"unknown suite {suite!r}")
     res = report["results"]
     checks: list[dict] = []
     if suite in ("walk-sim", "rotation-case"):
@@ -675,90 +733,23 @@ def verify_report(report: dict, suite: str) -> list[dict]:
         if offending:
             detail += f"; offending k: {', '.join(offending)}"
         checks.append(_check("weyl", res["max_weyl"] <= 0.05 and not offending, detail))
-        if "star_discrepancy" in res:
-            checks.append(
-                _check(
-                    "discrepancy",
-                    res["star_discrepancy"] <= 0.02,
-                    f"D* = {res['star_discrepancy']:.4f} (<= 0.02)",
-                )
-            )
-        if suite == "rotation-case" and "control_char" in res:
-            checks.append(
-                _check(
-                    "control",
-                    res["control_char"] >= 0.9,
-                    f"|S_N({res['control_q']})| = {res['control_char']:.4f} (>= 0.9)",
-                )
-            )
-    elif suite == "normality":
-        checks.append(
-            _check(
-                "blocks",
-                res["max_block_deviation"] <= 0.02,
-                f"max block deviation = {res['max_block_deviation']:.4f} (<= 0.02)",
-            )
-        )
-        checks.append(
-            _check(
-                "discrepancy",
-                res["star_discrepancy"] <= 0.03,
-                f"D* = {res['star_discrepancy']:.4f} (<= 0.03)",
-            )
-        )
-    elif suite == "rational-case":
-        checks.append(
-            _check(
-                "state-frequencies",
-                res["state_freq_dev"] <= 0.01,
-                f"max |freq - p| = {res['state_freq_dev']:.4f} (<= 0.01)",
-            )
-        )
-        if res.get("char_dev") is not None:
-            checks.append(
-                _check(
-                    "characters",
-                    res["char_dev"] <= 0.03,
-                    f"max |emp - predicted| = {res['char_dev']:.4f} (<= 0.03)",
-                )
-            )
     elif suite == "fourier":
         for zc in res["zero_checks"]:
-            checks.append(
-                _check(
-                    f"zeros-{zc['measure']}-{zc['pattern']}",
-                    zc["all_exact_zero"],
-                    "all family members exactly zero",
-                )
-            )
-        if "haar_up_to" in res:
-            checks.append(
-                _check("haar", res["haar_up_to"], f"Haar up to {res['haar_range']}")
-            )
-            checks.append(
-                _check("routing", res["routing_consistent"], "classify_index routing")
-            )
-    elif suite == "stationary-support":
-        checks.append(_check("invariance", res["invariance_exact"], "h_i(A+x0) in A+x0"))
-        checks.append(
-            _check("stationary", res["stationary_exact"], "v P = v exactly")
-        )
-        checks.append(
-            _check(
-                "pushforward",
-                res["pushforward_stationary"],
-                "sum_i P_i (h_i)_* nu = nu exactly",
-            )
-        )
+            name = f"zeros-{zc['measure']}-{zc['pattern']}"
+            checks.append(_check(name, zc["all_exact_zero"], "all family members exactly zero"))
+    elif suite == "condition-check" and res["dense"]:
+        checks.append(_check("dense", res["witness"] is None, "dense, no witness"))
     elif suite == "condition-check":
-        if res["dense"]:
-            checks.append(_check("dense", res["witness"] is None, "dense, no witness"))
+        checks.append(_check("witness", res["witness_valid"], f"witness {res['witness']}"))
+    for row_suite, name, field, op, limit, label, optional in CHECKS:
+        if row_suite != suite or (optional and res.get(field) is None):
+            continue
+        value, label = res[field], label.format(**res)
+        if op is None:
+            checks.append(_check(name, value, label))
         else:
-            checks.append(
-                _check("witness", res["witness_valid"], f"witness {res['witness']}")
-            )
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
+            ok = _COMPARE[op](value, limit)
+            checks.append(_check(name, ok, f"{label} = {value:.4f} ({op} {limit})"))
     return checks
 
 
@@ -766,84 +757,66 @@ def verify_report(report: dict, suite: str) -> list[dict]:
 # schema description
 
 
+def _describe(f: Field) -> str:
+    default = f.default if isinstance(f.default, _Default) else f"default: {json.dumps(f.default)}"
+    return f"{f.doc}; {default}"
+
+
+def _listed(rows: list[Field]) -> str:
+    return ", ".join(f"{f.name} ({_describe(f)})" for f in rows)
+
+
 SCHEMA_DOC = {
     "config": {
-        "kind": f"one of {list(KINDS)}",
-        "seed": "integer, default 0 (PRNG: " + PRNG_NAME + ")",
-        "irrationals": "declared symbol names, e.g. ['sqrt2']; sqrtN, pi, e supported",
-        "precision": "'auto' or explicit bits (>= 64)",
+        **{f.name: _describe(f) for f in COMMON},
+        "null": "a field given as null takes its default",
+        "unknown fields": "refused",
         "scalar-syntax": "terms 'a/b' or 'a/b*NAME' joined by '+'/'-', e.g. '1/3 + 2/3*sqrt2'",
         "matrix-syntax": "row-major integer lists, [[2,0],[0,3]]; plain int means 1x1",
     },
-    "walk-sim": {
-        "D": "list of matrices (one per map)",
-        "alpha": "list of scalar vectors",
-        "x0": "scalar vector",
-        "P": "selection probabilities (rationals, default uniform)",
-        "N": "steps",
-        "K": "character range",
-    },
-    "rotation-case": {
-        "alpha": "list of scalars (translations)",
-        "x0": "scalar",
-        "P": "selection probabilities (rationals, default uniform)",
-        "control_q": "optional: also report |S_N(q)|",
-        "N": "steps",
-        "K": "character range",
-    },
-    "normality": {
-        "D": "expanding integer (base)",
-        "r": "positive integer exponents",
-        "t": "scalar translations",
-        "P": "probabilities",
-        "N": "digits",
-        "L": "max block length",
-    },
-    "condition-check": {
-        "condition": "'walk' or 'ifs'",
-        "walk fields": "D (matrices), alpha (scalar vectors)",
-        "ifs fields": "D (matrix), r (exponents), t (scalar vectors)",
-    },
-    "rational-case": {
-        "D": "integer >= 2",
-        "t": "scalars with rational differences",
-        "P": "probabilities",
-        "N": "steps",
-        "K": "character range",
-    },
-    "stationary-support": {
-        "D": "list of integers (|D_i| >= 2)",
-        "alpha": "scalars",
-        "P": "probabilities",
-    },
-    "fourier": {
-        "measures": "{name: {base, atoms, weights}}",
-        "dump_range": "CSV coefficient range",
-        "zero_checks": "[{measure, pattern: odd|twice_odd, k_max, m_max}]",
-        "haar_convolution": "[nameA, nameB] or null",
-        "haar_range": "N for is-Haar check",
-        "tol": "product truncation tolerance (finite, > 0)",
-        "results.diagnostics": "per measure: coefficients evaluated, max_depth "
-        "(deepest truncated product, null when every value was an exact zero), evaluator",
-    },
+    **{kind: {f.name: _describe(f) for f in rows} for kind, rows in FIELDS.items()},
     "report": {
         "schema": REPORT_SCHEMA,
         "determinism": "identical (config, seed) gives identical report except 'timestamp'",
         "sidecars": "CSV files listed in the report, written next to report.json",
         "trajectory.csv": "walk-sim and rotation-case: header 'n,x0,...,x{d-1}', one row "
         "per orbit point (1-based n, coordinates as %.17g), CRLF line ends",
+        "fourier results.diagnostics": "per measure: coefficients evaluated, max_depth "
+        "(deepest truncated product, null when every value was an exact zero), evaluator",
+        "error.json": "batch runs only: a failed job's directory holds {field, message, exit} "
+        "in place of report.json",
     },
 }
+SCHEMA_DOC["condition-check"].update({f"{c} fields": _listed(rows) for c, rows in CONDITION_FIELDS.items()})
+SCHEMA_DOC["fourier"].update({"measure fields": _listed(MEASURE_FIELDS), "zero_checks fields": _listed(ZERO_CHECK_FIELDS)})
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def _run_one(args: tuple[dict, str, int | None]) -> str:
-    raw, outdir, seed = args
-    report = run(raw, outdir, seed)
-    return str(Path(outdir) / "report.json")
+def _run_job(raw, outdir: Path, seed: int | None, batch: bool) -> int:
+    """Run one experiment and print its report path.  On failure print the
+    error, write it to outdir/error.json when the job is part of a batch,
+    and return its exit class: 2 for a bad config, 3 when a condition of the
+    theory fails."""
+    try:
+        run(raw, outdir, seed)
+    except ConfigError as exc:
+        error, code, field = exc, 2, exc.field
+    except (chains.RationalityError, fractal.PrecisionExceededError) as exc:
+        error, code, field = exc, 3, None
+    except (ValueError, ArithmeticError) as exc:
+        error, code, field = exc, 2, None
+    else:
+        print(outdir / "report.json")
+        return 0
+    print(f"{'condition violated' if code == 3 else 'config error'}: {error}", file=sys.stderr)
+    if batch:
+        outdir.mkdir(parents=True, exist_ok=True)
+        record = {"field": field, "message": str(error), "exit": code}
+        (outdir / "error.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -874,35 +847,13 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"config parse error: line {exc.lineno}, col {exc.colno}: {exc.msg}", file=sys.stderr)
             return 2
-        try:
-            if isinstance(loaded, list):
-                jobs = [
-                    (cfg, str(args.outdir / f"experiment_{i}"), args.seed)
-                    for i, cfg in enumerate(loaded)
-                ]
-                workers = int(os.environ.get("TORUSWALK_WORKERS", "1"))
-                if workers > 1:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        for path in pool.map(_run_one, jobs):
-                            print(path)
-                else:
-                    for job in jobs:
-                        print(_run_one(job))
-            else:
-                report = run(loaded, args.outdir, args.seed)
-                print(args.outdir / "report.json")
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except (chains.RationalityError, fractal.PrecisionExceededError) as exc:
-            print(f"condition violated: {exc}", file=sys.stderr)
-            return 3
-        except (ValueError, ArithmeticError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        return 0
+        if not isinstance(loaded, list):
+            return _run_job(loaded, args.outdir, args.seed, batch=False)
+        codes = [
+            _run_job(raw, args.outdir / f"experiment_{i}", args.seed, batch=True)
+            for i, raw in enumerate(loaded)
+        ]
+        return max(codes, default=0)
 
     if args.command == "verify":
         try:

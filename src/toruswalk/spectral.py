@@ -36,6 +36,9 @@ __all__ = [
     "convolve",
     "classify_index",
     "is_haar_up_to",
+    "family_exact_zero",
+    "routing_consistent",
+    "diagnostics",
     "truncation_depth",
     "EVALUATOR",
 ]
@@ -375,3 +378,46 @@ def is_haar_up_to(f: CoefficientFunction, n_max: int) -> bool:
         if not f(n).provably_zero() or not f(-n).provably_zero():
             return False
     return True
+
+
+# The two checks below evaluate every index they name, with no early exit:
+# `diagnostics` reports how many coefficients a run evaluated.
+
+
+def family_exact_zero(f: CoefficientFunction, pattern: str, k_max: int, m_max: int) -> bool:
+    """True iff f vanishes exactly at every 4^k (2m+1) (pattern 'odd') or
+    4^k (4m+2) ('twice_odd') with 0 <= k <= k_max and |m| <= m_max."""
+    ok = True
+    for k in range(k_max + 1):
+        for m in range(-m_max, m_max + 1):
+            n = 4 ** k * ((2 * m + 1) if pattern == "odd" else (4 * m + 2))
+            if not f(n).exact_zero:
+                ok = False
+    return ok
+
+
+def routing_consistent(fa: CoefficientFunction, fb: CoefficientFunction, n_max: int) -> bool:
+    """True iff `classify_index` routes every 1 <= n <= n_max to an exact zero:
+    odd-type indices to the measure that vanishes at 1, twice-odd ones to
+    the measure that vanishes at 2 (the Haar counterexample's factorisation)."""
+    odd_killer = fa if fa(1).exact_zero else fb
+    even_killer = fa if fa(2).exact_zero else fb
+    ok = odd_killer(1).exact_zero and even_killer(2).exact_zero
+    for n in range(1, n_max + 1):
+        _, pattern, _ = classify_index(n)
+        if not (odd_killer if pattern == "odd" else even_killer)(n).exact_zero:
+            ok = False
+    return ok
+
+
+def diagnostics(spec: SelfSimilarSpec, coeffs: CoefficientFunction, tol: float) -> dict:
+    """How one measure's coefficients were computed: how many, the deepest
+    truncated product among them (None when none needed a product), and by
+    which character evaluator."""
+    evaluated = coeffs.evaluated()
+    products = [abs(n) for n, v in evaluated.items() if n and not v.exact_zero]
+    return {
+        "coefficients": len(evaluated),
+        "max_depth": truncation_depth(spec, max(products), tol) if products else None,
+        "evaluator": EVALUATOR,
+    }

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruswalk import spectral
+from toruswalk import cli, spectral
 from toruswalk.cli import (
     SCHEMA_DOC,
     ConfigError,
@@ -588,3 +591,275 @@ class TestRationalCasePoints:
             assert gap <= F(bound) + rest
             worst = max(worst, gap)
         assert worst > 0
+
+
+# ---------------------------------------------------------------------------
+# the field table: bad input, defaults, batches
+
+# Each value is refused with its field named.  Without the field table the
+# first eight ended in a traceback, N ran as 2 and as 1, the mistyped n was
+# ignored, and a negative k_max checked an empty index family.
+_BAD_FIELDS = [
+    (dict(WALK_CFG, D=[[[None]]]), "D"),
+    (dict(COND_CFG, irrationals=5), "irrationals"),
+    (dict(COND_CFG, irrationals="sqrt2"), "irrationals"),
+    (dict(FOURIER_CFG, tol=[1]), "tol"),
+    (dict(_SHORT_P["rotation-case"], alpha=5), "alpha"),
+    (dict(_SHORT_P["rotation-case"], alpha=[5, 3]), "alpha"),
+    (dict(COND_CFG, t=5), "t"),
+    (dict(FOURIER_CFG, haar_convolution=5), "haar_convolution"),
+    (dict(WALK_CFG, N=2.7), "N"),
+    (dict(WALK_CFG, N=True), "N"),
+    (dict(WALK_CFG, n=10), "n"),
+    (dict(FOURIER_CFG, zero_checks=[{"measure": "mu0", "pattern": "odd", "k_max": -1}]), "zero_checks.k_max"),
+]
+
+
+def _schema_output() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["schema"]) == 0
+    return out.getvalue()
+
+
+# The fields each kind requires besides `kind`, and the defaults a config
+# gets when it names only those.
+_PINNED_REQUIRED = {
+    ("walk-sim", None): ["D", "alpha"],
+    ("rotation-case", None): ["alpha"],
+    ("normality", None): ["D", "r", "t"],
+    ("condition-check", "ifs"): ["D", "r", "t"],
+    ("condition-check", "walk"): ["D", "alpha"],
+    ("rational-case", None): ["D", "t"],
+    ("stationary-support", None): ["D", "alpha"],
+    ("fourier", None): ["measures"],
+}
+_PINNED_DEFAULTS = {
+    "walk-sim": {"seed": 0, "precision": "auto", "N": 100000, "K": 8},
+    "rotation-case": {"D": None, "N": 100000, "K": 8},
+    "normality": {"N": 10000, "L": 2},
+    "condition-check": {"seed": 0, "precision": "auto"},
+    "rational-case": {"N": 100000, "K": 8},
+    "stationary-support": {"seed": 0},
+    "fourier": {"dump_range": 32, "tol": 1e-9, "zero_checks": [], "haar_convolution": None, "haar_range": 1000},
+}
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("cfg, field", _BAD_FIELDS, ids=lambda x: x if isinstance(x, str) else "")
+    def test_bad_value_names_field(self, cfg, field, tmp_path, capsys):
+        with pytest.raises(ConfigError) as info:
+            normalize_config(cfg)
+        assert info.value.field == field
+        assert f"field '{field}'" in _run_error(tmp_path, capsys, cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", SCHEMA_CFGS, ids=lambda c: f"{c['kind']}-{c.get('condition', '')}")
+    def test_missing_required_field_named(self, raw):
+        rows = cli.FIELDS[raw["kind"]] + cli.CONDITION_FIELDS.get(raw.get("condition"), [])
+        required = [f.name for f in rows if f.default is cli.REQUIRED]
+        assert required == _PINNED_REQUIRED[raw["kind"], raw.get("condition")]
+        for name in required:
+            with pytest.raises(ConfigError, match=f"field '{name}': missing"):
+                normalize_config({k: v for k, v in raw.items() if k != name})
+
+    def test_whole_float_is_an_integer(self):
+        assert normalize_config(dict(WALK_CFG, N=3.0))["N"] == 3
+
+    @pytest.mark.parametrize("raw", SCHEMA_CFGS, ids=lambda c: f"{c['kind']}-{c.get('condition', '')}")
+    def test_minimal_config_takes_documented_defaults(self, raw):
+        rows = cli.COMMON + cli.FIELDS[raw["kind"]]
+        if raw["kind"] == "condition-check":
+            rows = rows + cli.CONDITION_FIELDS[raw["condition"]]
+        required = {f.name for f in rows if f.default is cli.REQUIRED}
+        kept = required | {"irrationals"} | ({"condition"} if raw.get("condition") == "walk" else set())
+        minimal = {k: v for k, v in raw.items() if k in kept}
+        cfg = normalize_config(minimal)
+        assert {name: cfg[name] for name in _PINNED_DEFAULTS[raw["kind"]]} == _PINNED_DEFAULTS[raw["kind"]]
+        doc = json.loads(_schema_output())
+        for f in rows:
+            line = doc["config"].get(f.name) or doc[raw["kind"]].get(f.name) or ""
+            if f.name in minimal:
+                continue
+            if f.default is cli.OPTIONAL:
+                assert f.name not in cfg
+            elif f.default is cli.UNIFORM:
+                count = len(cfg["alpha"] if "alpha" in cfg else cfg["t"])
+                assert cfg[f.name] == [f"1/{count}"] * count and "uniform" in line
+            elif f.default is cli.ORIGIN:
+                assert cfg[f.name] == ["0"] * len(cfg["alpha"][0]) and "origin" in line
+            elif f.default is not cli.REQUIRED:
+                assert cfg[f.name] == f.default
+                assert f"default: {json.dumps(f.default)}" in line
+
+    def test_nested_defaults(self):
+        cfg = normalize_config(
+            {
+                "kind": "fourier",
+                "measures": {"mu0": {"base": 4, "atoms": ["0", "1/2"]}},
+                "zero_checks": [{"measure": "mu0", "pattern": "odd"}],
+            }
+        )
+        assert cfg["measures"]["mu0"]["weights"] == ["1/2", "1/2"]
+        assert cfg["zero_checks"][0]["k_max"] == 5 and cfg["zero_checks"][0]["m_max"] == 20
+        doc = json.loads(_schema_output())["fourier"]
+        assert "k_max (largest k in 4^k; default: 5)" in doc["zero_checks fields"]
+
+
+class TestBatch:
+    def test_failing_jobs_are_contained(self, tmp_path, capsys):
+        short_p = dict(_SHORT_P["stationary-support"], P=["1"])
+        too_coarse = dict(WALK_CFG, precision=64)
+        cfg_path = tmp_path / "batch.json"
+        cfg_path.write_text(json.dumps([COND_CFG, short_p, COND_CFG, too_coarse]))
+        out = tmp_path / "out"
+        # the batch exits with its largest class: 3 (condition) over 2 (config)
+        assert main(["run", str(cfg_path), "-o", str(out)]) == 3
+        printed = capsys.readouterr().out.split()
+        assert printed == [str(out / f"experiment_{i}" / "report.json") for i in (0, 2)]
+        for i in (1, 3):
+            assert not (out / f"experiment_{i}" / "report.json").exists()
+        error = json.loads((out / "experiment_1" / "error.json").read_text())
+        assert error["field"] == "P" and error["exit"] == 2 and "field 'P'" in error["message"]
+        error = json.loads((out / "experiment_3" / "error.json").read_text())
+        assert error["field"] is None and error["exit"] == 3
+
+    def test_single_run_writes_no_error_file(self, tmp_path, capsys):
+        _run_error(tmp_path, capsys, dict(WALK_CFG, N=0))
+        assert not (tmp_path / "out").exists()
+        # a run that fails in the library leaves nothing behind either
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(WALK_CFG, precision=64)))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
+
+
+# (config, result field, value on the limit, value past it, detail past it)
+_THRESHOLDS = [
+    (WALK_CFG, "star_discrepancy", 0.02, 0.0201, "D* = 0.0201 (<= 0.02)"),
+    (dict(SCHEMA_CFGS[1], N=500, control_q=2), "control_char", 0.9, 0.8999, "|S_N(2)| = 0.8999 (>= 0.9)"),
+    (dict(SCHEMA_CFGS[2], N=200), "max_block_deviation", 0.02, 0.0201, "max block deviation = 0.0201 (<= 0.02)"),
+    (dict(SCHEMA_CFGS[2], N=200), "star_discrepancy", 0.03, 0.0301, "D* = 0.0301 (<= 0.03)"),
+    (dict(SCHEMA_CFGS[5], N=500), "state_freq_dev", 0.01, 0.0101, "max |freq - p| = 0.0101 (<= 0.01)"),
+    (dict(SCHEMA_CFGS[5], N=500), "char_dev", 0.03, 0.0301, "max |emp - predicted| = 0.0301 (<= 0.03)"),
+]
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("cfg, field, limit, past, detail", _THRESHOLDS, ids=lambda x: x if isinstance(x, str) else "")
+    def test_threshold(self, cfg, field, limit, past, detail, tmp_path):
+        report = run(cfg, tmp_path)
+        name = next(row[1] for row in cli.CHECKS if row[:1] == (cfg["kind"],) and row[2] == field)
+
+        def verdict(value):
+            report["results"][field] = value
+            return next(c for c in verify_report(report, cfg["kind"]) if c["check"] == name)
+
+        assert verdict(limit)["pass"]
+        assert verdict(past) == {"check": name, "pass": False, "detail": detail}
+
+    def test_required_result_missing_is_a_schema_error(self, tmp_path):
+        report = run(dict(SCHEMA_CFGS[2], N=200), tmp_path)
+        del report["results"]["max_block_deviation"]
+        with pytest.raises(KeyError):
+            verify_report(report, "normality")
+
+
+# Small valid configs, one per kind and condition, that the fuzz tests break.
+_FUZZ_BASES = [
+    dict(WALK_CFG, N=200),
+    {
+        "kind": "walk-sim",
+        "irrationals": ["sqrt2"],
+        "D": [[[0, -2], [1, 0]], [[2, 0], [0, 2]]],
+        "alpha": [["0", "0"], ["1*sqrt2", "1/3"]],
+        "N": 100,
+        "K": 2,
+    },
+    dict(SCHEMA_CFGS[1], N=200),
+    dict(SCHEMA_CFGS[2], N=60, P=["1/2", "1/2"], L=2),
+    COND_CFG,
+    SCHEMA_CFGS[4],
+    dict(SCHEMA_CFGS[5], N=200, K=3),
+    SCHEMA_CFGS[6],
+    dict(FOURIER_CFG, dump_range=4, haar_range=8),
+]
+
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 12),
+        st.floats(-20, 20),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from(["", "x", "0", "1/3", "-1/2", "2//3", "1*sqrt2", "sqrt2", "auto", "odd", "walk", "mu0"]),
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["base", "atoms", "weights", "measure", "pattern", "mu0"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _broken_configs(draw):
+    """A fuzz base with one or two fields changed: replaced by junk, by the
+    same field of another base or by a small or negative integer, dropped,
+    shortened, lengthened, emptied or wrapped in one more list level."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    rows = cli.COMMON + cli.FIELDS[cfg["kind"]] + cli.CONDITION_FIELDS.get(cfg.get("condition"), [])
+    names = [f.name for f in rows if f.name != "kind"] + ["extra"]
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(names))
+        value = cfg.get(name)
+        others = [base[name] for base in _FUZZ_BASES if name in base]
+        edit = draw(st.sampled_from(["junk", "other", "size", "drop", "shorten", "lengthen", "empty", "wrap"]))
+        if edit == "drop":
+            cfg.pop(name, None)
+        elif edit == "other" and others:
+            cfg[name] = json.loads(json.dumps(draw(st.sampled_from(others))))
+        elif edit == "size":
+            cfg[name] = draw(st.integers(-2, 12))
+        elif edit in ("shorten", "lengthen", "empty", "wrap") and isinstance(value, list):
+            cfg[name] = {"shorten": value[:-1], "lengthen": value + value[:1], "empty": [], "wrap": [value]}[edit]
+        else:
+            cfg[name] = draw(_JUNK)
+    return cfg
+
+
+class TestFuzzedRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(_broken_configs())
+    def test_runs_exit_cleanly(self, cfg):
+        try:
+            normalize_config(cfg)
+            refused = None
+        except ConfigError as exc:
+            refused = exc
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            cfg_path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", str(cfg_path), "-o", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if refused is not None:
+                assert code == 2 and not out.exists()
+                assert refused.field and f"'{refused.field}'" in str(refused)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _broken_configs()
+        | st.fixed_dictionaries(
+            {"kind": st.sampled_from(cli.KINDS)},
+            optional={
+                name: _JUNK
+                for name in ["D", "alpha", "t", "r", "x0", "P", "N", "K", "L", "measures", "zero_checks"]
+            },
+        )
+    )
+    def test_normalize_raises_only_config_error(self, raw):
+        try:
+            normalize_config(raw)
+        except ConfigError as exc:
+            assert exc.field and f"'{exc.field}'" in str(exc)

@@ -13,9 +13,13 @@ from toruswalk.spectral import (
     SelfSimilarSpec,
     classify_index,
     convolve,
+    diagnostics,
+    family_exact_zero,
     fourier_discrete,
     fourier_selfsimilar,
     is_haar_up_to,
+    routing_consistent,
+    truncation_depth,
 )
 
 F = Fraction
@@ -224,3 +228,34 @@ class TestIsHaar:
             _, kind, _ = classify_index(n)
             target = mu_c if kind == "odd" else nu_c
             assert target(n).exact_zero
+
+
+class TestCounterexampleChecks:
+    def test_zero_families(self):
+        assert family_exact_zero(MU0.coefficients(), "odd", 3, 10)
+        assert family_exact_zero(NU.coefficients(), "twice_odd", 3, 10)
+        assert not family_exact_zero(NU.coefficients(), "odd", 3, 10)
+
+    def test_every_member_is_evaluated(self):
+        # nu(1) is not an exact zero: an early exit would stop there
+        coeffs = NU.coefficients()
+        assert not family_exact_zero(coeffs, "odd", 2, 4)
+        assert len(coeffs.evaluated()) == len({4 ** k * (2 * m + 1) for k in range(3) for m in range(-4, 5)})
+
+    def test_routing(self):
+        assert routing_consistent(NU.coefficients(), MU0.coefficients(), 200)
+        assert routing_consistent(MU0.coefficients(), NU.coefficients(), 200)
+        # one measure cannot kill both index families; every index is
+        # evaluated all the same
+        coeffs = MU0.coefficients()
+        assert not routing_consistent(coeffs, coeffs, 10)
+        assert sorted(coeffs.evaluated()) == list(range(1, 11))
+
+    def test_diagnostics(self):
+        coeffs = MU0.coefficients(1e-12)
+        for n in (1, 2, 3, 6):
+            coeffs(n)
+        diag = diagnostics(MU0, coeffs, 1e-12)
+        # 1 and 3 are exact zeros; the deepest product is the one at 6
+        assert diag["coefficients"] == 4
+        assert diag["max_depth"] == truncation_depth(MU0, 6, 1e-12)
