@@ -392,6 +392,14 @@ class EtaChain:
     def stationary_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.states, self.stationary)
 
+    def state_frequencies(self, path: np.ndarray) -> tuple[list[tuple[Fraction, Fraction, float]], float]:
+        """Rows (state, stationary weight, empirical frequency along the state
+        indices `path`), and max |empirical - stationary| in float64."""
+        freq = np.bincount(path, minlength=len(self.states)) / len(path)
+        exact_p = np.array([float(x) for x in self.stationary])
+        rows = list(zip(self.states, self.stationary, freq.tolist()))
+        return rows, float(np.max(np.abs(freq - exact_p)))
+
 
 def build_eta_chain(
     d_value: int,

@@ -226,7 +226,7 @@ def _table(raw, rows: list[Field], field: str = "", cfg: dict | None = None) -> 
 _MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
 _ALPHAS = Field("alpha", _vectors, REQUIRED, "list of scalar vectors (one per map)")
 _X0 = Field("x0", _vector, ORIGIN, "scalar vector (a string in one dimension)")
-_P = Field("P", _scalar_list, UNIFORM, "selection probabilities (rationals, one per map)")
+_P = Field("P", _scalar_list, UNIFORM, "selection probabilities (rationals > 0 summing to 1, one per map)")
 _STEPS = Field("N", _at_least(1), 100000, "steps")
 _K = Field("K", _at_least(1), 8, "character range")
 _CONDITION = Field("condition", _choice("walk", "ifs"), "ifs", "'walk' or 'ifs'")
@@ -243,7 +243,7 @@ FIELDS: dict[str, list[Field]] = {
     ],
     "condition-check": [_CONDITION],
     "rational-case": [
-        Field("D", _matrix, REQUIRED, "integer >= 2"),
+        Field("D", _matrix, REQUIRED, "integer with |D| >= 2"),
         Field("t", _scalar_list, REQUIRED, "scalars with rational differences"),
         _P, _STEPS, _K,
     ],
@@ -286,7 +286,7 @@ COMMON = [
 MEASURE_FIELDS = [
     Field("base", _int, REQUIRED, "integer with |base| >= 2"),
     Field("atoms", _scalar_list, REQUIRED, "rationals"),
-    Field("weights", _scalar_list, UNIFORM, "rationals"),
+    Field("weights", _scalar_list, UNIFORM, "rationals > 0 summing to 1"),
 ]
 ZERO_CHECK_FIELDS = [
     Field("measure", _text, REQUIRED, "measure name"),
@@ -297,11 +297,17 @@ ZERO_CHECK_FIELDS = [
 
 
 def _weights(given: list[str] | None, count: int, field: str) -> list[str]:
-    """One probability per map (or atom), uniform when not given."""
+    """One probability per map (or atom), uniform when not given; the
+    library's rule (rationals > 0 summing to exactly 1) is checked here so
+    that the refusal names the field."""
     if given is None:
         return [f"1/{count}"] * count
     if len(given) != count:
         raise _bad(field, f"expected a list of {count} probabilities")
+    try:
+        chains._probabilities(_fractions(given), count)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _bad(field, f"{exc}, got {given}") from exc
     return given
 
 
@@ -322,11 +328,15 @@ def normalize_config(raw: dict) -> dict:
     maps = cfg.get("alpha", cfg.get("t"))
     if cfg.get("D") is not None and "alpha" in cfg and len(cfg["D"]) != len(maps):
         raise ConfigError("fields 'D' and 'alpha': need one alpha per matrix", "alpha")
-    if kind in ("walk-sim", "rotation-case"):
-        dim = len(cfg["D"][0]) if cfg["D"] else 1
-        cfg["x0"] = cfg["x0"] or ["0"] * dim
-        for name, vectors in (("D", cfg["D"] or []), ("alpha", cfg["alpha"]), ("x0", [cfg["x0"]])):
-            if any(len(v) != dim for v in vectors):
+    if kind in ("walk-sim", "rotation-case", "condition-check"):
+        matrices = [cfg["D"]] if cfg.get("condition") == "ifs" else cfg["D"] or []
+        dim = len(matrices[0]) if matrices else 1
+        if "x0" in cfg:
+            cfg["x0"] = cfg["x0"] or ["0"] * dim
+        vectors = {"D": matrices, "alpha": cfg.get("alpha", []), "t": cfg.get("t", [])}
+        vectors["x0"] = [cfg["x0"]] if "x0" in cfg else []
+        for name, entries in vectors.items():
+            if any(len(v) != dim for v in entries):
                 raise _bad(name, "dimension mismatch")
     if "r" in cfg and len(cfg["r"]) != len(maps):
         raise _bad("r", f"expected {len(maps)} exponents, one per map")
@@ -336,6 +346,9 @@ def normalize_config(raw: dict) -> dict:
         raise _bad("D", f"{kind} is one-dimensional")
     if kind == "normality" and cfg["D"][0][0] < 2:
         raise _bad("D", "normality digits need D >= 2")
+    bases = [cfg["D"][0][0]] if kind == "rational-case" else cfg["D"] if kind == "stationary-support" else []
+    if any(abs(d) < 2 for d in bases):
+        raise _bad("D", "must be expanding (|D| >= 2)")
     if "L" in cfg and cfg["L"] > cfg["N"]:
         raise _bad("L", "must be <= N")
     for name, m in cfg.get("measures", {}).items():
@@ -407,16 +420,12 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
             fh.write(row_fmt * (stop - start) % tuple(flat))
 
 
-def _running_discrepancy(points: np.ndarray, error_bound: float, checkpoints: int = 20) -> tuple:
-    """discrepancy.csv: the star discrepancy of the first m points at
-    `checkpoints` evenly spaced m."""
-    n = len(points)
-    rows = []
-    for i in range(1, checkpoints + 1):
-        m = max(1, (n * i) // checkpoints)
-        sub = stats.OrbitSample(points[:m, :1], error_bound, 64)
-        rows.append([m, _fmt(stats.star_discrepancy_1d(sub))])
-    return ["n", "star_discrepancy"], rows
+def _discrepancy(sample: stats.OrbitSample, results: dict, sidecars: dict) -> None:
+    """results.star_discrepancy and discrepancy.csv, the running star
+    discrepancy whose last row is the whole sample."""
+    rows = stats.running_discrepancy(sample)
+    results["star_discrepancy"] = rows[-1][1]
+    sidecars["discrepancy.csv"] = (["n", "star_discrepancy"], [[m, _fmt(d)] for m, d in rows])
 
 
 def _weyl_table(ws: dict) -> dict[str, str]:
@@ -454,13 +463,10 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     }
     sidecars = {"weyl.csv": (["k", "abs_S_N"], results["weyl"].items()), "trajectory.csv": orbit.points}
     if dim == 1:
-        results["star_discrepancy"] = stats.star_discrepancy_1d(sample)
-        sidecars["discrepancy.csv"] = _running_discrepancy(orbit.points, orbit.error_bound)
+        _discrepancy(sample, results, sidecars)
     if rotation and cfg.get("control_q"):
-        q = cfg["control_q"]
-        z = np.exp(2j * np.pi * q * orbit.points[:, 0])
-        results["control_q"] = q
-        results["control_char"] = float(abs(np.mean(z)))
+        results["control_q"] = cfg["control_q"]
+        results["control_char"] = stats.control_character(sample, cfg["control_q"])
     return results, sidecars, orbit.precision_bits
 
 
@@ -476,29 +482,17 @@ def _run_normality(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     digits, points, bound, bits, word_len = stats.sample_digits(ifs, rng, count, min_bits)
     max_len = cfg["L"]
     freqs = stats.block_frequencies(digits, max_len)
-    deviations = stats.block_deviations(freqs, base, max_len)
-    sample = stats.OrbitSample(points, bound, bits)
-    disc = stats.star_discrepancy_1d(sample)
-    rows = []
-    for length in range(1, max_len + 1):
-        expected = base ** -length
-        for block in stats.all_blocks(base, length):
-            f = freqs.get(block, 0.0)
-            rows.append(
-                ["".join(map(str, block)), _fmt(f), _fmt(expected), _fmt(abs(f - expected))]
-            )
+    table, deviations = stats.block_table(freqs, base, max_len)
     results = {
         "N": count,
         "base": base,
         "word_length": word_len,
         "block_deviation": {str(k): v for k, v in deviations.items()},
         "max_block_deviation": max(deviations.values()),
-        "star_discrepancy": disc,
     }
-    sidecars = {
-        "blocks.csv": (["block", "freq", "expected", "deviation"], rows),
-        "discrepancy.csv": _running_discrepancy(points[:, None], bound),
-    }
+    rows = [["".join(map(str, block)), *map(_fmt, values)] for block, *values in table]
+    sidecars = {"blocks.csv": (["block", "freq", "expected", "deviation"], rows)}
+    _discrepancy(stats.OrbitSample(points, bound, bits), results, sidecars)
     return results, sidecars, bits
 
 
@@ -558,9 +552,7 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
     points, eta_idx, bound, precision_used = chains.rational_case_points(
         eta, t_scalars, rng, n_steps
     )
-    freq = np.bincount(eta_idx, minlength=len(eta.states)) / n_steps
-    exact_p = np.array([float(x) for x in eta.stationary])
-    state_dev = float(np.max(np.abs(freq - exact_p)))
+    state_rows, state_dev = eta.state_frequencies(eta_idx)
     sample = stats.OrbitSample(points, bound, 64)
     # one pass of characters serves the Weyl sums, char_dev and chars.csv
     means = stats.character_means(sample, k_max)
@@ -575,17 +567,15 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
         "state_freq_dev": state_dev,
         "weyl": _weyl_table({k: abs(v) for k, v in means.items()}),
     }
-    rows = [[str(a), str(p), _fmt(f)] for a, p, f in zip(eta.states, eta.stationary, freq)]
+    rows = [[str(a), str(p), _fmt(f)] for a, p, f in state_rows]
     sidecars = {"states.csv": (["state", "stationary", "empirical"], rows)}
     if all(s.is_rational() for s in t_scalars):
         law = chains.limit_law_fourier(eta, ifs)
-        results["char_dev"] = stats.fourier_deviation(means, law)
-        rows = []
-        for (n,), emp in sorted(means.items()):
-            v = law(n)
-            rows.append(
-                [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(abs(emp - v.value))]
-            )
+        table, results["char_dev"] = stats.fourier_table(means, law)
+        rows = [
+            [n, _fmt(pred.real), _fmt(pred.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(diff)]
+            for n, pred, emp, diff in table
+        ]
         header = ["n", "predicted_re", "predicted_im", "empirical_re", "empirical_im", "abs_diff"]
         sidecars["chars.csv"] = (header, rows)
     else:

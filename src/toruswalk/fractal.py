@@ -727,7 +727,6 @@ def walk_orbit_fixed(
     endos: Sequence[AffineEndo],
     x0: TorusPoint,
     w,
-    guard_bits: int = 96,
     precision_bits: int | None = None,
 ) -> NumericOrbit:
     """Numeric trajectory of h_{w_n} o ... o h_{w_1}(x0) at certified precision.
@@ -752,7 +751,7 @@ def walk_orbit_fixed(
     n_steps = len(letters)
     d = endos[0].dimension
     mats = [e.linear.rows for e in endos]
-    p = precision_bits or precision_budget([e.linear for e in endos], n_steps, guard_bits)
+    p = precision_bits or precision_budget([e.linear for e in endos], n_steps)
     if p < 64:
         raise ValueError("precision must be at least 64 bits")
     mask = (1 << p) - 1

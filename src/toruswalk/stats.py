@@ -9,6 +9,7 @@ reproducibly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,17 +29,21 @@ __all__ = [
     "KOKSMA_CONSTANT",
     "character_means",
     "weyl_sums",
+    "control_character",
     "star_discrepancy_1d",
+    "running_discrepancy",
     "extract_digits",
     "sample_digits",
     "digits_from_fixed",
     "digits_error_bound",
     "block_frequencies",
     "digit_block_freqs",
+    "block_table",
     "block_deviations",
     "all_blocks",
     "subsequence_compare",
     "compare_to_fourier",
+    "fourier_table",
     "fourier_deviation",
     "koksma_bound",
 ]
@@ -46,6 +51,8 @@ __all__ = [
 ERROR_CEILING = 2.0 ** -32
 #: constant in |S_N(k)| <= KOKSMA_CONSTANT * |k| * D_N^* (variation of e^{2 pi i k x})
 KOKSMA_CONSTANT = 2.0 * math.pi
+#: `running_discrepancy` rows: prefix lengths m = max(1, floor(N i / 20)), i = 1..20
+DISCREPANCY_CHECKPOINTS = 20
 
 
 @dataclass(frozen=True)
@@ -88,22 +95,10 @@ class OrbitSample:
 
 
 def _frequency_grid(k_max: int, dim: int) -> list[tuple[int, ...]]:
+    """The nonzero k with ||k||_inf <= K, in lexicographic order."""
     if k_max < 1:
         raise ValueError("K must be >= 1")
-    if dim == 1:
-        return [(k,) for k in range(-k_max, k_max + 1) if k != 0]
-    grid: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == dim:
-            if any(prefix):
-                grid.append(prefix)
-            return
-        for k in range(-k_max, k_max + 1):
-            rec(prefix + (k,))
-
-    rec(())
-    return grid
+    return [k for k in itertools.product(range(-k_max, k_max + 1), repeat=dim) if any(k)]
 
 
 def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], complex]:
@@ -136,6 +131,13 @@ def weyl_sums(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], float]:
     return {k: abs(v) for k, v in character_means(sample, k_max).items()}
 
 
+def control_character(sample: OrbitSample, q: int) -> float:
+    """|(1/N) sum e^{2 pi i q x}| over the first coordinate: near 1 when the
+    orbit stays on the q-th roots of unity."""
+    sample._require_accuracy()
+    return float(abs(np.mean(np.exp(2j * np.pi * q * sample.points[:, 0]))))
+
+
 def star_discrepancy_1d(sample: OrbitSample) -> float:
     """Exact order-statistics star discrepancy of a 1-dim sample."""
     sample._require_accuracy()
@@ -145,6 +147,18 @@ def star_discrepancy_1d(sample: OrbitSample) -> float:
     n = len(xs)
     idx = np.arange(1, n + 1)
     return float(np.max(np.maximum(idx / n - xs, xs - (idx - 1) / n)))
+
+
+def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
+    """Rows (m, D*_m): the star discrepancy of the first m points at
+    DISCREPANCY_CHECKPOINTS evenly spaced m.  The last m is N, so the last
+    row holds `star_discrepancy_1d(sample)`."""
+    rows = []
+    for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
+        m = max(1, (sample.size * i) // DISCREPANCY_CHECKPOINTS)
+        prefix = OrbitSample(sample.points[:m], sample.error_bound, sample.precision_bits)
+        rows.append((m, star_discrepancy_1d(prefix)))
+    return rows
 
 
 def koksma_bound(k: int, discrepancy: float) -> float:
@@ -247,28 +261,35 @@ def digit_block_freqs(
     return block_frequencies(extract_digits(x, base, count), max_len)
 
 
+def block_table(freqs: Mapping[tuple[int, ...], float], base: int, max_len: int) -> tuple[list, dict]:
+    """Rows (block, observed, base^-len, |observed - base^-len|) for every
+    block of length <= max_len (absent blocks observed as 0), and the
+    per-length max of the last column."""
+    rows = []
+    worst: dict[int, float] = {}
+    for length in range(1, max_len + 1):
+        expected = base ** -length
+        worst[length] = 0.0
+        for block in all_blocks(base, length):
+            observed = freqs.get(block, 0.0)
+            deviation = abs(observed - expected)
+            rows.append((block, observed, expected, deviation))
+            worst[length] = max(worst[length], deviation)
+    return rows, worst
+
+
 def block_deviations(
     freqs: Mapping[tuple[int, ...], float], base: int, max_len: int
 ) -> dict[int, float]:
-    """Per-length max |observed - base^-len| over all blocks (absent = 0)."""
-    out = {}
-    for length in range(1, max_len + 1):
-        expected = base ** -length
-        worst = 0.0
-        for block in all_blocks(base, length):
-            worst = max(worst, abs(freqs.get(block, 0.0) - expected))
-        out[length] = worst
-    return out
+    """Per-length max |observed - base^-len| over all blocks (absent = 0),
+    as `block_table` finds it."""
+    return block_table(freqs, base, max_len)[1]
 
 
 def all_blocks(base: int, length: int):
-    if length == 1:
-        for d in range(base):
-            yield (d,)
-        return
-    for rest in all_blocks(base, length - 1):
-        for d in range(base):
-            yield (d,) + rest
+    """Every block of `length` base-`base` digits, the first digit varying
+    fastest."""
+    return (block[::-1] for block in itertools.product(range(base), repeat=length))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +339,18 @@ def compare_to_fourier(sample: OrbitSample, coefficients, k_max: int) -> float:
     return fourier_deviation(character_means(sample, k_max), coefficients)
 
 
+def fourier_table(means: dict[tuple[int, ...], complex], coefficients) -> tuple[list, float]:
+    """Rows (k, predicted, empirical, |empirical - predicted|) over the
+    one-dimensional frequencies (k,) of `means` in increasing k, with
+    predicted = coefficients(k).value, and the max of the last column."""
+    rows = []
+    for (k,), emp in sorted(means.items()):
+        predicted = coefficients(k).value
+        rows.append((k, predicted, emp, abs(emp - predicted)))
+    return rows, max((row[3] for row in rows), default=0.0)
+
+
 def fourier_deviation(means: dict[tuple[int, ...], complex], coefficients) -> float:
     """max over the one-dimensional frequencies (k,) of `means` of
-    |means[(k,)] - coefficients(k).value|."""
-    worst = 0.0
-    for (k,), emp in means.items():
-        worst = max(worst, abs(emp - coefficients(k).value))
-    return worst
+    |means[(k,)] - coefficients(k).value|, as `fourier_table` finds it."""
+    return fourier_table(means, coefficients)[1]

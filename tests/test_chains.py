@@ -149,6 +149,9 @@ class TestEtaChain:
         freq = np.bincount(sim, minlength=2) / len(sim)
         for f, p in zip(freq, eta.stationary):
             assert abs(f - float(p)) < 0.02
+        rows, worst = eta.state_frequencies(sim)
+        assert rows == list(zip(eta.states, eta.stationary, freq.tolist()))
+        assert worst == max(abs(f - float(p)) for f, p in zip(freq, eta.stationary)) < 0.02
 
 
 class TestStationaryDistribution:

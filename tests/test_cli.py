@@ -612,6 +612,16 @@ _BAD_FIELDS = [
     (dict(WALK_CFG, N=True), "N"),
     (dict(WALK_CFG, n=10), "n"),
     (dict(FOURIER_CFG, zero_checks=[{"measure": "mu0", "pattern": "odd", "k_max": -1}]), "zero_checks.k_max"),
+    # P: rationals > 0 summing to exactly 1 (["1", "1"] ran as uniform)
+    pytest.param(dict(WALK_CFG, P=["1", "1"]), "P", id="P-sum-2"),
+    pytest.param(dict(WALK_CFG, P=["3/2", "-1/2"]), "P", id="P-negative"),
+    pytest.param(dict(WALK_CFG, P=["1", "-1"]), "P", id="P-sum-0"),
+    pytest.param(dict(WALK_CFG, P=["1*sqrt2", "0"]), "P", id="P-irrational"),
+    # refused by the library alone before, with a message naming no field
+    pytest.param(dict(SCHEMA_CFGS[5], D=1), "D", id="rational-case-D-1"),
+    pytest.param(dict(SCHEMA_CFGS[6], D=[1, 3]), "D", id="stationary-support-D-1"),
+    pytest.param(dict(COND_CFG, D=[[3, 0], [0, 3]]), "t", id="ifs-t-dimension"),
+    pytest.param(dict(SCHEMA_CFGS[4], D=[[[3, 0], [0, 3]], [[2, 0], [0, 2]]]), "alpha", id="walk-alpha-dimension"),
 ]
 
 

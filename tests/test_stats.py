@@ -13,13 +13,20 @@ from toruswalk.spectral import CoefficientFunction, DiscreteMeasure
 from toruswalk.stats import (
     KOKSMA_CONSTANT,
     OrbitSample,
+    DISCREPANCY_CHECKPOINTS,
+    all_blocks,
     block_deviations,
     block_frequencies,
+    block_table,
     character_means,
     compare_to_fourier,
+    control_character,
     digit_block_freqs,
     extract_digits,
+    fourier_deviation,
+    fourier_table,
     koksma_bound,
+    running_discrepancy,
     star_discrepancy_1d,
     subsequence_compare,
     weyl_sums,
@@ -51,6 +58,9 @@ class TestWeylSums:
         ws = weyl_sums(s, 3)
         assert ws[(1,)] == pytest.approx(0.0, abs=1e-14)
         assert ws[(3,)] == pytest.approx(1.0)
+        # the control character is the same |S_N(q)|
+        assert control_character(s, 3) == pytest.approx(1.0)
+        assert control_character(s, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_iid_uniform_small(self):
         pts = np.random.default_rng(123).random(100000)
@@ -97,6 +107,18 @@ class TestStarDiscrepancy:
     def test_van_der_corput_low_discrepancy(self):
         pts = van_der_corput(10000)
         assert star_discrepancy_1d(sample_1d(pts)) < 0.002
+
+    @pytest.mark.parametrize("n", [1, 7, 20, 999, 10000])
+    def test_running_rows_end_at_the_whole_sample(self, n):
+        pts = np.random.default_rng(n).random(n)
+        s = sample_1d(pts)
+        rows = running_discrepancy(s)
+        checkpoints = [max(1, n * i // 20) for i in range(1, 21)]
+        assert DISCREPANCY_CHECKPOINTS == 20 and [m for m, _ in rows] == checkpoints
+        for m, disc in rows:
+            assert disc == star_discrepancy_1d(sample_1d(pts[:m]))
+        # bit for bit: the report reads D*_N from the last row
+        assert rows[-1] == (n, star_discrepancy_1d(s))
 
     def test_multidim_rejected(self):
         s = OrbitSample(np.zeros((4, 2)) + 0.3, 0.0, 64)
@@ -153,6 +175,24 @@ class TestDigits:
         freqs = {(0,): 0.5, (1,): 0.5}
         dev = block_deviations(freqs, 2, 1)
         assert dev[1] == pytest.approx(0.0)
+        # base 3 digits without a 2: every block holding a 2 is absent
+        for digits, base, max_len in (([0, 1] * 4, 2, 3), ([0, 1, 1, 0, 0, 0, 1], 3, 2), ([2], 3, 1)):
+            freqs = block_frequencies(digits, max_len)
+            rows, worst = block_table(freqs, base, max_len)
+            blocks = [b for length in range(1, max_len + 1) for b in all_blocks(base, length)]
+            assert [row[0] for row in rows] == blocks
+            for block, observed, expected, deviation in rows:
+                assert observed == freqs.get(block, 0.0)
+                assert expected == 1 / base ** len(block)
+                assert deviation == abs(observed - expected)
+            per_length = {
+                length: max(row[3] for row in rows if len(row[0]) == length)
+                for length in range(1, max_len + 1)
+            }
+            assert block_deviations(freqs, base, max_len) == worst == per_length
+        assert block_deviations({(0,): 1.0}, 3, 1) == {1: 1 - 1 / 3}
+        # blocks.csv order: the first digit varies fastest
+        assert list(all_blocks(2, 2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_digits_match_exact_orbit(self):
         # cross-module consistency: digits vs floor(D * frac(D^m x)) on the
@@ -242,6 +282,18 @@ class TestCompareToFourier:
         pts = np.full(500, 0.5)
         law = DiscreteMeasure.point_mass(F(1, 2)).coefficients()
         assert compare_to_fourier(sample_1d(pts), law, 6) < 1e-10
+
+    @pytest.mark.parametrize("atom", [F(0), F(1, 3), F(2, 5)])
+    def test_table_rows_and_max(self, atom):
+        pts = np.random.default_rng(atom.denominator).random(3000)
+        means = character_means(sample_1d(pts), 5)
+        law = DiscreteMeasure.point_mass(atom).coefficients()
+        rows, worst = fourier_table(means, law)
+        assert [row[0] for row in rows] == [k for k in range(-5, 6) if k]
+        for k, predicted, empirical, diff in rows:
+            assert predicted == law(k).value and empirical == means[(k,)]
+            assert diff == abs(empirical - predicted)
+        assert worst == max(row[3] for row in rows) == fourier_deviation(means, law)
 
     def test_eta_chain_empirical_vs_stationary(self):
         from toruswalk.chains import build_eta_chain
