@@ -1,10 +1,9 @@
 """Cost of the fixed-point orbit engine and its inputs, layer by layer.
 
 Times `Scalar.fixed_point` of the 1-D walk offset sqrt2 at the precisions of
-the N = 50k and 100k walks (79,345 and 158,593 bits), the exact error-budget
-tree of `walk_orbit_fixed` (the d = 1 product tree of the amplifications,
-called as `fractal._block_map` on 1x1 maps) at the sizes of the walk
-benchmark, and the whole `walk_orbit_fixed` for
+the N = 50k and 100k walks (79,345 and 158,593 bits), the exact integer
+products of one `walk_orbit_fixed` run at the sizes of the walk benchmark,
+and the whole `walk_orbit_fixed` for
 
   * d = 1, D = [2, 3], alpha = [0, sqrt2], x0 = 1/7 at N = 25k, 50k, 100k;
   * the rotation alpha = [1/2, sqrt2/4] at N = 100k;
@@ -13,6 +12,14 @@ benchmark, and the whole `walk_orbit_fixed` for
     loop (`tests/reference_orbits.py`) up to N = 6000; wherever that loop
     runs, the engine's points, `error_bound` and `precision_bits` must be
     identical to it.
+
+The integer products of a run are its error budget (`fractal._error_budget`)
+and the block maps the engine composes itself (`fractal._map_of` and
+`fractal._compose`).  They are timed twice inside one real run: "shared" as
+the library does it (a 1-D walk with multipliers >= 1 takes its block maps
+from the budget tree, a rotation counts letters instead of building a tree),
+and "unshared" with the budget swapped for the plain product tree, which
+keeps nothing, so the engine composes every block map again.
 
 Fits the growth exponent in N of the d = 1 and d = 2 timings.  Letters are
 seeded uniform draws.  Each run is stored under its `--label` in the output
@@ -99,19 +106,54 @@ def measure_fixed_point(count: int, repeats: int) -> dict:
     }
 
 
+def _unshared_budget(amps, letters, keep=None):
+    """The error budget as one product tree that keeps no block map."""
+    return fractal._scalar_tree(amps, [True] * len(amps), letters, 0, len(letters))
+
+
+def _products_seconds(endos, x0, letters, shared: bool) -> float:
+    """Seconds one walk_orbit_fixed run spends on its error budget and on the
+    block maps its engine composes (outermost calls only)."""
+    spent = 0.0
+    depth = 0
+
+    def timed(fn):
+        def wrapper(*args):
+            nonlocal spent, depth
+            if depth:
+                return fn(*args)
+            depth += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent += time.perf_counter() - start
+                depth -= 1
+
+        return wrapper
+
+    budget = fractal._error_budget if shared else _unshared_budget
+    patched = {"_error_budget": budget, "_map_of": fractal._map_of, "_compose": fractal._compose}
+    saved = {name: getattr(fractal, name) for name in patched}
+    for name, fn in patched.items():
+        setattr(fractal, name, timed(fn))
+    try:
+        fractal.walk_orbit_fixed(endos, x0, letters)
+    finally:
+        for name, fn in saved.items():
+            setattr(fractal, name, fn)
+    return spent
+
+
 def measure_budget(name: str, count: int, repeats: int) -> dict:
-    endos, _ = _family(name)
-    amps = [max(fractal._norm(e.linear.rows), 1) for e in endos]
-    letters = fractal._letter_indices(_letters(count, len(endos)), len(endos))
-    maps = [((a,),) for a in amps]
-    active = [True] * len(amps)
-    return {
-        "family": name,
-        "N": count,
-        "tree_s": _median_seconds(
-            lambda: fractal._block_map(maps, active, letters, 0, count), repeats
-        ),
-    }
+    endos, x0 = _family(name)
+    letters = _letters(count, len(endos))
+    row = {"family": name, "N": count}
+    for label, shared in (("unshared_s", False), ("shared_s", True)):
+        row[label] = statistics.median(
+            _products_seconds(endos, x0, letters, shared) for _ in range(repeats)
+        )
+    return row
 
 
 def _same_orbit(a: fractal.NumericOrbit, b: fractal.NumericOrbit) -> bool:
@@ -167,7 +209,7 @@ def main() -> None:
     two_d = [r for r in walk_rows if r["family"] == "walk2d"]
     run = {
         "fixed_point": fixed_rows,
-        "error_budget_tree": budget_rows,
+        "error_budget_tree": budget_rows,  # budget plus engine block maps
         "walk_orbit_fixed": walk_rows,
         "engine_growth_exponent_n_d1": growth_exponent(one_d, "engine_s"),
         "engine_growth_exponent_n_d2": growth_exponent(two_d, "engine_s"),

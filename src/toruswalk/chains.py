@@ -38,7 +38,6 @@ __all__ = [
     "build_finite_stationary",
     "build_eta_chain",
     "stationary_distribution",
-    "stationary_power_iteration",
     "alpha_orbit_measure",
     "limit_law_fourier",
     "rational_case_points",
@@ -187,17 +186,6 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [Fraction(row[n], scale) for row in reduced]
 
 
-def stationary_power_iteration(
-    transition: Sequence[Sequence[Fraction]], iterations: int = 200
-) -> np.ndarray:
-    """Float cross-check of the exact solve."""
-    t = np.array([[float(x) for x in row] for row in transition])
-    v = np.full(len(t), 1.0 / len(t))
-    for _ in range(iterations):
-        v = v @ t
-    return v
-
-
 def _closed_class(adj: list[list[int]]) -> list[int]:
     """Sorted members of the smallest closed class reachable from state 0;
     on a tie in size, the class holding the smallest state."""
@@ -234,18 +222,6 @@ def _terminal_class_stationary(
     for m, val in zip(members, _stationary_irreducible(sub, sub_adj)):
         out[m] = val
     return tuple(out)
-
-
-def _probabilities(probabilities: Sequence[Fraction] | None, k: int) -> list[Fraction]:
-    """One positive probability per map, summing to 1; uniform by default."""
-    if probabilities is None:
-        return [Fraction(1, k)] * k
-    probabilities = [Fraction(p) for p in probabilities]
-    if len(probabilities) != k:
-        raise ValueError(f"need one probability per map: {len(probabilities)} for {k} maps")
-    if any(p <= 0 for p in probabilities) or sum(probabilities) != 1:
-        raise ValueError("probabilities must be positive and sum to 1")
-    return probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +288,7 @@ def build_finite_stationary(
         raise ValueError("need one alpha per D")
     if any(abs(d) < 2 for d in d_values):
         raise ValueError("all D_i must be expanding (|D_i| >= 2)")
-    probabilities = _probabilities(probabilities, k)
+    probabilities = fractal._probabilities(probabilities, k)
 
     d1 = d_values[0]
     x0 = alphas[0] * Fraction(-1, d1 - 1)
@@ -416,7 +392,7 @@ def build_eta_chain(
         raise ValueError("need at least one translation")
     if abs(d_value) < 2:
         raise ValueError("D must be expanding (|D| >= 2)")
-    probabilities = _probabilities(probabilities, k)
+    probabilities = fractal._probabilities(probabilities, k)
 
     deltas = []
     for t in translations:

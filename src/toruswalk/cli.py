@@ -263,7 +263,7 @@ FIELDS: dict[str, list[Field]] = {
     "rotation-case": [
         Field("D", _choice(None), None, "null: the maps are rotations x -> x + alpha"),
         _ALPHAS, _X0, _P,
-        Field("control_q", _int, OPTIONAL, "also report |S_N(q)|"),
+        Field("control_q", _at_least(1), OPTIONAL, "also report |S_N(q)|"),
         _STEPS, _K,
     ],
 }
@@ -305,7 +305,7 @@ def _weights(given: list[str] | None, count: int, field: str) -> list[str]:
     if len(given) != count:
         raise _bad(field, f"expected a list of {count} probabilities")
     try:
-        chains._probabilities(_fractions(given), count)
+        fractal._probabilities(_fractions(given), count)
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad(field, f"{exc}, got {given}") from exc
     return given
@@ -464,7 +464,7 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     sidecars = {"weyl.csv": (["k", "abs_S_N"], results["weyl"].items()), "trajectory.csv": orbit.points}
     if dim == 1:
         _discrepancy(sample, results, sidecars)
-    if rotation and cfg.get("control_q"):
+    if "control_q" in cfg:
         results["control_q"] = cfg["control_q"]
         results["control_char"] = stats.control_character(sample, cfg["control_q"])
     return results, sidecars, orbit.precision_bits

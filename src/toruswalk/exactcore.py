@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "BasisMismatchError",
     "NearIntegerError",
-    "IndeterminateExpansionError",
     "ExactCheckError",
     "IrrationalBasis",
     "Scalar",
@@ -60,10 +59,6 @@ class NearIntegerError(ArithmeticError):
 
     The caller should retry at higher precision.
     """
-
-
-class IndeterminateExpansionError(ArithmeticError):
-    """Kept for compatibility: the exact expansion test never raises it."""
 
 
 class ExactCheckError(ArithmeticError):
@@ -696,7 +691,7 @@ def is_expanding(d_matrix: IntMatrix) -> bool:
     ... + a_n z^n is Schur-stable iff |a_0| < |a_n| and (a_n q - a_0 q*)/z
     is, where q* reverses q (Bistritz, Proc. IEEE 72(9), 1984).  Its first
     step is |det| >= 2.  No float is involved, so the verdict is never
-    indeterminate and IndeterminateExpansionError is not raised.
+    indeterminate.
     """
     q = _characteristic_polynomial(d_matrix)[::-1]
     while len(q) > 1:

@@ -136,8 +136,7 @@ class AffineIFS:
         for t in self.translations:
             if t.dimension != d:
                 raise ValueError("translation dimension mismatch")
-        if any(p <= 0 for p in self.probabilities) or sum(self.probabilities) != 1:
-            raise ValueError("probabilities must be positive and sum to 1")
+        _probabilities(self.probabilities, k)
         g = gcd(*self.exponents)
         if g > 1:
             logger.info("normalizing exponents by gcd %d (D -> D^%d)", g, g)
@@ -454,15 +453,24 @@ def _compose(later, earlier):
     ]
 
 
-def _scalar_tree(mults, active, letters, lo, hi):
+def _scalar_tree(mults, active, letters, lo, hi, keep=None):
     """_block_map of a one-dimensional family on plain ints: x -> mults[a] x
     + beta_a composes to (M, [C_k]) with ints M and C_k (None where active[k]
-    is false)."""
+    is false).
+
+    With `keep`, the left half (lo, mid) of every split whose product M has
+    more than _LEAF_BITS bits is stored there as (M, [C_k]): the engine
+    splits exactly those ranges, at the same midpoints, and needs the map of
+    each left half.
+    """
     if hi - lo > _MAP_LEAF_STEPS:
         mid = (lo + hi) // 2
-        m2, c2 = _scalar_tree(mults, active, letters, mid, hi)
-        m1, c1 = _scalar_tree(mults, active, letters, lo, mid)
-        return m2 * m1, [None if x is None else m2 * x + y for x, y in zip(c1, c2)]
+        m2, c2 = _scalar_tree(mults, active, letters, mid, hi, keep)
+        m1, c1 = _scalar_tree(mults, active, letters, lo, mid, keep)
+        prod = m2 * m1
+        if keep is not None and prod.bit_length() > _LEAF_BITS:
+            keep[lo, mid] = (m1, c1)
+        return prod, [None if x is None else m2 * x + y for x, y in zip(c1, c2)]
     prod = 1
     sums = [0] * len(mults)
     for a in reversed(letters[lo:hi].tolist()):
@@ -536,6 +544,14 @@ class _Orbit:
             min((b & -b).bit_length() - 1 if b else p for b in off) for off in offsets
         ]
         self.amps = [max(_norm(m), 1) for m in mats]
+        # per amplifying letter: log2 of its amplification and its count in
+        # every prefix of the word, so that _amp_bits counts a range at once
+        count_type = np.min_scalar_type(len(letters))
+        self.prefix_counts = [
+            (math.log2(amp), np.concatenate(([0], np.cumsum(letters == k, dtype=count_type))))
+            for k, amp in enumerate(self.amps)
+            if amp > 1
+        ]
         self.letters = letters
         self.p = p
         self.guard = _GUARD_BITS + len(letters).bit_length()
@@ -545,16 +561,14 @@ class _Orbit:
         self.digits: list[int] = []
         self.fixed = 0  # digit runs: the exact p-bit input and its error
         self.fixed_err = 0
+        # block maps computed before the run, (lo, hi) -> (M, [C_k]) as
+        # _scalar_tree returns them; see _map_of
+        self.kept: dict = {}
 
 
 def _amp_bits(run: _Orbit, lo: int, hi: int) -> float:
     """log2 of an upper bound on the amplification of steps lo+1..hi."""
-    seq = run.letters[lo:hi]
-    return sum(
-        math.log2(amp) * np.count_nonzero(seq == k)
-        for k, amp in enumerate(run.amps)
-        if amp > 1
-    )
+    return sum(log_amp * int(counts[hi] - counts[lo]) for log_amp, counts in run.prefix_counts)
 
 
 def _truncate(state, q, t, e, bits):
@@ -585,6 +599,16 @@ def _jump(run: _Orbit, block, state, q, t, e):
     return [a & mask for a in acc], t, amp * e
 
 
+def _map_of(run: _Orbit, lo, hi):
+    """Block map of steps lo+1..hi: the kept one if the run has it (handed
+    out once, then dropped), else _block_map."""
+    kept = run.kept.pop((lo, hi), None)
+    if kept is None:
+        return _block_map(run.mats, run.active, run.letters, lo, hi)
+    prod, sums = kept
+    return ((prod,),), [((c,),) if on else None for c, on in zip(sums, run.active)]
+
+
 def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e, need_map):
     """Points of steps lo+1..hi, which amplify by up to 2^amp_bits, from the
     q-bit state at step lo.  That state lies within t ulps of the step-by-step
@@ -593,7 +617,8 @@ def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e, need_map):
     range when need_map is set."""
     if hi - lo <= 1 or amp_bits <= _LEAF_BITS:
         run.leaf(run, lo, hi, state, q, t, e)
-        return _block_map(run.mats, run.active, run.letters, lo, hi) if need_map else None
+        return _map_of(run, lo, hi) if need_map else None
+    reuse = need_map and (lo, hi) in run.kept
     mid = (lo + hi) // 2
     bits = _amp_bits(run, lo, mid)
     entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
@@ -601,7 +626,9 @@ def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e, need_map):
     state, t, e = _jump(run, left, state, q, t, e)
     bits = _amp_bits(run, mid, hi)
     entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
-    right = _solve(run, mid, hi, bits, *entry, need_map)
+    right = _solve(run, mid, hi, bits, *entry, need_map and not reuse)
+    if reuse:
+        return _map_of(run, lo, hi)
     return _compose(right, left) if need_map else None
 
 
@@ -723,6 +750,18 @@ def _letter_indices(w, alphabet: int) -> np.ndarray:
     return indices
 
 
+def _error_budget(amps, letters, keep=None):
+    """(G, [S_k]) of the recursion's error bookkeeping over the word: G is
+    the product of the amplifications and S_k sums, over the steps with
+    letter k, the product of the amplifications after that step, so the
+    final error is G err_0 + sum_k S_k err_k.  When every amplification is 1
+    (every rotation) these are 1 and the letter counts; otherwise they come
+    from _scalar_tree, which fills `keep`."""
+    if max(amps) == 1:
+        return 1, np.bincount(letters, minlength=len(amps)).tolist()
+    return _scalar_tree(amps, [True] * len(amps), letters, 0, len(letters), keep)
+
+
 def walk_orbit_fixed(
     endos: Sequence[AffineEndo],
     x0: TorusPoint,
@@ -743,8 +782,10 @@ def walk_orbit_fixed(
     err <- amp_a * err + (offset error), amp_a the max row sum of L_a (at
     least 1), is composed exactly before any orbit work: if it reaches
     2^(p-33) ulps, i.e. 2^-33, within the word, PrecisionExceededError names
-    the first such step.  error_bound is the final err in ulps rounded up to
-    a power of two, plus 2^-53 per coordinate for the float output, plus
+    the first such step.  In one dimension with multipliers >= 1 that
+    composition is the product tree of the engine's block maps, and the
+    engine reuses its nodes.  error_bound is the final err in ulps rounded up
+    to a power of two, plus 2^-53 per coordinate for the float output, plus
     TRUNCATION_SLACK.
     """
     letters = _letter_indices(w, len(endos))
@@ -770,7 +811,10 @@ def walk_orbit_fixed(
         offset_errs.append(max([1] + [e for _, e in fixed]))
 
     amps = [max(_norm(m), 1) for m in mats]
-    growth, sums = _scalar_tree(amps, [True] * len(amps), letters, 0, n_steps)
+    # d = 1 with multipliers >= 1: the amplifications are the multipliers, so
+    # the budget tree is the tree of the engine's block maps
+    kept = {} if d == 1 and amps == [m[0][0] for m in mats] else None
+    growth, sums = _error_budget(amps, letters, kept)
     final_err = growth * err + sum(c * oe for c, oe in zip(sums, offset_errs))
     limit = 1 << (p - 33)
     if n_steps and final_err >= limit:
@@ -780,7 +824,9 @@ def walk_orbit_fixed(
                 break
         raise PrecisionExceededError(f"error budget exhausted at step {step} of {n_steps}")
 
-    run = _run(_Orbit(mats, offsets, letters, p, _walk_leaf), state)
+    run = _Orbit(mats, offsets, letters, p, _walk_leaf)
+    run.kept = kept or {}
+    _run(run, state)
     return NumericOrbit(
         points=run.points, error_bound=_orbit_error_bound(final_err, p, d), precision_bits=p
     )
@@ -855,7 +901,20 @@ def digits_error_bound(err_ulps: int, bits: int, base: int, count: int) -> float
 def walk_letter_stream(
     probabilities: Sequence[Fraction], rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n i.i.d. 1-based letters with the given law (shared sampling helper)."""
-    p = np.array([float(q) for q in probabilities])
+    """n i.i.d. 1-based letters with the given law (shared sampling helper);
+    the law must pass _probabilities."""
+    p = np.array([float(q) for q in _probabilities(probabilities, len(probabilities))])
     p /= p.sum()
     return rng.choice(np.arange(1, len(probabilities) + 1), size=n, p=p)
+
+
+def _probabilities(probabilities: Sequence[Fraction] | None, k: int) -> list[Fraction]:
+    """One positive probability per map, summing to 1; uniform by default."""
+    if probabilities is None:
+        return [Fraction(1, k)] * k
+    probabilities = [Fraction(p) for p in probabilities]
+    if len(probabilities) != k:
+        raise ValueError(f"need one probability per map: {len(probabilities)} for {k} maps")
+    if any(p <= 0 for p in probabilities) or sum(probabilities) != 1:
+        raise ValueError("probabilities must be positive and sum to 1")
+    return probabilities

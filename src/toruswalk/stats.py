@@ -26,7 +26,6 @@ from .fractal import AffineIFS, digits_error_bound, digits_from_fixed
 __all__ = [
     "OrbitSample",
     "SubsequenceReport",
-    "KOKSMA_CONSTANT",
     "character_means",
     "weyl_sums",
     "control_character",
@@ -39,18 +38,12 @@ __all__ = [
     "block_frequencies",
     "digit_block_freqs",
     "block_table",
-    "block_deviations",
     "all_blocks",
     "subsequence_compare",
-    "compare_to_fourier",
     "fourier_table",
-    "fourier_deviation",
-    "koksma_bound",
 ]
 
 ERROR_CEILING = 2.0 ** -32
-#: constant in |S_N(k)| <= KOKSMA_CONSTANT * |k| * D_N^* (variation of e^{2 pi i k x})
-KOKSMA_CONSTANT = 2.0 * math.pi
 #: `running_discrepancy` rows: prefix lengths m = max(1, floor(N i / 20)), i = 1..20
 DISCREPANCY_CHECKPOINTS = 20
 
@@ -101,29 +94,46 @@ def _frequency_grid(k_max: int, dim: int) -> list[tuple[int, ...]]:
     return [k for k in itertools.product(range(-k_max, k_max + 1), repeat=dim) if any(k)]
 
 
+def _character_powers(steps, k_max, prefix, factor, out) -> None:
+    """Fill out[k] with the mean of factor * prod_{j >= len(prefix)}
+    e(x_j)^{k_j} for every half-grid k extending `prefix`; steps[j] holds
+    e(x_j) and, where k_j may be negative, its conjugate."""
+    j = len(prefix)
+    last = j + 1 == len(steps)
+    if not last:
+        _character_powers(steps, k_max, prefix + (0,), factor, out)
+    elif any(prefix):
+        out[prefix + (0,)] = complex(np.mean(factor))
+    for sign, step in zip((1, -1), steps[j] if any(prefix) else steps[j][:1]):
+        power = np.ones_like(step) if factor is None else factor.copy()
+        for m in range(1, k_max + 1):
+            power *= step
+            if last:
+                out[prefix + (sign * m,)] = complex(np.mean(power))
+            else:
+                _character_powers(steps, k_max, prefix + (sign * m,), power, out)
+
+
 def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], complex]:
-    """Empirical characters (1/N) sum e^{2 pi i k.x} for 0 < ||k||_inf <= K."""
+    """Empirical characters (1/N) sum e(k.x), e(t) = e^{2 pi i t}, for
+    0 < ||k||_inf <= K, in lexicographic order of k.
+
+    e(k.x) is the product of the powers e(x_j)^{k_j}: one np.exp per
+    coordinate, then one complex multiplication per frequency of the half
+    grid (the k whose first nonzero entry is positive), by e(x_j) or, for
+    k_j < 0, by its conjugate.  out[-k] is conj(out[k]).  One running power
+    per coordinate is alive at a time, never a table of powers.
+    """
     sample._require_accuracy()
-    pts = sample.points
-    out: dict[tuple[int, ...], complex] = {}
-    if sample.dimension == 1:
-        z = np.exp(2j * np.pi * pts[:, 0])
-        power = np.ones_like(z)
-        for k in range(1, k_max + 1):
-            power *= z
-            mean = complex(np.mean(power))
-            out[(k,)] = mean
-            out[(-k,)] = mean.conjugate()
-        return out
-    for k in _frequency_grid(k_max, sample.dimension):
-        negated = tuple(-c for c in k)
-        if negated in out:
-            # bit for bit: pts @ -k is -(pts @ k), exp(-it) is conj(exp(it))
-            out[k] = out[negated].conjugate()
-            continue
-        phase = pts @ np.asarray(k, dtype=float)
-        out[k] = complex(np.mean(np.exp(2j * np.pi * phase)))
-    return out
+    grid = _frequency_grid(k_max, sample.dimension)
+    zs = [np.exp(2j * np.pi * x) for x in sample.points.T]
+    # the first entry of a half-grid frequency is never negative
+    steps = [(zs[0],)] + [(z, np.conj(z)) for z in zs[1:]]
+    half: dict[tuple[int, ...], complex] = {}
+    _character_powers(steps, k_max, (), None, half)
+    return {
+        k: half[k] if k in half else half[tuple(-c for c in k)].conjugate() for k in grid
+    }
 
 
 def weyl_sums(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], float]:
@@ -159,11 +169,6 @@ def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
         prefix = OrbitSample(sample.points[:m], sample.error_bound, sample.precision_bits)
         rows.append((m, star_discrepancy_1d(prefix)))
     return rows
-
-
-def koksma_bound(k: int, discrepancy: float) -> float:
-    """Denjoy-Koksma style bound on |S_N(k)| from the star discrepancy."""
-    return KOKSMA_CONSTANT * abs(k) * discrepancy
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +283,6 @@ def block_table(freqs: Mapping[tuple[int, ...], float], base: int, max_len: int)
     return rows, worst
 
 
-def block_deviations(
-    freqs: Mapping[tuple[int, ...], float], base: int, max_len: int
-) -> dict[int, float]:
-    """Per-length max |observed - base^-len| over all blocks (absent = 0),
-    as `block_table` finds it."""
-    return block_table(freqs, base, max_len)[1]
-
-
 def all_blocks(base: int, length: int):
     """Every block of `length` base-`base` digits, the first digit varying
     fastest."""
@@ -328,17 +325,6 @@ def subsequence_compare(sample: OrbitSample, p: int, k_max: int) -> SubsequenceR
     )
 
 
-def compare_to_fourier(sample: OrbitSample, coefficients, k_max: int) -> float:
-    """max over 0 < |k| <= K of |empirical character - predicted coefficient|.
-
-    One-dimensional: `coefficients` maps an integer n to an object with a
-    `.value` complex attribute (a CoefficientFunction).
-    """
-    if sample.dimension != 1:
-        raise ValueError("implemented for d = 1 only")
-    return fourier_deviation(character_means(sample, k_max), coefficients)
-
-
 def fourier_table(means: dict[tuple[int, ...], complex], coefficients) -> tuple[list, float]:
     """Rows (k, predicted, empirical, |empirical - predicted|) over the
     one-dimensional frequencies (k,) of `means` in increasing k, with
@@ -348,9 +334,3 @@ def fourier_table(means: dict[tuple[int, ...], complex], coefficients) -> tuple[
         predicted = coefficients(k).value
         rows.append((k, predicted, emp, abs(emp - predicted)))
     return rows, max((row[3] for row in rows), default=0.0)
-
-
-def fourier_deviation(means: dict[tuple[int, ...], complex], coefficients) -> float:
-    """max over the one-dimensional frequencies (k,) of `means` of
-    |means[(k,)] - coefficients(k).value|, as `fourier_table` finds it."""
-    return fourier_table(means, coefficients)[1]

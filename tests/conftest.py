@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from toruswalk.exactcore import (
-    IndeterminateExpansionError,
     IntMatrix,
     IrrationalBasis,
     Scalar,
@@ -30,11 +29,8 @@ def random_expanding_matrix(rng, dim, max_entry=5) -> IntMatrix:
         m = IntMatrix.from_rows(
             rng.integers(-max_entry, max_entry + 1, size=(dim, dim)).tolist()
         )
-        try:
-            if is_expanding(m):
-                return m
-        except IndeterminateExpansionError:
-            continue
+        if is_expanding(m):
+            return m
 
 
 def random_rational(rng, denom_max=6) -> Fraction:

@@ -19,9 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from toruswalk.chains import ReducibleChainError
-from toruswalk.exactcore import IndeterminateExpansionError, IntMatrix, Scalar
+from toruswalk.exactcore import IntMatrix, Scalar
 
 _Q0 = Fraction(0)
+
+
+class IndeterminateExpansionError(ArithmeticError):
+    """The float eigenvalue test cannot decide inside its margin band."""
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

@@ -622,6 +622,9 @@ _BAD_FIELDS = [
     pytest.param(dict(SCHEMA_CFGS[6], D=[1, 3]), "D", id="stationary-support-D-1"),
     pytest.param(dict(COND_CFG, D=[[3, 0], [0, 3]]), "t", id="ifs-t-dimension"),
     pytest.param(dict(SCHEMA_CFGS[4], D=[[[3, 0], [0, 3]], [[2, 0], [0, 2]]]), "alpha", id="walk-alpha-dimension"),
+    # 0 was accepted and then skipped without a control_char
+    pytest.param(dict(_SHORT_P["rotation-case"], control_q=0), "control_q", id="control_q-0"),
+    pytest.param(dict(_SHORT_P["rotation-case"], control_q=-2), "control_q", id="control_q-negative"),
 ]
 
 

@@ -27,6 +27,7 @@ from toruswalk.fractal import (
     precision_budget,
     repetition_weight,
     sample_word,
+    walk_letter_stream,
     walk_orbit_fixed,
     walk_trajectory,
 )
@@ -116,6 +117,21 @@ class TestSampleWord:
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             Word((0, 1), 2)
+
+    @pytest.mark.parametrize(
+        "law", [["1", "1"], ["3/2", "-1/2"], ["1", "-1"], ["1/2", "0", "1/2"], ["1/3", "1/3"]]
+    )
+    def test_letter_stream_refuses_a_law_not_summing_to_one(self, law):
+        # such weights were divided by their sum, or ended in NaN probabilities
+        with pytest.raises(ValueError, match="positive and sum to 1"):
+            walk_letter_stream([Fraction(p) for p in law], np.random.default_rng(0), 10)
+
+    def test_letter_stream_draws_of_a_valid_law(self):
+        law = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]
+        p = np.array([float(q) for q in law])
+        want = np.random.default_rng(4).choice([1, 2, 3], size=500, p=p / p.sum())
+        got = walk_letter_stream(law, np.random.default_rng(4), 500)
+        assert got.tolist() == want.tolist()
 
 
 class TestWalkTrajectory:

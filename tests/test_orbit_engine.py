@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import reference_orbits as ref
 from toruswalk import cli, fractal
 from toruswalk.exactcore import (
-    IndeterminateExpansionError,
     IntMatrix,
     IrrationalBasis,
     NearIntegerError,
@@ -109,10 +108,7 @@ def matrix_family(draw):
         [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
     )
     for m in (base, shifted):
-        try:
-            assume(is_expanding(m))
-        except IndeterminateExpansionError:
-            assume(False)
+        assume(is_expanding(m))
     assert commute(base, shifted)
     return [AffineEndo(m, (draw(scalars), draw(scalars))) for m in (base, shifted)]
 
@@ -130,10 +126,7 @@ def matrix_family_3d(draw):
         [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
     )
     for m in (base, shifted):
-        try:
-            assume(is_expanding(m))
-        except IndeterminateExpansionError:
-            assume(False)
+        assume(is_expanding(m))
     assert commute(base, shifted)
     return [AffineEndo(m, tuple(draw(scalars) for _ in range(3))) for m in (base, shifted)]
 
@@ -408,6 +401,87 @@ class TestKernels:
         fractal._walk_leaf(generic, 0, n, state + [0] * (3 - d), q, t, 0)
         assert run.points.tobytes() == generic.points[:, :d].copy().tobytes()
         assert run.spread == generic.spread
+
+
+@st.composite
+def positive_family(draw):
+    """Maps x -> D_i x + alpha_i with D_i >= 1, some with zero offsets
+    (inactive letters): the engine takes its block maps from the error-budget
+    tree."""
+    k = draw(st.integers(1, 3))
+    ds = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=k, max_size=k))
+    offsets = st.just(Scalar.rational(0, B)) | scalars
+    return [AffineEndo(IntMatrix.scalar(d), (draw(offsets),)) for d in ds]
+
+
+def assert_same_walk(endos, x0, letters, precision_bits=None):
+    new = outcome(walk_orbit_fixed, endos, x0, letters, precision_bits=precision_bits)
+    old = outcome(ref.walk_orbit_fixed, endos, x0, letters, precision_bits=precision_bits)
+    assert new[0] == old[0]
+    if new[0] == "raised":
+        assert new[1] == old[1]
+        return
+    new, old = new[1], old[1]
+    assert new.precision_bits == old.precision_bits
+    assert new.error_bound == old.error_bound
+    assert new.points.tobytes() == old.points.tobytes()
+
+
+class TestSharedBudgetTree:
+    """A one-dimensional walk with multipliers >= 1 takes the engine's block
+    maps from its error-budget tree, and a rotation has no tree: the orbits,
+    bounds and refusals must stay the step-by-step loop's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.data(),
+        st.one_of(positive_family(), scalar_family(), rotation_family()),
+        st.integers(600, 3000),
+        st.none() | st.integers(-40, 40),
+    )
+    def test_same_orbit_as_the_loop(self, data, endos, n, slack):
+        letters = letters_for(data.draw, endos, n)
+        precision = None
+        if slack is not None:  # explicit precisions around where the budget runs out
+            amp = sum(math.log2(abs(e.linear.rows[0][0])) for e in endos) / len(endos)
+            precision = max(64, int(n * amp) + 33 + slack)
+        assert_same_walk(endos, TorusPoint([data.draw(scalars)]), letters, precision)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), positive_family(), st.integers(600, 3000))
+    def test_every_map_the_engine_uses_is_kept(self, data, endos, n):
+        # with multipliers <= 7 the engine splits only ranges the tree splits
+        letters = letters_for(data.draw, endos, n)
+        requests = []
+        map_of = fractal._map_of
+
+        def spy(run, lo, hi):
+            kept = (lo, hi) in run.kept
+            block = map_of(run, lo, hi)
+            assert block == fractal._block_map(run.mats, run.active, run.letters, lo, hi)
+            requests.append(kept)
+            return block
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractal, "_map_of", spy)
+            walk_orbit_fixed(endos, TorusPoint([data.draw(scalars)]), letters)
+        assert all(requests)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.one_of(positive_family(), rotation_family()), st.integers(0, 3000))
+    def test_budget_integers_are_the_tree(self, data, endos, n):
+        # letters of the alphabet that the word leaves out count as well
+        letters = fractal._letter_indices(letters_for(data.draw, endos[:-1] or endos, n), len(endos))
+        amps = [e.linear.rows[0][0] for e in endos]
+        active = [True] * len(amps)
+        keep = {}
+        budget = fractal._error_budget(amps, letters, keep)
+        assert budget == fractal._scalar_tree(amps, active, letters, 0, n)
+        for (lo, hi), (prod, sums) in keep.items():
+            maps = [((a,),) for a in amps]
+            assert fractal._block_map(maps, active, letters, lo, hi) == (
+                ((prod,),), [((c,),) for c in sums]
+            )
 
 
 @contextlib.contextmanager

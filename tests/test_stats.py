@@ -2,30 +2,27 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_output
 from toruswalk.exactcore import IntMatrix, IrrationalBasis, Scalar, TorusPoint, fractional_part
 from toruswalk.fractal import AffineEndo, walk_trajectory
 from toruswalk.spectral import CoefficientFunction, DiscreteMeasure
 from toruswalk.stats import (
-    KOKSMA_CONSTANT,
     OrbitSample,
     DISCREPANCY_CHECKPOINTS,
     all_blocks,
-    block_deviations,
     block_frequencies,
     block_table,
     character_means,
-    compare_to_fourier,
     control_character,
     digit_block_freqs,
     extract_digits,
-    fourier_deviation,
     fourier_table,
-    koksma_bound,
     running_discrepancy,
     star_discrepancy_1d,
     subsequence_compare,
@@ -83,18 +80,48 @@ class TestWeylSums:
         with pytest.raises(ValueError):
             weyl_sums(bad, 2)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_conjugate_grid_matches_brute_force_bitwise(self, dim):
-        # the d > 1 grid takes out[-k] as conj(out[k]); every value must be
-        # the bits of evaluating its own frequency
-        pts = np.random.default_rng(40 + dim).random((3001, dim))
+    @pytest.mark.parametrize("dim, n, k_max", [(2, 500, 4), (3, 200, 3)])
+    def test_grid_within_rounding_of_exact_means(self, dim, n, k_max):
+        # each value within (||k||_1 + log2 N) 2^-50 of the 200-bit mean of
+        # e(k.x) over the same float points
+        pts = np.random.default_rng(40 + dim).random((n, dim))
+        means = character_means(OrbitSample(pts, 0.0, 64), k_max)
+        with mpmath.workprec(200):
+            # e(x_j)^m = e^{2 pi i m x_j} for every point, coordinate and |m| <= K
+            exps = range(-k_max, k_max + 1)
+            powers = [
+                [{m: mpmath.expjpi(2 * m * mpmath.mpf(float(x))) for m in exps} for x in row]
+                for row in pts
+            ]
+            for k, value in means.items():
+                total = mpmath.mpc(0)
+                for row in powers:
+                    term = mpmath.mpc(1)
+                    for table, c in zip(row, k):
+                        term *= table[c]
+                    total += term
+                gap = abs(value - complex(total / n))
+                assert gap <= (sum(map(abs, k)) + math.log2(n)) * 2.0 ** -50, k
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_order_and_conjugate_half(self, dim):
+        pts = np.random.default_rng(50 + dim).random((1001, dim))
         means = character_means(OrbitSample(pts, 0.0, 64), 3)
-        grid = [k for k in itertools.product(range(-3, 4), repeat=dim) if any(k)]
-        assert list(means) == grid
+        assert list(means) == [k for k in itertools.product(range(-3, 4), repeat=dim) if any(k)]
         for k, value in means.items():
-            brute = complex(np.mean(np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))))
-            for got, want in ((value.real, brute.real), (value.imag, brute.imag)):
+            conj = means[tuple(-c for c in k)].conjugate()
+            for got, want in ((value.real, conj.real), (value.imag, conj.imag)):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
+
+    @pytest.mark.parametrize("n, k_max", [(1, 1), (997, 8), (20000, 5)])
+    def test_one_dimensional_grid_is_the_power_recurrence(self, n, k_max):
+        # bit for bit: rational-case reports read these values
+        sample = sample_1d(np.random.default_rng(n).random(n))
+        means = character_means(sample, k_max)
+        old = reference_output.character_means(sample, k_max)
+        assert sorted(means) == sorted(old)
+        for k, value in means.items():
+            assert np.complex128(value).tobytes() == np.complex128(old[k]).tobytes(), k
 
 
 class TestStarDiscrepancy:
@@ -133,8 +160,7 @@ class TestStarDiscrepancy:
             disc = star_discrepancy_1d(s)
             ws = weyl_sums(s, 6)
             for (k,), v in ws.items():
-                assert v <= koksma_bound(k, disc) + 1e-12
-        assert KOKSMA_CONSTANT == pytest.approx(2 * math.pi)
+                assert v <= 2 * math.pi * abs(k) * disc + 1e-12
 
 
 class TestDigits:
@@ -156,8 +182,6 @@ class TestDigits:
         assert len(digits) == 30 and all(0 <= d < 3 for d in digits)
 
     def test_irrational_against_mpmath(self):
-        import mpmath
-
         s = Scalar(B, (F(0), F(1)))  # sqrt2
         got = extract_digits(s, 10, 40)
         with mpmath.workdps(60):
@@ -173,8 +197,7 @@ class TestDigits:
 
     def test_block_deviation_helper(self):
         freqs = {(0,): 0.5, (1,): 0.5}
-        dev = block_deviations(freqs, 2, 1)
-        assert dev[1] == pytest.approx(0.0)
+        assert block_table(freqs, 2, 1)[1][1] == pytest.approx(0.0)
         # base 3 digits without a 2: every block holding a 2 is absent
         for digits, base, max_len in (([0, 1] * 4, 2, 3), ([0, 1, 1, 0, 0, 0, 1], 3, 2), ([2], 3, 1)):
             freqs = block_frequencies(digits, max_len)
@@ -189,8 +212,8 @@ class TestDigits:
                 length: max(row[3] for row in rows if len(row[0]) == length)
                 for length in range(1, max_len + 1)
             }
-            assert block_deviations(freqs, base, max_len) == worst == per_length
-        assert block_deviations({(0,): 1.0}, 3, 1) == {1: 1 - 1 / 3}
+            assert worst == per_length
+        assert block_table({(0,): 1.0}, 3, 1)[1] == {1: 1 - 1 / 3}
         # blocks.csv order: the first digit varies fastest
         assert list(all_blocks(2, 2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -274,14 +297,14 @@ class TestSubsequences:
 class TestCompareToFourier:
     def test_uniform_against_haar(self):
         pts = np.random.default_rng(17).random(100000)
-        dev = compare_to_fourier(sample_1d(pts), CoefficientFunction.haar(), 8)
+        dev = fourier_table(character_means(sample_1d(pts), 8), CoefficientFunction.haar())[1]
         ws = weyl_sums(sample_1d(pts), 8)
         assert dev == pytest.approx(max(ws.values()), abs=1e-12)
 
     def test_constant_orbit_vs_point_mass(self):
         pts = np.full(500, 0.5)
         law = DiscreteMeasure.point_mass(F(1, 2)).coefficients()
-        assert compare_to_fourier(sample_1d(pts), law, 6) < 1e-10
+        assert fourier_table(character_means(sample_1d(pts), 6), law)[1] < 1e-10
 
     @pytest.mark.parametrize("atom", [F(0), F(1, 3), F(2, 5)])
     def test_table_rows_and_max(self, atom):
@@ -293,7 +316,7 @@ class TestCompareToFourier:
         for k, predicted, empirical, diff in rows:
             assert predicted == law(k).value and empirical == means[(k,)]
             assert diff == abs(empirical - predicted)
-        assert worst == max(row[3] for row in rows) == fourier_deviation(means, law)
+        assert worst == max(row[3] for row in rows)
 
     def test_eta_chain_empirical_vs_stationary(self):
         from toruswalk.chains import build_eta_chain
@@ -301,9 +324,8 @@ class TestCompareToFourier:
         eta = build_eta_chain(3, [Scalar.rational(0, B), Scalar.rational(F(1, 2), B)])
         sim = eta.simulate(np.random.default_rng(29), 100000)
         pts = np.array([float(eta.states[i]) for i in sim])
-        dev = compare_to_fourier(
-            sample_1d(pts), eta.stationary_measure().coefficients(), 8
-        )
+        means = character_means(sample_1d(pts), 8)
+        dev = fourier_table(means, eta.stationary_measure().coefficients())[1]
         assert dev < 0.02
 
 
