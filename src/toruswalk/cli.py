@@ -77,7 +77,7 @@ def config_hash(config: dict) -> str:
 # canonical value; scalars are parsed against the config's irrationals.
 
 
-def _int(value, field, cfg=None, minimum=None) -> int:
+def _int(value, field, cfg=None, minimum=None, maximum=None) -> int:
     """An integer; bools and floats with a fractional part are refused."""
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -87,11 +87,13 @@ def _int(value, field, cfg=None, minimum=None) -> int:
         raise _bad(field, f"expected an integer, got {value!r}") from exc
     if minimum is not None and n < minimum:
         raise _bad(field, f"must be >= {minimum}")
+    if maximum is not None and n > maximum:
+        raise _bad(field, f"must be <= {maximum}")
     return n
 
 
-def _at_least(minimum: int) -> Callable:
-    return lambda value, field, cfg=None: _int(value, field, minimum=minimum)
+def _at_least(minimum: int, maximum: int | None = None) -> Callable:
+    return lambda value, field, cfg=None: _int(value, field, minimum=minimum, maximum=maximum)
 
 
 def _choice(*options) -> Callable:
@@ -168,7 +170,7 @@ def _positive_float(value, field, cfg=None) -> float:
 
 
 def _precision(value, field, cfg=None):
-    return value if value == "auto" else _int(value, field, minimum=64)
+    return value if value == "auto" else _int(value, field, minimum=64, maximum=MAX_PRECISION)
 
 
 def _measures(value, field, cfg) -> dict:
@@ -223,12 +225,21 @@ def _table(raw, rows: list[Field], field: str = "", cfg: dict | None = None) -> 
     return out
 
 
+# Upper bounds of the size fields, far above every desk-scale run, so that a
+# size typed wrong (precision: 7.05e16) is refused by name before any work.
+MAX_STEPS = 10_000_000
+MAX_K = 1000
+MAX_PRECISION = 1 << 20
+MAX_RANGE = 100_000
+# rows of the Weyl grid, (2K + 1)^d, and of the block table, D^L
+MAX_TABLE = 1 << 20
+
 _MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
 _ALPHAS = Field("alpha", _vectors, REQUIRED, "list of scalar vectors (one per map)")
 _X0 = Field("x0", _vector, ORIGIN, "scalar vector (a string in one dimension)")
 _P = Field("P", _scalar_list, UNIFORM, "selection probabilities (rationals > 0 summing to 1, one per map)")
-_STEPS = Field("N", _at_least(1), 100000, "steps")
-_K = Field("K", _at_least(1), 8, "character range")
+_STEPS = Field("N", _at_least(1, MAX_STEPS), 100000, f"steps (<= {MAX_STEPS})")
+_K = Field("K", _at_least(1, MAX_K), 8, f"character range (<= {MAX_K}, (2K+1)^d <= {MAX_TABLE})")
 _CONDITION = Field("condition", _choice("walk", "ifs"), "ifs", "'walk' or 'ifs'")
 
 FIELDS: dict[str, list[Field]] = {
@@ -238,8 +249,8 @@ FIELDS: dict[str, list[Field]] = {
         Field("r", _integers, REQUIRED, "positive integer exponents"),
         Field("t", _scalar_list, REQUIRED, "scalar translations"),
         _P,
-        Field("N", _at_least(1), 10000, "digits"),
-        Field("L", _at_least(1), 2, "max block length (<= N)"),
+        Field("N", _at_least(1, MAX_STEPS), 10000, f"digits (<= {MAX_STEPS})"),
+        Field("L", _at_least(1), 2, f"max block length (<= N, D^L <= {MAX_TABLE})"),
     ],
     "condition-check": [_CONDITION],
     "rational-case": [
@@ -249,11 +260,11 @@ FIELDS: dict[str, list[Field]] = {
     ],
     "fourier": [
         Field("measures", _measures, REQUIRED, "{name: measure}, see 'measure fields'"),
-        Field("dump_range", _at_least(0), 32, "CSV coefficient range"),
+        Field("dump_range", _at_least(0, MAX_RANGE), 32, f"CSV coefficient range (<= {MAX_RANGE})"),
         Field("tol", _positive_float, 1e-9, "product truncation tolerance (finite, > 0)"),
         Field("zero_checks", _zero_checks, [], "list of tables, see 'zero_checks fields'"),
         Field("haar_convolution", _list_of(_text, "measure names"), None, "[nameA, nameB] or null"),
-        Field("haar_range", _at_least(1), 1000, "N for is-Haar check"),
+        Field("haar_range", _at_least(1, MAX_RANGE), 1000, f"N for is-Haar check (<= {MAX_RANGE})"),
     ],
     "stationary-support": [
         Field("D", _integers, REQUIRED, "list of integers (|D_i| >= 2)"),
@@ -281,7 +292,7 @@ COMMON = [
     Field("kind", _choice(*KINDS), REQUIRED, f"one of {list(KINDS)}"),
     Field("seed", _at_least(0), 0, f"PRNG seed ({PRNG_NAME})"),
     Field("irrationals", _symbols, [], "declared symbol names, e.g. ['sqrt2']; sqrtN, pi, e supported"),
-    Field("precision", _precision, "auto", "'auto' or explicit bits (>= 64)"),
+    Field("precision", _precision, "auto", f"'auto' or explicit bits (>= 64, <= {MAX_PRECISION})"),
 ]
 MEASURE_FIELDS = [
     Field("base", _int, REQUIRED, "integer with |base| >= 2"),
@@ -338,6 +349,8 @@ def normalize_config(raw: dict) -> dict:
         for name, entries in vectors.items():
             if any(len(v) != dim for v in entries):
                 raise _bad(name, "dimension mismatch")
+        if "K" in cfg and (2 * cfg["K"] + 1) ** dim > MAX_TABLE:
+            raise _bad("K", f"the Weyl grid (2K+1)^{dim} must have <= {MAX_TABLE} frequencies")
     if "r" in cfg and len(cfg["r"]) != len(maps):
         raise _bad("r", f"expected {len(maps)} exponents, one per map")
     if "P" in cfg:
@@ -351,6 +364,8 @@ def normalize_config(raw: dict) -> dict:
         raise _bad("D", "must be expanding (|D| >= 2)")
     if "L" in cfg and cfg["L"] > cfg["N"]:
         raise _bad("L", "must be <= N")
+    if "L" in cfg and (cfg["L"] > MAX_TABLE.bit_length() or cfg["D"][0][0] ** cfg["L"] > MAX_TABLE):
+        raise _bad("L", f"the block table D^L must have <= {MAX_TABLE} rows")
     for name, m in cfg.get("measures", {}).items():
         m["weights"] = _weights(m["weights"], len(m["atoms"]), f"measures.{name}.weights")
         if abs(m["base"]) < 2:

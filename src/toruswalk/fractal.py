@@ -79,7 +79,7 @@ class Word:
     alphabet: int
 
     def __post_init__(self) -> None:
-        if any(not 1 <= a <= self.alphabet for a in self.letters):
+        if self.letters and not 1 <= min(self.letters) <= max(self.letters) <= self.alphabet:
             raise ValueError("letters out of range")
 
     def __len__(self) -> int:
@@ -487,6 +487,8 @@ def _block_map(mats, active, letters, lo, hi):
     product of the matrices after that step (None where active[k] is false).
     """
     d = len(mats[0])
+    if d == 1 and len(mats) == 1 and not active[0]:  # x -> D x: one power
+        return ((int(mats[0][0][0]) ** (hi - lo),),), [None]
     if d == 1:  # plain ints: the per-step tuple work would dominate
         prod, sums = _scalar_tree([m[0][0] for m in mats], active, letters, lo, hi)
         return ((prod,),), [None if c is None else ((c,),) for c in sums]

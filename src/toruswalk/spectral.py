@@ -9,12 +9,22 @@ D^-s in 1/2 + Z), which covers every exact claim needed; all other small
 values are reported as numerically below the certified error.
 
 Every character average sum_i w_i e(n a_i D^-s), e(x) = exp(2 pi i x), goes
-through one float64 evaluator, `_character_average`.  It reduces each angle
-with exact integers to the nearest quarter turn plus an offset of at most
-1/8 turn, so quarter turns come out exactly as +-1 and +-i; the offset goes
-through one correctly rounded integer division and libm `cos`/`sin`.  Its
-docstring derives why the result stays inside the per-factor rounding
-allowance `(k + 2) 2^-52` that the certified errors state.
+through one float64 evaluator, `_character_average`, which runs the whole
+truncated product of a coefficient (every scale s = 0..S) in one call.  It
+reduces each angle with exact integers to the nearest quarter turn plus an
+offset of at most 1/8 turn, so quarter turns come out exactly as +-1 and
++-i; the offset goes through one correctly rounded integer division and libm
+`cos`/`sin`.  Its docstring derives why the result stays inside the
+per-factor rounding allowance `(k + 2) 2^-52` that the certified errors
+state.
+
+What depends only on the measure is derived once per measure, not per
+coefficient (`_measure_data`: a `DiscreteMeasure` in its constructor, a
+`SelfSimilarSpec` on first use): the common denominator Q and numerators
+A_i = a_i Q of the atoms, the float weights, float(max |a_i|), and for an
+equal-weight pair the gap |a_2 - a_1| as an integer fraction g / h, so that
+the exact-zero test runs on integers: 2 |g n| >= h |D|^j and
+2 |g n| / (h |D|^j) odd.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from .exactcore import frac
 
@@ -47,7 +58,6 @@ __all__ = [
 EVALUATOR = "float64-octant"
 
 _Q0 = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -69,17 +79,56 @@ _PI_SCALED = 0x3243F6A8885A308D313198A2E0370734
 _PI_SHIFT = 125
 
 
-def _over_common_denominator(atoms: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(Q, [A_i]) with a_i = A_i / Q for one common denominator Q."""
+class _MeasureData(NamedTuple):
+    """What the coefficient functions read of a measure, derived once."""
+
+    modulus: int  # the common denominator Q of the atoms a_i = A_i / Q
+    numerators: tuple[int, ...]  # the A_i
+    weights: tuple[float, ...]  # the correctly rounded weights
+    delta_max: float  # float(max |a_i|)
+    trivial: bool  # max |a_i| == 0, so every character is 1
+    gap: tuple[int, int] | None  # |a_2 - a_1| as (numerator, denominator), equal-weight pairs only
+
+
+def _measure_data(atoms: Sequence[Fraction], weights: Sequence[Fraction]) -> _MeasureData:
     q = math.lcm(*(a.denominator for a in atoms))
-    return q, [a.numerator * (q // a.denominator) for a in atoms]
+    delta_max = max(abs(a) for a in atoms)
+    gap = None
+    if len(atoms) == 2 and weights[0] == weights[1]:
+        g = abs(atoms[1] - atoms[0])
+        gap = (g.numerator, g.denominator)
+    return _MeasureData(
+        q,
+        tuple(a.numerator * (q // a.denominator) for a in atoms),
+        tuple(float(w) for w in weights),
+        float(delta_max),
+        delta_max == 0,
+        gap,
+    )
+
+
+def _half_odd(twice: int, den: int) -> bool:
+    """twice / den is an odd integer: half of it lies in 1/2 + Z."""
+    quotient, rest = divmod(twice, den)
+    return not rest and quotient & 1 == 1
 
 
 def _character_average(
-    numerators: Sequence[int], weights: Sequence[float], n: int, modulus: int
+    numerators: Sequence[int],
+    weights: Sequence[float],
+    n: int,
+    modulus: int,
+    scales: int = 1,
+    base: int = 1,
 ) -> complex:
-    """sum_i w_i e(n A_i / modulus) in float64, for rational weights w_i >= 0
-    with sum 1 given as their correctly rounded floats.
+    """prod_{0 <= s < scales} sum_i w_i e(n A_i / (modulus base^s)) in
+    float64, for rational weights w_i >= 0 with sum 1 given as their
+    correctly rounded floats; one scale (the default) is one average.
+
+    Scale s has angle n A_i / (modulus base^s) = (+-n) A_i / (modulus
+    |base|^s): after each scale the modulus grows by |base| and, for a
+    negative base, n changes sign.  The product starts at 1 + 0j and takes
+    the factors in order of s.
 
     Each angle is reduced with exact integers: 4 n A_i = q M + rho with
     -M/2 < rho <= M/2 (M = modulus), so e(n A_i / M) = i^q e(rho / (4 M))
@@ -117,40 +166,49 @@ def _character_average(
     second-order terms; those stay below (S + 1)^2 (20 u)^2, far smaller for
     every depth S <= 1100 that float64 tail bounds can produce.
     """
-    re = im = 0.0
-    n4 = 4 * n
-    half = modulus >> 1
-    scaled = modulus << _PI_SHIFT
-    for a, w in zip(numerators, weights):
-        quadrant, rho = divmod(n4 * a, modulus)
-        if rho > half:
-            quadrant += 1
-            rho -= modulus
-        if rho:
-            phi = _PI_SCALED * rho / scaled
-            c, s = math.cos(phi), math.sin(phi)
-        else:
-            c, s = 1.0, 0.0
-        quadrant &= 3
-        if quadrant == 0:
-            re += w * c
-            im += w * s
-        elif quadrant == 1:
-            re -= w * s
-            im += w * c
-        elif quadrant == 2:
-            re -= w * c
-            im -= w * s
-        else:
-            re += w * s
-            im -= w * c
-    return complex(re, im)
+    d_abs = abs(base)
+    flip = base < 0
+    pairs = list(zip(numerators, weights))
+    prod = 1.0 + 0j
+    for _ in range(scales):
+        re = im = 0.0
+        n4 = 4 * n
+        half = modulus >> 1
+        scaled = modulus << _PI_SHIFT
+        for a, w in pairs:
+            quadrant, rho = divmod(n4 * a, modulus)
+            if rho > half:
+                quadrant += 1
+                rho -= modulus
+            if rho:
+                phi = _PI_SCALED * rho / scaled
+                c, s = math.cos(phi), math.sin(phi)
+            else:
+                c, s = 1.0, 0.0
+            quadrant &= 3
+            if quadrant == 0:
+                re += w * c
+                im += w * s
+            elif quadrant == 1:
+                re -= w * s
+                im += w * c
+            elif quadrant == 2:
+                re -= w * c
+                im -= w * s
+            else:
+                re += w * s
+                im -= w * c
+        prod *= complex(re, im)
+        modulus *= d_abs
+        if flip:
+            n = -n
+    return prod
 
 
 class DiscreteMeasure:
     """Finitely supported probability measure on T^1 with rational data."""
 
-    __slots__ = ("atoms", "weights")
+    __slots__ = ("atoms", "weights", "_data")
 
     def __init__(self, atoms: Sequence[Fraction], weights: Sequence[Fraction]):
         if len(atoms) != len(weights):
@@ -169,6 +227,7 @@ class DiscreteMeasure:
         items = sorted(merged.items())
         self.atoms = tuple(a for a, _ in items)
         self.weights = tuple(w for _, w in items)
+        self._data = _measure_data(self.atoms, self.weights)
 
     @classmethod
     def point_mass(cls, atom: Fraction = _Q0) -> "DiscreteMeasure":
@@ -199,12 +258,10 @@ def fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
     """
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
-    if len(measure.atoms) == 2 and measure.weights[0] == measure.weights[1]:
-        gap = frac((measure.atoms[1] - measure.atoms[0]) * n)
-        if gap == _HALF:
-            return FourierValue(0j, 0.0, exact_zero=True)
-    q, numerators = _over_common_denominator(measure.atoms)
-    val = _character_average(numerators, [float(w) for w in measure.weights], n, q)
+    data = measure._data
+    if data.gap is not None and _half_odd(2 * abs(data.gap[0] * n), data.gap[1]):
+        return FourierValue(0j, 0.0, exact_zero=True)
+    val = _character_average(data.numerators, data.weights, n, data.modulus)
     return FourierValue(val, (len(measure.atoms) + 2) * 2.0 ** -52, exact_zero=False)
 
 
@@ -235,6 +292,10 @@ class SelfSimilarSpec:
             weights = [Fraction(1, len(atoms))] * len(atoms)
         return cls(int(base), atoms, tuple(Fraction(w) for w in weights))
 
+    @cached_property
+    def _data(self) -> _MeasureData:
+        return _measure_data(self.atoms, self.weights)
+
     def fourier(self, n: int, tol: float = 1e-9) -> FourierValue:
         return fourier_selfsimilar(self, n, tol)
 
@@ -255,7 +316,7 @@ def truncation_depth(spec: SelfSimilarSpec, n: int, tol: float) -> int:
     """Last scale S that `fourier_selfsimilar` keeps for frequency n: the
     scale-s factor is within lead |D|^-s of 1, lead = 2 pi |n| max|Delta|, and
     S is the smallest depth whose neglected tail stays below log1p(tol)."""
-    lead = 2.0 * math.pi * abs(n) * float(max(abs(a) for a in spec.atoms))
+    lead = 2.0 * math.pi * abs(n) * spec._data.delta_max
     return _depth(lead, abs(spec.base), tol)
 
 
@@ -274,31 +335,26 @@ def fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> Fou
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
 
-    d_abs = abs(spec.base)
-    delta_max = max(abs(a) for a in spec.atoms)
-    if delta_max == 0:
+    data = spec._data
+    if data.trivial:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
 
-    # exact vanishing: some factor is an equal-weight antipodal pair
-    if len(spec.atoms) == 2 and spec.weights[0] == spec.weights[1]:
-        gap = (spec.atoms[1] - spec.atoms[0]) * n
-        while abs(gap) >= _HALF:
-            if (gap - _HALF).denominator == 1:
+    # exact vanishing: some factor is an equal-weight antipodal pair, i.e.
+    # |n| gap / |D|^j >= 1/2 lies in 1/2 + Z for some scale j
+    d_abs = abs(spec.base)
+    if data.gap is not None:
+        num, den = data.gap
+        twice = 2 * abs(num * n)
+        while twice >= den:
+            if _half_odd(twice, den):
                 return FourierValue(0j, 0.0, exact_zero=True)
-            gap /= spec.base
+            den *= d_abs
 
-    lead = 2.0 * math.pi * abs(n) * float(delta_max)
+    lead = 2.0 * math.pi * abs(n) * data.delta_max
     s_cut = _depth(lead, d_abs, tol)
-    # scale s has angle n A_i / (Q D^s) = (+-n) A_i / (Q |D|^s)
-    modulus, numerators = _over_common_denominator(spec.atoms)
-    weights = [float(w) for w in spec.weights]
-    flip = spec.base < 0
-    prod = 1.0 + 0j
-    for _ in range(s_cut + 1):
-        prod *= _character_average(numerators, weights, n, modulus)
-        modulus *= d_abs
-        if flip:
-            n = -n
+    prod = _character_average(
+        data.numerators, data.weights, n, data.modulus, s_cut + 1, spec.base
+    )
     tail_err = math.expm1(lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs))
     round_err = (s_cut + 2) * (len(spec.atoms) + 2) * 2.0 ** -52
     return FourierValue(prod, tail_err + round_err, exact_zero=False)

@@ -477,6 +477,61 @@ class TestProbabilityCount:
 
 _RATIONAL_CFG = _SHORT_P["rational-case"]
 
+_WALK_2D_CFG = {
+    "kind": "walk-sim",
+    "D": [[[2, 0], [0, 3]]],
+    "alpha": [["0", "1/3"]],
+    "N": 10,
+}
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            (dict(WALK_CFG, precision=7.05e16), "precision"),
+            (dict(WALK_CFG, precision=cli.MAX_PRECISION + 1), "precision"),
+            (dict(WALK_CFG, N=cli.MAX_STEPS + 1), "N"),
+            (dict(_SHORT_P["normality"], N=10 ** 12), "N"),
+            (dict(_RATIONAL_CFG, N=2 ** 70), "N"),
+            (dict(_SHORT_P["rotation-case"], K=cli.MAX_K + 1), "K"),
+            (dict(_WALK_2D_CFG, K=600), "K"),
+            (dict(_SHORT_P["normality"], N=10 ** 6, L=13), "L"),
+            (dict(_SHORT_P["normality"], D=10 ** 9, N=10 ** 6, L=1), "L"),
+            (dict(FOURIER_CFG, dump_range=cli.MAX_RANGE + 1), "dump_range"),
+            (dict(FOURIER_CFG, haar_range=10 ** 15), "haar_range"),
+        ],
+    )
+    def test_over_the_cap_is_refused_by_name(self, cfg, field, tmp_path, capsys):
+        with pytest.raises(ConfigError) as info:
+            normalize_config(cfg)
+        assert info.value.field == field
+        err = _run_error(tmp_path, capsys, cfg)
+        assert f"field '{field}'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(WALK_CFG, precision=cli.MAX_PRECISION, N=cli.MAX_STEPS, K=cli.MAX_K),
+            dict(_WALK_2D_CFG, K=511),
+            dict(_SHORT_P["normality"], N=10 ** 6, L=12),
+            dict(FOURIER_CFG, dump_range=cli.MAX_RANGE, haar_range=cli.MAX_RANGE),
+        ],
+    )
+    def test_the_caps_themselves_are_accepted(self, cfg):
+        normalize_config(cfg)
+
+    def test_schema_prints_the_caps(self, capsys):
+        assert main(["schema"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert f"<= {cli.MAX_PRECISION}" in doc["config"]["precision"]
+        for kind in ("walk-sim", "rotation-case", "rational-case", "normality"):
+            assert f"<= {cli.MAX_STEPS}" in doc[kind]["N"]
+        assert f"<= {cli.MAX_K}" in doc["walk-sim"]["K"]
+        assert f"<= {cli.MAX_TABLE}" in doc["normality"]["L"]
+        for name in ("dump_range", "haar_range"):
+            assert f"<= {cli.MAX_RANGE}" in doc["fourier"][name]
+
 
 class TestIntegerFields:
     def test_rational_case_n_zero(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ import reference_fourier as ref
 from toruswalk import spectral
 from toruswalk.spectral import (
     DiscreteMeasure,
+    FourierValue,
     SelfSimilarSpec,
     fourier_discrete,
     fourier_selfsimilar,
@@ -69,6 +70,76 @@ class TestAgainstMpmathPath:
         assert new.exact_zero == old.exact_zero
         assert new.error <= old.error
         assert abs(new.value - old.value) <= new.error + old.error
+
+
+def _bits(value) -> tuple:
+    """A FourierValue as exact bit patterns (float.hex keeps the sign of 0)."""
+    return value.value.real.hex(), value.value.imag.hex(), value.error.hex(), value.exact_zero
+
+
+@st.composite
+def onepass_specs(draw) -> SelfSimilarSpec:
+    """One to four unsorted atoms, all zero now and then, over bases +-2..+-7."""
+    k = draw(st.integers(1, 4))
+    points = [F(0)] * k if draw(st.integers(0, 9)) == 0 else draw(st.lists(atoms, min_size=k, max_size=k))
+    return SelfSimilarSpec.create(draw(bases), points, draw(weight_lists(k)))
+
+
+class TestOnePassAgainstPerCall:
+    """Each measure's integer data derived once and one evaluator call over
+    every scale give the bits of the per-call path (tests/reference_fourier.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(onepass_specs(), freqs, tols)
+    def test_selfsimilar_bitwise(self, spec, n, tol):
+        assert _bits(fourier_selfsimilar(spec, n, tol)) == _bits(
+            ref.percall_fourier_selfsimilar(spec, n, tol)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(discrete_measures(), freqs)
+    def test_discrete_bitwise(self, measure, n):
+        assert _bits(fourier_discrete(measure, n)) == _bits(ref.percall_fourier_discrete(measure, n))
+
+    @pytest.mark.parametrize("base", [4, -4, 6, -3])
+    def test_unsorted_equal_weight_pair(self, base):
+        # gap 1/2 in either atom order: every odd n is an exact zero at scale 0
+        for points in (["1/2", "0"], ["0", "1/2"]):
+            spec = SelfSimilarSpec.create(base, points)
+            for n in [*range(-41, 42, 2), 10 ** 12 + 1, -(10 ** 12) - 3]:
+                got = fourier_selfsimilar(spec, n)
+                assert got.exact_zero
+                assert _bits(got) == _bits(ref.percall_fourier_selfsimilar(spec, n))
+
+    def test_zero_exactly_at_a_deep_scale(self):
+        # gap 1/6, base -4: |n| gap 2 / 4^i is 7 4^(j-i), odd only at scale
+        # i = j, for n = 3 4^j 7
+        spec = SelfSimilarSpec.create(-4, ["1/6", "0"])
+        for j in range(6):
+            n = 3 * 4 ** j * 7
+            assert fourier_selfsimilar(spec, n).exact_zero
+            for m in (n, -n, 2 * n, n + 3):
+                assert _bits(fourier_selfsimilar(spec, m)) == _bits(ref.percall_fourier_selfsimilar(spec, m))
+
+    def test_zero_max_delta(self):
+        spec = SelfSimilarSpec.create(-3, ["0", "0", "0"], ["1/2", "1/4", "1/4"])
+        for n in (1, -7, 10 ** 12):
+            assert _bits(fourier_selfsimilar(spec, n)) == _bits(FourierValue(1.0 + 0j, 0.0))
+
+    def test_one_scale_is_one_average(self):
+        numerators, weights = [3, -5, 11], [0.25, 0.5, 0.25]
+        for n in (1, -2, 10 ** 12 + 7):
+            got = spectral._character_average(numerators, weights, n, 17)
+            assert _bits(FourierValue(got, 0.0)) == _bits(
+                FourierValue(ref.percall_average(numerators, weights, n, 17), 0.0)
+            )
+
+    def test_measure_data_is_derived_once(self):
+        spec = SelfSimilarSpec.create(4, ["1/4", "0"])
+        assert spec._data is spec._data
+        assert spec._data.gap == (1, 4) and spec._data.modulus == 4
+        measure = DiscreteMeasure.uniform([F(3, 4), F(1, 4)])
+        assert measure._data.gap == (1, 2) and measure._data.numerators == (1, 3)
 
 
 class TestRoundingTerm:

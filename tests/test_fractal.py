@@ -119,6 +119,18 @@ class TestSampleWord:
             Word((0, 1), 2)
 
     @pytest.mark.parametrize(
+        "letters, k", [((1, 0, 2), 3), ((0,), 2), ((3,), 2), ((1, 2, 3, 2), 2), ((2, 1, 3), 2)]
+    )
+    def test_letters_out_of_range_anywhere(self, letters, k):
+        # 0 and k + 1, first, last or inside the word
+        with pytest.raises(ValueError, match="out of range"):
+            Word(letters, k)
+
+    def test_letters_in_range_and_empty_word(self):
+        assert len(Word((), 2)) == 0
+        assert Word((2, 1, 2, 1), 2).letters == (2, 1, 2, 1)
+
+    @pytest.mark.parametrize(
         "law", [["1", "1"], ["3/2", "-1/2"], ["1", "-1"], ["1/2", "0", "1/2"], ["1/3", "1/3"]]
     )
     def test_letter_stream_refuses_a_law_not_summing_to_one(self, law):

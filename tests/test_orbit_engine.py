@@ -366,6 +366,17 @@ class TestKernels:
             assert type(prod) is int and ((prod,),) == m
             assert [None if x is None else ((x,),) for x in sums] == c
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-9, 9), st.integers(0, 5 * fractal._MAP_LEAF_STEPS), st.integers(0, 70))
+    def test_single_inactive_letter_is_one_power(self, base, hi, lo):
+        # the digit runs' map x -> D x: (D^(hi-lo), inactive) without a tree
+        lo = min(lo, hi)
+        letters = np.zeros(hi, dtype=np.int8)
+        m, c = fractal._block_map([((base,),)], [False], letters, lo, hi)
+        prod, sums = fractal._scalar_tree([base], [False], letters, lo, hi)
+        assert type(m[0][0]) is int and m == ((prod,),) == ((base ** (hi - lo),),)
+        assert c == sums == [None]
+
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(64, 400))
     def test_walk_leaf(self, data, d, k, p):
