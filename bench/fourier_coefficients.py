@@ -24,19 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from toruswalk import spectral
 
-from stationary_scaling import _cpu
+from harness import environment, growth_exponent, median_seconds, write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_fourier  # noqa: E402
@@ -61,22 +55,6 @@ def _bits(v: spectral.FourierValue) -> tuple:
     return v.value.real.hex(), v.value.imag.hex(), v.error.hex(), v.exact_zero
 
 
-def _median_seconds(fns, repeats: int) -> list[float]:
-    """Median seconds of each function; the runs of the functions alternate,
-    so that a change of machine load reaches all of them alike."""
-    times = [[] for _ in fns]
-    for _ in range(repeats):
-        for fn, spent in zip(fns, times):
-            start = time.perf_counter()
-            fn()
-            spent.append(time.perf_counter() - start)
-    return [statistics.median(spent) for spent in times]
-
-
-def _exponent(sizes, seconds) -> float:
-    return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
-
-
 def measure(name: str, dump_range: int, repeats: int) -> dict:
     indices = range(-dump_range, dump_range + 1)
     after = [spectral.fourier_selfsimilar(_spec(name), n, TOL) for n in indices]
@@ -96,7 +74,7 @@ def measure(name: str, dump_range: int, repeats: int) -> dict:
             reference_fourier.percall_fourier_selfsimilar(spec, n, TOL)
 
     count = len(indices)
-    before_s, after_s = _median_seconds([run_before, run_after], repeats)
+    before_s, after_s = median_seconds([run_before, run_after], repeats)
     return {
         "measure": name,
         "dump_range": dump_range,
@@ -123,10 +101,7 @@ def main() -> None:
     exponents = {}
     for name in MEASURES:
         mine = [r for r in rows if r["measure"] == name]
-        sizes = [r["dump_range"] for r in mine]
-        exponents[name] = {
-            path: _exponent(sizes, [r[f"{path}_s"] for r in mine]) for path in ("before", "after")
-        }
+        exponents[name] = {path: growth_exponent(mine, "dump_range", f"{path}_s") for path in ("before", "after")}
     record = {
         "benchmark": "self-similar Fourier coefficients n = -R..R at tol 1e-12, per measure",
         "before": "tests/reference_fourier.py percall_fourier_selfsimilar: measure data "
@@ -137,16 +112,9 @@ def main() -> None:
         "repeats": args.repeats,
         "rows": rows,
         "growth_exponent_in_dump_range": exponents,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu": _cpu(),
-            "nproc": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, record)
     for name, fit in exponents.items():
         print(f"{name}: growth exponent in R {fit['before']:.2f} before, {fit['after']:.2f} after")
     print(f"-> {args.out}")

@@ -1,0 +1,61 @@
+"""What every script in bench/ shares: the median timer, the log-log growth
+fit, the environment block of a record and the JSON write.
+
+The scripts run as ``python3 bench/<script>.py``, so this directory is on
+their import path.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import time
+from pathlib import Path
+
+import numpy as np
+
+
+def median_seconds(fns, repeats: int) -> list[float]:
+    """Median seconds of each function over `repeats` runs; the runs of the
+    functions alternate, so that a change of machine load reaches all of
+    them alike."""
+    times = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, spent in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            spent.append(time.perf_counter() - start)
+    return [statistics.median(spent) for spent in times]
+
+
+def growth_exponent(rows: list[dict], size: str, seconds: str) -> float:
+    """Least-squares slope of log(row[seconds]) against log(row[size])."""
+    x = np.log([r[size] for r in rows])
+    y = np.log([r[seconds] for r in rows])
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu": _cpu(),
+        "nproc": len(os.sched_getaffinity(0)),
+    }
+
+
+def write_json(path, record: dict) -> None:
+    Path(path).write_text(json.dumps(record, indent=2) + "\n")

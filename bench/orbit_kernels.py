@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import sys
 import time
@@ -45,7 +43,7 @@ import numpy as np
 from toruswalk import fractal
 from toruswalk.exactcore import IntMatrix, IrrationalBasis, TorusPoint, parse_scalar
 
-from stationary_scaling import _cpu
+from harness import environment, growth_exponent, median_seconds, write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_orbits  # noqa: E402
@@ -85,15 +83,6 @@ def _letters(count: int, alphabet: int) -> np.ndarray:
     return np.random.default_rng(count).integers(1, alphabet + 1, count)
 
 
-def _median_seconds(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def measure_fixed_point(count: int, repeats: int) -> dict:
     endos, _ = _family("walk1d")
     bits = fractal.precision_budget([e.linear for e in endos], count)
@@ -102,7 +91,7 @@ def measure_fixed_point(count: int, repeats: int) -> dict:
         "N": count,
         "bits": bits,
         "scalar": str(offset),
-        "fixed_point_s": _median_seconds(lambda: offset.fixed_point(bits), repeats),
+        "fixed_point_s": median_seconds([lambda: offset.fixed_point(bits)], repeats)[0],
     }
 
 
@@ -173,23 +162,16 @@ def measure_walk(name: str, count: int, repeats: int) -> dict:
         "d": endos[0].dimension,
         "N": count,
         "precision_bits": orbit.precision_bits,
-        "engine_s": _median_seconds(lambda: fractal.walk_orbit_fixed(endos, x0, letters), repeats),
+        "engine_s": median_seconds([lambda: fractal.walk_orbit_fixed(endos, x0, letters)], repeats)[0],
     }
     if name == "walk2d" and count <= LOOP_MAX_N:
         loop = reference_orbits.walk_orbit_fixed(endos, x0, letters)
         if not _same_orbit(orbit, loop):
             raise AssertionError(f"{name} N={count}: engine and seed loop differ")
-        row["seed_loop_s"] = _median_seconds(
-            lambda: reference_orbits.walk_orbit_fixed(endos, x0, letters), repeats
-        )
+        row["seed_loop_s"] = median_seconds(
+            [lambda: reference_orbits.walk_orbit_fixed(endos, x0, letters)], repeats
+        )[0]
     return row
-
-
-def growth_exponent(rows: list[dict], key: str) -> float:
-    """Least-squares slope of log(rows[key]) against log(N)."""
-    x = np.log([r["N"] for r in rows])
-    y = np.log([r[key] for r in rows])
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def main() -> None:
@@ -211,24 +193,19 @@ def main() -> None:
         "fixed_point": fixed_rows,
         "error_budget_tree": budget_rows,  # budget plus engine block maps
         "walk_orbit_fixed": walk_rows,
-        "engine_growth_exponent_n_d1": growth_exponent(one_d, "engine_s"),
-        "engine_growth_exponent_n_d2": growth_exponent(two_d, "engine_s"),
+        "engine_growth_exponent_n_d1": growth_exponent(one_d, "N", "engine_s"),
+        "engine_growth_exponent_n_d2": growth_exponent(two_d, "N", "engine_s"),
         "seed_loop_growth_exponent_n_d2": growth_exponent(
-            [r for r in two_d if "seed_loop_s" in r], "seed_loop_s"
+            [r for r in two_d if "seed_loop_s" in r], "N", "seed_loop_s"
         ),
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu": _cpu(),
-            "nproc": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
     }
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {}
     record["benchmark"] = "fixed-point orbit engine: fixed_point inputs, error-budget tree, walk_orbit_fixed"
     record.setdefault("runs", {})[args.label] = run
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    write_json(path, record)
     print(
         f"growth exponent in N: d=1 {run['engine_growth_exponent_n_d1']:.2f}, "
         f"d=2 {run['engine_growth_exponent_n_d2']:.2f} -> {args.out}"

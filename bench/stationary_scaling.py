@@ -15,30 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from toruswalk import chains, exactcore
 from toruswalk.exactcore import Scalar
 
+from harness import environment, growth_exponent, write_json
+
 FACTORS = {143: (11, 13), 323: (17, 19), 667: (23, 29), 1147: (31, 37)}
 ORACLE_MAX_Q = 323
-
-
-def _cpu() -> str:
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def _bareiss_vector(transition) -> tuple[list[Fraction], float]:
@@ -97,13 +84,6 @@ def measure(q: int, repeats: int) -> dict:
     return row
 
 
-def growth_exponent(rows: list[dict]) -> float:
-    """Least-squares slope of log(solve_s) against log(q)."""
-    x = np.log([r["q"] for r in rows])
-    y = np.log([r["solve_s"] for r in rows])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_stationary.json")
@@ -119,17 +99,10 @@ def main() -> None:
         "oracle": "dense fraction-free (Bareiss) elimination, q <= %d" % ORACLE_MAX_Q,
         "repeats": args.repeats,
         "rows": rows,
-        "solve_growth_exponent_q": growth_exponent(rows),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu": _cpu(),
-            "nproc": len(os.sched_getaffinity(0)),
-        },
+        "solve_growth_exponent_q": growth_exponent(rows, "q", "solve_s"),
+        "environment": environment(),
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, record)
     print(f"growth exponent in q: {record['solve_growth_exponent_q']:.2f} -> {args.out}")
 
 

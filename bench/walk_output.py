@@ -21,19 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 from toruswalk import cli, stats
 
-from stationary_scaling import _cpu
+from harness import environment, growth_exponent, median_seconds, write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_output  # noqa: E402
@@ -47,20 +43,13 @@ def _points(count: int, dim: int) -> np.ndarray:
     return np.random.default_rng(count + dim).random((count, dim))
 
 
-def _median_seconds(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def measure_writer(count: int, dim: int, repeats: int, workdir: Path) -> dict:
     pts = _points(count, dim)
     ref_path, new_path = workdir / "reference.csv", workdir / "chunked.csv"
-    reference_s = _median_seconds(lambda: reference_output.write_points_csv(ref_path, pts), repeats)
-    chunked_s = _median_seconds(lambda: cli._write_points_csv(new_path, pts), repeats)
+    reference_s, chunked_s = median_seconds(
+        [lambda: reference_output.write_points_csv(ref_path, pts), lambda: cli._write_points_csv(new_path, pts)],
+        repeats,
+    )
     if ref_path.read_bytes() != new_path.read_bytes():
         raise AssertionError(f"N={count}, d={dim}: the writers' bytes differ")
     return {
@@ -85,8 +74,10 @@ def measure_grid(count: int, repeats: int) -> dict:
         if diff > (sum(map(abs, k)) + np.log2(count)) * 2.0 ** -50:
             raise AssertionError(f"N={count}, k={k}: the grids differ by {diff:.3e}")
         max_diff = max(max_diff, diff)
-    per_frequency_s = _median_seconds(lambda: reference_output.character_means(sample, GRID_K), repeats)
-    powers_s = _median_seconds(lambda: stats.character_means(sample, GRID_K), repeats)
+    per_frequency_s, powers_s = median_seconds(
+        [lambda: reference_output.character_means(sample, GRID_K), lambda: stats.character_means(sample, GRID_K)],
+        repeats,
+    )
     return {
         "N": count,
         "d": 2,
@@ -97,13 +88,6 @@ def measure_grid(count: int, repeats: int) -> dict:
         "speedup": per_frequency_s / powers_s,
         "max_abs_diff": max_diff,
     }
-
-
-def growth_exponent(rows: list[dict], key: str) -> float:
-    """Least-squares slope of log(rows[key]) against log(N)."""
-    x = np.log([r["N"] for r in rows])
-    y = np.log([r[key] for r in rows])
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def main() -> None:
@@ -126,28 +110,21 @@ def main() -> None:
             "reference": "csv.writer, one row per point, format(v, '.17g') per cell",
             "chunked": f"cli._write_points_csv, {cli._POINTS_CHUNK_ROWS} rows per '%'",
             "rows": writer_rows,
-            "reference_growth_exponent_n": growth_exponent(one_d, "reference_s"),
-            "chunked_growth_exponent_n": growth_exponent(one_d, "chunked_s"),
+            "reference_growth_exponent_n": growth_exponent(one_d, "N", "reference_s"),
+            "chunked_growth_exponent_n": growth_exponent(one_d, "N", "chunked_s"),
         },
         "weyl_grid": {
             "per_frequency": "reference_output.character_means: one np.exp per pair +-k in [-K, K]^2",
             "character_powers": "stats.character_means: one np.exp per coordinate, one complex "
             "multiplication per frequency of the half grid",
             "rows": grid_rows,
-            "per_frequency_growth_exponent_n": growth_exponent(grid_rows, "per_frequency_s"),
-            "character_powers_growth_exponent_n": growth_exponent(grid_rows, "character_powers_s"),
+            "per_frequency_growth_exponent_n": growth_exponent(grid_rows, "N", "per_frequency_s"),
+            "character_powers_growth_exponent_n": growth_exponent(grid_rows, "N", "character_powers_s"),
         },
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu": _cpu(),
-            "nproc": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, record)
     print(f"-> {args.out}")
 
 

@@ -33,6 +33,8 @@ from .spectral import CoefficientFunction, DiscreteMeasure, SelfSimilarSpec, con
 __all__ = [
     "RationalityError",
     "ReducibleChainError",
+    "ChainSizeError",
+    "MAX_STATES",
     "FiniteStationary",
     "EtaChain",
     "build_finite_stationary",
@@ -53,6 +55,15 @@ class RationalityError(ValueError):
 
 class ReducibleChainError(ValueError):
     """The transition structure is not irreducible."""
+
+
+class ChainSizeError(ValueError):
+    """The chain's modulus q exceeds MAX_STATES."""
+
+
+#: Largest modulus q the two chain constructors accept: the dense q x q transition
+#: grows as q^2, and a stationary-support run at q = 2021 peaks at 370 MB.
+MAX_STATES = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +214,10 @@ def _closed_class(adj: list[list[int]]) -> list[int]:
 
 
 def _terminal_class_stationary(
-    transition: list[list[Fraction]],
-    _adj: list[list[int]] | None = None,
+    transition: list[list[Fraction]], adj: list[list[int]]
 ) -> tuple[Fraction, ...]:
-    """Exact stationary vector supported on one closed recurrent class.
-
-    `_adj` lists the nonzero columns of each row in increasing order, when
-    the caller already knows them; otherwise the rows are scanned."""
-    adj = _nonzeros(transition) if _adj is None else _adj
+    """Exact stationary vector supported on one closed recurrent class;
+    `adj` lists the nonzero columns of each row in increasing order."""
     _check_row_stochastic(transition, adj)
     members = _closed_class(adj)
     # the restricted chain is stochastic (the class is closed) and irreducible
@@ -222,6 +229,37 @@ def _terminal_class_stationary(
     for m, val in zip(members, _stationary_irreducible(sub, sub_adj)):
         out[m] = val
     return tuple(out)
+
+
+def _affine_chain(
+    q: int,
+    states: Sequence[int],
+    mults: Sequence[int],
+    shifts: Sequence[int],
+    probabilities: Sequence[Fraction],
+) -> tuple[list[list[Fraction]], list[list[int]]]:
+    """The chain on the sorted residues `states` mod q in which state s moves
+    to (m_k s + shift_k) mod q with probability p_k; every target must be a
+    state.  Returns the dense transition over `states` and the sorted
+    nonzero columns of each row (every p_k is positive)."""
+    index = {s: i for i, s in enumerate(states)}
+    transition = [[_Q0] * len(states) for _ in states]
+    adj = []
+    for s, row in zip(states, transition):
+        targets = [index[(m * s + shift) % q] for m, shift in zip(mults, shifts)]
+        for j, p in zip(targets, probabilities):
+            row[j] += p
+        adj.append(sorted(set(targets)))
+    return transition, adj
+
+
+def _residues(rationals: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator q of `rationals`, the modulus of the chain,
+    and q x for each x."""
+    q = math.lcm(*(x.denominator for x in rationals))
+    if q > MAX_STATES:
+        raise ChainSizeError(f"q = {q} exceeds the limit of {MAX_STATES} residues")
+    return q, [x.numerator * (q // x.denominator) for x in rationals]
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +279,6 @@ class FiniteStationary:
     betas: tuple[Fraction, ...]
     probabilities: tuple[Fraction, ...]
 
-    def support_points(self) -> list[TorusPoint]:
-        return [TorusPoint([self.x0 + a]) for a in self.a_values]
-
     def map_state(self, i: int, a: Fraction) -> Fraction:
         """Image of a + x0 under h_i, expressed by its A-component."""
         return frac(self.d_values[i] * a + self.betas[i])
@@ -259,7 +294,7 @@ class FiniteStationary:
     def support_is_invariant(self, alphas: Sequence[Scalar]) -> bool:
         """Exact check, through Scalar arithmetic, that every map h_i(x) =
         D_i x + alpha_i sends the support A + x0 into itself."""
-        support = set(self.support_points())
+        support = {TorusPoint([self.x0 + a]) for a in self.a_values}
         return all(
             fractal.AffineEndo(IntMatrix.scalar(d), (alpha,))(pt) in support
             for d, alpha in zip(self.d_values, alphas)
@@ -302,23 +337,14 @@ def build_finite_stationary(
             )
         betas.append(frac(beta.rational_part))
 
-    q = math.lcm(*(b.denominator for b in betas)) if betas else 1
-    a_values = [Fraction(i, q) for i in range(q)]
-    transition = [[_Q0] * q for _ in range(q)]
-    targets: list[set[int]] = [set() for _ in range(q)]
-    for d, beta, p in zip(d_values, betas, probabilities):
-        # frac(d i/q + beta) = ((d i + q beta) mod q) / q
-        shift = beta.numerator * (q // beta.denominator)
-        for i in range(q):
-            j = (d * i + shift) % q
-            transition[i][j] += p
-            targets[i].add(j)
-    # every probability is positive, so the targets are the nonzero entries
-    stationary = _terminal_class_stationary(transition, [sorted(row) for row in targets])
+    # frac(d i/q + beta) = ((d i + q beta) mod q) / q
+    q, shifts = _residues(betas)
+    transition, adj = _affine_chain(q, range(q), d_values, shifts, probabilities)
+    stationary = _terminal_class_stationary(transition, adj)
     return FiniteStationary(
         x0=x0,
         q=q,
-        a_values=tuple(a_values),
+        a_values=tuple(Fraction(i, q) for i in range(q)),
         transition=tuple(tuple(row) for row in transition),
         stationary=stationary,
         d_values=tuple(int(d) for d in d_values),
@@ -400,44 +426,24 @@ def build_eta_chain(
         if not diff.is_rational():
             raise RationalityError("translation differences must all be rational")
         deltas.append(diff.rational_part)
-    q = math.lcm(*(d.denominator for d in deltas)) if deltas else 1
-    deltas_tilde = [frac(d_value * d) for d in deltas]
-
-    # forward-reachable states from the law of eta_1
-    states: list[Fraction] = []
-    seen: set[Fraction] = set()
-    frontier = list(dict.fromkeys(deltas_tilde))
-    while frontier:
-        a = frontier.pop()
-        if a in seen:
-            continue
-        seen.add(a)
-        states.append(a)
-        for dt in deltas_tilde:
-            nxt = frac(d_value * a + dt)
-            if nxt not in seen:
-                frontier.append(nxt)
-    states.sort()
-    index = {a: i for i, a in enumerate(states)}
-    n = len(states)
-    transition = [[_Q0] * n for _ in range(n)]
-    for a in states:
-        for dt, p in zip(deltas_tilde, probabilities):
-            transition[index[a]][index[frac(d_value * a + dt)]] += p
-
-    adj = _nonzeros(transition)
-    _check_row_stochastic(transition, adj)
-    if not _irreducible(adj):
+    q, numerators = _residues(deltas)
+    shifts = [d_value * r % q for r in numerators]  # q frac(D delta_i)
+    # delta_1 = 0, so state 0 reaches every Dd_i in one step: the states
+    # reachable from 0 are those reachable from the law of eta_1
+    components = _strong_components([[(d_value * r + s) % q for s in shifts] for r in range(q)])
+    if len(components) > 1:
         raise ReducibleChainError("eta chain is not irreducible on its state set")
-    # No period check: delta_1 = 0, so 0 is a state with the self-loop
-    # 0 -> 0 of probability p_1 > 0, and an irreducible chain with a
-    # self-loop is aperiodic.
+    reachable = sorted(components[0])
+    transition, adj = _affine_chain(q, reachable, [d_value] * k, shifts, probabilities)
+    _check_row_stochastic(transition, adj)
+    # No period check: 0 is a state with the self-loop 0 -> 0 of probability
+    # p_1 > 0, and an irreducible chain with a self-loop is aperiodic.
     stationary = _stationary_irreducible(transition, adj)
     return EtaChain(
         d_value=int(d_value),
         q=q,
-        states=tuple(states),
-        deltas_tilde=tuple(deltas_tilde),
+        states=tuple(Fraction(r, q) for r in reachable),
+        deltas_tilde=tuple(Fraction(s, q) for s in shifts),
         probabilities=tuple(probabilities),
         transition=tuple(tuple(row) for row in transition),
         stationary=stationary,

@@ -233,6 +233,11 @@ MAX_PRECISION = 1 << 20
 MAX_RANGE = 100_000
 # rows of the Weyl grid, (2K + 1)^d, and of the block table, D^L
 MAX_TABLE = 1 << 20
+# a zero check evaluates n = 4^k (2m + 1) for k <= k_max, |m| <= m_max: |n|
+# stays below 2^136, and at both caps a three-atom measure takes about 1.4 s
+# (2-core Xeon)
+MAX_ZERO_K = 64
+MAX_ZERO_M = 100
 
 _MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
 _ALPHAS = Field("alpha", _vectors, REQUIRED, "list of scalar vectors (one per map)")
@@ -255,7 +260,7 @@ FIELDS: dict[str, list[Field]] = {
     "condition-check": [_CONDITION],
     "rational-case": [
         Field("D", _matrix, REQUIRED, "integer with |D| >= 2"),
-        Field("t", _scalar_list, REQUIRED, "scalars with rational differences"),
+        Field("t", _scalar_list, REQUIRED, f"scalars with rational differences (common denominator q <= {chains.MAX_STATES})"),
         _P, _STEPS, _K,
     ],
     "fourier": [
@@ -268,7 +273,7 @@ FIELDS: dict[str, list[Field]] = {
     ],
     "stationary-support": [
         Field("D", _integers, REQUIRED, "list of integers (|D_i| >= 2)"),
-        Field("alpha", _scalar_list, REQUIRED, "scalars"),
+        Field("alpha", _scalar_list, REQUIRED, f"scalars (q, the common denominator of the betas, <= {chains.MAX_STATES})"),
         _P,
     ],
     "rotation-case": [
@@ -302,8 +307,8 @@ MEASURE_FIELDS = [
 ZERO_CHECK_FIELDS = [
     Field("measure", _text, REQUIRED, "measure name"),
     Field("pattern", _choice("odd", "twice_odd"), REQUIRED, "index family"),
-    Field("k_max", _at_least(0), 5, "largest k in 4^k"),
-    Field("m_max", _at_least(0), 20, "largest |m|"),
+    Field("k_max", _at_least(0, MAX_ZERO_K), 5, f"largest k in 4^k (<= {MAX_ZERO_K})"),
+    Field("m_max", _at_least(0, MAX_ZERO_M), 20, f"largest |m| (<= {MAX_ZERO_M})"),
 ]
 
 
@@ -652,7 +657,10 @@ def run(raw_config: dict, outdir: Path | str, seed_override: int | None = None) 
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
-    results, sidecars, precision = _RUNNERS[cfg["kind"]](cfg, rng)
+    try:
+        results, sidecars, precision = _RUNNERS[cfg["kind"]](cfg, rng)
+    except chains.ChainSizeError as exc:  # q comes from the alphas or from the t
+        raise _bad("alpha" if "alpha" in cfg else "t", str(exc)) from exc
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, table in sidecars.items():

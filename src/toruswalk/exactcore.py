@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,28 +74,13 @@ class ExactCheckError(ArithmeticError):
 
 
 #: A dyadic constant maps a bit precision p >= 1 to integers (N, s): N / 2^s
-#: lies within 2^-p of the constant.
+#: lies within 2^-p of the constant.  Scalar._dyadic_terms, the one caller,
+#: checks p.
 Dyadic = Callable[[int], tuple[int, int]]
-
-# the Fraction evaluator of each built-in constant -> its dyadic function
-_DYADIC: dict[Evaluator, Dyadic] = {}
-
-
-def _dyadic_evaluator(dyadic: Dyadic) -> Evaluator:
-    """The Fraction evaluator of a dyadic constant (error bound 2^-p)."""
-
-    def ev(p: int) -> tuple[Fraction, Fraction]:
-        num, scale = dyadic(p)
-        return Fraction(num, 1 << scale), Fraction(1, 1 << p)
-
-    _DYADIC[ev] = dyadic
-    return ev
 
 
 def _sqrt_dyadic(n: int) -> Dyadic:
     def dyadic(p: int) -> tuple[int, int]:
-        if p < 1:
-            raise ValueError("precision must be >= 1 bit")
         # floor(2^p * sqrt(n)) is exact; the truncation error is < 2^-p.
         return math.isqrt(n << (2 * p)), p
 
@@ -103,8 +89,6 @@ def _sqrt_dyadic(n: int) -> Dyadic:
 
 def _mpmath_dyadic(expr: str) -> Dyadic:
     def dyadic(p: int) -> tuple[int, int]:
-        if p < 1:
-            raise ValueError("precision must be >= 1 bit")
         import mpmath
 
         # mpmath constants are correct to within a few ulps at p+16 bits.
@@ -117,24 +101,31 @@ def _mpmath_dyadic(expr: str) -> Dyadic:
     return dyadic
 
 
-_REGISTRY: dict[str, Evaluator] = {
-    "pi": _dyadic_evaluator(_mpmath_dyadic("pi")),
-    "e": _dyadic_evaluator(_mpmath_dyadic("e")),
-    "phi": _dyadic_evaluator(_mpmath_dyadic("phi")),
-}
+_REGISTRY: dict[str, Dyadic] = {name: _mpmath_dyadic(name) for name in ("pi", "e", "phi")}
 
 _SQRT_NAME = re.compile(r"^sqrt([0-9]+)$")
 
 
 def register_irrational(name: str, evaluator: Evaluator) -> None:
-    """Register a named irrational constant with a certified evaluator."""
+    """Register a named irrational constant with a certified evaluator.
+
+    It is stored as the dyadic function p -> (floor(2^(p+1) a), p+1) with
+    (a, _) = evaluator(p + 2): a lies within 2^(-1-p) of the constant and
+    the floor moves it by less than 2^(-1-p), so N / 2^s is within 2^-p.
+    """
     if not name.isidentifier():
         raise ValueError(f"invalid symbol name {name!r}")
-    _REGISTRY[name] = evaluator
+
+    def dyadic(p: int) -> tuple[int, int]:
+        a, _ = evaluator(p + 2)
+        return math.floor(a * (1 << (p + 1))), p + 1
+
+    _REGISTRY[name] = dyadic
 
 
-def resolve_evaluator(name: str) -> Evaluator:
-    """Look up an evaluator: registered names plus the sqrtN family."""
+def resolve_evaluator(name: str) -> Dyadic:
+    """Look up the dyadic function of a constant: registered names plus the
+    sqrtN family."""
     if name in _REGISTRY:
         return _REGISTRY[name]
     m = _SQRT_NAME.match(name)
@@ -142,9 +133,7 @@ def resolve_evaluator(name: str) -> Evaluator:
         n = int(m.group(1))
         if n <= 0 or math.isqrt(n) ** 2 == n:
             raise ValueError(f"{name}: argument is a perfect square, not irrational")
-        ev = _dyadic_evaluator(_sqrt_dyadic(n))
-        _REGISTRY[name] = ev
-        return ev
+        return _REGISTRY.setdefault(name, _sqrt_dyadic(n))
     raise KeyError(f"unknown irrational symbol {name!r}")
 
 
@@ -157,7 +146,6 @@ class IrrationalBasis:
     """A declared, Q-independent family of named irrational constants."""
 
     symbols: tuple[str, ...] = ()
-    independence_declared: bool = True
 
     def __post_init__(self) -> None:
         if len(set(self.symbols)) != len(self.symbols):
@@ -175,7 +163,6 @@ class IrrationalBasis:
 EMPTY_BASIS = IrrationalBasis()
 
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -211,10 +198,6 @@ class Scalar:
     @property
     def rational_part(self) -> Fraction:
         return self.coeffs[0]
-
-    @property
-    def irrational_coeffs(self) -> tuple[Fraction, ...]:
-        return self.coeffs[1:]
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -265,47 +248,37 @@ class Scalar:
 
     # -- numerics -----------------------------------------------------------
 
+    def _dyadic_terms(self, p: int) -> list[tuple[Fraction, int, int]]:
+        """(c, N, s) for each symbol with a nonzero coefficient c: N / 2^s is
+        its constant within 2^-p."""
+        if p < 8:
+            raise ValueError("precision must be >= 8 bits")
+        return [
+            (c, *resolve_evaluator(name)(p))
+            for name, c in zip(self.basis.symbols, self.coeffs[1:])
+            if c != 0
+        ]
+
     def evaluate(self, p: int) -> tuple[Fraction, Fraction]:
-        """Dyadic approximation and certified error bound at p bits.
+        """Dyadic approximation and certified error bound at p bits: each
+        constant contributes its dyadic value N / 2^s and the error 2^-p.
 
         The bound satisfies err <= 2**(1-p) * (1 + sum |coeffs|).
         """
-        if p < 8:
-            raise ValueError("precision must be >= 8 bits")
-        val = self.coeffs[0]
-        err = _Q0
-        for name, c in zip(self.basis.symbols, self.coeffs[1:]):
-            if c == 0:
-                continue
-            a, e = resolve_evaluator(name)(p)
-            val += c * a
-            err += abs(c) * e
-        return val, err
+        terms = self._dyadic_terms(p)
+        val = self.coeffs[0] + sum(c * Fraction(n, 1 << s) for c, n, s in terms)
+        return val, sum(abs(c) for c, _, _ in terms) / Fraction(1 << p)
 
     def fixed_point(self, bits: int) -> tuple[int, int]:
         """(X, E): X/2^bits approximates the value with error <= E ulps.
 
         X = floor(2^bits * v) and E = 2 + floor(2^bits * err) for (v, err) =
-        evaluate(bits + 8).  When every symbol with a nonzero coefficient is
-        a built-in constant, v is formed over one common denominator
+        evaluate(bits + 8).  v is formed over one common denominator
         lcm(coefficient denominators) * 2^s from the constants' dyadic
         values N / 2^s, each within 2^-(bits+8), and X and E are integer
         floor divisions: no Fraction is normalised.
         """
-        p = bits + 8
-        if p < 8:
-            raise ValueError("precision must be >= 8 bits")
-        used = [
-            (c, _DYADIC.get(resolve_evaluator(name)))
-            for name, c in zip(self.basis.symbols, self.coeffs[1:])
-            if c != 0
-        ]
-        if any(dyadic is None for _, dyadic in used):  # a registered evaluator
-            val, err = self.evaluate(p)
-            scaled = val * (1 << bits)
-            e = err * (1 << bits)
-            return scaled.numerator // scaled.denominator, 2 + e.numerator // e.denominator
-        terms = [(c, *dyadic(p)) for c, dyadic in used]
+        terms = self._dyadic_terms(bits + 8)
         rational = self.coeffs[0]
         denom = math.lcm(rational.denominator, *(c.denominator for c, _, _ in terms))
         scale = max((s for _, _, s in terms), default=0)
@@ -315,7 +288,7 @@ class Scalar:
             k = c.numerator * (denom // c.denominator)
             num += k * n << (scale - s)
             weight += abs(k)
-        # v = num / (denom 2^scale); err = weight 2^-p / denom
+        # v = num / (denom 2^scale); err = weight 2^-(bits+8) / denom
         if bits >= scale:
             x = (num << (bits - scale)) // denom
         else:
@@ -565,6 +538,12 @@ def _multimodular_solve(
     return None
 
 
+def _matmul(a, b):
+    """The product of two integer matrices given as tuples of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Square integer matrix with exact products, powers and inverses."""
@@ -582,7 +561,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, d: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
+        return cls.scalar(1, d)
 
     @classmethod
     def scalar(cls, value: int, d: int = 1) -> "IntMatrix":
@@ -595,14 +574,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
-        d = self.dimension
-        ot = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.rows
-            )
-        )
+        return IntMatrix(_matmul(self.rows, other.rows))
 
     def __pow__(self, n: int) -> "IntMatrix":
         if n < 0:
@@ -643,15 +615,6 @@ class IntMatrix:
     def apply(self, vector: Sequence[Scalar]) -> list[Scalar]:
         return mat_apply(self.rows, vector)
 
-    def apply_fractions(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        return [sum((Fraction(m) * v for m, v in zip(row, vector)), _Q0) for row in self.rows]
-
-    def max_abs_entry(self) -> int:
-        return max(abs(x) for row in self.rows for x in row)
-
-    def commutes_with(self, other: "IntMatrix") -> bool:
-        return (self @ other).rows == (other @ self).rows
-
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
@@ -663,7 +626,7 @@ def commute(a: IntMatrix, b: IntMatrix) -> bool:
     """Exact test of AB = BA."""
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    return a.commutes_with(b)
+    return (a @ b).rows == (b @ a).rows
 
 
 def _characteristic_polynomial(m: IntMatrix) -> list[int]:
@@ -726,12 +689,6 @@ class TorusPoint:
             if c.basis.symbols != basis.symbols:
                 raise BasisMismatchError("coordinates use different bases")
         self.coords = coords
-
-    @classmethod
-    def from_rationals(
-        cls, values: Sequence[Rational], basis: IrrationalBasis = EMPTY_BASIS
-    ) -> "TorusPoint":
-        return cls([Scalar.rational(v, basis) for v in values])
 
     @property
     def dimension(self) -> int:
@@ -831,7 +788,6 @@ class AdaptedNorm:
     rho_certified: float
     sample_size: int
     matrices: tuple[IntMatrix, ...] = field(repr=False)
-    precision: str = "float64"  # numeric fidelity of change_of_basis and rho
 
     def norm(self, x: np.ndarray) -> float | np.ndarray:
         """Adapted norm of a vector (or row-stacked vectors) in C^d."""

@@ -29,6 +29,7 @@ from .exactcore import (
     NearIntegerError,
     Scalar,
     TorusPoint,
+    _matmul,
     adapted_norm,
     commute,
     is_expanding,
@@ -371,9 +372,7 @@ def precision_budget(
     Error grows by at most the max absolute row sum per step; the budget is
     ceil(steps * log2(amplification)) + guard_bits.
     """
-    amp = 1
-    for m in matrices:
-        amp = max(amp, max(sum(abs(x) for x in row) for row in m.rows))
+    amp = max((_norm(m.rows) for m in matrices), default=1)
     if amp <= 1:
         return 64 + guard_bits
     return math.ceil(steps * math.log2(amp)) + guard_bits
@@ -428,11 +427,6 @@ _OUT_SCALE = 2.0 ** -53
 
 def _matvec(m, v) -> list[int]:
     return [sum(map(mul, row, v)) for row in m]
-
-
-def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _matadd(a, b):

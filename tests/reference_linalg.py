@@ -4,9 +4,10 @@ expansion test and the fraction-free fixed-point conversion.
 
 Three Gauss-Jordan eliminations over Fraction (inverse, chain solve, rank and
 kernel), the division-by-previous-pivot determinant, the reachability
-searches that decided irreducibility and picked the terminal class, and the
-expansion test that probed roots of unity and then read float eigenvalues,
-and the fixed-point conversion of a Scalar through its Fraction value.  The
+searches that decided irreducibility and picked the terminal class, the
+carry chain's own search and fill over Fractions, the expansion test that
+probed roots of unity and then read float eigenvalues, and the fixed-point
+conversion of a Scalar through its Fraction value.  The
 library must agree with them exactly (see test_exact_elimination.py and
 test_exactcore.py); nothing in src/ imports this module.
 """
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from toruswalk.chains import ReducibleChainError
-from toruswalk.exactcore import IntMatrix, Scalar
+from toruswalk.exactcore import IntMatrix, Scalar, frac
 
 _Q0 = Fraction(0)
 
@@ -154,6 +155,36 @@ def terminal_class(adj: list[list[int]]) -> list[int]:
         if best is None or len(c) < len(best):
             best = c
     return sorted(best)
+
+
+def eta_chain(
+    d_value: int, deltas: Sequence[Fraction], probabilities: Sequence[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Sorted states and dense transition of the carry chain eta -> frac(D eta
+    + D delta_i): the states forward-reachable from the law of eta_1, found by
+    a search over Fractions, and the transition filled over Fractions."""
+    deltas_tilde = [frac(d_value * d) for d in deltas]
+    states: list[Fraction] = []
+    seen: set[Fraction] = set()
+    frontier = list(dict.fromkeys(deltas_tilde))
+    while frontier:
+        a = frontier.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        states.append(a)
+        for dt in deltas_tilde:
+            nxt = frac(d_value * a + dt)
+            if nxt not in seen:
+                frontier.append(nxt)
+    states.sort()
+    index = {a: i for i, a in enumerate(states)}
+    n = len(states)
+    transition = [[_Q0] * n for _ in range(n)]
+    for a in states:
+        for dt, p in zip(deltas_tilde, probabilities):
+            transition[index[a]][index[frac(d_value * a + dt)]] += p
+    return states, transition
 
 
 def is_expanding(d_matrix: IntMatrix, margin: float = 1e-9) -> bool:

@@ -86,7 +86,7 @@ class TestFiniteStationary:
                 for i, a in enumerate(fs.a_values):
                     dense[i][fs.a_values.index(frac(d * a + beta))] += p
             assert fs.transition == tuple(map(tuple, dense))
-            assert fs.stationary == chains._terminal_class_stationary(dense)
+            assert fs.stationary == chains._terminal_class_stationary(dense, chains._nonzeros(dense))
 
     def _example(self):
         alphas = [rational(F(1, 11)), rational(F(2, 13))]
@@ -111,6 +111,14 @@ class TestFiniteStationary:
 
 
 class TestEtaChain:
+    def test_modulus_over_the_bound_refused(self):
+        q = chains.MAX_STATES + 1
+        with pytest.raises(chains.ChainSizeError, match=f"q = {q} exceeds the limit of {chains.MAX_STATES}"):
+            build_finite_stationary([2, 3], [rational(0), rational(F(1, q))])
+        with pytest.raises(chains.ChainSizeError, match=f"q = {q} exceeds"):
+            build_eta_chain(3, [rational(0), rational(F(1, q))])
+        assert build_eta_chain(3, [rational(0), rational(F(1, chains.MAX_STATES))]).q == chains.MAX_STATES
+
     def test_probability_count_must_match(self):
         with pytest.raises(ValueError, match="one probability per map"):
             build_eta_chain(3, [rational(0), rational(F(1, 2))], [F(1, 3), F(1, 3), F(1, 3)])

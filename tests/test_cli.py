@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruswalk import cli, spectral
+from toruswalk import chains, cli, spectral
 from toruswalk.cli import (
     SCHEMA_DOC,
     ConfigError,
@@ -476,6 +476,7 @@ class TestProbabilityCount:
 
 
 _RATIONAL_CFG = _SHORT_P["rational-case"]
+_ZERO_CHECK = {"measure": "mu0", "pattern": "odd"}
 
 _WALK_2D_CFG = {
     "kind": "walk-sim",
@@ -500,6 +501,10 @@ class TestSizeCaps:
             (dict(_SHORT_P["normality"], D=10 ** 9, N=10 ** 6, L=1), "L"),
             (dict(FOURIER_CFG, dump_range=cli.MAX_RANGE + 1), "dump_range"),
             (dict(FOURIER_CFG, haar_range=10 ** 15), "haar_range"),
+            # k_max 520 ended in an OverflowError from float(2 pi n)
+            (dict(FOURIER_CFG, zero_checks=[dict(_ZERO_CHECK, k_max=520, m_max=0)]), "zero_checks.k_max"),
+            (dict(FOURIER_CFG, zero_checks=[dict(_ZERO_CHECK, k_max=cli.MAX_ZERO_K + 1)]), "zero_checks.k_max"),
+            (dict(FOURIER_CFG, zero_checks=[dict(_ZERO_CHECK, m_max=cli.MAX_ZERO_M + 1)]), "zero_checks.m_max"),
         ],
     )
     def test_over_the_cap_is_refused_by_name(self, cfg, field, tmp_path, capsys):
@@ -516,10 +521,24 @@ class TestSizeCaps:
             dict(_WALK_2D_CFG, K=511),
             dict(_SHORT_P["normality"], N=10 ** 6, L=12),
             dict(FOURIER_CFG, dump_range=cli.MAX_RANGE, haar_range=cli.MAX_RANGE),
+            dict(FOURIER_CFG, zero_checks=[dict(_ZERO_CHECK, k_max=cli.MAX_ZERO_K, m_max=cli.MAX_ZERO_M)]),
         ],
     )
     def test_the_caps_themselves_are_accepted(self, cfg):
         normalize_config(cfg)
+
+    # q = MAX_STATES + 1, refused before its dense q x q chain is built
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            (dict(_SHORT_P["stationary-support"], alpha=["0", f"1/{chains.MAX_STATES + 1}"]), "alpha"),
+            (dict(_RATIONAL_CFG, t=["0", f"1/{chains.MAX_STATES + 1}"]), "t"),
+        ],
+    )
+    def test_chain_over_the_bound_is_refused_by_name(self, cfg, field, tmp_path, capsys):
+        err = _run_error(tmp_path, capsys, cfg)
+        assert f"field '{field}'" in err and "Traceback" not in err
+        assert f"q = {chains.MAX_STATES + 1}" in err and f"limit of {chains.MAX_STATES}" in err
 
     def test_schema_prints_the_caps(self, capsys):
         assert main(["schema"]) == 0
@@ -531,6 +550,10 @@ class TestSizeCaps:
         assert f"<= {cli.MAX_TABLE}" in doc["normality"]["L"]
         for name in ("dump_range", "haar_range"):
             assert f"<= {cli.MAX_RANGE}" in doc["fourier"][name]
+        zero_checks = doc["fourier"]["zero_checks fields"]
+        assert f"<= {cli.MAX_ZERO_K}" in zero_checks and f"<= {cli.MAX_ZERO_M}" in zero_checks
+        assert f"<= {chains.MAX_STATES}" in doc["stationary-support"]["alpha"]
+        assert f"<= {chains.MAX_STATES}" in doc["rational-case"]["t"]
 
 
 class TestIntegerFields:
@@ -771,7 +794,7 @@ class TestFieldTable:
         assert cfg["measures"]["mu0"]["weights"] == ["1/2", "1/2"]
         assert cfg["zero_checks"][0]["k_max"] == 5 and cfg["zero_checks"][0]["m_max"] == 20
         doc = json.loads(_schema_output())["fourier"]
-        assert "k_max (largest k in 4^k; default: 5)" in doc["zero_checks fields"]
+        assert f"k_max (largest k in 4^k (<= {cli.MAX_ZERO_K}); default: 5)" in doc["zero_checks fields"]
 
 
 class TestBatch:

@@ -1,6 +1,7 @@
 """Differential tests: the fraction-free elimination and the Tarjan pass
-against the Fraction Gauss-Jordan routines and reachability searches, and
-the multi-modular chain solve against both.
+against the Fraction Gauss-Jordan routines and reachability searches, the
+multi-modular chain solve against both, and the carry chain built on integer
+residues against its search and fill over Fractions.
 
 reference_linalg.py keeps the routines as first written.  Determinants,
 inverses, chain solves, ranks, kernel vectors and terminal classes must be
@@ -198,7 +199,7 @@ class TestGraphs:
         expected = [Fraction(0)] * len(adj)
         for m, x in zip(members, ref.solve_exact(a, b)):
             expected[m] = x
-        assert chains._terminal_class_stationary(transition) == tuple(expected)
+        assert chains._terminal_class_stationary(transition, chains._nonzeros(transition)) == tuple(expected)
 
 
 def bareiss_solve(a, b):
@@ -310,3 +311,43 @@ class TestMultimodular:
         assert fs.stationary == tuple(expected)
         assert len(set(fs.stationary)) > 2
         assert len(primes_used) > 1
+
+
+@st.composite
+def eta_inputs(draw):
+    """(D, translations, probabilities) with rational differences of common
+    denominator at most 200; t_1 may carry sqrt2, and repeated or colliding
+    differences are frequent."""
+    d_value = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5, 6]))
+    q = draw(st.integers(1, 200))
+    k = draw(st.integers(2, 5))
+    numerators = draw(st.lists(st.integers(0, q - 1), min_size=k - 1, max_size=k - 1))
+    basis = exactcore.IrrationalBasis(("sqrt2",))
+    t1 = Scalar(basis, (draw(fractions), Fraction(draw(st.integers(0, 1)))))
+    translations = [t1] + [t1 + Fraction(n, q) for n in numerators]
+    weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return d_value, translations, [Fraction(w, sum(weights)) for w in weights]
+
+
+class TestEtaChain:
+    @settings(max_examples=120, deadline=None)
+    @given(eta_inputs())
+    # D = 2 collapses the difference 1/2 to the one state 0
+    @example((2, [Scalar.rational(0), Scalar.rational(Fraction(1, 2))], [Fraction(1, 2)] * 2))
+    def test_matches_the_search_over_fractions(self, inputs):
+        d_value, translations, probabilities = inputs
+        deltas = [(t - translations[0]).rational_part for t in translations]
+        states, transition = ref.eta_chain(d_value, deltas, probabilities)
+        # irreducible: from a state s reached by a word w, repeating w and then
+        # letter 1 (delta_1 = 0) leads back to 0
+        assert ref.strongly_connected([[j for j, x in enumerate(row) if x] for row in transition])
+        eta = chains.build_eta_chain(d_value, translations, probabilities)
+        assert eta.states == tuple(states)
+        assert eta.transition == tuple(map(tuple, transition))
+        # so v T = v with sum 1 has one solution
+        n = len(states)
+        assert sum(eta.stationary) == 1
+        assert [sum(eta.stationary[j] * transition[j][i] for j in range(n)) for i in range(n)] == list(
+            eta.stationary
+        )
+        assert eta.q == math.lcm(*(d.denominator for d in deltas))

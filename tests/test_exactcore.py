@@ -395,6 +395,26 @@ class TestEvaluatorRegistry:
         val, _ = evaluate(s, 16)
         assert abs(float(val) - 2 ** (1 / 3)) < 1e-4
 
+    @pytest.mark.parametrize("p", [8, 9, 53, 200, 1000])
+    def test_registered_constant_is_a_dyadic_floor(self, p):
+        # a certified non-dyadic evaluator: floor(3^n cbrt3) / 3^n with
+        # 3^-n <= 2^(1-n)
+        def cbrt3(n):
+            radicand, root = 3 * 27 ** n, 3 ** (n + 1)  # Newton from above
+            while (step := (2 * root + radicand // root ** 2) // 3) < root:
+                root = step
+            return Fraction(root, 3 ** n), Fraction(1, 3 ** n)
+
+        register_irrational("cbrt3_floor", cbrt3)
+        s = Scalar.symbol("cbrt3_floor", IrrationalBasis(("cbrt3_floor",)))
+        val, err = evaluate(s, p)
+        a, _ = cbrt3(p + 2)
+        assert val == Fraction(math.floor(a * 2 ** (p + 1)), 2 ** (p + 1))
+        assert err == Fraction(1, 2 ** p)
+        with mpmath.workprec(p + 64):
+            exact = mpmath.cbrt(3)
+            assert abs(mpmath.mpf(val.numerator) / val.denominator - exact) < mpmath.mpf(2) ** -p
+
 
 class TestTextSyntax:
     def test_documented_example(self):
