@@ -96,6 +96,14 @@ def _at_least(minimum: int, maximum: int | None = None) -> Callable:
     return lambda value, field, cfg=None: _int(value, field, minimum=minimum, maximum=maximum)
 
 
+def _base(value, field, cfg=None) -> int:
+    """An integer b with 2 <= |b| <= MAX_TABLE: a map x -> b x that expands."""
+    b = _int(value, field)
+    if not 2 <= abs(b) <= MAX_TABLE:
+        raise _bad(field, f"must satisfy 2 <= |value| <= {MAX_TABLE}")
+    return b
+
+
 def _choice(*options) -> Callable:
     def parse(value, field, cfg=None):
         if value not in options:
@@ -143,7 +151,6 @@ def _matrix(value, field, cfg=None) -> list[list[int]]:
     return [[_int(x, field) for x in row] for row in value]
 
 
-_integers = _list_of(_int, "integers")
 _scalar_list = _list_of(_scalar, "scalar strings")
 _vectors = _list_of(_vector, "scalar vectors")
 _matrices = _list_of(_matrix, "matrices/integers")
@@ -238,6 +245,10 @@ MAX_TABLE = 1 << 20
 # (2-core Xeon)
 MAX_ZERO_K = 64
 MAX_ZERO_M = 100
+# a map's exponent r scales it by D^-r; a normality run with r = [1, 64] at
+# N = 10^4 takes 0.7 s (2-core Xeon)
+MAX_EXPONENT = 64
+_exponents = _list_of(_at_least(1, MAX_EXPONENT), f"integers in [1, {MAX_EXPONENT}]")
 
 _MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
 _ALPHAS = Field("alpha", _vectors, REQUIRED, "list of scalar vectors (one per map)")
@@ -250,16 +261,16 @@ _CONDITION = Field("condition", _choice("walk", "ifs"), "ifs", "'walk' or 'ifs'"
 FIELDS: dict[str, list[Field]] = {
     "walk-sim": [_MAPS, _ALPHAS, _X0, _P, _STEPS, _K],
     "normality": [
-        Field("D", _matrix, REQUIRED, "expanding integer (base)"),
-        Field("r", _integers, REQUIRED, "positive integer exponents"),
+        Field("D", _matrix, REQUIRED, "expanding integer; the digits are in base D^gcd(r)"),
+        Field("r", _exponents, REQUIRED, f"integer exponents in [1, {MAX_EXPONENT}]"),
         Field("t", _scalar_list, REQUIRED, "scalar translations"),
         _P,
         Field("N", _at_least(1, MAX_STEPS), 10000, f"digits (<= {MAX_STEPS})"),
-        Field("L", _at_least(1), 2, f"max block length (<= N, D^L <= {MAX_TABLE})"),
+        Field("L", _at_least(1), 2, f"max block length (<= N, (D^gcd(r))^L <= {MAX_TABLE})"),
     ],
     "condition-check": [_CONDITION],
     "rational-case": [
-        Field("D", _matrix, REQUIRED, "integer with |D| >= 2"),
+        Field("D", _matrix, REQUIRED, f"integer with 2 <= |D| <= {MAX_TABLE}"),
         Field("t", _scalar_list, REQUIRED, f"scalars with rational differences (common denominator q <= {chains.MAX_STATES})"),
         _P, _STEPS, _K,
     ],
@@ -272,14 +283,14 @@ FIELDS: dict[str, list[Field]] = {
         Field("haar_range", _at_least(1, MAX_RANGE), 1000, f"N for is-Haar check (<= {MAX_RANGE})"),
     ],
     "stationary-support": [
-        Field("D", _integers, REQUIRED, "list of integers (|D_i| >= 2)"),
+        Field("D", _list_of(_base, "integers"), REQUIRED, f"list of integers (2 <= |D_i| <= {MAX_TABLE})"),
         Field("alpha", _scalar_list, REQUIRED, f"scalars (q, the common denominator of the betas, <= {chains.MAX_STATES})"),
         _P,
     ],
     "rotation-case": [
         Field("D", _choice(None), None, "null: the maps are rotations x -> x + alpha"),
         _ALPHAS, _X0, _P,
-        Field("control_q", _at_least(1), OPTIONAL, "also report |S_N(q)|"),
+        Field("control_q", _at_least(1, MAX_K), OPTIONAL, f"also report |S_N(q)| (<= {MAX_K})"),
         _STEPS, _K,
     ],
 }
@@ -289,18 +300,19 @@ CONDITION_FIELDS = {
     "walk": [_MAPS, _ALPHAS],
     "ifs": [
         Field("D", _matrix, REQUIRED, "matrix"),
-        Field("r", _integers, REQUIRED, "exponents (one per map)"),
+        Field("r", _exponents, REQUIRED, f"exponents in [1, {MAX_EXPONENT}] (one per map)"),
         Field("t", _vectors, REQUIRED, "scalar vectors (one per map)"),
     ],
 }
+_SEED = Field("seed", _at_least(0), 0, f"PRNG seed ({PRNG_NAME}); `run --seed` overrides it")
 COMMON = [
     Field("kind", _choice(*KINDS), REQUIRED, f"one of {list(KINDS)}"),
-    Field("seed", _at_least(0), 0, f"PRNG seed ({PRNG_NAME})"),
+    _SEED,
     Field("irrationals", _symbols, [], "declared symbol names, e.g. ['sqrt2']; sqrtN, pi, e supported"),
     Field("precision", _precision, "auto", f"'auto' or explicit bits (>= 64, <= {MAX_PRECISION})"),
 ]
 MEASURE_FIELDS = [
-    Field("base", _int, REQUIRED, "integer with |base| >= 2"),
+    Field("base", _base, REQUIRED, f"integer with 2 <= |base| <= {MAX_TABLE}"),
     Field("atoms", _scalar_list, REQUIRED, "rationals"),
     Field("weights", _scalar_list, UNIFORM, "rationals > 0 summing to 1"),
 ]
@@ -364,17 +376,17 @@ def normalize_config(raw: dict) -> dict:
         raise _bad("D", f"{kind} is one-dimensional")
     if kind == "normality" and cfg["D"][0][0] < 2:
         raise _bad("D", "normality digits need D >= 2")
-    bases = [cfg["D"][0][0]] if kind == "rational-case" else cfg["D"] if kind == "stationary-support" else []
-    if any(abs(d) < 2 for d in bases):
-        raise _bad("D", "must be expanding (|D| >= 2)")
+    if kind == "rational-case":
+        _base(cfg["D"][0][0], "D")
     if "L" in cfg and cfg["L"] > cfg["N"]:
         raise _bad("L", "must be <= N")
-    if "L" in cfg and (cfg["L"] > MAX_TABLE.bit_length() or cfg["D"][0][0] ** cfg["L"] > MAX_TABLE):
-        raise _bad("L", f"the block table D^L must have <= {MAX_TABLE} rows")
+    if "L" in cfg:
+        # the IFS runs on D^g, g = gcd(r), so its digits are in base D^g
+        length = math.gcd(*cfg["r"]) * cfg["L"]
+        if length > MAX_TABLE.bit_length() or cfg["D"][0][0] ** length > MAX_TABLE:
+            raise _bad("L", f"the block table (D^gcd(r))^L must have <= {MAX_TABLE} rows")
     for name, m in cfg.get("measures", {}).items():
         m["weights"] = _weights(m["weights"], len(m["atoms"]), f"measures.{name}.weights")
-        if abs(m["base"]) < 2:
-            raise _bad(f"measures.{name}.base", "|base| must be >= 2")
         try:
             spectral.SelfSimilarSpec.create(m["base"], _fractions(m["atoms"]), _fractions(m["weights"]))
         except ValueError as exc:
@@ -655,7 +667,7 @@ def run(raw_config: dict, outdir: Path | str, seed_override: int | None = None) 
     outdir with its sidecars once the experiment has succeeded."""
     cfg = normalize_config(raw_config)
     if seed_override is not None:
-        cfg["seed"] = int(seed_override)
+        cfg["seed"] = _SEED.parse(seed_override, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     try:
         results, sidecars, precision = _RUNNERS[cfg["kind"]](cfg, rng)

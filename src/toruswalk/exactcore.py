@@ -736,58 +736,18 @@ class TorusPoint:
 # adapted norm (commuting expanding families)
 
 
-def _halton_unit_vectors(count: int, real_dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy sample of the unit sphere in R^real_dim.
-
-    Halton points in the cube are mapped through Box-Muller to isotropic
-    Gaussians and normalized.
-    """
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    pairs = (real_dim + 1) // 2
-    dims = 2 * pairs
-    if dims > len(primes):
-        raise ValueError("sphere sampling supports dimension <= 12")
-
-    def radical_inverse(base: int, n: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(n))
-        f = 1.0 / base
-        nn = n.copy()
-        while nn.max() > 0:
-            out += f * (nn % base)
-            nn //= base
-            f /= base
-        return out
-
-    idx = np.arange(1, count + 1)
-    u = np.stack([radical_inverse(primes[j], idx) for j in range(dims)], axis=1)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = np.empty_like(u)
-    for j in range(pairs):
-        r = np.sqrt(-2.0 * np.log(u[:, 2 * j]))
-        g[:, 2 * j] = r * np.cos(2 * np.pi * u[:, 2 * j + 1])
-        g[:, 2 * j + 1] = r * np.sin(2 * np.pi * u[:, 2 * j + 1])
-    g = g[:, :real_dim]
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms
-
-
 @dataclass(frozen=True)
 class AdaptedNorm:
     """Norm on C^d making every matrix of a commuting expanding family expand.
 
     ||x|| = max_i weights[i] * |(Q^H x)_i| where Q unitarily triangularizes
-    the family.  `rho` is the sampled minimum of ||Ax||/||x|| over the stored
-    deterministic sphere sample (advisory); `rho_certified` is the exact-norm
-    lower bound 1/max_A ||A^{-1}||_op, safe for contraction estimates.
+    the family.  `rho_certified` is the lower bound 1/max_A ||A^{-1}||_op on
+    ||Ax||/||x||, the one expansion factor that contraction estimates read.
     """
 
     change_of_basis: np.ndarray = field(repr=False)
     weights: tuple[int, ...]
-    rho: float
     rho_certified: float
-    sample_size: int
-    matrices: tuple[IntMatrix, ...] = field(repr=False)
 
     def norm(self, x: np.ndarray) -> float | np.ndarray:
         """Adapted norm of a vector (or row-stacked vectors) in C^d."""
@@ -798,9 +758,7 @@ class AdaptedNorm:
         return float(vals) if vals.ndim == 0 else vals
 
 
-def adapted_norm(
-    matrices: Sequence[IntMatrix], sample_size: int = 4096
-) -> AdaptedNorm:
+def adapted_norm(matrices: Sequence[IntMatrix]) -> AdaptedNorm:
     """Construct the expansion-adapted norm for a commuting expanding family.
 
     Weights are m^(i-1) with m the smallest integer exceeding d*a/(lambda-1),
@@ -829,38 +787,21 @@ def adapted_norm(
     else:
         q, tris = _simultaneous_schur(arrays)
 
-    lam = min(
-        float(np.min(np.abs(np.linalg.eigvals(a)))) for a in arrays
-    )
+    lam = min(float(np.min(np.abs(np.linalg.eigvals(a)))) for a in arrays)
     a_max = max(float(np.max(np.abs(t))) for t in tris)
     m_weight = math.floor(d * a_max / (lam - 1.0)) + 1
     weights = tuple(m_weight ** i for i in range(d))
 
+    # ||A^{-1}||_op in the weighted max norm: the max row sum of W T^{-1} W^{-1}
     w = np.asarray(weights, dtype=float)
-    rho_cert = math.inf
-    for t in tris:
-        b = (w[:, None] * np.linalg.inv(t)) / w[None, :]
-        op = float(np.max(np.sum(np.abs(b), axis=1)))
-        rho_cert = min(rho_cert, 1.0 / op)
-
-    sphere = _halton_unit_vectors(sample_size, 2 * d)
-    x = sphere[:, :d] + 1j * sphere[:, d:]
-    norms_x = np.max(np.abs(x @ q.conj()) * w, axis=1)
-    rho = math.inf
-    for arr in arrays:
-        ax = x @ arr.T
-        norms_ax = np.max(np.abs(ax @ q.conj()) * w, axis=1)
-        rho = min(rho, float(np.min(norms_ax / norms_x)))
-    if not rho > 1.0:
-        raise ArithmeticError(f"sampled expansion factor {rho} not > 1")
-    return AdaptedNorm(
-        change_of_basis=q,
-        weights=weights,
-        rho=rho,
-        rho_certified=rho_cert,
-        sample_size=sample_size,
-        matrices=tuple(mats),
+    op = max(
+        float(np.max(np.sum(np.abs(w[:, None] * np.linalg.inv(t) / w[None, :]), axis=1)))
+        for t in tris
     )
+    rho_cert = 1.0 / op
+    if not rho_cert > 1.0:
+        raise ArithmeticError(f"certified expansion factor {rho_cert} not > 1")
+    return AdaptedNorm(change_of_basis=q, weights=weights, rho_certified=rho_cert)
 
 
 def _simultaneous_schur(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

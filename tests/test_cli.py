@@ -164,6 +164,11 @@ class TestRunDeterminism:
         assert report_body(r1) != report_body(r2)
         assert r2["seed"] == 99
 
+    def test_seed_override_is_checked_by_the_seed_row(self, tmp_path, capsys):
+        # ended in numpy's "expected non-negative integer", naming no field
+        assert "field 'seed'" in _run_error(tmp_path, capsys, WALK_CFG, "--seed", "-5")
+        assert not (tmp_path / "out").exists()
+
     def test_sidecars_written(self, tmp_path):
         report = run(WALK_CFG, tmp_path / "out")
         for name in report["sidecars"]:
@@ -386,13 +391,13 @@ class TestFourierRun:
         assert diag["coefficients"] == 1 + 6 * 41
 
 
-def _run_error(tmp_path, capsys, cfg) -> str:
-    """stderr of a `toruswalk run` of `cfg`, which must exit with status 2
-    and write no report."""
+def _run_error(tmp_path, capsys, cfg, *options) -> str:
+    """stderr of a `toruswalk run` of `cfg` with `options`, which must exit
+    with status 2 and write no report."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+    assert main(["run", str(cfg_path), "-o", str(tmp_path / "out"), *options]) == 2
     assert not (tmp_path / "out" / "report.json").exists()
     return capsys.readouterr().err
 
@@ -520,6 +525,14 @@ class TestSizeCaps:
             dict(WALK_CFG, precision=cli.MAX_PRECISION, N=cli.MAX_STEPS, K=cli.MAX_K),
             dict(_WALK_2D_CFG, K=511),
             dict(_SHORT_P["normality"], N=10 ** 6, L=12),
+            # the digits are in base 2^2: (2^2)^10 = MAX_TABLE block rows
+            dict(_SHORT_P["normality"], D=2, r=[2, 2], N=10 ** 6, L=10),
+            dict(_SHORT_P["normality"], r=[1, cli.MAX_EXPONENT]),
+            dict(COND_CFG, r=[1, cli.MAX_EXPONENT]),
+            dict(_SHORT_P["rotation-case"], control_q=cli.MAX_K),
+            dict(_RATIONAL_CFG, D=-cli.MAX_TABLE),
+            dict(SCHEMA_CFGS[6], D=[cli.MAX_TABLE, -cli.MAX_TABLE]),
+            {**FOURIER_CFG, "measures": {**FOURIER_CFG["measures"], "nu": {"base": cli.MAX_TABLE, "atoms": ["0", "1/4"]}}},
             dict(FOURIER_CFG, dump_range=cli.MAX_RANGE, haar_range=cli.MAX_RANGE),
             dict(FOURIER_CFG, zero_checks=[dict(_ZERO_CHECK, k_max=cli.MAX_ZERO_K, m_max=cli.MAX_ZERO_M)]),
         ],
@@ -554,6 +567,13 @@ class TestSizeCaps:
         assert f"<= {cli.MAX_ZERO_K}" in zero_checks and f"<= {cli.MAX_ZERO_M}" in zero_checks
         assert f"<= {chains.MAX_STATES}" in doc["stationary-support"]["alpha"]
         assert f"<= {chains.MAX_STATES}" in doc["rational-case"]["t"]
+        assert f"[1, {cli.MAX_EXPONENT}]" in doc["normality"]["r"]
+        assert f"[1, {cli.MAX_EXPONENT}]" in doc["condition-check"]["ifs fields"]
+        assert "D^gcd(r)" in doc["normality"]["D"] and "(D^gcd(r))^L" in doc["normality"]["L"]
+        assert f"<= {cli.MAX_K}" in doc["rotation-case"]["control_q"]
+        assert f"<= {cli.MAX_TABLE}" in doc["fourier"]["measure fields"]
+        for kind in ("rational-case", "stationary-support"):
+            assert f"<= {cli.MAX_TABLE}" in doc[kind]["D"]
 
 
 class TestIntegerFields:
@@ -703,6 +723,24 @@ _BAD_FIELDS = [
     # 0 was accepted and then skipped without a control_char
     pytest.param(dict(_SHORT_P["rotation-case"], control_q=0), "control_q", id="control_q-0"),
     pytest.param(dict(_SHORT_P["rotation-case"], control_q=-2), "control_q", id="control_q-negative"),
+    # the digits are in base D^gcd(r): 3^12 <= 2^20 < 9^12 (ran with 9^6
+    # block rows at L = 6; r = [64, 64] ended in an unnamed OverflowError)
+    pytest.param(dict(_SHORT_P["normality"], r=[2, 2], L=12, N=12), "L", id="normality-gcd-table"),
+    pytest.param(dict(_SHORT_P["normality"], r=[64, 64], N=10000), "L", id="normality-gcd-64"),
+    # refused by the library with no field named, or left running
+    pytest.param(dict(_SHORT_P["normality"], r=[0, 1]), "r", id="normality-r-0"),
+    pytest.param(dict(_SHORT_P["normality"], r=[1, 10 ** 6]), "r", id="normality-r-huge"),
+    pytest.param(dict(COND_CFG, r=[1, 10 ** 6]), "r", id="ifs-r-huge"),
+    # each ended in an unnamed "int too large to convert to float"
+    pytest.param(dict(_SHORT_P["rotation-case"], control_q=10 ** 400), "control_q", id="control_q-huge"),
+    pytest.param(dict(_RATIONAL_CFG, D=10 ** 400), "D", id="rational-case-D-huge"),
+    pytest.param(
+        {**FOURIER_CFG, "measures": {**FOURIER_CFG["measures"], "nu": {"base": 10 ** 400, "atoms": ["0", "1/4"]}}},
+        "measures.nu.base",
+        id="measure-base-huge",
+    ),
+    # was refused under 'alpha'
+    pytest.param(dict(SCHEMA_CFGS[6], D=[10 ** 400, 3]), "D", id="stationary-support-D-huge"),
 ]
 
 

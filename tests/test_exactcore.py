@@ -30,6 +30,7 @@ from toruswalk.exactcore import (
 )
 from conftest import random_expanding_matrix, random_scalar
 import reference_linalg
+from toruswalk import exactcore
 
 ALPHA = IrrationalBasis(("sqrt2",))
 
@@ -300,27 +301,57 @@ class TestCommute:
         assert not commute(a, b)
 
 
+def _expanding(rows):
+    """An expanding matrix from any integer rows: the rows themselves when
+    they expand, else the rows shifted by s = 2 + max row sum R times I, whose
+    eigenvalues then all have modulus >= s - R = 2."""
+    m = IntMatrix.from_rows(rows)
+    if is_expanding(m):
+        return m
+    shift = 2 + max(sum(abs(x) for x in row) for row in rows)
+    return IntMatrix.from_rows(
+        [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
+
+
+@st.composite
+def commuting_expanding_families(draw):
+    """Commuting expanding families in dimension 1-3: the first powers of one
+    expanding integer matrix, or diagonal matrices with entries |x| >= 2."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rows = [draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) for _ in range(d)]
+        base = _expanding(rows)
+        return [base ** p for p in range(1, draw(st.integers(1, 3)) + 1)]
+    entry = st.integers(2, 6).flatmap(lambda x: st.sampled_from([x, -x]))
+    diagonals = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=3))
+    return [IntMatrix.from_rows(np.diag(diag).tolist()) for diag in diagonals]
+
+
+def _assert_expands(norm, family, x):
+    """||Ax|| >= rho_certified ||x|| for each row x and each A of the family."""
+    nx = norm.norm(x)
+    for mat in family:
+        assert np.all(norm.norm(x @ mat.as_array().T) >= norm.rho_certified * nx * (1 - 1e-9))
+
+
 class TestAdaptedNorm:
     def test_one_dimensional(self):
         norm = adapted_norm([IntMatrix.from_rows([[2]])])
         assert norm.weights == (1,)
-        assert norm.rho == pytest.approx(2.0)
         assert norm.rho_certified == pytest.approx(2.0)
 
     def test_diag_2_3_weights_and_rho(self):
         norm = adapted_norm([IntMatrix.from_rows([[2, 0], [0, 3]])])
         # lambda = 2, a = 3, d = 2: smallest integer above 6 is 7
         assert norm.weights == (1, 7)
-        assert 2.0 <= norm.rho <= 2.0 + 1e-9
+        assert norm.rho_certified == pytest.approx(2.0)
 
     def test_sampled_expansion_property(self, rng):
         mats = [IntMatrix.from_rows([[2, 1], [0, 3]])]
-        norm = adapted_norm(mats, sample_size=512)
-        x = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
-        nx = norm.norm(x)
-        nax = norm.norm(x @ mats[0].as_array().T)
-        assert np.all(nax >= norm.rho * nx * (1 - 1e-9))
-        assert norm.rho > 1
+        norm = adapted_norm(mats)
+        assert norm.rho_certified > 1
+        _assert_expands(norm, mats, rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)))
 
     def test_rejects_non_commuting(self):
         a = IntMatrix.from_rows([[2, 1], [0, 3]])
@@ -334,20 +365,42 @@ class TestAdaptedNorm:
 
     def test_power_family(self, rng):
         base = random_expanding_matrix(rng, 2, 3)
-        norm = adapted_norm([base, base @ base], sample_size=1024)
-        assert norm.rho > 1
+        assert adapted_norm([base, base @ base]).rho_certified > 1
 
     def test_defective_family(self, rng):
         # a Jordan block is not diagonalizable; the Schur route must still
         # produce a common triangularization for its powers
         jordan = IntMatrix.from_rows([[2, 1], [0, 2]])
-        norm = adapted_norm([jordan, jordan @ jordan], sample_size=1024)
-        assert norm.rho > 1
-        x = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
-        for mat in (jordan, jordan @ jordan):
-            assert np.all(
-                norm.norm(x @ mat.as_array().T) >= norm.rho * norm.norm(x) * (1 - 1e-9)
-            )
+        family = [jordan, jordan @ jordan]
+        norm = adapted_norm(family)
+        assert norm.rho_certified > 1
+        _assert_expands(norm, family, rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(commuting_expanding_families(), st.integers(0, 2**32 - 1))
+    def test_certified_factor_expands_every_family(self, family, seed):
+        norm = adapted_norm(family)
+        assert norm.rho_certified > 1
+        rng = np.random.default_rng(seed)
+        d = family[0].dimension
+        _assert_expands(norm, family, rng.normal(size=(256, d)) + 1j * rng.normal(size=(256, d)))
+
+    def test_construction_gated_on_the_certified_factor(self, monkeypatch):
+        # Halving the triangular forms halves the certified factor of the
+        # Jordan family (1.96 -> 0.96) while the matrices themselves, and
+        # any sample of ||Ax|| / ||x|| taken from them, still expand.
+        jordan = IntMatrix.from_rows([[2, 1], [0, 2]])
+        family = [jordan, jordan ** 2, jordan ** 3]
+        assert adapted_norm(family).rho_certified == pytest.approx(1.96, abs=0.01)
+        schur = exactcore._simultaneous_schur
+
+        def halved(arrays):
+            q, tris = schur(arrays)
+            return q, [t / 2 for t in tris]
+
+        monkeypatch.setattr(exactcore, "_simultaneous_schur", halved)
+        with pytest.raises(ArithmeticError, match="certified expansion factor 0.96"):
+            adapted_norm(family)
 
 
 class TestTorusPoint:
