@@ -1,12 +1,13 @@
 """q-scaling of the exact stationary-support solve.
 
 Builds the stationary support of the walk D = [2, 3], alpha = [1/p1, 2/p2]
-for q = p1 p2 = 143, 323, 667 and 1147, times the exact stationary solve
-(`chains.stationary_distribution`, the multi-modular path) and the whole
+for q = p1 p2 = 143, 323, 667 and 1147, times the exact stationary solve on
+the chain's sparse rows (`chains._terminal_class_stationary`: the row and
+class checks and the multi-modular path) and the whole
 `build_finite_stationary`, counts the word-size primes the solve used, fits
 the growth exponent of the solve time in q, and times the fraction-free
-(Bareiss) elimination of the same dense system, the previous solver and
-the oracle, for q <= 323, checking that it gives the same vector.
+(Bareiss) elimination of the same system, the previous solver and the
+oracle, for q <= 323, checking that it gives the same vector.
 
     PYTHONPATH=src python3 bench/stationary_scaling.py [--out BENCH_stationary.json]
 """
@@ -30,10 +31,11 @@ ORACLE_MAX_Q = 323
 
 def _bareiss_vector(transition) -> tuple[list[Fraction], float]:
     """The stationary vector from one dense fraction-free elimination of
-    v (T - I) = 0, sum(v) = 1, and the seconds it took."""
+    v (T - I) = 0, sum(v) = 1, for the sparse rows `transition`, and the
+    seconds it took."""
     n = len(transition)
     start = time.perf_counter()
-    a = [[Fraction(transition[j][i]) - (i == j) for j in range(n)] for i in range(n - 1)]
+    a = [[Fraction(transition[j].get(i, 0)) - (i == j) for j in range(n)] for i in range(n - 1)]
     a.append([Fraction(1)] * n)
     b = [Fraction(0)] * (n - 1) + [Fraction(1)]
     reduced, pivots, scale, _ = exactcore._bareiss_reduce(
@@ -64,7 +66,7 @@ def measure(q: int, repeats: int) -> dict:
             builds.append(time.perf_counter() - start)
             primes.clear()
             start = time.perf_counter()
-            vector = chains.stationary_distribution(fs.transition)
+            vector = chains._terminal_class_stationary(fs.transition)
             solves.append(time.perf_counter() - start)
     finally:
         exactcore._solve_mod_prime = solve_mod_prime

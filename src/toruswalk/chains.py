@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,47 +61,45 @@ class ChainSizeError(ValueError):
     """The chain's modulus q exceeds MAX_STATES."""
 
 
-#: Largest modulus q the two chain constructors accept: the dense q x q transition
-#: grows as q^2, and a stationary-support run at q = 2021 peaks at 370 MB.
+#: Largest modulus q the two chain constructors accept: the report writes the
+#: transition as a dense q x q table and the stationary solve assembles an
+#: n x n system, both growing as q^2; a stationary-support run at q = 2021
+#: peaks at 339 MB.
 MAX_STATES = 2048
 
 
 # ---------------------------------------------------------------------------
 # exact chain linear algebra
+#
+# A chain on states 0..n-1 is held as its sparse rows: row j maps each
+# target i with T[j][i] != 0 to T[j][i], keys increasing.  Iterating a row
+# yields the successors of its state, which is all the graph routines read.
 
 
-def _nonzeros(transition: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Column indices of the nonzero entries, row by row."""
-    return [[j for j, x in enumerate(row) if x] for row in transition]
-
-
-def _check_row_stochastic(transition: Sequence[Sequence[Fraction]], adj: list[list[int]]) -> None:
-    n = len(transition)
-    for row, cols in zip(transition, adj):
-        if len(row) != n:
-            raise ValueError("transition matrix must be square")
-        if any(row[j] < 0 for j in cols) or sum(row[j] for j in cols) != 1:
+def _check_row_stochastic(rows: Sequence[dict[int, Fraction]]) -> None:
+    for row in rows:
+        if any(x < 0 for x in row.values()) or sum(row.values()) != 1:
             raise ValueError("rows must be nonnegative and sum to 1")
 
 
-def _residual_state(transition, adj: list[list[int]], v: Sequence[Fraction]) -> int | None:
-    """First state i with sum_j v_j T[j][i] != v_i, or None when v T = v.
-    The sums run over the nonzero entries listed in `adj` only."""
+def _residual_state(rows: Sequence[dict[int, Fraction]], v: Sequence[Fraction]) -> int | None:
+    """First state i with sum_j v_j T[j][i] != v_i, or None when v T = v."""
     acc = [_Q0] * len(v)
-    for j, cols in enumerate(adj):
-        for i in cols:
-            acc[i] += v[j] * transition[j][i]
+    for vj, row in zip(v, rows):
+        for i, x in row.items():
+            acc[i] += vj * x
     return next((i for i, (a, x) in enumerate(zip(acc, v)) if a != x), None)
 
 
-def _strong_components(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of the states reachable from state 0.
+def _strong_components(rows: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Strongly connected components of the states reachable from state 0;
+    `rows[u]` iterates over the successors of u, as a sparse row does.
 
     One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1, 1972).  A component
     is listed before every component that reaches it, so the first one is
     closed; the graph is strongly connected iff the first holds every state.
     """
-    n = len(adj)
+    n = len(rows)
     # discovery index: -1 while unvisited, n once its component is listed,
     # so that edges into listed components leave `low` alone
     order = [-1] * n
@@ -109,7 +107,7 @@ def _strong_components(adj: list[list[int]]) -> list[list[int]]:
     order[0] = low[0] = 0
     count = 1
     stack = [0]
-    work = [(0, iter(adj[0]))]
+    work = [(0, iter(rows[0]))]
     components: list[list[int]] = []
     while work:
         u, edges = work[-1]
@@ -118,7 +116,7 @@ def _strong_components(adj: list[list[int]]) -> list[list[int]]:
                 order[v] = low[v] = count
                 count += 1
                 stack.append(v)
-                work.append((v, iter(adj[v])))
+                work.append((v, iter(rows[v])))
                 break
             low[u] = min(low[u], order[v])
         else:
@@ -136,39 +134,41 @@ def _strong_components(adj: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _irreducible(adj: list[list[int]]) -> bool:
-    return len(_strong_components(adj)[0]) == len(adj)
+def _irreducible(rows: Sequence[Iterable[int]]) -> bool:
+    return len(_strong_components(rows)[0]) == len(rows)
 
 
 def stationary_distribution(
     transition: Sequence[Sequence[Fraction]],
 ) -> tuple[Fraction, ...]:
     """Exact unique stationary vector of an irreducible row-stochastic matrix."""
-    adj = _nonzeros(transition)
-    _check_row_stochastic(transition, adj)
-    if not _irreducible(adj):
-        raise ReducibleChainError("chain is reducible; stationary vector not unique")
-    return _stationary_irreducible(transition, adj)
-
-
-def _stationary_irreducible(transition, adj: list[list[int]]) -> tuple[Fraction, ...]:
-    """The stationary vector of a row-stochastic chain already known to be
-    irreducible, whose nonzero entries `adj` lists row by row; `transition`
-    has one row per state and is read only at those entries."""
     n = len(transition)
+    if any(len(row) != n for row in transition):
+        raise ValueError("transition matrix must be square")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in transition]
+    _check_row_stochastic(rows)
+    if not _irreducible(rows):
+        raise ReducibleChainError("chain is reducible; stationary vector not unique")
+    return _stationary_irreducible(rows)
+
+
+def _stationary_irreducible(rows: Sequence[dict[int, Fraction]]) -> tuple[Fraction, ...]:
+    """The stationary vector of a row-stochastic chain already known to be
+    irreducible."""
+    n = len(rows)
     # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I,
-    # the last one replaced by ones; filled from the nonzero entries only
+    # the last one replaced by ones
     a = [[0] * n for _ in range(n - 1)]
-    for j, cols in enumerate(adj):
-        for i in cols:
+    for j, row in enumerate(rows):
+        for i, x in row.items():
             if i < n - 1:
-                a[i][j] = transition[j][i]
+                a[i][j] = x
     for i in range(n - 1):
         a[i][i] -= 1
     a.append([_Q1] * n)
     b = [_Q0] * (n - 1) + [_Q1]
     v = _solve_exact(a, b)
-    residual = _residual_state(transition, adj, v)
+    residual = _residual_state(rows, v)
     if residual is not None:
         raise ExactCheckError(f"stationarity residual nonzero at state {residual}")
     if any(x < 0 for x in v):
@@ -197,10 +197,10 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [Fraction(row[n], scale) for row in reduced]
 
 
-def _closed_class(adj: list[list[int]]) -> list[int]:
+def _closed_class(rows: Sequence[Iterable[int]]) -> list[int]:
     """Sorted members of the smallest closed class reachable from state 0;
     on a tie in size, the class holding the smallest state."""
-    components = _strong_components(adj)
+    components = _strong_components(rows)
     label = {}
     for c, members in enumerate(components):
         for u in members:
@@ -208,25 +208,21 @@ def _closed_class(adj: list[list[int]]) -> list[int]:
     closed = [
         members
         for c, members in enumerate(components)
-        if all(label[v] == c for u in members for v in adj[u])
+        if all(label[v] == c for u in members for v in rows[u])
     ]
     return sorted(min(closed, key=lambda members: (len(members), min(members))))
 
 
-def _terminal_class_stationary(
-    transition: list[list[Fraction]], adj: list[list[int]]
-) -> tuple[Fraction, ...]:
-    """Exact stationary vector supported on one closed recurrent class;
-    `adj` lists the nonzero columns of each row in increasing order."""
-    _check_row_stochastic(transition, adj)
-    members = _closed_class(adj)
+def _terminal_class_stationary(rows: Sequence[dict[int, Fraction]]) -> tuple[Fraction, ...]:
+    """Exact stationary vector supported on one closed recurrent class."""
+    _check_row_stochastic(rows)
+    members = _closed_class(rows)
     # the restricted chain is stochastic (the class is closed) and irreducible
-    # (the class is strongly connected); its rows hold only their nonzeros
+    # (the class is strongly connected); members ascend, so its keys do too
     position = {u: i for i, u in enumerate(members)}
-    sub_adj = [[position[v] for v in adj[u]] for u in members]
-    sub = [{position[v]: transition[u][v] for v in adj[u]} for u in members]
-    out = [_Q0] * len(transition)
-    for m, val in zip(members, _stationary_irreducible(sub, sub_adj)):
+    sub = [{position[v]: x for v, x in rows[u].items()} for u in members]
+    out = [_Q0] * len(rows)
+    for m, val in zip(members, _stationary_irreducible(sub)):
         out[m] = val
     return tuple(out)
 
@@ -237,20 +233,19 @@ def _affine_chain(
     mults: Sequence[int],
     shifts: Sequence[int],
     probabilities: Sequence[Fraction],
-) -> tuple[list[list[Fraction]], list[list[int]]]:
-    """The chain on the sorted residues `states` mod q in which state s moves
-    to (m_k s + shift_k) mod q with probability p_k; every target must be a
-    state.  Returns the dense transition over `states` and the sorted
-    nonzero columns of each row (every p_k is positive)."""
+) -> tuple[dict[int, Fraction], ...]:
+    """The sparse rows of the chain on the sorted residues `states` mod q in
+    which state s moves to (m_k s + shift_k) mod q with probability p_k;
+    every target must be a state."""
     index = {s: i for i, s in enumerate(states)}
-    transition = [[_Q0] * len(states) for _ in states]
-    adj = []
-    for s, row in zip(states, transition):
-        targets = [index[(m * s + shift) % q] for m, shift in zip(mults, shifts)]
-        for j, p in zip(targets, probabilities):
-            row[j] += p
-        adj.append(sorted(set(targets)))
-    return transition, adj
+    rows = []
+    for s in states:
+        row: dict[int, Fraction] = {}
+        for m, shift, p in zip(mults, shifts, probabilities):
+            j = index[(m * s + shift) % q]
+            row[j] = row.get(j, _Q0) + p
+        rows.append(dict(sorted(row.items())))
+    return tuple(rows)
 
 
 def _residues(rationals: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -273,7 +268,7 @@ class FiniteStationary:
     x0: Scalar
     q: int
     a_values: tuple[Fraction, ...]
-    transition: tuple[tuple[Fraction, ...], ...]
+    transition: tuple[dict[int, Fraction], ...]
     stationary: tuple[Fraction, ...]
     d_values: tuple[int, ...]
     betas: tuple[Fraction, ...]
@@ -303,8 +298,7 @@ class FiniteStationary:
 
     def stationary_is_exact(self) -> bool:
         """Exact check that v T = v for the stationary vector v."""
-        transition = self.transition
-        return _residual_state(transition, _nonzeros(transition), self.stationary) is None
+        return _residual_state(self.transition, self.stationary) is None
 
 
 def build_finite_stationary(
@@ -339,13 +333,13 @@ def build_finite_stationary(
 
     # frac(d i/q + beta) = ((d i + q beta) mod q) / q
     q, shifts = _residues(betas)
-    transition, adj = _affine_chain(q, range(q), d_values, shifts, probabilities)
-    stationary = _terminal_class_stationary(transition, adj)
+    transition = _affine_chain(q, range(q), d_values, shifts, probabilities)
+    stationary = _terminal_class_stationary(transition)
     return FiniteStationary(
         x0=x0,
         q=q,
         a_values=tuple(Fraction(i, q) for i in range(q)),
-        transition=tuple(tuple(row) for row in transition),
+        transition=transition,
         stationary=stationary,
         d_values=tuple(int(d) for d in d_values),
         betas=tuple(betas),
@@ -366,7 +360,7 @@ class EtaChain:
     states: tuple[Fraction, ...]
     deltas_tilde: tuple[Fraction, ...]
     probabilities: tuple[Fraction, ...]
-    transition: tuple[tuple[Fraction, ...], ...]
+    transition: tuple[dict[int, Fraction], ...]
     stationary: tuple[Fraction, ...]
 
     def next_state(self, state: Fraction, letter: int) -> Fraction:
@@ -434,18 +428,18 @@ def build_eta_chain(
     if len(components) > 1:
         raise ReducibleChainError("eta chain is not irreducible on its state set")
     reachable = sorted(components[0])
-    transition, adj = _affine_chain(q, reachable, [d_value] * k, shifts, probabilities)
-    _check_row_stochastic(transition, adj)
+    transition = _affine_chain(q, reachable, [d_value] * k, shifts, probabilities)
+    _check_row_stochastic(transition)
     # No period check: 0 is a state with the self-loop 0 -> 0 of probability
     # p_1 > 0, and an irreducible chain with a self-loop is aperiodic.
-    stationary = _stationary_irreducible(transition, adj)
+    stationary = _stationary_irreducible(transition)
     return EtaChain(
         d_value=int(d_value),
         q=q,
         states=tuple(Fraction(r, q) for r in reachable),
         deltas_tilde=tuple(Fraction(s, q) for s in shifts),
         probabilities=tuple(probabilities),
-        transition=tuple(tuple(row) for row in transition),
+        transition=transition,
         stationary=stationary,
     )
 

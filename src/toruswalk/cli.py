@@ -131,9 +131,11 @@ def _text(value, field, cfg=None) -> str:
 def _scalar(value, field, cfg) -> str:
     text = _text(value, field)
     try:
-        parse_scalar(text, _basis_of(cfg))
+        scalar = parse_scalar(text, _basis_of(cfg))
     except ValueError as exc:
         raise _bad(field, f"bad scalar {text!r}: {exc}") from exc
+    if abs(scalar.evaluate(64)[0]) > MAX_SCALAR:
+        raise _bad(field, f"scalar {text!r} exceeds {MAX_SCALAR} in absolute value")
     return text
 
 
@@ -248,6 +250,9 @@ MAX_ZERO_M = 100
 # a map's exponent r scales it by D^-r; a normality run with r = [1, 64] at
 # N = 10^4 takes 0.7 s (2-core Xeon)
 MAX_EXPONENT = 64
+# every scalar field; the rational case's float64 error bound grows with
+# max|t_i| and at |D| = 2, |t_i| = 2^10 is about 2^-35, below its 2^-32 limit
+MAX_SCALAR = 1 << 10
 _exponents = _list_of(_at_least(1, MAX_EXPONENT), f"integers in [1, {MAX_EXPONENT}]")
 
 _MAPS = Field("D", _matrices, REQUIRED, "list of matrices (one per map)")
@@ -560,7 +565,7 @@ def _run_stationary_support(cfg: dict, rng) -> tuple[dict, dict, None]:
         "q": fs.q,
         "states": [str(a) for a in fs.a_values],
         "betas": [str(b) for b in fs.betas],
-        "transition": [[str(x) for x in row] for row in fs.transition],
+        "transition": [[str(row.get(j, 0)) for j in range(fs.q)] for row in fs.transition],
         "stationary": [str(x) for x in fs.stationary],
         "invariance_exact": fs.support_is_invariant(alphas),
         "stationary_exact": fs.stationary_is_exact(),
@@ -595,7 +600,7 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
         "q": eta.q,
         "states": [str(a) for a in eta.states],
         "stationary": [str(x) for x in eta.stationary],
-        "transition": [[str(x) for x in row] for row in eta.transition],
+        "transition": [[str(row.get(j, 0)) for j in range(len(eta.states))] for row in eta.transition],
         "state_freq_dev": state_dev,
         "weyl": _weyl_table({k: abs(v) for k, v in means.items()}),
     }
@@ -796,7 +801,8 @@ SCHEMA_DOC = {
         **{f.name: _describe(f) for f in COMMON},
         "null": "a field given as null takes its default",
         "unknown fields": "refused",
-        "scalar-syntax": "terms 'a/b' or 'a/b*NAME' joined by '+'/'-', e.g. '1/3 + 2/3*sqrt2'",
+        "scalar-syntax": "terms 'a/b' or 'a/b*NAME' joined by '+'/'-', e.g. '1/3 + 2/3*sqrt2'; "
+        f"|value| <= {MAX_SCALAR}",
         "matrix-syntax": "row-major integer lists, [[2,0],[0,3]]; plain int means 1x1",
     },
     **{kind: {f.name: _describe(f) for f in rows} for kind, rows in FIELDS.items()},
@@ -804,6 +810,8 @@ SCHEMA_DOC = {
         "schema": REPORT_SCHEMA,
         "determinism": "identical (config, seed) gives identical report except 'timestamp'",
         "sidecars": "CSV files listed in the report, written next to report.json",
+        "transition": "stationary-support and rational-case: the dense transition table over "
+        "'states', one row per state, entries as reduced-fraction strings ('0' for no move)",
         "trajectory.csv": "walk-sim and rotation-case: header 'n,x0,...,x{d-1}', one row "
         "per orbit point (1-based n, coordinates as %.17g), CRLF line ends",
         "fourier results.diagnostics": "per measure: coefficients evaluated, max_depth "

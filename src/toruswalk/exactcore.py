@@ -907,7 +907,4 @@ def format_scalar(s: Scalar) -> str:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += " " + p if p.startswith(("+", "-")) else " + " + p
-    return out
+    return " ".join(parts)

@@ -361,11 +361,7 @@ def fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> Fou
 
 
 class CoefficientFunction:
-    """Lazy, memoized map n -> FourierValue.
-
-    Memo insertion of identical values is idempotent, so concurrent readers
-    are safe.
-    """
+    """Lazy, memoized map n -> FourierValue."""
 
     def __init__(self, fn: Callable[[int], FourierValue], name: str = ""):
         self._fn = fn

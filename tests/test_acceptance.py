@@ -172,7 +172,7 @@ def test_criterion_04_finite_stationary_support():
             assert fs.pushforward_is_stationary()
             for i in range(fs.q):
                 assert (
-                    sum(fs.stationary[j] * fs.transition[j][i] for j in range(fs.q))
+                    sum(fs.stationary[j] * fs.transition[j].get(i, 0) for j in range(fs.q))
                     == fs.stationary[i]
                 )
 

@@ -36,7 +36,7 @@ class TestFiniteStationary:
         assert str(fs.x0) == "0"
         assert fs.q == 2
         assert fs.a_values == (F(0), F(1, 2))
-        assert fs.transition == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+        assert fs.transition == ({0: F(1, 2), 1: F(1, 2)}, {0: F(1, 2), 1: F(1, 2)})
         assert fs.stationary == (F(1, 2), F(1, 2))
 
     def test_single_map_fixed_point(self):
@@ -85,8 +85,13 @@ class TestFiniteStationary:
             for d, beta, p in zip(ds, fs.betas, probs):
                 for i, a in enumerate(fs.a_values):
                     dense[i][fs.a_values.index(frac(d * a + beta))] += p
-            assert fs.transition == tuple(map(tuple, dense))
-            assert fs.stationary == chains._terminal_class_stationary(dense, chains._nonzeros(dense))
+            # sparse rows: keys ascending within the states, values > 0, sum exactly 1
+            for row in fs.transition:
+                assert list(row) == sorted(row) and set(row) <= set(range(fs.q))
+                assert all(x > 0 for x in row.values()) and sum(row.values()) == 1
+            assert [[row.get(j, 0) for j in range(fs.q)] for row in fs.transition] == dense
+            scanned = [{j: x for j, x in enumerate(row) if x} for row in dense]
+            assert fs.stationary == chains._terminal_class_stationary(scanned)
 
     def _example(self):
         alphas = [rational(F(1, 11)), rational(F(2, 13))]
@@ -126,7 +131,7 @@ class TestEtaChain:
     def test_worked_example_biased(self):
         eta = build_eta_chain(3, [rational(0), rational(F(1, 2))], [F(1, 3), F(2, 3)])
         assert eta.states == (F(0), F(1, 2))
-        assert eta.transition == ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
+        assert eta.transition == ({0: F(1, 3), 1: F(2, 3)}, {0: F(2, 3), 1: F(1, 3)})
         assert eta.stationary == (F(1, 2), F(1, 2))
 
     def test_degenerate_collapse(self):
@@ -148,7 +153,7 @@ class TestEtaChain:
         # the chain can linger at 0 with positive probability, hence aperiodic
         eta = build_eta_chain(3, [rational(0), rational(F(1, 3))])
         zero_idx = eta.states.index(F(0))
-        assert eta.transition[zero_idx][zero_idx] > 0
+        assert eta.transition[zero_idx].get(zero_idx, 0) > 0
 
     def test_empirical_frequencies(self):
         eta = build_eta_chain(3, [rational(0), rational(F(1, 2))])
@@ -176,6 +181,18 @@ class TestStationaryDistribution:
         row = [F(1, 6), F(2, 6), F(3, 6)]
         t = [row, row[1:] + row[:1], row[2:] + row[:2]]
         assert stationary_distribution(t) == (F(1, 3),) * 3
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ([[F(1, 2), F(1, 2)]], "must be square"),
+            ([[F(3, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], "nonnegative and sum to 1"),
+            ([[F(1, 3), F(1, 3)], [F(1, 2), F(1, 2)]], "nonnegative and sum to 1"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            stationary_distribution(t)
 
     def test_reducible_rejected(self):
         t = [[F(1), F(0)], [F(0), F(1)]]

@@ -195,6 +195,13 @@ class TestWorkedExamples:
         assert res["stationary"] == ["1/2", "1/2"]
         assert res["transition"] == [["1/2", "1/2"], ["1/2", "1/2"]]
 
+    def test_stationary_support_writes_zero_entries(self, tmp_path):
+        # the q = 15 chain i -> 2i, i -> 3i + 8: each row is dense, "0" off its targets
+        res = run(_SHORT_P["stationary-support"], tmp_path)["results"]
+        assert res["q"] == 15
+        assert res["transition"][0] == ["1/2"] + ["0"] * 7 + ["1/2"] + ["0"] * 6
+        assert all(len(row) == 15 and row.count("0") >= 13 for row in res["transition"])
+
     def test_rational_case_requires_rational_differences(self, tmp_path):
         from toruswalk.chains import RationalityError
 
@@ -741,6 +748,18 @@ _BAD_FIELDS = [
     ),
     # was refused under 'alpha'
     pytest.param(dict(SCHEMA_CFGS[6], D=[10 ** 400, 3]), "D", id="stationary-support-D-huge"),
+    # every scalar is bounded by |value| <= 2^10; the first three ended in an
+    # unnamed "integer division result too large for a float", the rotation in
+    # an exhausted error budget, the last in a float64 bound past 2^-32
+    pytest.param(dict(SCHEMA_CFGS[2], t=["0", f"{10 ** 400}*sqrt2"]), "t", id="normality-t-huge"),
+    pytest.param(
+        {**FOURIER_CFG, "measures": {**FOURIER_CFG["measures"], "nu": {"base": 4, "atoms": ["0", str(10 ** 400)]}}},
+        "measures.nu.atoms",
+        id="measure-atom-huge",
+    ),
+    pytest.param(dict(_RATIONAL_CFG, t=["1/5", f"{10 ** 400}/7"]), "t", id="rational-case-t-huge"),
+    pytest.param(dict(SCHEMA_CFGS[1], alpha=["1/2", f"{10 ** 400}*sqrt2"]), "alpha", id="rotation-alpha-huge"),
+    pytest.param(dict(_RATIONAL_CFG, t=["10000001/5", "100000007/10"]), "t", id="rational-case-t-float-bound"),
 ]
 
 
@@ -791,6 +810,11 @@ class TestFieldTable:
         for name in required:
             with pytest.raises(ConfigError, match=f"field '{name}': missing"):
                 normalize_config({k: v for k, v in raw.items() if k != name})
+
+    @pytest.mark.parametrize("d", [2, -2, 3])
+    def test_scalar_at_the_bound_runs(self, d, tmp_path):
+        report = run(dict(_RATIONAL_CFG, D=d, t=["1/5", "-1024", "1024"]), tmp_path)
+        assert report["results"]["q"] == 5
 
     def test_whole_float_is_an_integer(self):
         assert normalize_config(dict(WALK_CFG, N=3.0))["N"] == 3

@@ -190,16 +190,13 @@ class TestGraphs:
         transition = []
         for outs in adj:
             weights = [int(w) for w in rng.integers(1, 5, len(outs))]
-            row = [Fraction(0)] * len(adj)
-            for v, w in zip(outs, weights):
-                row[v] = Fraction(w, sum(weights))
-            transition.append(row)
+            transition.append({v: Fraction(w, sum(weights)) for v, w in zip(outs, weights)})
         members = ref.terminal_class(adj)
-        a, b = stationary_system([[transition[u][v] for v in members] for u in members])
+        a, b = stationary_system([[transition[u].get(v, Fraction(0)) for v in members] for u in members])
         expected = [Fraction(0)] * len(adj)
         for m, x in zip(members, ref.solve_exact(a, b)):
             expected[m] = x
-        assert chains._terminal_class_stationary(transition, chains._nonzeros(transition)) == tuple(expected)
+        assert chains._terminal_class_stationary(transition) == tuple(expected)
 
 
 def bareiss_solve(a, b):
@@ -303,8 +300,8 @@ class TestMultimodular:
             [2, p2], [Scalar.rational(x) for x in alphas], probabilities
         )
         assert fs.q == p1 * p2
-        members = chains._closed_class(chains._nonzeros(fs.transition))
-        a, b = stationary_system([[fs.transition[u][v] for v in members] for u in members])
+        members = chains._closed_class(fs.transition)
+        a, b = stationary_system([[fs.transition[u].get(v, Fraction(0)) for v in members] for u in members])
         expected = [Fraction(0)] * fs.q
         for m, x in zip(members, bareiss_solve(a, b)):
             expected[m] = x
@@ -343,9 +340,13 @@ class TestEtaChain:
         assert ref.strongly_connected([[j for j, x in enumerate(row) if x] for row in transition])
         eta = chains.build_eta_chain(d_value, translations, probabilities)
         assert eta.states == tuple(states)
-        assert eta.transition == tuple(map(tuple, transition))
-        # so v T = v with sum 1 has one solution
         n = len(states)
+        # sparse rows: keys ascending within the states, values > 0, sum exactly 1
+        for row in eta.transition:
+            assert list(row) == sorted(row) and set(row) <= set(range(n))
+            assert all(x > 0 for x in row.values()) and sum(row.values()) == 1
+        assert [[row.get(j, 0) for j in range(n)] for row in eta.transition] == transition
+        # so v T = v with sum 1 has one solution
         assert sum(eta.stationary) == 1
         assert [sum(eta.stationary[j] * transition[j][i] for j in range(n)) for i in range(n)] == list(
             eta.stationary
