@@ -1,4 +1,4 @@
-"""What every script in bench/ shares: the median timer, the log-log growth
+"""What every script in bench/ shares: the alternating timer, the log-log growth
 fit, the environment block of a record and the JSON write.
 
 The scripts run as ``python3 bench/<script>.py``, so this directory is on
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 
-def median_seconds(fns, repeats: int) -> list[float]:
-    """Median seconds of each function over `repeats` runs; the runs of the
+def alternate_seconds(fns, repeats: int) -> list[list[float]]:
+    """Seconds of each function over `repeats` runs; the runs of the
     functions alternate, so that a change of machine load reaches all of
     them alike."""
     times = [[] for _ in fns]
@@ -27,7 +27,12 @@ def median_seconds(fns, repeats: int) -> list[float]:
             start = time.perf_counter()
             fn()
             spent.append(time.perf_counter() - start)
-    return [statistics.median(spent) for spent in times]
+    return times
+
+
+def median_seconds(fns, repeats: int) -> list[float]:
+    """Median of alternate_seconds for each function."""
+    return [statistics.median(spent) for spent in alternate_seconds(fns, repeats)]
 
 
 def growth_exponent(rows: list[dict], size: str, seconds: str) -> float:

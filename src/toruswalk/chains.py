@@ -143,6 +143,8 @@ def stationary_distribution(
 ) -> tuple[Fraction, ...]:
     """Exact unique stationary vector of an irreducible row-stochastic matrix."""
     n = len(transition)
+    if not n:
+        raise ValueError("transition matrix is empty")
     if any(len(row) != n for row in transition):
         raise ValueError("transition matrix must be square")
     rows = [{j: x for j, x in enumerate(row) if x} for row in transition]

@@ -408,6 +408,12 @@ def _error_to_float(err_ulps: int, bits: int) -> float:
 # N steps amplifying by up to D each cost O(M(N log D) log N), M(n) being the
 # cost of one n-bit multiplication.
 #
+# Block maps come from one product tree, _tree, and nowhere else: the error
+# budget, the coded prefix and the engine read it.  The engine only reads
+# maps while it solves: the tree of a left half keeps the left halves of its
+# own splits, so each range is composed once.  A one-dimensional family is
+# plain ints throughout, in the maps as in the steps.
+#
 # Every dropped bit is tracked in ulps, so each point is certified to lie
 # within TRUNCATION_SLACK of the step-by-step fixed-point recursion on the
 # same p-bit inputs, whose own error bookkeeping is replayed exactly.
@@ -426,6 +432,8 @@ _OUT_SCALE = 2.0 ** -53
 
 
 def _matvec(m, v) -> list[int]:
+    if isinstance(m, int):
+        return [m * v[0]]
     return [sum(map(mul, row, v)) for row in m]
 
 
@@ -435,65 +443,24 @@ def _matadd(a, b):
 
 def _norm(m) -> int:
     """Max absolute row sum: how much the matrix amplifies a max-norm error."""
+    if isinstance(m, int):
+        return abs(m)
     return max(sum(abs(x) for x in row) for row in m)
 
 
-def _compose(later, earlier):
-    """(M2, C2) o (M1, C1) = (M2 M1, M2 C1 + C2)."""
-    m2, c2 = later
-    m1, c1 = earlier
-    return _matmul(m2, m1), [
-        None if x is None else _matadd(_matmul(m2, x), y) for x, y in zip(c1, c2)
-    ]
-
-
-def _scalar_tree(mults, active, letters, lo, hi, keep=None):
-    """_block_map of a one-dimensional family on plain ints: x -> mults[a] x
-    + beta_a composes to (M, [C_k]) with ints M and C_k (None where active[k]
-    is false).
-
-    With `keep`, the left half (lo, mid) of every split whose product M has
-    more than _LEAF_BITS bits is stored there as (M, [C_k]): the engine
-    splits exactly those ranges, at the same midpoints, and needs the map of
-    each left half.
-    """
-    if hi - lo > _MAP_LEAF_STEPS:
-        mid = (lo + hi) // 2
-        m2, c2 = _scalar_tree(mults, active, letters, mid, hi, keep)
-        m1, c1 = _scalar_tree(mults, active, letters, lo, mid, keep)
-        prod = m2 * m1
-        if keep is not None and prod.bit_length() > _LEAF_BITS:
-            keep[lo, mid] = (m1, c1)
-        return prod, [None if x is None else m2 * x + y for x, y in zip(c1, c2)]
-    prod = 1
-    sums = [0] * len(mults)
-    for a in reversed(letters[lo:hi].tolist()):
-        sums[a] += prod
-        prod *= mults[a]
-    return prod, [c if on else None for c, on in zip(sums, active)]
-
-
-def _block_map(mats, active, letters, lo, hi):
-    """Exact composition of steps lo..hi-1 of x -> mats[a] x + beta_a.
-
-    Returns (M, C) with x_hi = M x_lo + sum_k C[k] beta_k: M is the product
-    of the step matrices and C[k] sums, over the steps with letter k, the
-    product of the matrices after that step (None where active[k] is false).
-    """
-    d = len(mats[0])
-    if d == 1 and len(mats) == 1 and not active[0]:  # x -> D x: one power
-        return ((int(mats[0][0][0]) ** (hi - lo),),), [None]
-    if d == 1:  # plain ints: the per-step tuple work would dominate
-        prod, sums = _scalar_tree([m[0][0] for m in mats], active, letters, lo, hi)
-        return ((prod,),), [None if c is None else ((c,),) for c in sums]
-    if hi - lo > _MAP_LEAF_STEPS:
-        mid = (lo + hi) // 2
-        return _compose(
-            _block_map(mats, active, letters, mid, hi),
-            _block_map(mats, active, letters, lo, mid),
-        )
+def _leaf_map(mats, active, letters, lo, hi):
+    """_tree of steps lo..hi-1 by a plain loop: prod <- prod M_a and C_a +=
+    prod, from the last step back."""
     seq = letters[lo:hi].tolist()
-    if d == 2:  # written out: prod <- prod M_a and C_a += prod on plain ints
+    if isinstance(mats[0], int):  # plain ints: the per-step tuple work would dominate
+        prod = 1
+        sums = [0] * len(mats)
+        for a in reversed(seq):
+            sums[a] += prod
+            prod *= mats[a]
+        return prod, [c if on else None for c, on in zip(sums, active)]
+    d = len(mats[0])
+    if d == 2:  # written out on plain ints
         flat = [(*m[0], *m[1]) for m in mats]
         p00, p01, p10, p11 = 1, 0, 0, 1
         acc = [[0, 0, 0, 0] if on else None for on in active]
@@ -523,12 +490,44 @@ def _block_map(mats, active, letters, lo, hi):
     return prod, sums
 
 
+def _tree(mats, active, letters, lo, hi, run=None):
+    """Exact composition of steps lo..hi-1 of x -> mats[a] x + beta_a.
+
+    Returns (M, C) with x_hi = M x_lo + sum_k C[k] beta_k: M is the product
+    of the step matrices and C[k] sums, over the steps with letter k, the
+    product of the matrices after that step (None where active[k] is false).
+    Matrices are plain ints in one dimension and tuples of rows otherwise.
+
+    With `run`, the left half of every split that the engine splits too
+    (the same _amp_bits test, the same midpoint) is kept in run.kept with
+    run's inactive letters set to None: the engine then reads those maps
+    instead of composing them again.
+    """
+    if len(mats) == 1 and not active[0] and isinstance(mats[0], int):  # x -> D x: one power
+        return mats[0] ** (hi - lo), [None]
+    if hi - lo <= _MAP_LEAF_STEPS:
+        return _leaf_map(mats, active, letters, lo, hi)
+    if run is not None and _amp_bits(run, lo, hi) <= _LEAF_BITS:
+        run = None  # the engine splits nothing inside a range it does not split
+    mid = (lo + hi) // 2
+    m2, c2 = _tree(mats, active, letters, mid, hi, run)
+    m1, c1 = _tree(mats, active, letters, lo, mid, run)
+    if run is not None:
+        run.kept[lo, mid] = m1, [c if on else None for c, on in zip(c1, run.active)]
+    if isinstance(m2, int):
+        return m2 * m1, [None if x is None else m2 * x + y for x, y in zip(c1, c2)]
+    return _matmul(m2, m1), [
+        None if x is None else _matadd(_matmul(m2, x), y) for x, y in zip(c1, c2)
+    ]
+
+
 class _Orbit:
     """Inputs, precision schedule and outputs of one engine run.
 
-    Letter k acts as x -> mats[k] x + offsets[k] / 2^p (mod 1); `leaf` is the
-    plain loop that fills `points` (and `digits`).  The run refers to nothing
-    that refers back to it, so it is freed as soon as the caller drops it.
+    Letter k acts as x -> mats[k] x + offsets[k] / 2^p (mod 1), mats[k] a
+    plain int in one dimension; `leaf` is the plain loop that fills `points`
+    (and `digits`).  The run refers to nothing that refers back to it, so it
+    is freed as soon as the caller drops it.
     """
 
     def __init__(self, mats, offsets, letters, p, leaf):
@@ -552,13 +551,13 @@ class _Orbit:
         self.p = p
         self.guard = _GUARD_BITS + len(letters).bit_length()
         self.leaf = leaf
-        self.points = np.empty((len(letters), len(mats[0])))
+        self.points = np.empty((len(letters), len(offsets[0])))
         self.spread = 0.0  # largest truncation error of a point
         self.digits: list[int] = []
         self.fixed = 0  # digit runs: the exact p-bit input and its error
         self.fixed_err = 0
-        # block maps computed before the run, (lo, hi) -> (M, [C_k]) as
-        # _scalar_tree returns them; see _map_of
+        # left-half block maps that _tree kept for the engine, (lo, hi) ->
+        # (M, [C_k]); see _map_of
         self.kept: dict = {}
 
 
@@ -597,42 +596,36 @@ def _jump(run: _Orbit, block, state, q, t, e):
 
 def _map_of(run: _Orbit, lo, hi):
     """Block map of steps lo+1..hi: the kept one if the run has it (handed
-    out once, then dropped), else _block_map."""
-    kept = run.kept.pop((lo, hi), None)
-    if kept is None:
-        return _block_map(run.mats, run.active, run.letters, lo, hi)
-    prod, sums = kept
-    return ((prod,),), [((c,),) if on else None for c, on in zip(sums, run.active)]
+    out once, then dropped), else a fresh _tree, which keeps the maps that
+    the range's own splits will ask for."""
+    block = run.kept.pop((lo, hi), None)
+    if block is None:
+        block = _tree(run.mats, run.active, run.letters, lo, hi, run)
+    return block
 
 
-def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e, need_map):
+def _solve(run: _Orbit, lo, hi, amp_bits, state, q, t, e) -> None:
     """Points of steps lo+1..hi, which amplify by up to 2^amp_bits, from the
     q-bit state at step lo.  That state lies within t ulps of the step-by-step
     recursion's state; e is the recursion's own error in the same ulps
-    (tracked for digit runs, 0 for walks).  Returns the block map of the
-    range when need_map is set."""
+    (tracked for digit runs, 0 for walks)."""
     if hi - lo <= 1 or amp_bits <= _LEAF_BITS:
         run.leaf(run, lo, hi, state, q, t, e)
-        return _map_of(run, lo, hi) if need_map else None
-    reuse = need_map and (lo, hi) in run.kept
+        return
     mid = (lo + hi) // 2
+    left = _map_of(run, lo, mid)
     bits = _amp_bits(run, lo, mid)
-    entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
-    left = _solve(run, lo, mid, bits, *entry, True)
+    _solve(run, lo, mid, bits, *_truncate(state, q, t, e, math.ceil(bits) + run.guard))
     state, t, e = _jump(run, left, state, q, t, e)
     bits = _amp_bits(run, mid, hi)
-    entry = _truncate(state, q, t, e, math.ceil(bits) + run.guard)
-    right = _solve(run, mid, hi, bits, *entry, need_map and not reuse)
-    if reuse:
-        return _map_of(run, lo, hi)
-    return _compose(right, left) if need_map else None
+    _solve(run, mid, hi, bits, *_truncate(state, q, t, e, math.ceil(bits) + run.guard))
 
 
 def _run(run: _Orbit, state, e=0) -> _Orbit:
     """Solve all steps from the exact p-bit state (e ulps from the truth)."""
     n = len(run.letters)
     bits = _amp_bits(run, 0, n)
-    _solve(run, 0, n, bits, *_truncate(state, run.p, 0, e, math.ceil(bits) + run.guard), False)
+    _solve(run, 0, n, bits, *_truncate(state, run.p, 0, e, math.ceil(bits) + run.guard))
     if run.spread > TRUNCATION_SLACK:
         raise PrecisionExceededError(
             f"truncation error {run.spread:.3e} exceeds the engine's slack"
@@ -660,7 +653,6 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
     d = len(state)
     # d <= 2 is written out on plain ints: the per-step list work would dominate
     if d == 1:
-        ms = [m[0][0] for m in mats]
         bs = [off[0] for off in offs]
     elif d == 2:
         flat = [(*m[0], *m[1], *off) for m, off in zip(mats, offs)]
@@ -671,7 +663,7 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
         if d == 1:
             s = state[0]
             for a in seq:
-                s = (ms[a] * s + bs[a]) & mask
+                s = (mats[a] * s + bs[a]) & mask
                 t = t * amps[a] + inexact[a]
                 out.append(s >> take)
             state = [s]
@@ -700,7 +692,7 @@ def _digit_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
     same digit.  Otherwise the loop restarts at that step from the exact
     p-bit state, where the test is the recursion's own and a failure raises.
     """
-    base = run.mats[0][0][0]
+    base = run.mats[0]
     mask = (1 << q) - 1
     take = q - 53
     s = state[0]
@@ -746,16 +738,16 @@ def _letter_indices(w, alphabet: int) -> np.ndarray:
     return indices
 
 
-def _error_budget(amps, letters, keep=None):
+def _error_budget(amps, letters, run=None):
     """(G, [S_k]) of the recursion's error bookkeeping over the word: G is
     the product of the amplifications and S_k sums, over the steps with
     letter k, the product of the amplifications after that step, so the
     final error is G err_0 + sum_k S_k err_k.  When every amplification is 1
-    (every rotation) these are 1 and the letter counts; otherwise they come
-    from _scalar_tree, which fills `keep`."""
+    (every rotation) these are 1 and the letter counts; otherwise they are
+    the _tree of the amplifications, which keeps block maps for `run`."""
     if max(amps) == 1:
-        return 1, np.bincount(letters, minlength=len(amps)).tolist()
-    return _scalar_tree(amps, [True] * len(amps), letters, 0, len(letters), keep)
+        return 1, [int(np.count_nonzero(letters == k)) for k in range(len(amps))]
+    return _tree(amps, [True] * len(amps), letters, 0, len(letters), run)
 
 
 def walk_orbit_fixed(
@@ -767,7 +759,8 @@ def walk_orbit_fixed(
     """Numeric trajectory of h_{w_n} o ... o h_{w_1}(x0) at certified precision.
 
     x0 and the offsets are read as fixed-point integers at p bits, p from
-    precision_budget (or the explicit override).  The points are those of
+    precision_budget when precision_bits is None, else precision_bits, which
+    must be at least 64 (0 included: it is refused).  The points are those of
     the step-by-step recursion x <- L_a x + beta_a mod 2^p to within
     TRUNCATION_SLACK, computed by the block engine above in O(M(N) log N)
     instead of O(N^2): a block of steps composes exactly to
@@ -779,16 +772,20 @@ def walk_orbit_fixed(
     least 1), is composed exactly before any orbit work: if it reaches
     2^(p-33) ulps, i.e. 2^-33, within the word, PrecisionExceededError names
     the first such step.  In one dimension with multipliers >= 1 that
-    composition is the product tree of the engine's block maps, and the
-    engine reuses its nodes.  error_bound is the final err in ulps rounded up
-    to a power of two, plus 2^-53 per coordinate for the float output, plus
-    TRUNCATION_SLACK.
+    composition is the _tree of the engine's block maps, so it keeps the maps
+    the engine will ask for and the engine composes none of its own.
+    error_bound is the final err in ulps rounded up to a power of two, plus
+    2^-53 per coordinate for the float output, plus TRUNCATION_SLACK.
     """
     letters = _letter_indices(w, len(endos))
     n_steps = len(letters)
     d = endos[0].dimension
     mats = [e.linear.rows for e in endos]
-    p = precision_bits or precision_budget([e.linear for e in endos], n_steps)
+    if d == 1:
+        mats = [m[0][0] for m in mats]
+    p = precision_bits
+    if p is None:
+        p = precision_budget([e.linear for e in endos], n_steps)
     if p < 64:
         raise ValueError("precision must be at least 64 bits")
     mask = (1 << p) - 1
@@ -806,22 +803,19 @@ def walk_orbit_fixed(
         offsets.append(tuple(x & mask for x, _ in fixed))
         offset_errs.append(max([1] + [e for _, e in fixed]))
 
-    amps = [max(_norm(m), 1) for m in mats]
+    run = _Orbit(mats, offsets, letters, p, _walk_leaf)
     # d = 1 with multipliers >= 1: the amplifications are the multipliers, so
     # the budget tree is the tree of the engine's block maps
-    kept = {} if d == 1 and amps == [m[0][0] for m in mats] else None
-    growth, sums = _error_budget(amps, letters, kept)
+    growth, sums = _error_budget(run.amps, letters, run if run.amps == mats else None)
     final_err = growth * err + sum(c * oe for c, oe in zip(sums, offset_errs))
     limit = 1 << (p - 33)
     if n_steps and final_err >= limit:
         for step, a in enumerate(letters.tolist(), 1):
-            err = err * amps[a] + offset_errs[a]
+            err = err * run.amps[a] + offset_errs[a]
             if err >= limit:
                 break
         raise PrecisionExceededError(f"error budget exhausted at step {step} of {n_steps}")
 
-    run = _Orbit(mats, offsets, letters, p, _walk_leaf)
-    run.kept = kept or {}
     _run(run, state)
     return NumericOrbit(
         points=run.points, error_bound=_orbit_error_bound(final_err, p, d), precision_bits=p
@@ -836,11 +830,12 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
     coding_tail_bound).  With S = r_{w_1} + ... + r_{w_n} the prefix is
     exactly sum_k t_k U_k / D^S, where U_k sums D^(S - r_{w_1} - ... -
     r_{w_{j-1}}) over the positions j with w_j = k.  The integers D^S and U_k
-    are the engine's block map of the word: a product tree, exact at every
-    level, costing O(M(N) log N).  X is one floor division of sum_k T_k U_k by D^S with T_k the translations
-    at `bits` bits, and E = ceil(E_T sum_k |U_k| / |D^S|) plus one ulp when
-    the division is inexact.  Nothing is refused here: the digits drawn from
-    X (digits_from_fixed) carry E and the word-truncation error.
+    are the engine's block map of the word (_tree): a product tree, exact at
+    every level, costing O(M(N) log N).  X is one floor division of
+    sum_k T_k U_k by D^S with T_k the translations at `bits` bits, and
+    E = ceil(E_T sum_k |U_k| / |D^S|) plus one ulp when the division is
+    inexact.  Nothing is refused here: the digits drawn from X
+    (digits_from_fixed) carry E and the word-truncation error.
     """
     if ifs.dimension != 1:
         raise ValueError("fixed-point coding path is one-dimensional")
@@ -853,7 +848,7 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
         x, e = t.coords[0].fixed_point(bits)
         t_fixed.append(x)
         t_err = max(t_err, e)
-    denom, sums = _scalar_tree(mults, [True] * len(mults), letters, 0, len(letters))
+    denom, sums = _tree(mults, [True] * len(mults), letters, 0, len(letters))
     numers = [c * m for c, m in zip(sums, mults)]
     v, rem = divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
     err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
@@ -881,7 +876,7 @@ def digits_from_fixed(
     """
     if base < 2:
         raise ValueError("base must be >= 2")
-    run = _Orbit([((base,),)], [(0,)], np.zeros(count, dtype=np.int8), bits, _digit_leaf)
+    run = _Orbit([base], [(0,)], np.zeros(count, dtype=np.int8), bits, _digit_leaf)
     run.fixed = fixed & ((1 << bits) - 1)
     run.fixed_err = max(1, err_ulps)
     _run(run, [run.fixed], run.fixed_err)

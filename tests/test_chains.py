@@ -188,6 +188,7 @@ class TestStationaryDistribution:
             ([[F(1, 2), F(1, 2)]], "must be square"),
             ([[F(3, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], "nonnegative and sum to 1"),
             ([[F(1, 3), F(1, 3)], [F(1, 2), F(1, 2)]], "nonnegative and sum to 1"),
+            ([], "is empty"),
         ],
     )
     def test_malformed_matrix_rejected(self, t, message):

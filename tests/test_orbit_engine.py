@@ -186,6 +186,13 @@ class TestWalkOrbit:
             ref.walk_orbit_fixed(endos, x0, letters, precision_bits=64)
         assert str(new.value) == str(old.value)
 
+    @pytest.mark.parametrize("bits", [0, 63])
+    def test_precision_below_64_rejected(self, bits):
+        # only None asks for the automatic budget; 0 is a precision like any other
+        endo = AffineEndo(IntMatrix.scalar(2), (Scalar.rational(0, B),))
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            walk_orbit_fixed([endo] * 2, TorusPoint([Scalar.rational(0, B)]), [1] * 100, bits)
+
     def test_letters_out_of_range_rejected(self):
         endo = AffineEndo(IntMatrix.scalar(2), (Scalar.rational(0, B),))
         with pytest.raises(ValueError, match="letters"):
@@ -293,6 +300,11 @@ class TestRationalCase:
             assert abs(float(new["results"]["weyl"][k]) - float(v)) <= 1e-12
 
 
+def rows(m):
+    """A block-map matrix as a tuple of rows; one-dimensional ones are ints."""
+    return ((m,),) if isinstance(m, int) else m
+
+
 class TestJump:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(64, 400))
@@ -303,6 +315,8 @@ class TestJump:
         mats = [
             tuple(tuple(data.draw(entries) for _ in range(d)) for _ in range(d)) for _ in range(k)
         ]
+        if d == 1:  # one-dimensional maps are plain ints
+            mats = [m[0][0] for m in mats]
         # offsets with many ones below the cut make reading them at q bits lose almost an ulp
         words = st.integers(0, (1 << p) - 1) | st.just((1 << p) - 1) | st.just((1 << (p - 1)) - 1)
         offsets = [tuple(data.draw(words) for _ in range(d)) for _ in range(k)]
@@ -311,8 +325,8 @@ class TestJump:
         letters = np.array(word, dtype=np.int8)
         state = [data.draw(words) for _ in range(d)]
         run = fractal._Orbit(mats, offsets, letters, p, fractal._walk_leaf)
-        block = fractal._block_map(mats, run.active, letters, 0, n)
-        m, c = block
+        block = fractal._tree(mats, run.active, letters, 0, n)
+        m, c = rows(block[0]), [None if x is None else rows(x) for x in block[1]]
 
         def dot(row, vec):
             return sum(x * y for x, y in zip(row, vec))
@@ -353,18 +367,23 @@ class TestKernels:
         mats = [
             tuple(tuple(data.draw(entries) for _ in range(d)) for _ in range(d)) for _ in range(k)
         ]
+        if d == 1:
+            mats = [m[0][0] for m in mats]
         active = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         n = data.draw(st.integers(1, 3 * fractal._MAP_LEAF_STEPS))
         word = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         letters = np.array(word, dtype=np.int8)
-        m, c = fractal._block_map(mats, active, letters, 0, n)
-        generic_m, generic_c = fractal._block_map([embed(x) for x in mats], active, letters, 0, n)
-        assert m == top_left(generic_m, d)
-        assert c == [None if x is None else top_left(x, d) for x in generic_c]
-        if d == 1:
-            prod, sums = fractal._scalar_tree([x[0][0] for x in mats], active, letters, 0, n)
-            assert type(prod) is int and ((prod,),) == m
-            assert [None if x is None else ((x,),) for x in sums] == c
+        m, c = fractal._tree(mats, active, letters, 0, n)
+        generic_m, generic_c = fractal._tree(
+            [embed(rows(x)) for x in mats], active, letters, 0, n
+        )
+        assert rows(m) == top_left(generic_m, d)
+        assert [None if x is None else rows(x) for x in c] == [
+            None if x is None else top_left(x, d) for x in generic_c
+        ]
+        # one dimension stays on plain ints, and the split tree is one plain loop
+        assert (type(m) is int) == (d == 1)
+        assert (m, c) == fractal._leaf_map(mats, active, letters, 0, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-9, 9), st.integers(0, 5 * fractal._MAP_LEAF_STEPS), st.integers(0, 70))
@@ -372,10 +391,9 @@ class TestKernels:
         # the digit runs' map x -> D x: (D^(hi-lo), inactive) without a tree
         lo = min(lo, hi)
         letters = np.zeros(hi, dtype=np.int8)
-        m, c = fractal._block_map([((base,),)], [False], letters, lo, hi)
-        prod, sums = fractal._scalar_tree([base], [False], letters, lo, hi)
-        assert type(m[0][0]) is int and m == ((prod,),) == ((base ** (hi - lo),),)
-        assert c == sums == [None]
+        m, c = fractal._tree([base], [False], letters, lo, hi)
+        assert type(m) is int and m == base ** (hi - lo)
+        assert (m, c) == fractal._leaf_map([base], [False], letters, lo, hi) == (m, [None])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 2), st.integers(1, 3), st.integers(64, 400))
@@ -403,7 +421,8 @@ class TestKernels:
         q = data.draw(st.integers(53, p))
         state = [data.draw(st.integers(0, (1 << q) - 1)) for _ in range(d)]
         t = data.draw(st.integers(0, 1 << 20))
-        run = fractal._Orbit(mats, offsets, letters, p, fractal._walk_leaf)
+        plain = [m[0][0] for m in mats] if d == 1 else mats  # one dimension: plain ints
+        run = fractal._Orbit(plain, offsets, letters, p, fractal._walk_leaf)
         generic = fractal._Orbit(
             [embed(x) for x in mats], [off + (0,) * (3 - d) for off in offsets], letters, p,
             fractal._walk_leaf,
@@ -469,7 +488,7 @@ class TestSharedBudgetTree:
         def spy(run, lo, hi):
             kept = (lo, hi) in run.kept
             block = map_of(run, lo, hi)
-            assert block == fractal._block_map(run.mats, run.active, run.letters, lo, hi)
+            assert block == fractal._tree(run.mats, run.active, run.letters, lo, hi)
             requests.append(kept)
             return block
 
@@ -484,15 +503,64 @@ class TestSharedBudgetTree:
         # letters of the alphabet that the word leaves out count as well
         letters = fractal._letter_indices(letters_for(data.draw, endos[:-1] or endos, n), len(endos))
         amps = [e.linear.rows[0][0] for e in endos]
-        active = [True] * len(amps)
-        keep = {}
-        budget = fractal._error_budget(amps, letters, keep)
-        assert budget == fractal._scalar_tree(amps, active, letters, 0, n)
-        for (lo, hi), (prod, sums) in keep.items():
-            maps = [((a,),) for a in amps]
-            assert fractal._block_map(maps, active, letters, lo, hi) == (
-                ((prod,),), [((c,),) for c in sums]
-            )
+        # zero offsets make letters inactive: the kept maps leave them out
+        offsets = [(data.draw(st.sampled_from([0, 1, 3 << 60])),) for _ in endos]
+        run = fractal._Orbit(amps, offsets, letters, 64, fractal._walk_leaf)
+        budget = fractal._error_budget(amps, letters, run)
+        assert budget == fractal._tree(amps, [True] * len(amps), letters, 0, n)
+        for (lo, hi), block in run.kept.items():
+            assert block == fractal._tree(amps, run.active, letters, lo, hi)
+
+
+class TestOneTree:
+    """The engine reads block maps and never composes while it solves: in one
+    run no range longer than one plain-loop map is composed twice, and every
+    map it jumps with is the fresh tree of its range."""
+
+    @pytest.mark.parametrize(
+        "matrices, n",
+        [
+            ([[[-3]], [[2]]], 3000),  # d = 1 with a negative multiplier: no shared tree
+            ([[[3, 1], [1, 3]], [[4, 1], [1, 4]]], 3000),
+            ([[[6, 1, 0], [0, 6, 1], [1, 0, 6]], [[7, 1, 0], [0, 7, 1], [1, 0, 7]]], 1500),
+        ],
+    )
+    def test_each_range_composed_once(self, matrices, n):
+        rng = np.random.default_rng(n + len(matrices[0]))
+        d = len(matrices[0])
+        offset = [Scalar(B, (Fraction(j + 1, 7), Fraction(1), Fraction(j))) for j in range(d)]
+        endos = [AffineEndo(IntMatrix.from_rows(m), tuple(offset)) for m in matrices]
+        letters = rng.integers(1, 3, size=n)
+        x0 = TorusPoint([Scalar.rational(Fraction(1, 7), B)] * d)
+        tree, map_of, jump = fractal._tree, fractal._map_of, fractal._jump
+        composed, handed, jumped = [], {}, []
+
+        def tree_spy(mats, active, letters, lo, hi, run=None):
+            if hi - lo > fractal._MAP_LEAF_STEPS:
+                composed.append((repr(mats), lo, hi))
+            return tree(mats, active, letters, lo, hi, run)
+
+        def map_of_spy(run, lo, hi):
+            block = map_of(run, lo, hi)
+            handed[id(block)] = run, lo, hi
+            return block
+
+        def jump_spy(run, block, *state):
+            jumped.append(block)
+            return jump(run, block, *state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractal, "_tree", tree_spy)
+            mp.setattr(fractal, "_map_of", map_of_spy)
+            mp.setattr(fractal, "_jump", jump_spy)
+            orbit = walk_orbit_fixed(endos, x0, letters)
+        assert len(composed) == len(set(composed))
+        assert len(jumped) > 3
+        for block in jumped:
+            run, lo, hi = handed[id(block)]
+            assert block == tree(run.mats, run.active, run.letters, lo, hi)
+        old = ref.walk_orbit_fixed(endos, x0, letters)
+        assert orbit.points.tobytes() == old.points.tobytes()
 
 
 @contextlib.contextmanager
