@@ -530,8 +530,9 @@ def rational_case_points(
     tail letters that the truncated coding tail stays below 2^-60 max|t_i|
     / (1 - 1/|D|).
 
-    Returns (points, eta state index per step, per-point error bound,
-    precision of the alpha orbit or None when t_1 is rational).
+    Returns (sample, eta state index per step): the points with their
+    per-point error bound and the precision of the alpha orbit, None when
+    t_1 is rational.
     """
     tail_len = max(8, math.ceil(60 / math.log2(abs(eta.d_value)))) + 4
     letters = fractal.walk_letter_stream(eta.probabilities, rng, n + tail_len)
@@ -598,4 +599,4 @@ def _rational_case_points(eta: EtaChain, t_scalars, letters: np.ndarray, n_steps
         + s_max * _UNIT_ROUNDOFF
         + (2.0 * (1.0 + s_max + t_max * geo) + 1.0) * _UNIT_ROUNDOFF
     )
-    return points, eta_idx, bound, precision_used
+    return fractal.OrbitSample(points, bound, precision_used), eta_idx

@@ -37,6 +37,7 @@ from . import chains, fractal, groupcond, spectral, stats
 from .exactcore import (
     IntMatrix,
     IrrationalBasis,
+    NearIntegerError,
     Scalar,
     TorusPoint,
     parse_scalar,
@@ -375,6 +376,8 @@ def normalize_config(raw: dict) -> dict:
             raise _bad("K", f"the Weyl grid (2K+1)^{dim} must have <= {MAX_TABLE} frequencies")
     if "r" in cfg and len(cfg["r"]) != len(maps):
         raise _bad("r", f"expected {len(maps)} exponents, one per map")
+    if kind == "condition-check" and len(maps) < 2:
+        raise _bad("alpha" if "alpha" in cfg else "t", "need at least two maps")
     if "P" in cfg:
         cfg["P"] = _weights(cfg["P"], len(maps), "P")
     if kind in ("normality", "rational-case") and len(cfg["D"]) != 1:
@@ -488,23 +491,22 @@ def _run_walk_like(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     n_steps = cfg["N"]
     letters = fractal.walk_letter_stream(_fractions(cfg["P"]), rng, n_steps)
     precision = None if cfg["precision"] == "auto" else cfg["precision"]
-    orbit = fractal.walk_orbit_fixed(endos, x0, letters, precision_bits=precision)
-    sample = stats.OrbitSample(orbit.points, orbit.error_bound, orbit.precision_bits)
+    sample = fractal.walk_orbit_fixed(endos, x0, letters, precision_bits=precision)
     ws = stats.weyl_sums(sample, cfg["K"])
     results: dict = {
         "N": n_steps,
         "K": cfg["K"],
         "weyl": _weyl_table(ws),
         "max_weyl": max(ws.values()),
-        "error_bound": orbit.error_bound,
+        "error_bound": sample.error_bound,
     }
-    sidecars = {"weyl.csv": (["k", "abs_S_N"], results["weyl"].items()), "trajectory.csv": orbit.points}
+    sidecars = {"weyl.csv": (["k", "abs_S_N"], results["weyl"].items()), "trajectory.csv": sample.points}
     if dim == 1:
         _discrepancy(sample, results, sidecars)
     if "control_q" in cfg:
         results["control_q"] = cfg["control_q"]
         results["control_char"] = stats.control_character(sample, cfg["control_q"])
-    return results, sidecars, orbit.precision_bits
+    return results, sidecars, sample.precision_bits
 
 
 def _run_normality(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int | None]:
@@ -516,7 +518,7 @@ def _run_normality(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     base = ifs.d_matrix.rows[0][0]
     count = cfg["N"]
     min_bits = 0 if cfg["precision"] == "auto" else cfg["precision"]
-    digits, points, bound, bits, word_len = stats.sample_digits(ifs, rng, count, min_bits)
+    digits, sample, word_len = stats.sample_digits(ifs, rng, count, min_bits)
     max_len = cfg["L"]
     freqs = stats.block_frequencies(digits, max_len)
     table, deviations = stats.block_table(freqs, base, max_len)
@@ -529,20 +531,23 @@ def _run_normality(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int
     }
     rows = [["".join(map(str, block)), *map(_fmt, values)] for block, *values in table]
     sidecars = {"blocks.csv": (["block", "freq", "expected", "deviation"], rows)}
-    _discrepancy(stats.OrbitSample(points, bound, bits), results, sidecars)
-    return results, sidecars, bits
+    _discrepancy(sample, results, sidecars)
+    return results, sidecars, sample.precision_bits
 
 
 def _run_condition_check(cfg: dict, rng) -> tuple[dict, dict, None]:
     basis = _basis_of(cfg)
-    if cfg["condition"] == "walk":
-        mats = [IntMatrix.from_rows(m) for m in cfg["D"]]
-        alphas = [TorusPoint(_scalars(vec, basis)) for vec in cfg["alpha"]]
-        verdict = groupcond.condition_walk(mats, alphas)
-    else:
-        mat = IntMatrix.from_rows(cfg["D"])
-        points = [TorusPoint(_scalars(vec, basis)) for vec in cfg["t"]]
-        verdict = groupcond.condition_ifs(mat, cfg["r"], points)
+    walk = cfg["condition"] == "walk"
+    points = [TorusPoint(_scalars(vec, basis)) for vec in cfg["alpha" if walk else "t"]]
+    try:
+        if walk:
+            verdict = groupcond.condition_walk([IntMatrix.from_rows(m) for m in cfg["D"]], points)
+        else:
+            verdict = groupcond.condition_ifs(IntMatrix.from_rows(cfg["D"]), cfg["r"], points)
+    except ValueError as exc:
+        # the config has one vector (and exponent) per map and at least two
+        # maps, so what a condition refuses is D: not expanding, or not commuting
+        raise _bad("D", str(exc)) from exc
     results = {
         "dense": verdict.dense,
         "witness": list(verdict.witness) if verdict.witness else None,
@@ -586,11 +591,8 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
     )
     n_steps = cfg["N"]
     k_max = cfg["K"]
-    points, eta_idx, bound, precision_used = chains.rational_case_points(
-        eta, t_scalars, rng, n_steps
-    )
+    sample, eta_idx = chains.rational_case_points(eta, t_scalars, rng, n_steps)
     state_rows, state_dev = eta.state_frequencies(eta_idx)
-    sample = stats.OrbitSample(points, bound, 64)
     # one pass of characters serves the Weyl sums, char_dev and chars.csv
     means = stats.character_means(sample, k_max)
 
@@ -618,7 +620,7 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
     else:
         results["char_dev"] = None
         results["note"] = "t_1 irrational: limit law not finitely computable"
-    return results, sidecars, precision_used
+    return results, sidecars, sample.precision_bits
 
 
 def _run_fourier(cfg: dict, rng) -> tuple[dict, dict, None]:
@@ -832,12 +834,12 @@ def _run_job(raw, outdir: Path, seed: int | None, batch: bool) -> int:
     """Run one experiment and print its report path.  On failure print the
     error, write it to outdir/error.json when the job is part of a batch,
     and return its exit class: 2 for a bad config, 3 when a condition of the
-    theory fails."""
+    theory fails or no precision can certify the result."""
     try:
         run(raw, outdir, seed)
     except ConfigError as exc:
         error, code, field = exc, 2, exc.field
-    except (chains.RationalityError, fractal.PrecisionExceededError) as exc:
+    except (chains.RationalityError, fractal.PrecisionExceededError, NearIntegerError) as exc:
         error, code, field = exc, 3, None
     except (ValueError, ArithmeticError) as exc:
         error, code, field = exc, 2, None

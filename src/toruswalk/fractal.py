@@ -40,7 +40,7 @@ __all__ = [
     "AffineIFS",
     "AffineEndo",
     "Word",
-    "NumericOrbit",
+    "OrbitSample",
     "WindowUnavailableError",
     "PrecisionExceededError",
     "code_prefix",
@@ -378,17 +378,49 @@ def precision_budget(
     return math.ceil(steps * math.log2(amp)) + guard_bits
 
 
-@dataclass(frozen=True)
-class NumericOrbit:
-    """Float view of a certified fixed-point orbit."""
+#: largest per-point error a statistic accepts in an OrbitSample
+ERROR_CEILING = 2.0 ** -32
 
-    points: np.ndarray  # (N, d) in [0, 1)
-    error_bound: float  # uniform per-point bound
-    precision_bits: int
+
+@dataclass(frozen=True)
+class OrbitSample:
+    """Certified orbit points, as every orbit producer returns them and
+    every statistic reads them.
+
+    `points` has shape (N, d) with all coordinates in [0, 1); `error_bound`
+    is a uniform per-point accuracy bound, which must stay below
+    ERROR_CEILING for the statistics to accept the sample; `precision_bits`
+    is the orbit's fixed-point precision, None when no fixed-point orbit ran.
+    """
+
+    points: np.ndarray
+    error_bound: float
+    precision_bits: int | None
+
+    def __post_init__(self) -> None:
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise ValueError("points must be a nonempty (N, d) array")
+        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+            raise ValueError("coordinates must lie in [0, 1)")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def size(self) -> int:
+        return self.points.shape[0]
 
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
+
+    def _require_accuracy(self) -> None:
+        if not self.error_bound < ERROR_CEILING:
+            raise ValueError(
+                f"per-point error {self.error_bound:.3e} exceeds 2^-32; "
+                "recompute the orbit at higher precision"
+            )
 
 
 def _error_to_float(err_ulps: int, bits: int) -> float:
@@ -755,7 +787,7 @@ def walk_orbit_fixed(
     x0: TorusPoint,
     w,
     precision_bits: int | None = None,
-) -> NumericOrbit:
+) -> OrbitSample:
     """Numeric trajectory of h_{w_n} o ... o h_{w_1}(x0) at certified precision.
 
     x0 and the offsets are read as fixed-point integers at p bits, p from
@@ -775,7 +807,9 @@ def walk_orbit_fixed(
     composition is the _tree of the engine's block maps, so it keeps the maps
     the engine will ask for and the engine composes none of its own.
     error_bound is the final err in ulps rounded up to a power of two, plus
-    2^-53 per coordinate for the float output, plus TRUNCATION_SLACK.
+    2^-53 per coordinate for the float output, plus TRUNCATION_SLACK.  The
+    orbit comes as an OrbitSample, which is never empty: an empty word raises
+    ValueError.
     """
     letters = _letter_indices(w, len(endos))
     n_steps = len(letters)
@@ -817,9 +851,7 @@ def walk_orbit_fixed(
         raise PrecisionExceededError(f"error budget exhausted at step {step} of {n_steps}")
 
     _run(run, state)
-    return NumericOrbit(
-        points=run.points, error_bound=_orbit_error_bound(final_err, p, d), precision_bits=p
-    )
+    return OrbitSample(run.points, _orbit_error_bound(final_err, p, d), p)
 
 
 def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:

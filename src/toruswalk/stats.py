@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fractal
 from .exactcore import IntMatrix, Scalar, frac
-from .fractal import AffineIFS, digits_error_bound, digits_from_fixed
+from .fractal import AffineIFS, OrbitSample, digits_error_bound, digits_from_fixed
 
 __all__ = [
     "OrbitSample",
@@ -43,48 +43,8 @@ __all__ = [
     "fourier_table",
 ]
 
-ERROR_CEILING = 2.0 ** -32
 #: `running_discrepancy` rows: prefix lengths m = max(1, floor(N i / 20)), i = 1..20
 DISCREPANCY_CHECKPOINTS = 20
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """Numeric torus points with provenance.
-
-    `points` has shape (N, d) with all coordinates in [0, 1); `error_bound`
-    is a uniform per-point accuracy bound and must stay below 2^-32 for the
-    statistics in this module to accept the sample.
-    """
-
-    points: np.ndarray
-    error_bound: float
-    precision_bits: int
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (N, d) array")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
-            raise ValueError("coordinates must lie in [0, 1)")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    def _require_accuracy(self) -> None:
-        if not self.error_bound < ERROR_CEILING:
-            raise ValueError(
-                f"per-point error {self.error_bound:.3e} exceeds 2^-32; "
-                "recompute the orbit at higher precision"
-            )
 
 
 def _frequency_grid(k_max: int, dim: int) -> list[tuple[int, ...]]:
@@ -166,8 +126,7 @@ def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
     rows = []
     for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
         m = max(1, (sample.size * i) // DISCREPANCY_CHECKPOINTS)
-        prefix = OrbitSample(sample.points[:m], sample.error_bound, sample.precision_bits)
-        rows.append((m, star_discrepancy_1d(prefix)))
+        rows.append((m, star_discrepancy_1d(replace(sample, points=sample.points[:m]))))
     return rows
 
 
@@ -215,15 +174,15 @@ def extract_digits(x: Scalar, base: int, count: int) -> list[int]:
 
 def sample_digits(
     ifs: AffineIFS, rng: np.random.Generator, count: int, min_bits: int = 0
-) -> tuple[list[int], np.ndarray, float, int, int]:
+) -> tuple[list[int], OrbitSample, int]:
     """First `count` base-D digits of a point drawn from a one-dimensional
     IFS's self-similar measure, certified.
 
     The point is the coded value of a random word long enough that the
     coding tail stays far below one ulp of the precision budget (raised to
     `min_bits` if smaller); its digits carry the coding error plus the tail.
-    Returns (digits, orbit points frac(D^m x), per-point error bound, bits,
-    word length).
+    Returns (digits, the orbit frac(D^m x) with its per-point bound and
+    precision, word length).
     """
     base = ifs.d_matrix.rows[0][0]
     digit_bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
@@ -238,7 +197,7 @@ def sample_digits(
     tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
     digits, points = digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
     bound = digits_error_bound(err + tail_ulps, bits, base, count)
-    return digits, points, bound, bits, word_len
+    return digits, OrbitSample(points, bound, bits), word_len
 
 
 def block_frequencies(
@@ -312,12 +271,7 @@ def subsequence_compare(sample: OrbitSample, p: int, k_max: int) -> SubsequenceR
     classes = []
     worst = 0.0
     for j in range(p):
-        sub = OrbitSample(
-            points=sample.points[j::p],
-            error_bound=sample.error_bound,
-            precision_bits=sample.precision_bits,
-        )
-        ws = weyl_sums(sub, k_max)
+        ws = weyl_sums(replace(sample, points=sample.points[j::p]), k_max)
         classes.append(ws)
         worst = max(worst, max(abs(ws[k] - full[k]) for k in full))
     return SubsequenceReport(

@@ -15,7 +15,7 @@ from toruswalk.exactcore import NearIntegerError, TorusPoint
 from toruswalk.fractal import (
     AffineEndo,
     AffineIFS,
-    NumericOrbit,
+    OrbitSample,
     PrecisionExceededError,
     _error_to_float,
     _letters,
@@ -29,11 +29,13 @@ def walk_orbit_fixed(
     w,
     guard_bits: int = 96,
     precision_bits: int | None = None,
-) -> NumericOrbit:
+) -> OrbitSample:
     letters = _letters(w)
     n_steps = len(letters)
     d = endos[0].dimension
-    p = precision_bits or precision_budget([e.linear for e in endos], n_steps, guard_bits)
+    p = precision_bits
+    if p is None:
+        p = precision_budget([e.linear for e in endos], n_steps, guard_bits)
     if p < 64:
         raise ValueError("precision must be at least 64 bits")
     mask = (1 << p) - 1
@@ -84,7 +86,7 @@ def walk_orbit_fixed(
         for r in range(d):
             out[i, r] = (state[r] >> take) * scale
     bound = _error_to_float(err, p) + d * 2.0 ** -53
-    return NumericOrbit(points=out, error_bound=bound, precision_bits=p)
+    return OrbitSample(points=out, error_bound=bound, precision_bits=p)
 
 
 def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:

@@ -670,10 +670,9 @@ class TestRationalCasePoints:
         letters = np.random.default_rng(d * tail_len).integers(
             1, len(ts) + 1, size=n + tail_len + extra
         )
-        points, eta_idx, bound, precision = chains._rational_case_points(
-            eta, t_scalars, letters[: n + tail_len], n
-        )
-        assert precision is None
+        sample, eta_idx = chains._rational_case_points(eta, t_scalars, letters[: n + tail_len], n)
+        points, bound = sample.points[:, 0], sample.error_bound
+        assert sample.precision_bits is None
         if tail_len >= 30:
             assert bound < 2.0 ** -40
         c = F(d, d - 1) * t_exact[0]
@@ -876,6 +875,41 @@ class TestBatch:
         assert error["field"] == "P" and error["exit"] == 2 and "field 'P'" in error["message"]
         error = json.loads((out / "experiment_3" / "error.json").read_text())
         assert error["field"] is None and error["exit"] == 3
+
+    def test_uncertifiable_digits_exit_three(self, tmp_path, capsys):
+        # the sampled point is exactly 0, so no precision certifies its digits
+        cfg = {"kind": "normality", "D": 3, "r": [1, 1], "t": ["0", "0"], "N": 200, "L": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "single")]) == 3
+        assert "condition violated: digit 1 not certifiable" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps([cfg]))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "batch")]) == 3
+        error = json.loads((tmp_path / "batch" / "experiment_0" / "error.json").read_text())
+        assert error["field"] is None and error["exit"] == 3
+        assert error["message"].startswith("digit 1 not certifiable")
+
+    @pytest.mark.parametrize(
+        "cfg, field, problem",
+        [
+            ({"kind": "condition-check", "condition": "walk", "D": [2], "alpha": ["1/3"]},
+             "alpha", "need at least two maps"),
+            ({"kind": "condition-check", "condition": "ifs", "D": 3, "r": [1], "t": ["1/3"]},
+             "t", "need at least two maps"),
+            ({"kind": "condition-check", "condition": "walk", "irrationals": ["sqrt2"],
+              "D": [[[2, 1], [0, 2]], [[2, 0], [1, 2]]], "alpha": [["0", "0"], ["1*sqrt2", "0"]]},
+             "D", "do not commute"),
+            (dict(COND_CFG, D=[[1, 1], [0, 1]], t=[["0", "0"], ["2/3*sqrt2", "0"]]),
+             "D", "is not expanding"),
+        ],
+    )
+    def test_condition_refusals_name_the_field(self, tmp_path, capsys, cfg, field, problem):
+        cfg_path = tmp_path / "batch.json"
+        cfg_path.write_text(json.dumps([cfg]))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        error = json.loads((tmp_path / "out" / "experiment_0" / "error.json").read_text())
+        assert error["field"] == field and error["exit"] == 2
+        assert error["message"].startswith(f"field {field!r}: ") and problem in error["message"]
 
     def test_single_run_writes_no_error_file(self, tmp_path, capsys):
         _run_error(tmp_path, capsys, dict(WALK_CFG, N=0))

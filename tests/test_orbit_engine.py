@@ -186,6 +186,14 @@ class TestWalkOrbit:
             ref.walk_orbit_fixed(endos, x0, letters, precision_bits=64)
         assert str(new.value) == str(old.value)
 
+    def test_precision_zero_raises_like_the_loop(self):
+        # only None asks for the automatic budget, in the loop as in the engine
+        endos = [AffineEndo(IntMatrix.scalar(2), (Scalar.rational(0, B),))] * 2
+        x0 = TorusPoint([Scalar.rational(0, B)])
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            ref.walk_orbit_fixed(endos, x0, [1] * 100, precision_bits=0)
+        assert_walks_agree(endos, x0, [1] * 100, precision_bits=0)
+
     @pytest.mark.parametrize("bits", [0, 63])
     def test_precision_below_64_rejected(self, bits):
         # only None asks for the automatic budget; 0 is a precision like any other
