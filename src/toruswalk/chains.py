@@ -27,7 +27,6 @@ from .exactcore import (
     _multimodular_solve,
     frac,
 )
-from .fractal import AffineIFS
 from .spectral import CoefficientFunction, DiscreteMeasure, SelfSimilarSpec, convolve
 
 __all__ = [
@@ -265,7 +264,8 @@ def _residues(rationals: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 @dataclass(frozen=True)
 class FiniteStationary:
-    """Finite invariant set A + x0 with an exact stationary vector on it."""
+    """Finite invariant set A + x0 of the maps h_i(x) = D_i x + alpha_i,
+    with an exact stationary vector on it."""
 
     x0: Scalar
     q: int
@@ -275,6 +275,7 @@ class FiniteStationary:
     d_values: tuple[int, ...]
     betas: tuple[Fraction, ...]
     probabilities: tuple[Fraction, ...]
+    alphas: tuple[Scalar, ...]
 
     def map_state(self, i: int, a: Fraction) -> Fraction:
         """Image of a + x0 under h_i, expressed by its A-component."""
@@ -288,13 +289,13 @@ class FiniteStationary:
                 acc[self.map_state(i, a)] += p * w
         return all(acc[a] == w for a, w in zip(self.a_values, self.stationary))
 
-    def support_is_invariant(self, alphas: Sequence[Scalar]) -> bool:
+    def support_is_invariant(self) -> bool:
         """Exact check, through Scalar arithmetic, that every map h_i(x) =
         D_i x + alpha_i sends the support A + x0 into itself."""
         support = {TorusPoint([self.x0 + a]) for a in self.a_values}
         return all(
             fractal.AffineEndo(IntMatrix.scalar(d), (alpha,))(pt) in support
-            for d, alpha in zip(self.d_values, alphas)
+            for d, alpha in zip(self.d_values, self.alphas)
             for pt in support
         )
 
@@ -346,6 +347,7 @@ def build_finite_stationary(
         d_values=tuple(int(d) for d in d_values),
         betas=tuple(betas),
         probabilities=tuple(probabilities),
+        alphas=tuple(alphas),
     )
 
 
@@ -355,9 +357,11 @@ def build_finite_stationary(
 
 @dataclass(frozen=True)
 class EtaChain:
-    """Finite-state carry process eta_{m+1} = D eta_m + Dd_{i_{m+1}} mod 1."""
+    """Finite-state carry process eta_{m+1} = D eta_m + Dd_{i_{m+1}} mod 1 of
+    the IFS x -> x/D + t_i it was built from, d_i = t_i - t_1."""
 
     d_value: int
+    translations: tuple[Scalar, ...]
     q: int
     states: tuple[Fraction, ...]
     deltas_tilde: tuple[Fraction, ...]
@@ -370,16 +374,14 @@ class EtaChain:
 
     def walk(self, letters: np.ndarray) -> np.ndarray:
         """State indices of eta_1, ..., eta_n along n 1-based letters."""
+        k = len(self.deltas_tilde)
         index = {a: i for i, a in enumerate(self.states)}
-        table = [
-            [index[self.next_state(a, j)] for j in range(1, len(self.deltas_tilde) + 1)]
-            for a in self.states
-        ]
+        table = [[index[self.next_state(a, j)] for j in range(1, k + 1)] for a in self.states]
         # eta_1 = Dd_{i_1} is the step from eta_0 = 0, a state since delta_1 = 0
         state = index[_Q0]
         path = []
-        for letter in np.asarray(letters).tolist():
-            state = table[state][letter - 1]
+        for a in fractal._letter_indices(letters, k).tolist():
+            state = table[state][a]
             path.append(state)
         return np.array(path, dtype=np.int64)
 
@@ -437,6 +439,7 @@ def build_eta_chain(
     stationary = _stationary_irreducible(transition)
     return EtaChain(
         d_value=int(d_value),
+        translations=tuple(translations),
         q=q,
         states=tuple(Fraction(r, q) for r in reachable),
         deltas_tilde=tuple(Fraction(s, q) for s in shifts),
@@ -477,34 +480,24 @@ def alpha_orbit_measure(d_value: int, t1: Fraction) -> DiscreteMeasure:
     return DiscreteMeasure.uniform([v - c for v in cycle])
 
 
-def limit_law_fourier(eta: EtaChain, ifs: AffineIFS) -> CoefficientFunction:
-    """Fourier coefficients of nu * p * mu_K for the rational-difference case.
+def limit_law_fourier(eta: EtaChain) -> CoefficientFunction:
+    """Fourier coefficients of nu * p * mu_K for the chain's IFS x -> x/D + t_i.
 
-    Requires t_1 rational (so nu is an exactly computable atomic measure);
-    p comes from the eta chain and mu_K from the self-similar product formula.
+    Requires t_1 rational (so nu is an exactly computable atomic measure, and
+    every t_i is rational since the differences are); p comes from the eta
+    chain and mu_K from the self-similar product formula.
     """
-    if ifs.dimension != 1 or any(r != 1 for r in ifs.exponents):
-        raise ValueError("limit law requires d = 1 and uniform exponents r = 1")
-    t1 = ifs.translations[0].coords[0]
+    t1 = eta.translations[0]
     if not t1.is_rational():
         raise RationalityError(
             "t_1 is irrational: nu is not finitely computable; "
             "only empirical comparison is available"
         )
-    d_scalar = ifs.d_matrix.rows[0][0]
-    if d_scalar != eta.d_value:
-        raise ValueError("eta chain and ifs disagree on D")
-    atoms = []
-    for t in ifs.translations:
-        s = t.coords[0]
-        if not s.is_rational():
-            raise RationalityError("all t_i must be rational for the exact limit law")
-        atoms.append(s.rational_part)
-    nu = alpha_orbit_measure(d_scalar, t1.rational_part)
-    p_measure = eta.stationary_measure()
-    mu = SelfSimilarSpec.create(d_scalar, atoms, ifs.probabilities)
+    nu = alpha_orbit_measure(eta.d_value, t1.rational_part)
+    atoms = [t.rational_part for t in eta.translations]
+    mu = SelfSimilarSpec.create(eta.d_value, atoms, eta.probabilities)
     return convolve(
-        convolve(nu.coefficients(), p_measure.coefficients()), mu.coefficients()
+        convolve(nu.coefficients(), eta.stationary_measure().coefficients()), mu.coefficients()
     )
 
 
@@ -522,9 +515,7 @@ def _float_and_error(s: Scalar) -> tuple[float, float]:
     return f, float(err) + abs(f) * _UNIT_ROUNDOFF
 
 
-def rational_case_points(
-    eta: EtaChain, translations: Sequence[Scalar], rng: np.random.Generator, n: int
-):
+def rational_case_points(eta: EtaChain, rng: np.random.Generator, n: int):
     """n points x_m = alpha_m + eta_m + pi(T^m i) of the rational-difference
     walk in float64, along n letters drawn with the chain's law plus enough
     tail letters that the truncated coding tail stays below 2^-60 max|t_i|
@@ -536,10 +527,10 @@ def rational_case_points(
     """
     tail_len = max(8, math.ceil(60 / math.log2(abs(eta.d_value)))) + 4
     letters = fractal.walk_letter_stream(eta.probabilities, rng, n + tail_len)
-    return _rational_case_points(eta, translations, letters, n)
+    return _rational_case_points(eta, letters, n)
 
 
-def _rational_case_points(eta: EtaChain, t_scalars, letters: np.ndarray, n_steps: int):
+def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
     """Points x_m = alpha_m + eta_m + pi(T^m i) of the rational case in
     float64, m < n_steps, along `letters` (n_steps letters plus the tail).
 
@@ -557,7 +548,7 @@ def _rational_case_points(eta: EtaChain, t_scalars, letters: np.ndarray, n_steps
     eta_idx = eta.walk(letters[:n_steps])
 
     # coded tails pi(T^m i) via a truncated moving sum (double precision)
-    t_pairs = [_float_and_error(s) for s in t_scalars]
+    t_pairs = [_float_and_error(s) for s in eta.translations]
     tarr = np.array([f for f, _ in t_pairs])[letters - 1]
     weights = (1.0 / d_value) ** np.arange(tail_len)
     tails = np.zeros(n_steps)
@@ -566,7 +557,7 @@ def _rational_case_points(eta: EtaChain, t_scalars, letters: np.ndarray, n_steps
 
     # alpha_m: the exact preperiod and cycle when t_1 is rational, the
     # fixed-point orbit otherwise
-    t1 = t_scalars[0]
+    t1 = eta.translations[0]
     precision_used = None
     if t1.is_rational():
         c, preperiod, cycle = _alpha_orbit(d_value, t1.rational_part)

@@ -572,7 +572,7 @@ def _run_stationary_support(cfg: dict, rng) -> tuple[dict, dict, None]:
         "betas": [str(b) for b in fs.betas],
         "transition": [[str(row.get(j, 0)) for j in range(fs.q)] for row in fs.transition],
         "stationary": [str(x) for x in fs.stationary],
-        "invariance_exact": fs.support_is_invariant(alphas),
+        "invariance_exact": fs.support_is_invariant(),
         "stationary_exact": fs.stationary_is_exact(),
         "pushforward_stationary": fs.pushforward_is_stationary(),
     }
@@ -581,17 +581,11 @@ def _run_stationary_support(cfg: dict, rng) -> tuple[dict, dict, None]:
 
 
 def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict, int | None]:
-    basis = _basis_of(cfg)
-    t_scalars = _scalars(cfg["t"], basis)
-    probs = _fractions(cfg["P"])
-    d_value = cfg["D"][0][0]
-    eta = chains.build_eta_chain(d_value, t_scalars, probs)
-    ifs = fractal.AffineIFS.create(
-        d_value, [1] * len(t_scalars), [[s] for s in t_scalars], probs
-    )
+    t_scalars = _scalars(cfg["t"], _basis_of(cfg))
+    eta = chains.build_eta_chain(cfg["D"][0][0], t_scalars, _fractions(cfg["P"]))
     n_steps = cfg["N"]
     k_max = cfg["K"]
-    sample, eta_idx = chains.rational_case_points(eta, t_scalars, rng, n_steps)
+    sample, eta_idx = chains.rational_case_points(eta, rng, n_steps)
     state_rows, state_dev = eta.state_frequencies(eta_idx)
     # one pass of characters serves the Weyl sums, char_dev and chars.csv
     means = stats.character_means(sample, k_max)
@@ -608,8 +602,8 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
     }
     rows = [[str(a), str(p), _fmt(f)] for a, p, f in state_rows]
     sidecars = {"states.csv": (["state", "stationary", "empirical"], rows)}
-    if all(s.is_rational() for s in t_scalars):
-        law = chains.limit_law_fourier(eta, ifs)
+    if t_scalars[0].is_rational():  # then every t_i is, as t_i - t_1 is rational
+        law = chains.limit_law_fourier(eta)
         table, results["char_dev"] = stats.fourier_table(means, law)
         rows = [
             [n, _fmt(pred.real), _fmt(pred.imag), _fmt(emp.real), _fmt(emp.imag), _fmt(diff)]

@@ -55,7 +55,6 @@ __all__ = [
     "walk_orbit_fixed",
     "code_prefix_fixed",
     "digits_from_fixed",
-    "digits_error_bound",
     "TRUNCATION_SLACK",
 ]
 
@@ -90,8 +89,10 @@ class Word:
         return self.letters[i]
 
 
-def _letters(w) -> tuple[int, ...]:
-    return w.letters if isinstance(w, Word) else tuple(int(a) for a in w)
+def _letters(w, alphabet: int) -> tuple[int, ...]:
+    """The 1-based letters of a word over {1, ..., alphabet}, checked as the
+    orbit engine checks them."""
+    return tuple((_letter_indices(w, alphabet) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ class AffineIFS:
 
 def code_prefix(ifs: AffineIFS, w) -> list[Scalar]:
     """Exact lift of f_{w_1} o ... o f_{w_n}(0)."""
-    letters = _letters(w)
+    letters = _letters(w, ifs.alphabet)
     zero = Scalar.rational(0, ifs.basis)
     v: list[Scalar] = [zero] * ifs.dimension
     for a in reversed(letters):
@@ -267,9 +268,7 @@ def walk_trajectory(
     endos: Sequence[AffineEndo], x0: TorusPoint, w
 ) -> list[TorusPoint]:
     """Exact points h_{w_n} o ... o h_{w_1}(x0) mod Z^d for n = 1..len(w)."""
-    letters = _letters(w)
-    if letters and not all(1 <= a <= len(endos) for a in letters):
-        raise ValueError("letters must index the map family (1-based)")
+    letters = _letters(w, len(endos))
     for i, a in enumerate(endos):
         for b in endos[i + 1 :]:
             if not commute(a.linear, b.linear):
@@ -285,7 +284,7 @@ def walk_trajectory(
 def h_word_at_zero(ifs: AffineIFS, w) -> TorusPoint:
     """Exact value of h_{w_n} o ... o h_{w_1}(0) via the power-sum formula
     sum_j D^{r_{w_j} + ... + r_{w_n}} t_{w_j} (independent of composition)."""
-    letters = _letters(w)
+    letters = _letters(w, ifs.alphabet)
     zero = Scalar.rational(0, ifs.basis)
     acc: list[Scalar] = [zero] * ifs.dimension
     suffix = 0  # r_{w_{j+1}} + ... + r_{w_n}, built from the right
@@ -304,7 +303,7 @@ def orbit_identity_check(ifs: AffineIFS, w, n: int) -> tuple[TorusPoint, TorusPo
     """Both sides of D^{R_n} x = (walk sum) + (coded tail) on matched finite
     prefixes; with x, tail coded from the same word they are exactly equal
     mod Z^d."""
-    letters = _letters(w)
+    letters = _letters(w, ifs.alphabet)
     if not 0 <= n <= len(letters):
         raise ValueError("need 0 <= n <= len(word)")
     r_n = sum(ifs.exponents[a - 1] for a in letters[:n])
@@ -323,7 +322,7 @@ def orbit_identity_check(ifs: AffineIFS, w, n: int) -> tuple[TorusPoint, TorusPo
 def kappa_ell_s(exponents: Sequence[int], w) -> tuple[int, int]:
     """(ell, s) with rbar(ell-1) < r_{w_1}+...+r_{w_n} <= rbar*ell and
     s = rbar*ell - sum, so Dbar^ell = D_{w_1}...D_{w_n} D^s exactly."""
-    letters = _letters(w)
+    letters = _letters(w, len(exponents))
     rbar = max(exponents)
     total = sum(exponents[a - 1] for a in letters)
     ell = -(-total // rbar)  # ceil
@@ -337,7 +336,7 @@ def repetition_weight(exponents: Sequence[int], w, n: int) -> Fraction:
     Raises WindowUnavailableError when the run of equal ell values may extend
     past the available symbols.
     """
-    letters = _letters(w)
+    letters = _letters(w, len(exponents))
     if not 1 <= n <= len(letters):
         raise ValueError("index out of range")
     rbar = max(exponents)
@@ -741,7 +740,9 @@ def _digit_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
             if s < thr or s > mask - thr:
                 if q == run.p and not t:
                     raise NearIntegerError(
-                        f"digit {n + 1} not certifiable at {q} bits; raise precision"
+                        f"digit {n + 1} not certifiable at {q} bits: the orbit point lies "
+                        f"within its certified error of a base-{base} rational, and a "
+                        "higher precision helps only if it is not one"
                     )
                 _emit(run, start, n, out, t * base ** (n - lo), q)
                 power = base ** n
@@ -854,12 +855,12 @@ def walk_orbit_fixed(
     return OrbitSample(run.points, _orbit_error_bound(final_err, p, d), p)
 
 
-def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
+def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
     """Fixed-point value of a one-dimensional coded prefix.
 
-    Returns (X, E, bits): X / 2^bits approximates f_{w_1} o...o f_{w_n}(0)
-    with error at most E ulps (word-truncation error not included; see
-    coding_tail_bound).  With S = r_{w_1} + ... + r_{w_n} the prefix is
+    Returns (X, E), as Scalar.fixed_point does: X / 2^bits approximates
+    f_{w_1} o...o f_{w_n}(0) with error at most E ulps (word-truncation error
+    not included; see coding_tail_bound).  With S = r_{w_1} + ... + r_{w_n} the prefix is
     exactly sum_k t_k U_k / D^S, where U_k sums D^(S - r_{w_1} - ... -
     r_{w_{j-1}}) over the positions j with w_j = k.  The integers D^S and U_k
     are the engine's block map of the word (_tree): a product tree, exact at
@@ -884,27 +885,29 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
     numers = [c * m for c, m in zip(sums, mults)]
     v, rem = divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
     err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
-    return v, err, bits
+    return v, err
 
 
 def digits_from_fixed(
     fixed: int, err_ulps: int, bits: int, base: int, count: int
-) -> tuple[list[int], np.ndarray]:
-    """Certified digits of a fixed-point value, plus the orbit points.
+) -> tuple[list[int], OrbitSample]:
+    """Certified digits of a fixed-point value, plus the orbit sample.
 
-    Returns (digits, points) where digits[m-1] = floor(D * frac(D^(m-1) x))
-    and points[m-1] = frac(D^m x) as floats, for m = 1..count, x being
-    fixed / 2^bits with err_ulps of error.  The orbit x -> D x mod 1 runs in
-    the block engine in O(M(N) log N) instead of O(N^2): a block of n steps
-    is x -> D^n x, the state entering it carries ceil(n log2 D) + 160 +
+    Returns (digits, sample) where digits[m-1] = floor(D * frac(D^(m-1) x))
+    and the sample's points[m-1] = frac(D^m x) as floats, for m = 1..count,
+    x being fixed / 2^bits with err_ulps of error.  The orbit x -> D x mod 1
+    runs in the block engine in O(M(N) log N) instead of O(N^2): a block of
+    n steps is x -> D^n x, the state entering it carries ceil(n log2 D) + 160 +
     log2(N) bits (never more than `bits`), and blocks of at most 320 bits run
     the plain loop.  Refusal is per digit, not at 2^-33: a step is accepted
     when its state stays more than the tracked error from an integer;
     otherwise it is redone from the exact state at `bits` bits, where the
     test is the step-by-step recursion's own (err_ulps * D^m ulps), and its
     failure raises NearIntegerError for that digit.  Digits are those of the
-    recursion, and each point lies within digits_error_bound(err_ulps, bits,
-    base, count).
+    recursion.  The sample's error_bound is that of an engine orbit whose
+    recursion ends with max(1, err_ulps) * D^count ulps at `bits` bits, and
+    its precision is `bits`; count = 0 raises ValueError, as an empty sample
+    does.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
@@ -912,13 +915,8 @@ def digits_from_fixed(
     run.fixed = fixed & ((1 << bits) - 1)
     run.fixed_err = max(1, err_ulps)
     _run(run, [run.fixed], run.fixed_err)
-    return run.digits, run.points.reshape(count)
-
-
-def digits_error_bound(err_ulps: int, bits: int, base: int, count: int) -> float:
-    """Uniform per-point bound of the orbit points digits_from_fixed returns
-    for the same arguments."""
-    return _orbit_error_bound(max(1, err_ulps) * base ** count, bits)
+    bound = _orbit_error_bound(run.fixed_err * base ** count, bits)
+    return run.digits, OrbitSample(run.points, bound, bits)
 
 
 def walk_letter_stream(

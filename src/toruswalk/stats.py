@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fractal
 from .exactcore import IntMatrix, Scalar, frac
-from .fractal import AffineIFS, OrbitSample, digits_error_bound, digits_from_fixed
+from .fractal import AffineIFS, OrbitSample, digits_from_fixed
 
 __all__ = [
     "OrbitSample",
@@ -34,7 +34,6 @@ __all__ = [
     "extract_digits",
     "sample_digits",
     "digits_from_fixed",
-    "digits_error_bound",
     "block_frequencies",
     "digit_block_freqs",
     "block_table",
@@ -185,19 +184,18 @@ def sample_digits(
     precision, word length).
     """
     base = ifs.d_matrix.rows[0][0]
-    digit_bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
+    bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
     diameter = fractal.coding_tail_bound(ifs, 0)
     bound_bits = math.log2(diameter) if diameter > 0 else 0.0
     per_step = min(ifs.exponents) * math.log2(ifs.adapted.rho_certified)
-    word_len = int((digit_bits + 16 + max(0.0, bound_bits)) / per_step) + 2
+    word_len = int((bits + 16 + max(0.0, bound_bits)) / per_step) + 2
     word = fractal.sample_word(ifs, rng, word_len)
-    fixed, err, bits = fractal.code_prefix_fixed(ifs, word, digit_bits)
+    fixed, err = fractal.code_prefix_fixed(ifs, word, bits)
     # word-truncation error in ulps, computed in log space (2^bits overflows)
     log2_tail = bound_bits - word_len * per_step
     tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
-    digits, points = digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
-    bound = digits_error_bound(err + tail_ulps, bits, base, count)
-    return digits, OrbitSample(points, bound, bits), word_len
+    digits, sample = digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
+    return digits, sample, word_len
 
 
 def block_frequencies(

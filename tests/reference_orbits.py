@@ -17,10 +17,15 @@ from toruswalk.fractal import (
     AffineIFS,
     OrbitSample,
     PrecisionExceededError,
+    Word,
     _error_to_float,
-    _letters,
     precision_budget,
 )
+
+
+def _letters(w) -> tuple[int, ...]:
+    """The 1-based letters of a word, unchecked: the callers index with them."""
+    return w.letters if isinstance(w, Word) else tuple(int(a) for a in w)
 
 
 def walk_orbit_fixed(
@@ -89,7 +94,7 @@ def walk_orbit_fixed(
     return OrbitSample(points=out, error_bound=bound, precision_bits=p)
 
 
-def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
+def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
     if ifs.dimension != 1:
         raise ValueError("fixed-point coding path is one-dimensional")
     letters = _letters(w)
@@ -106,7 +111,7 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int, int]:
         div = d_scalar ** ifs.exponents[a - 1]
         v = v // div + t_fixed[a - 1]
         err = -(-err // abs(div)) + 1 + t_err
-    return v, err, bits
+    return v, err
 
 
 def digits_from_fixed(
@@ -126,7 +131,9 @@ def digits_from_fixed(
         frac_fixed &= mask
         if frac_fixed < err or frac_fixed > mask - err:
             raise NearIntegerError(
-                f"digit {i + 1} not certifiable at {bits} bits; raise precision"
+                f"digit {i + 1} not certifiable at {bits} bits: the orbit point lies "
+                f"within its certified error of a base-{base} rational, and a "
+                "higher precision helps only if it is not one"
             )
         digits.append(digit)
         points[i] = (frac_fixed >> take) * scale

@@ -16,7 +16,6 @@ from toruswalk.chains import (
 )
 from toruswalk import chains
 from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint, frac
-from toruswalk.fractal import AffineIFS
 
 B = IrrationalBasis(("sqrt2",))
 F = Fraction
@@ -94,17 +93,24 @@ class TestFiniteStationary:
             assert fs.stationary == chains._terminal_class_stationary(scanned)
 
     def _example(self):
-        alphas = [rational(F(1, 11)), rational(F(2, 13))]
-        return build_finite_stationary([2, 3], alphas), alphas
+        return build_finite_stationary([2, 3], [rational(F(1, 11)), rational(F(2, 13))])
 
     def test_shifted_support_not_invariant(self):
-        fs, alphas = self._example()
-        assert fs.support_is_invariant(alphas)
+        fs = self._example()
+        assert fs.support_is_invariant()
         moved = dataclasses.replace(fs, x0=fs.x0 + F(1, 7 * fs.q))
-        assert not moved.support_is_invariant(alphas)
+        assert not moved.support_is_invariant()
+
+    def test_support_checked_against_the_kept_alphas(self):
+        # the check reads the maps the support was built from, so moving one
+        # alpha off the support must fail it
+        fs = self._example()
+        assert fs.alphas == (rational(F(1, 11)), rational(F(2, 13)))
+        shifted = (fs.alphas[0] + F(1, 7), fs.alphas[1])
+        assert not dataclasses.replace(fs, alphas=shifted).support_is_invariant()
 
     def test_perturbed_vector_not_stationary(self):
-        fs, _ = self._example()
+        fs = self._example()
         assert fs.stationary_is_exact()
         v = list(fs.stationary)
         v[0], v[1] = v[0] + F(1, 1000), v[1] - F(1, 1000)
@@ -287,15 +293,10 @@ def _frac_local(q):
 
 
 class TestLimitLaw:
-    def _ifs(self, t_values):
-        return AffineIFS.create(
-            3, [1] * len(t_values), [[rational(t)] for t in t_values]
-        )
-
     def test_zero_t1_reduces_to_p_times_mu(self):
         t = [F(0), F(1, 2)]
         eta = build_eta_chain(3, [rational(0), rational(F(1, 2))])
-        law = limit_law_fourier(eta, self._ifs(t))
+        law = limit_law_fourier(eta)
         # nu = delta_0 so coefficients are p-hat times mu-hat
         p_hat = eta.stationary_measure().coefficients()
         from toruswalk.spectral import SelfSimilarSpec, convolve
@@ -307,12 +308,28 @@ class TestLimitLaw:
 
     def test_coefficients_bounded_by_one(self):
         eta = build_eta_chain(3, [rational(F(1, 5)), rational(F(7, 10))])
-        law = limit_law_fourier(eta, self._ifs([F(1, 5), F(7, 10)]))
+        law = limit_law_fourier(eta)
         for n in range(-10, 11):
             assert abs(law(n).value) <= 1 + 1e-9
 
+    def test_biased_three_maps_convolve_the_chain_parts(self):
+        # nu * p * mu_K with every part built from the chain's own maps and
+        # weights: a law that read other weights or atoms moves some value
+        from toruswalk.spectral import SelfSimilarSpec, convolve
+
+        t = [F(1, 5), F(7, 10), F(1, 4)]
+        probs = [F(1, 2), F(1, 3), F(1, 6)]
+        eta = build_eta_chain(3, [rational(x) for x in t], probs)
+        assert eta.translations == tuple(rational(x) for x in t)
+        nu_hat = alpha_orbit_measure(3, t[0]).coefficients()
+        p_hat = eta.stationary_measure().coefficients()
+        mu_hat = SelfSimilarSpec.create(3, t, probs).coefficients()
+        expected = convolve(convolve(nu_hat, p_hat), mu_hat)
+        law = limit_law_fourier(eta)
+        for n in range(-20, 21):
+            assert law(n) == expected(n)
+
     def test_irrational_t1_rejected(self):
         eta = build_eta_chain(3, [sqrt2(), sqrt2(plus=F(1, 2))])
-        ifs = AffineIFS.create(3, [1, 1], [[sqrt2()], [sqrt2(plus=F(1, 2))]])
         with pytest.raises(RationalityError):
-            limit_law_fourier(eta, ifs)
+            limit_law_fourier(eta)

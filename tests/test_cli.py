@@ -670,7 +670,7 @@ class TestRationalCasePoints:
         letters = np.random.default_rng(d * tail_len).integers(
             1, len(ts) + 1, size=n + tail_len + extra
         )
-        sample, eta_idx = chains._rational_case_points(eta, t_scalars, letters[: n + tail_len], n)
+        sample, eta_idx = chains._rational_case_points(eta, letters[: n + tail_len], n)
         points, bound = sample.points[:, 0], sample.error_bound
         assert sample.precision_bits is None
         if tail_len >= 30:
@@ -882,7 +882,14 @@ class TestBatch:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "single")]) == 3
-        assert "condition violated: digit 1 not certifiable" in capsys.readouterr().err
+        # the message names the rational and advises no precision
+        err = capsys.readouterr().err
+        assert (
+            "condition violated: digit 1 not certifiable at 413 bits: the orbit point lies "
+            "within its certified error of a base-3 rational, and a higher precision helps "
+            "only if it is not one"
+        ) in err
+        assert "raise precision" not in err
         cfg_path.write_text(json.dumps([cfg]))
         assert main(["run", str(cfg_path), "-o", str(tmp_path / "batch")]) == 3
         error = json.loads((tmp_path / "batch" / "experiment_0" / "error.json").read_text())

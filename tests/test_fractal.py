@@ -326,6 +326,37 @@ class TestRepetitionWeight:
                 assert repetition_weight(exps, w, n) == Fraction(1, global_mult)
 
 
+class TestWordReaders:
+    """Every exact reader of a word refuses the letters the orbit engine
+    refuses, with the engine's error."""
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    def test_letters_outside_the_alphabet_raise_like_the_engine(self, bad):
+        from toruswalk.chains import build_eta_chain
+
+        ifs = AffineIFS.create(3, [1, 2], [[0], [2]])
+        maps = ifs.walk_maps()
+        x0 = TorusPoint([Scalar.rational(0, ifs.basis)])
+        eta = build_eta_chain(3, [t.coords[0] for t in ifs.translations])
+        word = [1, bad]
+        with pytest.raises(ValueError) as engine:
+            walk_orbit_fixed(maps, x0, word)
+        readers = [
+            lambda: code_prefix(ifs, word),
+            lambda: h_word_at_zero(ifs, word),
+            lambda: orbit_identity_check(ifs, word, 1),
+            lambda: kappa_ell_s(ifs.exponents, word),
+            lambda: repetition_weight(ifs.exponents, word, 1),
+            lambda: walk_trajectory(maps, x0, word),
+            lambda: eta.walk(np.array(word)),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError) as refused:
+                read()
+            assert type(refused.value) is type(engine.value)
+            assert str(refused.value) == str(engine.value)
+
+
 class TestContraction:
     def test_maps_contract_in_adapted_norm(self, rng):
         for _ in range(10):
@@ -377,7 +408,8 @@ class TestFixedPointPaths:
 
     def test_code_prefix_fixed_matches_exact(self, rng, dilated_cantor):
         w = sample_word(dilated_cantor, rng, 60)
-        fixed, err, bits = code_prefix_fixed(dilated_cantor, w, 512)
+        bits = 512
+        fixed, err = code_prefix_fixed(dilated_cantor, w, bits)
         exact = code_prefix(dilated_cantor, w)[0]
         val, eerr = exact.evaluate(512)
         approx = Fraction(fixed, 1 << bits)

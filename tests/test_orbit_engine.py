@@ -31,8 +31,8 @@ from toruswalk.fractal import (
     AffineEndo,
     AffineIFS,
     PrecisionExceededError,
+    _orbit_error_bound,
     code_prefix_fixed,
-    digits_error_bound,
     digits_from_fixed,
     walk_orbit_fixed,
 )
@@ -221,9 +221,8 @@ class TestCodePrefix:
     @given(st.data(), cantor_like(), lengths, st.integers(64, 1024))
     def test_agrees_with_the_loop(self, data, ifs, n, bits):
         word = data.draw(st.lists(st.integers(1, ifs.alphabet), min_size=n, max_size=n))
-        value, err, got_bits = code_prefix_fixed(ifs, word, bits)
-        old_value, old_err, _ = ref.code_prefix_fixed(ifs, word, bits)
-        assert got_bits == bits
+        value, err = code_prefix_fixed(ifs, word, bits)
+        old_value, old_err = ref.code_prefix_fixed(ifs, word, bits)
         assert abs(value - old_value) <= err + old_err
         assert err <= old_err
 
@@ -241,14 +240,19 @@ class TestDigits:
         fixed, err, bits = value_for(data.draw, base, count)
         new = outcome(digits_from_fixed, fixed, err, bits, base, count)
         old = outcome(ref.digits_from_fixed, fixed, err, bits, base, count)
+        if count == 0:  # the loop certifies no digit; an empty sample is refused
+            assert old[0] == "ok" and old[1][0] == []
+            assert new == ("raised", (ValueError, "points must be a nonempty (N, d) array"))
+            return
         assert new[0] == old[0]
         if new[0] == "raised":
             assert new[1] == old[1]
             return
-        (digits, points), (old_digits, old_points) = new[1], old[1]
+        (digits, sample), (old_digits, old_points) = new[1], old[1]
         assert digits == old_digits
-        bound = digits_error_bound(err, bits, base, count)
-        assert torus_gap(points, old_points) <= 2 * bound
+        assert sample.precision_bits == bits
+        assert sample.error_bound == _orbit_error_bound(max(1, err) * base**count, bits)
+        assert torus_gap(sample.points[:, 0], old_points) <= 2 * sample.error_bound
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -628,9 +632,9 @@ class TestTrackedTruncation:
         if new[0] == "raised":
             assert new[1] == old[1]
             return
-        (digits, points), (old_digits, old_points) = new[1], old[1]
+        (digits, sample), (old_digits, old_points) = new[1], old[1]
         assert digits == old_digits
-        assert torus_gap(points, old_points) <= spreads[-1] + 2.0 ** -53
+        assert torus_gap(sample.points[:, 0], old_points) <= spreads[-1] + 2.0 ** -53
 
 
 class TestNoReferenceCycles:
@@ -657,9 +661,9 @@ class TestNoReferenceCycles:
         fixed, err = x.fixed_point(bits)
         gc.disable()
         try:
-            digits, points = digits_from_fixed(fixed, err, bits, 3, 3000)
-            alive = [weakref.ref(points), weakref.ref(points.base)]
-            del digits, points
+            digits, sample = digits_from_fixed(fixed, err, bits, 3, 3000)
+            alive = [weakref.ref(sample), weakref.ref(sample.points)]
+            del digits, sample
             assert all(r() is None for r in alive)
         finally:
             gc.enable()
