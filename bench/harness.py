@@ -1,5 +1,6 @@
 """What every script in bench/ shares: the alternating timer, the log-log growth
-fit, the environment block of a record and the JSON write.
+fit, the environment block of a record, the JSON write and the loader of an
+older tree's package.
 
 The scripts run as ``python3 bench/<script>.py``, so this directory is on
 their import path.
@@ -7,10 +8,12 @@ their import path.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -64,3 +67,16 @@ def environment() -> dict:
 
 def write_json(path, record: dict) -> None:
     Path(path).write_text(json.dumps(record, indent=2) + "\n")
+
+
+def load_package(src: str):
+    """The toruswalk package under `src` (an older tree's `src`), imported as
+    `toruswalk_before` so that it loads next to the one on the import path."""
+    root = Path(src).resolve() / "toruswalk"
+    spec = importlib.util.spec_from_file_location(
+        "toruswalk_before", root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package

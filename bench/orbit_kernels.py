@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import json
 import statistics
 import sys
@@ -48,7 +47,14 @@ import numpy as np
 
 import toruswalk
 
-from harness import alternate_seconds, environment, growth_exponent, median_seconds, write_json
+from harness import (
+    alternate_seconds,
+    environment,
+    growth_exponent,
+    load_package,
+    median_seconds,
+    write_json,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import reference_orbits  # noqa: E402
@@ -60,19 +66,6 @@ LOOP_MAX_N = 6000
 MAP_SIZES = [("walk1d", 50_000), ("walk1d", 100_000), ("walk2d", 20_000), ("rotation", 100_000)]
 # what builds block maps in a run; names a tree lacks are skipped
 MAP_BUILDERS = ("_error_budget", "_map_of", "_tree", "_compose")
-
-
-def _load_package(src: str):
-    """The toruswalk package under `src`, imported as `toruswalk_before` so
-    that it loads next to the one on the import path."""
-    root = Path(src).resolve() / "toruswalk"
-    spec = importlib.util.spec_from_file_location(
-        "toruswalk_before", root / "__init__.py", submodule_search_locations=[str(root)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    return package
 
 
 def _modules(package):
@@ -250,7 +243,7 @@ def main() -> None:
         parser.error("--before-label must differ from --label")
     trees = {}
     if args.before:
-        trees[args.before_label] = _modules(_load_package(args.before))
+        trees[args.before_label] = _modules(load_package(args.before))
     trees[args.label] = _modules(toruswalk)
     measures = {
         "fixed_point": [measure_fixed_point(trees, n, args.repeats) for n in (50_000, 100_000)],

@@ -1,31 +1,56 @@
 """q-scaling of the exact stationary-support solve.
 
 Builds the stationary support of the walk D = [2, 3], alpha = [1/p1, 2/p2]
-for q = p1 p2 = 143, 323, 667 and 1147, times the exact stationary solve on
-the chain's sparse rows (`chains._terminal_class_stationary`: the row and
-class checks and the multi-modular path) and the whole
-`build_finite_stationary`, counts the word-size primes the solve used, fits
-the growth exponent of the solve time in q, and times the fraction-free
-(Bareiss) elimination of the same system, the previous solver and the
-oracle, for q <= 323, checking that it gives the same vector.
+for q = p1 p2 = 143, 323, 667 and 1147, whose chains are bijective and whose
+vectors need one word-size prime, and of the walk D = [2, 3], alpha =
+[0, 1/512], P = [1/7, 6/7], whose chain is not bijective and whose 512-state
+vector has denominators of 723 bits, so that it needs many primes.  For each
+it times the whole `build_finite_stationary` (`build_s`), the exact
+stationary solve inside it (`chains._terminal_class_stationary`: the row and
+class checks and the multi-modular path, `solve_s`) and the experiment end
+to end through `cli.main(["run", ...])` in this process (`run_s`), counts
+the word-size primes the solve used, and fits the growth exponent of the
+solve time in q over the bijective rows.  For q <= 323 it also times the
+fraction-free (Bareiss) elimination of the same system, the oracle, and
+checks that it gives the same vector.
+
+With `--before SRC`, the toruswalk package under SRC (an older tree's `src`)
+is loaded next to this one, every timing alternates between the two, so that
+a change of machine load reaches both alike, and both trees must return the
+same vector.  The record keeps this tree's run under "after" and the older
+tree's under "before", and each run of the script rewrites the record:
 
     PYTHONPATH=src python3 bench/stationary_scaling.py [--out BENCH_stationary.json]
+    PYTHONPATH=src python3 bench/stationary_scaling.py --before ../old/src
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import io
 import json
 import statistics
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from toruswalk import chains, exactcore
-from toruswalk.exactcore import Scalar
+import toruswalk
+from toruswalk import exactcore
 
-from harness import environment, growth_exponent, write_json
+from harness import alternate_seconds, environment, growth_exponent, load_package, write_json
 
-FACTORS = {143: (11, 13), 323: (17, 19), 667: (23, 29), 1147: (31, 37)}
+# q -> (D, alpha, P); P None is the uniform default
+WALKS = {
+    143: ([2, 3], ["1/11", "2/13"], None),
+    323: ([2, 3], ["1/17", "2/19"], None),
+    667: ([2, 3], ["1/23", "2/29"], None),
+    1147: ([2, 3], ["1/31", "2/37"], None),
+    512: ([2, 3], ["0", "1/512"], ["1/7", "6/7"]),
+}
+SCALING_Q = (143, 323, 667, 1147)
 ORACLE_MAX_Q = 323
 
 
@@ -47,65 +72,130 @@ def _bareiss_vector(transition) -> tuple[list[Fraction], float]:
     return vector, time.perf_counter() - start
 
 
-def measure(q: int, repeats: int) -> dict:
-    p1, p2 = FACTORS[q]
-    alphas = [Scalar.rational(Fraction(1, p1)), Scalar.rational(Fraction(2, p2))]
-    primes: list[int] = []
-    solve_mod_prime = exactcore._solve_mod_prime
+class _Tree:
+    """One toruswalk package with a timed solve and a prime counter: each
+    stationary solve records its seconds in `solve_s` and its primes in
+    `primes`, and `build` keeps the chain it built in `built`."""
 
-    def counting(entries, n, p):
-        primes.append(p)
-        return solve_mod_prime(entries, n, p)
+    def __init__(self, package):
+        name = package.__name__
+        self.chains = importlib.import_module(f"{name}.chains")
+        self.exact = importlib.import_module(f"{name}.exactcore")
+        self.cli = importlib.import_module(f"{name}.cli")
+        self.solve_s: list[float] = []
+        self.primes: list[int] = []
+        self.built = None
+        solve, solve_mod_prime = self.chains._terminal_class_stationary, self.exact._solve_mod_prime
 
-    exactcore._solve_mod_prime = counting
-    try:
-        builds, solves = [], []
-        for _ in range(repeats):
+        def timed_solve(transition):
+            self.primes.clear()
             start = time.perf_counter()
-            fs = chains.build_finite_stationary([2, 3], alphas)
-            builds.append(time.perf_counter() - start)
-            primes.clear()
-            start = time.perf_counter()
-            vector = chains._terminal_class_stationary(fs.transition)
-            solves.append(time.perf_counter() - start)
-    finally:
-        exactcore._solve_mod_prime = solve_mod_prime
-    row = {
-        "q": q,
-        "states": len(vector),
-        "solve_s": statistics.median(solves),
-        "build_s": statistics.median(builds),
-        "primes_used": len(primes),
-        "max_denominator_bits": max(x.denominator for x in vector).bit_length(),
-    }
+            try:
+                return solve(transition)
+            finally:
+                self.solve_s.append(time.perf_counter() - start)
+
+        def counting(entries, n, p):
+            self.primes.append(p)
+            return solve_mod_prime(entries, n, p)
+
+        self.chains._terminal_class_stationary = timed_solve
+        self.exact._solve_mod_prime = counting
+
+    def build(self, q: int):
+        d_values, alphas, probabilities = WALKS[q]
+        basis = self.exact.IrrationalBasis(())
+        self.built = self.chains.build_finite_stationary(
+            d_values,
+            [self.exact.parse_scalar(a, basis) for a in alphas],
+            None if probabilities is None else [Fraction(x) for x in probabilities],
+        )
+
+    def run(self, config: Path) -> None:
+        # the run prints the report's path
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            if self.cli.main(["run", str(config), "-o", out]) != 0:
+                raise RuntimeError(f"{config}: run failed")
+
+
+def measure(trees: dict, q: int, repeats: int, workdir: Path) -> dict:
+    d_values, alphas, probabilities = WALKS[q]
+    config = workdir / f"q{q}.json"
+    fields = {"kind": "stationary-support", "D": d_values, "alpha": alphas}
+    if probabilities is not None:
+        fields["P"] = probabilities
+    config.write_text(json.dumps(fields))
+    for tree in trees.values():
+        tree.solve_s.clear()
+    builds = alternate_seconds([lambda t=t: t.build(q) for t in trees.values()], repeats)
+    solves = {label: list(tree.solve_s) for label, tree in trees.items()}
+    primes = {label: len(tree.primes) for label, tree in trees.items()}
+    if len({tree.built.stationary for tree in trees.values()}) != 1:
+        raise AssertionError(f"q={q}: the trees' stationary vectors differ")
+    runs = alternate_seconds([lambda t=t: t.run(config) for t in trees.values()], repeats)
+    built = next(iter(trees.values())).built
+    vector = built.stationary
+    oracle_s = None
     if q <= ORACLE_MAX_Q:
-        oracle, seconds = _bareiss_vector(fs.transition)
+        oracle, oracle_s = _bareiss_vector(built.transition)
         if tuple(oracle) != vector:
             raise AssertionError(f"q={q}: multi-modular and Bareiss vectors differ")
-        row["bareiss_s"] = seconds
-    return row
+    rows = {}
+    for label, build_s, run_s in zip(trees, builds, runs):
+        row = {
+            "q": q,
+            "D": d_values,
+            "alpha": alphas,
+            "P": probabilities,
+            "states": len(vector),
+            "solve_s": statistics.median(solves[label]),
+            "build_s": statistics.median(build_s),
+            "run_s": statistics.median(run_s),
+            "run_range_s": [min(run_s), max(run_s)],
+            "primes_used": primes[label],
+            "max_numerator_bits": max(x.numerator.bit_length() for x in vector),
+            "max_denominator_bits": max(x.denominator.bit_length() for x in vector),
+        }
+        if oracle_s is not None:
+            row["bareiss_s"] = oracle_s
+        rows[label] = row
+    return rows
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_stationary.json")
+    parser.add_argument("--before", help="src directory of an older tree to time alternately")
     parser.add_argument("--repeats", type=int, default=3, help="timed runs per q (median)")
     args = parser.parse_args()
-    rows = []
-    for q in FACTORS:
-        rows.append(measure(q, args.repeats))
-        print(json.dumps(rows[-1]))
+    trees = {}
+    if args.before:
+        trees["before"] = _Tree(load_package(args.before))
+    trees["after"] = _Tree(toruswalk)
+    by_label = {label: [] for label in trees}
+    with tempfile.TemporaryDirectory() as workdir:
+        for q in WALKS:
+            for label, row in measure(trees, q, args.repeats, Path(workdir)).items():
+                by_label[label].append(row)
+                print(label, json.dumps(row))
     record = {
-        "benchmark": "exact stationary-support solve, D = [2, 3], alpha = [1/p1, 2/p2]",
+        "benchmark": "exact stationary-support solve and run: D = [2, 3], alpha = [1/p1, 2/p2];"
+        " D = [2, 3], alpha = [0, 1/512], P = [1/7, 6/7]",
         "solver": "multi-modular (word-size primes, CRT, rational reconstruction, exact check)",
         "oracle": "dense fraction-free (Bareiss) elimination, q <= %d" % ORACLE_MAX_Q,
-        "repeats": args.repeats,
-        "rows": rows,
-        "solve_growth_exponent_q": growth_exponent(rows, "q", "solve_s"),
-        "environment": environment(),
+        "runs": {},
     }
+    for label, rows in by_label.items():
+        scaling = [r for r in rows if r["q"] in SCALING_Q]
+        run = {"rows": rows, "repeats": args.repeats, "environment": environment()}
+        if len(scaling) > 1:
+            run["solve_growth_exponent_q"] = growth_exponent(scaling, "q", "solve_s")
+            print(f"{label}: growth exponent in q: {run['solve_growth_exponent_q']:.2f}")
+        if args.before:
+            run["alternated_with"] = [other for other in trees if other != label]
+        record["runs"][label] = run
     write_json(args.out, record)
-    print(f"growth exponent in q: {record['solve_growth_exponent_q']:.2f} -> {args.out}")
+    print(f"-> {args.out}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .exactcore import (
     IntMatrix,
     Scalar,
     TorusPoint,
-    _bareiss_reduce,
     _multimodular_solve,
     frac,
 )
@@ -63,7 +62,8 @@ class ChainSizeError(ValueError):
 #: Largest modulus q the two chain constructors accept: the report writes the
 #: transition as a dense q x q table and the stationary solve assembles an
 #: n x n system, both growing as q^2; a stationary-support run at q = 2021
-#: peaks at 339 MB.
+#: peaks at 339 MB.  A vector with large entries needs many primes, each a
+#: solve mod p: about 1 s per prime at q = 1024 (alpha = [0, 1/1024]).
 MAX_STATES = 2048
 
 
@@ -178,24 +178,12 @@ def _stationary_irreducible(rows: Sequence[dict[int, Fraction]]) -> tuple[Fracti
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """The unique solution of the square system a x = b.
-
-    Multi-modular first: a candidate from word-size primes, CRT and rational
-    reconstruction is returned only when A is full rank mod some prime p,
-    which makes det A nonzero mod p and so nonzero over Q, and A v = b holds
-    exactly; then v is the unique solution A^-1 b.  Otherwise (A singular
-    mod a prime, the modulus past twice the squared Hadamard bound, or the
-    primes used up) the fraction-free elimination decides, and a singular A
-    raises ReducibleChainError.
-    """
+    """The unique solution of the square system a x = b, certified by the
+    multi-modular solve; a singular A raises ReducibleChainError."""
     v = _multimodular_solve(a, b)
-    if v is not None:
-        return v
-    n = len(a)
-    reduced, pivots, scale, _ = _bareiss_reduce([row + [x] for row, x in zip(a, b)], n)
-    if len(pivots) < n:
+    if v is None:
         raise ReducibleChainError("singular system; chain lacks a unique solution")
-    return [Fraction(row[n], scale) for row in reduced]
+    return v
 
 
 def _closed_class(rows: Sequence[Iterable[int]]) -> list[int]:
@@ -546,10 +534,11 @@ def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
     tail_len = len(letters) - n_steps
 
     eta_idx = eta.walk(letters[:n_steps])
+    indices = fractal._letter_indices(letters, len(eta.translations))
 
     # coded tails pi(T^m i) via a truncated moving sum (double precision)
     t_pairs = [_float_and_error(s) for s in eta.translations]
-    tarr = np.array([f for f, _ in t_pairs])[letters - 1]
+    tarr = np.array([f for f, _ in t_pairs])[indices]
     weights = (1.0 / d_value) ** np.arange(tail_len)
     tails = np.zeros(n_steps)
     for j in range(tail_len):

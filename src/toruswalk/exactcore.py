@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -416,18 +416,21 @@ def _bareiss_reduce(
     return a, pivots, prev, sign
 
 
-# The 32 largest primes below 2^31: residues stay below 2^31, so the
-# product of two residues fits in an int64.  Their product, about 2^992,
-# certifies solutions whose numerators and denominators have up to about
-# 495 bits each.
-_WORD_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921,
-)
+def _word_primes() -> Iterator[int]:
+    """The primes below 2^31, largest first, so that the product of two
+    residues fits in an int64.  Deterministic Miller-Rabin on the bases 2,
+    3, 5 and 7, which is exact below 3,215,031,751 (Jaeschke, Math. Comp.
+    61, 1993)."""
+    for n in range(2**31 - 1, 2, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+        if all(
+            a % n == 0
+            or pow(a, (n - 1) >> s, n) == 1
+            or any(pow(a, (n - 1) >> r, n) == n - 1 for r in range(1, s + 1))
+            for a in (2, 3, 5, 7)
+        ):
+            yield n
+    yield 2
 
 
 def _solve_mod_prime(
@@ -490,52 +493,58 @@ def _multimodular_solve(
     a: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> list[Fraction] | None:
     """The solution of the square system a x = b, certified exactly, or None
-    when fraction-free elimination has to decide.
+    when A is certified singular.
 
-    Solves mod each word-size prime that divides no denominator, combines
-    the residues by CRT and rebuilds every entry by rational reconstruction.
-    A candidate is returned only when A is full rank mod a prime, so that
-    det A != 0 over Q, and A v = b holds exactly in Fractions, so that v is
-    the unique solution.  None when A is singular mod a prime, when the
-    modulus has passed 2 H^2 without a certified candidate (H the Hadamard
-    bound of [A | b] with each row scaled to integers, which bounds every
-    numerator and denominator of the solution by Cramer's rule), or when the
-    primes run out.
+    Solves mod the word-size primes of _word_primes that divide no
+    denominator, combines the residues by CRT and rebuilds every entry by
+    rational reconstruction.  A candidate is returned only when A is full
+    rank mod a prime, so that det A != 0 over Q, and A v = b holds exactly
+    in Fractions, so that v is the unique solution.  H, the Hadamard bound
+    of [A | b] with each row scaled to integers, bounds |det A| of the
+    scaled A and, by Cramer's rule, every numerator and denominator of the
+    solution.  A prime modulo which A is singular is skipped: distinct
+    primes that divide a nonzero det A multiply to at most H, so skipped
+    primes multiplying past H certify A singular.  A nonsingular A is
+    certified before the modulus passes 2 H^2; passing it, or running out
+    of primes, raises ExactCheckError.
     """
     n = len(a)
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     entries = [(i, j, x) for i, row in enumerate(rows) for j, x in row]
     entries += [(i, n, x) for i, x in enumerate(b) if x]
     denominators = {x.denominator for _, _, x in entries}
-    modulus, lifted, hadamard_sq = 1, [0] * n, None
-    for p in _WORD_PRIMES:
+    modulus, skipped, lifted, hadamard_sq = 1, 1, [0] * n, None
+    for p in _word_primes():
         if any(den % p == 0 for den in denominators):
             continue
         residues = _solve_mod_prime(entries, n, p)
         if residues is None:
-            return None
-        # Chinese remaindering: keep lifted mod the modulus, fix it mod p
-        inverse = pow(modulus, -1, p)
-        lifted = [u + modulus * ((r - u) * inverse % p) for u, r in zip(lifted, residues)]
-        modulus *= p
-        candidate = []
-        for u in lifted:
-            v = _rational_reconstruction(u, modulus)
-            if v is None:
-                break
-            candidate.append(v)
+            skipped *= p
         else:
-            if all(sum(x * candidate[j] for j, x in row) == bi for row, bi in zip(rows, b)):
-                return candidate
+            # Chinese remaindering: keep lifted mod the modulus, fix it mod p
+            inverse = pow(modulus, -1, p)
+            lifted = [u + modulus * ((r - u) * inverse % p) for u, r in zip(lifted, residues)]
+            modulus *= p
+            candidate = []
+            for u in lifted:
+                v = _rational_reconstruction(u, modulus)
+                if v is None:
+                    break
+                candidate.append(v)
+            else:
+                if all(sum(x * candidate[j] for j, x in row) == bi for row, bi in zip(rows, b)):
+                    return candidate
         if hadamard_sq is None:
             hadamard_sq = 1
             for row, bi in zip(rows, b):
                 scaled = [x for _, x in row] + [bi]
                 den = math.lcm(*(x.denominator for x in scaled))
                 hadamard_sq *= sum((x.numerator * (den // x.denominator)) ** 2 for x in scaled)
-        if modulus > 2 * hadamard_sq:
+        if skipped**2 > hadamard_sq:
             return None
-    return None
+        if modulus > 2 * hadamard_sq:
+            raise ExactCheckError("multi-modular solve passed its Hadamard bound uncertified")
+    raise ExactCheckError("multi-modular solve ran out of word-size primes")
 
 
 def _matmul(a, b):

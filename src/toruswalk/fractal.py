@@ -764,9 +764,11 @@ def _orbit_error_bound(err_ulps: int, bits: int, dim: int = 1) -> float:
 def _letter_indices(w, alphabet: int) -> np.ndarray:
     """0-based letter indices of a word over {1, ..., alphabet}."""
     letters = np.asarray(w.letters if isinstance(w, Word) else w).reshape(-1)
-    if letters.size and (letters.min() < 1 or letters.max() > alphabet):
+    # a float or object array may hold non-integral letters, which astype would truncate
+    integral = letters.dtype.kind in "iu" or not np.any(letters % 1)
+    if letters.size and (not integral or letters.min() < 1 or letters.max() > alphabet):
         raise ValueError("letters must index the map family (1-based)")
-    indices = letters.astype(np.min_scalar_type(-alphabet))
+    indices = letters.astype(np.min_scalar_type(-alphabet - 1))  # holds alphabet: + 1 cannot wrap
     indices -= 1
     return indices
 

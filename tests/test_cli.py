@@ -648,6 +648,19 @@ class TestRationalCasePoints:
     """The float64 points of the rational case against exact Fraction points
     computed from the definitions, within the derived per-point bound."""
 
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_tail_letters_checked_like_the_engine(self, bad):
+        # the tail follows the first n letters; a letter 0 there read t_k
+        from toruswalk import chains
+        from toruswalk.exactcore import IrrationalBasis, parse_scalar
+
+        basis = IrrationalBasis(())
+        eta = chains.build_eta_chain(3, [parse_scalar(t, basis) for t in ["1/5", "7/10"]])
+        letters = np.random.default_rng(3).integers(1, 3, size=34)
+        letters[10] = bad
+        with pytest.raises(ValueError, match=r"^letters must index the map family \(1-based\)$"):
+            chains._rational_case_points(eta, letters, 8)
+
     @pytest.mark.parametrize(
         "d, ts, tail_len",
         [
@@ -670,11 +683,32 @@ class TestRationalCasePoints:
         letters = np.random.default_rng(d * tail_len).integers(
             1, len(ts) + 1, size=n + tail_len + extra
         )
+        bound = self._check_points(eta, d, t_exact, letters, n, tail_len)
+        if tail_len >= 30:
+            assert bound < 2.0 ** -40
+
+    def test_letter_128_of_128_translations(self):
+        # the int8 indices of 128 letters wrapped index 127 + 1 to -128
+        from toruswalk import chains
+        from toruswalk.exactcore import IrrationalBasis, parse_scalar
+
+        ts = [f"{i}/128" for i in range(128)]
+        eta = chains.build_eta_chain(2, [parse_scalar(t, IrrationalBasis(())) for t in ts])
+        n, tail_len = 40, 60
+        letters = np.random.default_rng(128).integers(1, 129, size=n + tail_len + 60)
+        letters[[0, 5, n + 3]] = 128
+        self._check_points(eta, 2, [F(t) for t in ts], letters, n, tail_len)
+
+    @staticmethod
+    def _check_points(eta, d, t_exact, letters, n, tail_len):
+        """Check the first n points along `letters` (n + tail_len letters, the
+        rest only for the exact tails) against the exact points, and return
+        the bound."""
+        from toruswalk import chains
+
         sample, eta_idx = chains._rational_case_points(eta, letters[: n + tail_len], n)
         points, bound = sample.points[:, 0], sample.error_bound
         assert sample.precision_bits is None
-        if tail_len >= 30:
-            assert bound < 2.0 ** -40
         c = F(d, d - 1) * t_exact[0]
         t_max = max(abs(t) for t in t_exact)
         state = eta.deltas_tilde[letters[0] - 1]
@@ -695,6 +729,7 @@ class TestRationalCasePoints:
             assert gap <= F(bound) + rest
             worst = max(worst, gap)
         assert worst > 0
+        return bound
 
 
 # ---------------------------------------------------------------------------

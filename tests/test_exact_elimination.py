@@ -9,6 +9,7 @@ identical, and singular input must raise the same error with the same
 message.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,14 +21,27 @@ from hypothesis import strategies as st
 import reference_linalg as ref
 from toruswalk import chains, exactcore
 from toruswalk.exactcore import (
+    ExactCheckError,
     IntMatrix,
     Scalar,
-    _WORD_PRIMES,
     _bareiss_reduce,
     _multimodular_solve,
     _rational_reconstruction,
+    _word_primes,
 )
 from toruswalk.groupcond import _rank_and_kernel
+
+# The 32 largest primes below 2^31, the fixed table the multi-modular solve
+# drew from before it drew primes on demand: every solve those primes
+# certified must still see the same primes in the same order.
+WORD_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921,
+)
 
 small_ints = st.integers(-6, 6)
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
@@ -223,13 +237,19 @@ def primes_used(monkeypatch):
 
 class TestMultimodular:
     def test_word_primes(self):
-        assert len(set(_WORD_PRIMES)) == len(_WORD_PRIMES)
-        for p in _WORD_PRIMES:
-            assert 2 < p < 2**31
-            assert all(p % d for d in range(3, math.isqrt(p) + 1, 2)), p
+        assert tuple(itertools.islice(_word_primes(), 32)) == WORD_PRIMES
+        # every prime in [2^31 - 2^16, 2^31), strictly descending: a sieve
+        low = 2**31 - 2**16
+        sieve = np.ones(2**16, dtype=bool)
+        for d in range(2, math.isqrt(2**31) + 1):
+            sieve[-low % d :: d] = False
+        expected = (low + np.flatnonzero(sieve))[::-1].tolist()
+        drawn = list(itertools.takewhile(lambda p: p >= low, _word_primes()))
+        assert drawn == expected
+        assert drawn[0] < 2**31 and all(p > q for p, q in zip(drawn, drawn[1:]))
 
     def test_reconstruction(self):
-        m = _WORD_PRIMES[0] * _WORD_PRIMES[1]
+        m = WORD_PRIMES[0] * WORD_PRIMES[1]
         for x in [Fraction(0), Fraction(-1), Fraction(5, 7), Fraction(-123456, 98765)]:
             u = x.numerator * pow(x.denominator, -1, m) % m
             assert _rational_reconstruction(u, m) == x
@@ -237,17 +257,18 @@ class TestMultimodular:
         assert _rational_reconstruction(2**31 * pow(3, -1, m) % m, m) is None
 
     def test_determinant_divisible_by_first_prime(self, primes_used):
-        p = _WORD_PRIMES[0]
+        p = WORD_PRIMES[0]
         a = [[Fraction(x) for x in row] for row in [[1, 2, 3], [4, 5, 6], [7, 8, p + 9]]]
         assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, p + 9]]).det() == -3 * p
         b = [Fraction(1), Fraction(-2, 3), Fraction(5)]
-        # singular mod p: the modular path hands over to Bareiss elimination
-        assert _multimodular_solve(a, b) is None
-        assert primes_used == [p]
-        assert chains._solve_exact(a, b) == ref.solve_exact(a, b)
+        # singular mod p: the solve skips p and the next primes certify
+        expected = ref.solve_exact(a, b)
+        assert _multimodular_solve(a, b) == expected
+        assert primes_used[0] == p and len(primes_used) > 1
+        assert chains._solve_exact(a, b) == expected
 
     def test_denominator_divisible_by_a_listed_prime(self, primes_used):
-        p = _WORD_PRIMES[0]
+        p = WORD_PRIMES[0]
         a = [[Fraction(1, p), Fraction(1)], [Fraction(1), Fraction(2, 3)]]
         b = [Fraction(1), Fraction(-1, 5)]
         expected = ref.solve_exact(a, b)
@@ -256,7 +277,7 @@ class TestMultimodular:
         assert chains._solve_exact(a, b) == expected
 
     def test_crt_for_numerators_beyond_one_prime(self, primes_used):
-        p = _WORD_PRIMES[0]
+        p = WORD_PRIMES[0]
         x = [Fraction(p + 5), Fraction(-(2**40 + 1), 7), Fraction(-3, 4)]
         # one prime alone reads p + 5 as 5: only the exact check rejects it
         assert _rational_reconstruction(x[0].numerator % p, p) == 5
@@ -270,7 +291,38 @@ class TestMultimodular:
         a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
         b = [Fraction(1), Fraction(-1, 3)]
         assert _multimodular_solve(a, b) == [Fraction(1, 3), Fraction(2, 3)]
-        assert primes_used == [_WORD_PRIMES[0]]
+        assert primes_used == [WORD_PRIMES[0]]
+
+    def test_numerators_beyond_the_old_prime_table(self, primes_used):
+        # about 1100 bits of numerator: more than the 32 primes of the old
+        # table certify, so the solve draws further primes
+        x = [Fraction(2**1100 + 1), Fraction(-(3**700), 7), Fraction(5, 11)]
+        a = [[Fraction(v) for v in row] for row in [[2, 1, 0], [1, 3, 1], [0, 1, 4]]]
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+        assert _multimodular_solve(a, b) == x
+        assert len(primes_used) > len(WORD_PRIMES)
+        assert primes_used[: len(WORD_PRIMES)] == list(WORD_PRIMES)
+
+    def test_singular_verdict_after_several_skipped_primes(self, primes_used):
+        # H^2 is about 2^162: one skipped prime (about 2^31) cannot exclude
+        # a nonzero det A, three can
+        a = [[Fraction(2**40), Fraction(1)], [Fraction(2**41), Fraction(2)]]
+        assert _multimodular_solve(a, [Fraction(1), Fraction(3)]) is None
+        assert primes_used == list(WORD_PRIMES[:3])
+
+    def test_uncertified_past_the_hadamard_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(exactcore, "_rational_reconstruction", lambda u, m: None)
+        a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+        with pytest.raises(ExactCheckError, match="Hadamard bound"):
+            _multimodular_solve(a, [Fraction(1), Fraction(-1, 3)])
+
+    def test_running_out_of_primes_raises(self, monkeypatch):
+        monkeypatch.setattr(exactcore, "_word_primes", lambda: iter(WORD_PRIMES[:1]))
+        x = [Fraction(2**100 + 1), Fraction(1, 3)]
+        a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+        b = [x[0] + x[1], x[0] - x[1]]
+        with pytest.raises(ExactCheckError, match="ran out"):
+            _multimodular_solve(a, b)
 
     @pytest.mark.parametrize(
         "a",

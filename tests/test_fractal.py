@@ -356,6 +356,35 @@ class TestWordReaders:
             assert type(refused.value) is type(engine.value)
             assert str(refused.value) == str(engine.value)
 
+    @pytest.mark.parametrize("word", [[1.5], [1.5, 1.9], [1, 1.5] * 5, [float("nan")]])
+    def test_non_integral_letters_raise(self, word):
+        # astype would read 1.5 and 1.9 as letter 1
+        from toruswalk.chains import build_eta_chain
+
+        ifs = AffineIFS.create(3, [1, 2], [[0], [2]])
+        maps = ifs.walk_maps()
+        x0 = TorusPoint([Scalar.rational(0, ifs.basis)])
+        eta = build_eta_chain(3, [t.coords[0] for t in ifs.translations])
+        readers = [
+            lambda: walk_orbit_fixed(maps, x0, word),
+            lambda: code_prefix_fixed(ifs, word, 64),
+            lambda: code_prefix(ifs, word),
+            lambda: eta.walk(np.array(word)),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError, match=r"^letters must index the map family \(1-based\)$"):
+                read()
+
+    def test_last_of_128_letters(self):
+        # the int8 indices of 128 letters wrapped index 127 + 1 to -128
+        ifs = AffineIFS.create(2, [1] * 128, [[Fraction(i, 128)] for i in range(128)])
+        assert code_prefix(ifs, [128]) == [Scalar.rational(Fraction(127, 128), ifs.basis)]
+
+    def test_integral_floats_and_the_empty_word_read_as_letters(self):
+        ifs = AffineIFS.create(3, [1, 2], [[0], [2]])
+        assert code_prefix(ifs, [1.0, 2.0]) == code_prefix(ifs, [1, 2])
+        assert code_prefix(ifs, []) == [Scalar.rational(0, ifs.basis)]
+
 
 class TestContraction:
     def test_maps_contract_in_adapted_norm(self, rng):
