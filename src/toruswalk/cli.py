@@ -434,8 +434,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# rows formatted per `%` in _write_points_csv: enough to amortise the
-# interpreter, few enough that the chunk's strings stay small
+# rows per fractal.points_csv call: enough to amortise numpy's per-call
+# cost, few enough that its temporary arrays stay in cache
 _POINTS_CHUNK_ROWS = 2048
 
 
@@ -443,21 +443,14 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
     """Write an (N, d) point array as header `n,x0,...` and one row per
     point: its 1-based index, then each coordinate as %.17g, CRLF line ends.
 
-    The bytes are those of `_write_csv` with `_fmt` cells; each chunk of
-    rows is one interleaved list formatted by a single `%`.
+    The bytes are those of `_write_csv` with `_fmt` cells; fractal.points_csv
+    formats the rows, a chunk at a time.
     """
     count, dim = points.shape
-    width = dim + 1
-    row_fmt = "%d" + ",%.17g" * dim + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(["n"] + [f"x{j}" for j in range(dim)]) + "\r\n")
+    with path.open("wb") as fh:
+        fh.write(",".join(["n"] + [f"x{j}" for j in range(dim)]).encode() + b"\r\n")
         for start in range(0, count, _POINTS_CHUNK_ROWS):
-            stop = min(start + _POINTS_CHUNK_ROWS, count)
-            flat: list = [0] * ((stop - start) * width)
-            flat[0::width] = range(start + 1, stop + 1)
-            for j in range(dim):
-                flat[j + 1 :: width] = points[start:stop, j].tolist()
-            fh.write(row_fmt * (stop - start) % tuple(flat))
+            fh.write(fractal.points_csv(points[start : start + _POINTS_CHUNK_ROWS], start + 1))
 
 
 def _discrepancy(sample: stats.OrbitSample, results: dict, sidecars: dict) -> None:

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from operator import add, mul
 from typing import Sequence
@@ -386,10 +386,12 @@ class OrbitSample:
     """Certified orbit points, as every orbit producer returns them and
     every statistic reads them.
 
-    `points` has shape (N, d) with all coordinates in [0, 1); `error_bound`
-    is a uniform per-point accuracy bound, which must stay below
-    ERROR_CEILING for the statistics to accept the sample; `precision_bits`
-    is the orbit's fixed-point precision, None when no fixed-point orbit ran.
+    `points` has shape (N, d) with all coordinates in [0, 1); those of the
+    fixed-point engines are multiples of 2^-53 (points_csv writes them from
+    their digits).  `error_bound` is a uniform per-point accuracy bound,
+    which must stay below ERROR_CEILING for the statistics to accept the
+    sample; `precision_bits` is the orbit's fixed-point precision, None when
+    no fixed-point orbit ran.
     """
 
     points: np.ndarray
@@ -665,18 +667,24 @@ def _run(run: _Orbit, state, e=0) -> _Orbit:
 
 
 def _emit(run: _Orbit, lo, hi, out, t, q) -> None:
-    """Store the top 53 bits of the states of steps lo+1..hi; t ulps at q
-    bound their truncation error."""
+    """Store the top 53 bits of the states of steps lo+1..hi, as multiples
+    of 2^-53 (exact in float64); t ulps at q bound their truncation error."""
     shape = (hi - lo, run.points.shape[1])
-    run.points[lo:hi] = np.array(out, dtype=float).reshape(shape) * _OUT_SCALE
+    run.points[lo:hi] = np.fromiter(out, dtype=np.int64, count=len(out)).reshape(shape) * _OUT_SCALE
     run.spread = max(run.spread, _error_to_float(t, q))
 
 
 def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
-    """Plain loop x <- M_a x + beta_a mod 2^q with offsets read at q bits."""
+    """Plain loop x <- M_a x + beta_a mod 2^q with offsets read at q bits.
+
+    The truncation error follows t <- amp_a t + [beta_a read inexactly] per
+    step; every amp_a being at least 1, a chunk's steps leave it below
+    (t + its inexact steps) * the product of its amps, which is what the
+    chunk's points are stored with.
+    """
     shift = run.p - q
     offs = [[b >> shift for b in off] for off in run.offsets]
-    inexact = [int(shift > z) for z in run.zeros]
+    inexact = [shift > z for z in run.zeros]
     amps = run.amps
     mats = run.mats
     mask = (1 << q) - 1
@@ -689,13 +697,13 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
         flat = [(*m[0], *m[1], *off) for m, off in zip(mats, offs)]
     for start in range(lo, hi, _CHUNK_STEPS):
         stop = min(hi, start + _CHUNK_STEPS)
-        seq = run.letters[start:stop].tolist()
+        letters = run.letters[start:stop]
+        seq = letters.tolist()
         out = []
         if d == 1:
             s = state[0]
             for a in seq:
                 s = (mats[a] * s + bs[a]) & mask
-                t = t * amps[a] + inexact[a]
                 out.append(s >> take)
             state = [s]
         elif d == 2:
@@ -703,15 +711,16 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
             for a in seq:
                 m00, m01, m10, m11, b0, b1 = flat[a]
                 x, y = (m00 * x + m01 * y + b0) & mask, (m10 * x + m11 * y + b1) & mask
-                t = t * amps[a] + inexact[a]
                 out.append(x >> take)
                 out.append(y >> take)
             state = [x, y]
         else:
             for a in seq:
                 state = [(x + b) & mask for x, b in zip(_matvec(mats[a], state), offs[a])]
-                t = t * amps[a] + inexact[a]
                 out.extend([x >> take for x in state])
+        counts = np.bincount(letters, minlength=len(amps)).tolist()
+        t += sum(c for c, off in zip(counts, inexact) if off)
+        t *= math.prod(amp**c for amp, c in zip(amps, counts) if amp > 1)
         _emit(run, start, stop, out, t, q)
 
 
@@ -759,6 +768,124 @@ def _orbit_error_bound(err_ulps: int, bits: int, dim: int = 1) -> float:
     to a power of two, one float ulp 2^-53 per coordinate, and the engine's
     certified TRUNCATION_SLACK."""
     return _error_to_float(err_ulps, bits) + dim * _OUT_SCALE + TRUNCATION_SLACK
+
+
+# The text of engine points.  Each coordinate is m 2^-53 with 0 <= m < 2^53,
+# so its %.17g is exact integer arithmetic: x >= 10^-4 prints as "0.", z <= 3
+# zeros and the 17 significant digits D = round-half-even(m 10^z 5^17 / 2^36),
+# less D's trailing zeros.  A row is laid out at a fixed width in one uint8
+# table: the field of such an x is ",0." and the 20-digit text of D, whose
+# three leading zeros stand for the z zeros; NUL marks every character that
+# %.17g leaves out, and one pass deletes them.  Zero, values off the grid and
+# values below 10^-4 (exponent notation) are formatted one by one.
+
+
+@cache
+def _text_tables():
+    """(quads, trimmed, lead), built on the first call: quads[i] holds the 4
+    ASCII digits of i < 10^4, zero-padded, as one uint32; trimmed[i] the same
+    with NUL for their trailing zeros (all NUL for 0); lead[10 z + i] "000i"
+    with NUL for all but the last z zeros."""
+    i = np.arange(10_000, dtype=np.uint16)[:, None]
+    col = np.arange(4, dtype=np.uint16)
+    power = 1000 // 10**col
+    digits = (i // power % 10).astype(np.uint8) + np.uint8(ord("0"))
+    trimmed = digits * (i % (10 * power) != 0)  # NUL where it and all after it are 0
+    lead = digits[:10] * (col >= 3 - np.arange(4)[:, None, None])
+    return tuple(a.astype(np.uint8).view(np.uint32).reshape(-1) for a in (digits, trimmed, lead))
+
+
+# m >= _DECADES[k - 1] iff m 2^-53 >= 10^-k
+_DECADES = [float(-(-(2**53) // 10**k)) for k in range(1, 5)]
+_POW10 = np.array([1, 10, 100, 1000], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_FIVE17_LOW, _FIVE17_HIGH = np.uint64(5**17 & 0xFFFFFFFF), np.uint64(5**17 >> 32)
+_FIELD_HEAD = np.frombuffer(b",0.", dtype=np.uint8)
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+
+
+def _grid_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(text, fast) of a flat float64 array: `fast` marks the values on the
+    2^-53 grid that are at least 10^-4, and text[i] (5 uint32) holds the
+    %.17g of such a value after its "0.", NUL-padded to 20 characters."""
+    m = values * 2.0**53
+    fast = (m >= _DECADES[3]) & (m < 2.0**53) & (m == np.floor(m))
+    m[~fast] = 0
+    z = (m < _DECADES[0]).astype(np.intp) + (m < _DECADES[1]) + (m < _DECADES[2])
+    m = m.astype(np.uint64) * _POW10.take(z)  # m 10^z < 2^53
+    # m 5^17 < 2^93 from 32-bit halves: m 5^17 >> 32 fits a uint64
+    low, high = m & _LOW32, m >> np.uint64(32)
+    part = low * _FIVE17_LOW
+    top = (high * _FIVE17_HIGH << np.uint64(32)) + high * _FIVE17_LOW + low * _FIVE17_HIGH
+    top += part >> np.uint64(32)
+    d = top >> np.uint64(4)
+    rest = (top & np.uint64(15)) << np.uint64(32) | part & _LOW32  # m 5^17 mod 2^36
+    # D never rounds up to 10^17: a grid value below 10^-k would have to lie
+    # within 10^(-17-k) / 2, under 0.005 grid steps, of it, but 2^53 / 10^k
+    # (k = 1, 2, 3) is 0.2 or more above an integer
+    d += (rest > 2**35) | ((rest == 2**35) & (d & np.uint64(1) == 1))
+    # D < 10^17 as its first digit and four groups of four
+    quads, trimmed, leads = _text_tables()
+    upper = d // 10**8
+    lower = (d - upper * 10**8).astype(np.intp)
+    upper = upper.astype(np.intp)
+    top = upper // 10_000
+    lead = top // 10_000
+    groups = [top - lead * 10_000, upper - top * 10_000, lower // 10_000]
+    groups.append(lower - groups[2] * 10_000)
+    text = np.empty((len(values), 5), dtype=np.uint32)
+    text[:, 0] = leads.take(10 * z + lead)
+    for k, group in enumerate(groups[:3], 1):
+        text[:, k] = quads.take(group)
+    text[:, 4] = trimmed.take(groups[3])
+    # trailing zeros past the last group (never into the first digit: D >= 10^16)
+    tail = np.flatnonzero(groups[3] == 0)
+    for k in (3, 2, 1):
+        group = groups[k - 1][tail]
+        text[tail, k] = trimmed.take(group)
+        tail = tail[group == 0]
+    return text, fast
+
+
+def _index_text(first: int, count: int, width: int) -> np.ndarray:
+    """(count, width) ASCII digits of first, ..., first + count - 1, NUL in
+    place of leading zeros."""
+    index = np.arange(first, first + count)
+    groups = -(-width // 4)
+    parts = np.empty((count, groups), dtype=np.intp)
+    rest = index
+    for g in range(groups - 1, -1, -1):
+        top = rest // 10_000
+        parts[:, g] = rest - top * 10_000
+        rest = top
+    text = _text_tables()[0].take(parts).view(np.uint8)[:, 4 * groups - width :]
+    for k in range(1, width):  # the indices below 10^k lead with width - k zeros
+        text[: max(0, 10**k - first), : width - k] = 0
+    return text
+
+
+def points_csv(points: np.ndarray, first: int) -> bytes:
+    """CSV rows of an (n, d) array of engine points: the index (first,
+    first + 1, ...), then each coordinate as %.17g, CRLF line ends.  Any
+    float64 coordinates are formatted exactly; those off the 2^-53 grid, zero
+    and those below 10^-4 one by one."""
+    count, dim = points.shape
+    values = np.asarray(points, dtype=float).ravel()
+    body, fast = _grid_text(values)
+    slow = np.flatnonzero(~fast)
+    cells = [format(v, ".17g") for v in values[slow].tolist()]
+    field = max([23] + [len(cell) + 1 for cell in cells])  # ",0." and 20 characters
+    width = len(str(first + count - 1))
+    row = np.zeros(width + dim * field + 2, dtype=np.uint8)
+    row[width:-2].reshape(dim, field)[:, :3] = _FIELD_HEAD
+    row[-2:] = _CRLF
+    table = np.tile(row, (count, 1))
+    table[:, :width] = _index_text(first, count, width)
+    fields = table[:, width:-2].reshape(count, dim, field)
+    fields[..., 3:23] = body.view(np.uint8).reshape(count, dim, 20)
+    text = "".join(cell.ljust(field - 1, "\0") for cell in cells).encode()
+    fields[slow // dim, slow % dim, 1:] = np.frombuffer(text, dtype=np.uint8).reshape(-1, field - 1)
+    return table.tobytes().translate(None, b"\0")
 
 
 def _letter_indices(w, alphabet: int) -> np.ndarray:

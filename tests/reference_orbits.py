@@ -3,6 +3,10 @@
 These are the original O(N^2) loops: every step multiplies, adds and masks
 the whole p-bit state.  The library's divide-and-conquer engine must agree
 with them (see test_orbit_engine.py); nothing in src/ imports this module.
+
+`walk_leaf` is the engine's plain loop as it was when it advanced the
+truncation error t step by step; fractal._walk_leaf bounds t once per chunk
+and must never store a point with less than this loop's t.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from toruswalk import fractal
 from toruswalk.exactcore import NearIntegerError, TorusPoint
 from toruswalk.fractal import (
     AffineEndo,
@@ -19,6 +24,7 @@ from toruswalk.fractal import (
     PrecisionExceededError,
     Word,
     _error_to_float,
+    _matvec,
     precision_budget,
 )
 
@@ -138,3 +144,46 @@ def digits_from_fixed(
         digits.append(digit)
         points[i] = (frac_fixed >> take) * scale
     return digits, points
+
+
+def walk_leaf(run, lo, hi, state, q, t, e) -> None:
+    """fractal._walk_leaf with the per-step recursion t <- amp_a t + inexact_a;
+    it stores its points through fractal._emit."""
+    shift = run.p - q
+    offs = [[b >> shift for b in off] for off in run.offsets]
+    inexact = [int(shift > z) for z in run.zeros]
+    amps = run.amps
+    mats = run.mats
+    mask = (1 << q) - 1
+    take = q - 53
+    d = len(state)
+    if d == 1:
+        bs = [off[0] for off in offs]
+    elif d == 2:
+        flat = [(*m[0], *m[1], *off) for m, off in zip(mats, offs)]
+    for start in range(lo, hi, fractal._CHUNK_STEPS):
+        stop = min(hi, start + fractal._CHUNK_STEPS)
+        seq = run.letters[start:stop].tolist()
+        out = []
+        if d == 1:
+            s = state[0]
+            for a in seq:
+                s = (mats[a] * s + bs[a]) & mask
+                t = t * amps[a] + inexact[a]
+                out.append(s >> take)
+            state = [s]
+        elif d == 2:
+            x, y = state
+            for a in seq:
+                m00, m01, m10, m11, b0, b1 = flat[a]
+                x, y = (m00 * x + m01 * y + b0) & mask, (m10 * x + m11 * y + b1) & mask
+                t = t * amps[a] + inexact[a]
+                out.append(x >> take)
+                out.append(y >> take)
+            state = [x, y]
+        else:
+            for a in seq:
+                state = [(x + b) & mask for x, b in zip(_matvec(mats[a], state), offs[a])]
+                t = t * amps[a] + inexact[a]
+                out.extend([x >> take for x in state])
+        fractal._emit(run, start, stop, out, t, q)

@@ -637,6 +637,57 @@ class TestTrackedTruncation:
         assert torus_gap(sample.points[:, 0], old_points) <= spreads[-1] + 2.0 ** -53
 
 
+SQRT2 = Scalar(B, (Fraction(0), Fraction(1), Fraction(0)))
+SQRT3 = Scalar(B, (Fraction(0), Fraction(0), Fraction(1)))
+ZERO = Scalar.rational(0, B)
+# (matrices, offsets, N, precision): letter 1 has offset 0, which is read
+# exactly at every precision, letter 2 an irrational one, read inexactly once
+# truncated; the rotation's automatic precision leaves nothing to truncate
+LEAF_FAMILIES = {
+    "1d": ([[[2]], [[3]]], [[ZERO], [SQRT2]], 3000, None),
+    "rotation": ([[[1]], [[1]]], [[ZERO], [SQRT2]], 3000, 400),
+    "2d": ([[[3, 1], [1, 3]], [[4, 1], [1, 4]]], [[ZERO, ZERO], [SQRT2, SQRT3]], 1500, None),
+    "3d": (
+        [[[6, 1, 0], [0, 6, 1], [0, 0, 6]], [[7, 1, 0], [0, 7, 1], [0, 0, 7]]],
+        [[ZERO, ZERO, ZERO], [SQRT2, SQRT3, SQRT2]],
+        600,
+        None,
+    ),
+}
+
+
+class TestLeafBound:
+    """The plain loop stores a chunk's points with one closed-form bound on
+    their truncation error; at every chunk end it must cover the per-step
+    recursion t <- amp_a t + inexact_a (reference_orbits.walk_leaf)."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_FAMILIES))
+    def test_bound_covers_the_step_recursion(self, monkeypatch, name):
+        mats, offsets, n, precision = LEAF_FAMILIES[name]
+        endos = [AffineEndo(IntMatrix.from_rows(m), tuple(off)) for m, off in zip(mats, offsets)]
+        x0 = TorusPoint([Scalar.rational(Fraction(1, 7), B)] * len(offsets[0]))
+        letters = np.random.default_rng(11).integers(1, 3, size=n)
+        emit, leaf = fractal._emit, fractal._walk_leaf
+        stored = {}
+
+        def spy(run, lo, hi, out, t, q):
+            stored.setdefault((lo, hi), []).append((out, q, t))
+            emit(run, lo, hi, out, t, q)
+
+        def both(run, lo, hi, state, q, t, e):
+            ref.walk_leaf(run, lo, hi, state, q, t, e)
+            leaf(run, lo, hi, state, q, t, e)
+
+        monkeypatch.setattr(fractal, "_emit", spy)
+        monkeypatch.setattr(fractal, "_walk_leaf", both)
+        walk_orbit_fixed(endos, x0, letters, precision)
+        assert sum(hi - lo for lo, hi in stored) == n
+        assert any(t for (_, _, t), _ in stored.values())  # the runs truncate
+        for (*old, step_t), (*new, bound) in stored.values():
+            assert new == old
+            assert bound >= step_t
+
+
 class TestNoReferenceCycles:
     """Engine runs are freed by reference counting alone."""
 
