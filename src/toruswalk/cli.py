@@ -618,13 +618,12 @@ def _run_fourier(cfg: dict, rng) -> tuple[dict, dict, None]:
     }
     coeff_fns = {name: spec.coefficients(tol) for name, spec in specs.items()}
     sidecars = {}
+    indices = range(-cfg["dump_range"], cfg["dump_range"] + 1)
     for name, fn in coeff_fns.items():
-        rows = []
-        for n in range(-cfg["dump_range"], cfg["dump_range"] + 1):
-            v = fn(n)
-            rows.append(
-                [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(v.error), int(v.exact_zero)]
-            )
+        rows = [
+            [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(v.error), int(v.exact_zero)]
+            for n, v in zip(indices, fn.table(indices))
+        ]
         sidecars[f"coefficients_{name}.csv"] = (["n", "re", "im", "certified_error", "exact_zero"], rows)
 
     results: dict = {"zero_checks": []}
@@ -804,7 +803,8 @@ SCHEMA_DOC = {
         "trajectory.csv": "walk-sim and rotation-case: header 'n,x0,...,x{d-1}', one row "
         "per orbit point (1-based n, coordinates as %.17g), CRLF line ends",
         "fourier results.diagnostics": "per measure: coefficients evaluated, max_depth "
-        "(deepest truncated product, null when every value was an exact zero), evaluator",
+        "(deepest truncated product, null when every value was an exact zero), evaluator "
+        "('float64-taylor': cos/sin of a double-double angle by Taylor polynomials, no libm)",
         "error.json": "batch runs only: a failed job's directory holds {field, message, exit} "
         "in place of report.json",
     },

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +39,9 @@ __all__ = [
     "subsequence_compare",
     "fourier_table",
 ]
+
+#: largest bin count `block_frequencies` hands to `np.bincount`
+_BINCOUNT_MAX = 1 << 22
 
 #: `running_discrepancy` rows: prefix lengths m = max(1, floor(N i / 20)), i = 1..20
 DISCREPANCY_CHECKPOINTS = 20
@@ -201,17 +202,45 @@ def sample_digits(
 def block_frequencies(
     digits: Sequence[int], max_len: int
 ) -> dict[tuple[int, ...], float]:
-    """Sliding-window frequencies of all blocks of length <= max_len."""
+    """Sliding-window frequencies of all blocks of length <= max_len, keyed by
+    digit tuples; within each length the blocks come in order of first
+    occurrence.
+
+    A window of length L is coded as j B + d: j indexes the blocks of length
+    L - 1 that occur, d is its last digit less the smallest digit, and B is
+    the digit range.  One `np.bincount` per length counts the codes (or
+    `np.unique`, when the codes would need more than _BINCOUNT_MAX bins)."""
     count = len(digits)
     if max_len < 1 or max_len > count:
         raise ValueError("need 1 <= max_len <= len(digits)")
+    values = np.asarray(digits, dtype=np.int64)
+    low = int(values.min())
+    radix = int(values.max()) - low + 1
+    offsets = values - low
     freqs: dict[tuple[int, ...], float] = {}
+    blocks: list[tuple[int, ...]] = [()]
+    index = np.zeros(count + 1, np.int64)  # each window's block of the previous length
     for length in range(1, max_len + 1):
         windows = count - length + 1
-        # the windows are the tuples of `length` shifted iterators, zipped
-        counts = Counter(zip(*(islice(digits, j, None) for j in range(length))))
-        for block, c in counts.items():
-            freqs[block] = c / windows
+        codes = index[:windows] * radix + offsets[length - 1 :]
+        bins = len(blocks) * radix
+        if bins <= _BINCOUNT_MAX:
+            counts = np.bincount(codes, minlength=bins)
+            first = np.full(bins, windows)
+            np.minimum.at(first, codes, np.arange(windows))
+            present = np.flatnonzero(counts)
+            counts, first = counts[present], first[present]
+            dense = np.zeros(bins, np.int64)
+            dense[present] = np.arange(len(present))
+            index = dense[codes]
+        else:
+            present, first, index, counts = np.unique(
+                codes, return_index=True, return_inverse=True, return_counts=True
+            )
+        blocks = [blocks[c // radix] + (low + c % radix,) for c in present.tolist()]
+        counts = counts.tolist()
+        for j in np.argsort(first, kind="stable").tolist():
+            freqs[blocks[j]] = counts[j] / windows
     return freqs
 
 
@@ -280,9 +309,9 @@ def subsequence_compare(sample: OrbitSample, p: int, k_max: int) -> SubsequenceR
 def fourier_table(means: dict[tuple[int, ...], complex], coefficients) -> tuple[list, float]:
     """Rows (k, predicted, empirical, |empirical - predicted|) over the
     one-dimensional frequencies (k,) of `means` in increasing k, with
-    predicted = coefficients(k).value, and the max of the last column."""
-    rows = []
-    for (k,), emp in sorted(means.items()):
-        predicted = coefficients(k).value
-        rows.append((k, predicted, emp, abs(emp - predicted)))
+    predicted the value of `coefficients` at k (one `table` call for all k),
+    and the max of the last column."""
+    items = sorted(means.items())
+    predicted = coefficients.table([k for (k,), _ in items])
+    rows = [(k, p.value, emp, abs(emp - p.value)) for ((k,), emp), p in zip(items, predicted)]
     return rows, max((row[3] for row in rows), default=0.0)

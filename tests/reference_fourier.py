@@ -8,12 +8,12 @@ multiplies the same factors at 200 bits without rounding in between, which
 isolates the float64 rounding of the fast path from the truncation of the
 infinite product.
 
-`percall_fourier_discrete` and `percall_fourier_selfsimilar` are the float64
-path as it was before each measure's integer data was derived once: the
-atoms are put over a common denominator, the weights rounded and the
-exact-zero test run on `Fraction`s at every call, and every scale factor is
-a separate call of the one-scale evaluator `percall_average`.  The current
-path must give bitwise the same values, errors and exact-zero flags.
+`libm_fourier_discrete` and `libm_fourier_selfsimilar` are the float64 path
+that came before the batched Taylor evaluator: one coefficient per call, the
+same integer reduction to an offset of at most 1/8 turn, libm `cos`/`sin` of
+that offset and Python complex products (`libm_character_average`).  The
+current path must give the same exact-zero flags and bitwise the same
+certified errors, and values within the sum of the two stated errors.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from toruswalk.spectral import (
     SelfSimilarSpec,
     _PI_SCALED,
     _PI_SHIFT,
+    _half_odd,
     truncation_depth,
 )
 
@@ -106,89 +107,80 @@ def fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> Fou
     return FourierValue(prod, tail_err + round_err, exact_zero=False)
 
 
-def _over_common_denominator(atoms) -> tuple[int, list[int]]:
-    """(Q, [A_i]) with a_i = A_i / Q for one common denominator Q."""
-    q = math.lcm(*(a.denominator for a in atoms))
-    return q, [a.numerator * (q // a.denominator) for a in atoms]
+def libm_character_average(
+    numerators, weights, n: int, modulus: int, scales: int = 1, base: int = 1
+) -> complex:
+    """prod_{0 <= s < scales} sum_i w_i e(n A_i / (modulus base^s)) by the
+    octant reduction and libm `cos`/`sin`, one scale after the other."""
+    d_abs = abs(base)
+    prod = 1.0 + 0j
+    for _ in range(scales):
+        re = im = 0.0
+        n4 = 4 * n
+        half = modulus >> 1
+        scaled = modulus << _PI_SHIFT
+        for a, w in zip(numerators, weights):
+            quadrant, rho = divmod(n4 * a, modulus)
+            if rho > half:
+                quadrant += 1
+                rho -= modulus
+            if rho:
+                phi = _PI_SCALED * rho / scaled
+                c, s = math.cos(phi), math.sin(phi)
+            else:
+                c, s = 1.0, 0.0
+            quadrant &= 3
+            if quadrant == 0:
+                re += w * c
+                im += w * s
+            elif quadrant == 1:
+                re -= w * s
+                im += w * c
+            elif quadrant == 2:
+                re -= w * c
+                im -= w * s
+            else:
+                re += w * s
+                im -= w * c
+        prod *= complex(re, im)
+        modulus *= d_abs
+        if base < 0:
+            n = -n
+    return prod
 
 
-def percall_average(numerators, weights, n: int, modulus: int) -> complex:
-    """sum_i w_i e(n A_i / modulus) by the octant reduction of
-    `spectral._character_average`, one scale per call."""
-    re = im = 0.0
-    n4 = 4 * n
-    half = modulus >> 1
-    scaled = modulus << _PI_SHIFT
-    for a, w in zip(numerators, weights):
-        quadrant, rho = divmod(n4 * a, modulus)
-        if rho > half:
-            quadrant += 1
-            rho -= modulus
-        if rho:
-            phi = _PI_SCALED * rho / scaled
-            c, s = math.cos(phi), math.sin(phi)
-        else:
-            c, s = 1.0, 0.0
-        quadrant &= 3
-        if quadrant == 0:
-            re += w * c
-            im += w * s
-        elif quadrant == 1:
-            re -= w * s
-            im += w * c
-        elif quadrant == 2:
-            re -= w * c
-            im -= w * s
-        else:
-            re += w * s
-            im -= w * c
-    return complex(re, im)
-
-
-def percall_fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
+def libm_fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
-    if len(measure.atoms) == 2 and measure.weights[0] == measure.weights[1]:
-        gap = _frac((measure.atoms[1] - measure.atoms[0]) * n)
-        if gap == _HALF:
-            return FourierValue(0j, 0.0, exact_zero=True)
-    q, numerators = _over_common_denominator(measure.atoms)
-    val = percall_average(numerators, [float(w) for w in measure.weights], n, q)
+    data = measure._data
+    if data.gap is not None and _half_odd(2 * abs(data.gap[0] * n), data.gap[1]):
+        return FourierValue(0j, 0.0, exact_zero=True)
+    val = libm_character_average(data.numerators, data.weights, n, data.modulus)
     return FourierValue(val, (len(measure.atoms) + 2) * 2.0 ** -52, exact_zero=False)
 
 
-def percall_fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> FourierValue:
+def libm_fourier_selfsimilar(spec: SelfSimilarSpec, n: int, tol: float = 1e-9) -> FourierValue:
     if not tol > 0:
         raise ValueError("tol must be positive")
     if n == 0:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
-
-    d_abs = abs(spec.base)
-    delta_max = max(abs(a) for a in spec.atoms)
-    if delta_max == 0:
+    data = spec._data
+    if data.trivial:
         return FourierValue(1.0 + 0j, 0.0, exact_zero=False)
-
-    if len(spec.atoms) == 2 and spec.weights[0] == spec.weights[1]:
-        gap = (spec.atoms[1] - spec.atoms[0]) * n
-        while abs(gap) >= _HALF:
-            if (gap - _HALF).denominator == 1:
+    d_abs = abs(spec.base)
+    if data.gap is not None:
+        num, den = data.gap
+        twice = 2 * abs(num * n)
+        while twice >= den:
+            if _half_odd(twice, den):
                 return FourierValue(0j, 0.0, exact_zero=True)
-            gap /= spec.base
-
-    lead = 2.0 * math.pi * abs(n) * float(delta_max)
+            den *= d_abs
+    lead = 2.0 * math.pi * abs(n) * data.delta_max
     budget = math.log1p(tol)
     s_cut = 0
     while lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs) >= budget:
         s_cut += 1
-    # scale s has angle n A_i / (Q D^s) = (+-n) A_i / (Q |D|^s)
-    modulus, numerators = _over_common_denominator(spec.atoms)
-    weights = [float(w) for w in spec.weights]
-    prod = 1.0 + 0j
-    for _ in range(s_cut + 1):
-        prod *= percall_average(numerators, weights, n, modulus)
-        modulus *= d_abs
-        if spec.base < 0:
-            n = -n
+    prod = libm_character_average(data.numerators, data.weights, n, data.modulus, s_cut + 1, spec.base)
     tail_err = math.expm1(lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs))
     round_err = (s_cut + 2) * (len(spec.atoms) + 2) * 2.0 ** -52
     return FourierValue(prod, tail_err + round_err, exact_zero=False)

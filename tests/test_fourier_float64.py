@@ -1,6 +1,6 @@
 """Differential tests: the float64 character evaluator in `spectral` against
-the earlier mpmath path (tests/reference_fourier.py) and against 200-bit
-products of the same factors."""
+the earlier mpmath and libm paths (tests/reference_fourier.py) and against
+200-bit products of the same factors."""
 
 from fractions import Fraction
 
@@ -77,6 +77,15 @@ def _bits(value) -> tuple:
     return value.value.real.hex(), value.value.imag.hex(), value.error.hex(), value.exact_zero
 
 
+def _agrees(new: FourierValue, old: FourierValue) -> bool:
+    """The same exact-zero flag and error bits, values within both errors."""
+    return (
+        new.exact_zero == old.exact_zero
+        and new.error.hex() == old.error.hex()
+        and abs(new.value - old.value) <= new.error + old.error
+    )
+
+
 @st.composite
 def onepass_specs(draw) -> SelfSimilarSpec:
     """One to four unsorted atoms, all zero now and then, over bases +-2..+-7."""
@@ -85,21 +94,25 @@ def onepass_specs(draw) -> SelfSimilarSpec:
     return SelfSimilarSpec.create(draw(bases), points, draw(weight_lists(k)))
 
 
+def _data(modulus: int, numerators, weights) -> spectral._MeasureData:
+    """Measure data for atoms A_i / modulus that need not be in lowest terms."""
+    return spectral._MeasureData(modulus, tuple(numerators), tuple(weights), 0.0, False, None, [])
+
+
 class TestOnePassAgainstPerCall:
-    """Each measure's integer data derived once and one evaluator call over
-    every scale give the bits of the per-call path (tests/reference_fourier.py)."""
+    """The batched Taylor evaluator against the libm evaluator it replaced
+    (tests/reference_fourier.py): the same exact-zero flags and error bits,
+    and values within the sum of the two stated errors."""
 
     @settings(max_examples=400, deadline=None)
     @given(onepass_specs(), freqs, tols)
-    def test_selfsimilar_bitwise(self, spec, n, tol):
-        assert _bits(fourier_selfsimilar(spec, n, tol)) == _bits(
-            ref.percall_fourier_selfsimilar(spec, n, tol)
-        )
+    def test_selfsimilar_against_libm(self, spec, n, tol):
+        assert _agrees(fourier_selfsimilar(spec, n, tol), ref.libm_fourier_selfsimilar(spec, n, tol))
 
     @settings(max_examples=300, deadline=None)
     @given(discrete_measures(), freqs)
-    def test_discrete_bitwise(self, measure, n):
-        assert _bits(fourier_discrete(measure, n)) == _bits(ref.percall_fourier_discrete(measure, n))
+    def test_discrete_against_libm(self, measure, n):
+        assert _agrees(fourier_discrete(measure, n), ref.libm_fourier_discrete(measure, n))
 
     @pytest.mark.parametrize("base", [4, -4, 6, -3])
     def test_unsorted_equal_weight_pair(self, base):
@@ -109,7 +122,7 @@ class TestOnePassAgainstPerCall:
             for n in [*range(-41, 42, 2), 10 ** 12 + 1, -(10 ** 12) - 3]:
                 got = fourier_selfsimilar(spec, n)
                 assert got.exact_zero
-                assert _bits(got) == _bits(ref.percall_fourier_selfsimilar(spec, n))
+                assert _bits(got) == _bits(ref.libm_fourier_selfsimilar(spec, n))
 
     def test_zero_exactly_at_a_deep_scale(self):
         # gap 1/6, base -4: |n| gap 2 / 4^i is 7 4^(j-i), odd only at scale
@@ -119,7 +132,7 @@ class TestOnePassAgainstPerCall:
             n = 3 * 4 ** j * 7
             assert fourier_selfsimilar(spec, n).exact_zero
             for m in (n, -n, 2 * n, n + 3):
-                assert _bits(fourier_selfsimilar(spec, m)) == _bits(ref.percall_fourier_selfsimilar(spec, m))
+                assert _agrees(fourier_selfsimilar(spec, m), ref.libm_fourier_selfsimilar(spec, m))
 
     def test_zero_max_delta(self):
         spec = SelfSimilarSpec.create(-3, ["0", "0", "0"], ["1/2", "1/4", "1/4"])
@@ -128,11 +141,11 @@ class TestOnePassAgainstPerCall:
 
     def test_one_scale_is_one_average(self):
         numerators, weights = [3, -5, 11], [0.25, 0.5, 0.25]
-        for n in (1, -2, 10 ** 12 + 7):
-            got = spectral._character_average(numerators, weights, n, 17)
-            assert _bits(FourierValue(got, 0.0)) == _bits(
-                FourierValue(ref.percall_average(numerators, weights, n, 17), 0.0)
-            )
+        stated = 2 * (len(numerators) + 2) * ULP_52
+        ns = [1, -2, 10 ** 12 + 7]
+        re, im = spectral._character_products(_data(17, numerators, weights), 1, ns, [0] * len(ns))
+        for n, value in zip(ns, map(complex, re, im)):
+            assert abs(value - ref.libm_character_average(numerators, weights, n, 17)) <= stated
 
     def test_measure_data_is_derived_once(self):
         spec = SelfSimilarSpec.create(4, ["1/4", "0"])
@@ -140,6 +153,39 @@ class TestOnePassAgainstPerCall:
         assert spec._data.gap == (1, 4) and spec._data.modulus == 4
         measure = DiscreteMeasure.uniform([F(3, 4), F(1, 4)])
         assert measure._data.gap == (1, 2) and measure._data.numerators == (1, 3)
+
+
+class TestBatches:
+    """A batch gives each frequency the bits it gets as a batch of one,
+    whatever else the batch holds and however it is cut into chunks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(onepass_specs(), st.lists(freqs, min_size=1, max_size=12), tols)
+    def test_selfsimilar_batch_is_batches_of_one(self, spec, ns, tol):
+        table = spec.coefficients(tol).table(ns)
+        assert [_bits(v) for v in table] == [_bits(fourier_selfsimilar(spec, n, tol)) for n in ns]
+
+    @settings(max_examples=100, deadline=None)
+    @given(discrete_measures(), st.lists(freqs, min_size=1, max_size=12))
+    def test_discrete_batch_is_batches_of_one(self, measure, ns):
+        table = measure.coefficients().table(ns)
+        assert [_bits(v) for v in table] == [_bits(fourier_discrete(measure, n)) for n in ns]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 8192])
+    def test_chunks(self, monkeypatch, chunk):
+        # many chunks, int64 and Python-integer scales, negative base
+        spec = SelfSimilarSpec.create(-5, ["1/7", "3/11", "-2/3"], ["1/6", "1/2", "1/3"])
+        ns = [*range(-300, 301), 10 ** 12 + 5, -(10 ** 11)]
+        singles = [_bits(fourier_selfsimilar(spec, n, 1e-13)) for n in ns]
+        monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", chunk)
+        assert [_bits(v) for v in spec.coefficients(1e-13).table(ns)] == singles
+
+    def test_table_memoizes(self):
+        coeffs = SelfSimilarSpec.create(3, ["0", "1/3"]).coefficients()
+        first = coeffs.table([5, 2, 5, -4])
+        assert sorted(coeffs.evaluated()) == [-4, 2, 5]
+        assert coeffs.table([2, 5]) == [first[1], first[0]]
+        assert coeffs(-4) is first[3]
 
 
 class TestRoundingTerm:
@@ -163,14 +209,27 @@ class TestRoundingTerm:
         assert ref.distance(new.value, ref.discrete_sum(measure, n)) <= stated
 
     def test_octant_boundaries(self):
-        # offsets of exactly +-1/8 turn and just either side of them
-        big = 10 ** 12
-        for j in range(16):
-            for shift in (F(0), F(1, big), F(-1, big)):
-                measure = DiscreteMeasure.point_mass(F(j, 16) + shift)
-                for n in (1, 3, -7):
-                    got = fourier_discrete(measure, n)
-                    assert ref.distance(got.value, ref.discrete_sum(measure, n)) <= 3 * ULP_52
+        check_octant_boundaries()
+
+    @pytest.mark.parametrize("name", ["_COS", "_SIN"])
+    def test_a_term_less_fails(self, monkeypatch, name):
+        # the last Taylor term of either polynomial is 9 u (cos) or 183 u
+        # (sin) at an offset of 1/8 turn, beyond the stated 6 u
+        monkeypatch.setattr(spectral, name, getattr(spectral, name)[:-1])
+        with pytest.raises(AssertionError):
+            check_octant_boundaries()
+
+
+def check_octant_boundaries():
+    """Point masses at offsets of exactly +-1/8 turn and just either side of
+    them stay within the stated (1 + 2) 2^-52 of 200-bit values."""
+    big = 10 ** 12
+    for j in range(16):
+        for shift in (F(0), F(1, big), F(-1, big)):
+            measure = DiscreteMeasure.point_mass(F(j, 16) + shift)
+            for n in (1, 3, -7):
+                got = fourier_discrete(measure, n)
+                assert ref.distance(got.value, ref.discrete_sum(measure, n)) <= 3 * ULP_52
 
 
 class TestExactAngles:
@@ -185,8 +244,14 @@ class TestExactAngles:
         # n a_i D^-s at 0, 1/4, 1/2, 3/4 turn for large moduli Q |D|^s
         modulus = 7 * 5 ** 30
         for quarter, unit in enumerate([1 + 0j, 1j, -1 + 0j, -1j]):
-            got = spectral._character_average([quarter * modulus], [1.0], 1, 4 * modulus)
-            assert got == unit
+            data = _data(4 * modulus, [quarter * modulus], [1.0])
+            re, im = spectral._character_products(data, 1, [1], [0])
+            assert complex(re[0], im[0]) == unit
+        # and at int64 moduli: n / 5^s is 1 mod 4 at every scale s <= 10, so
+        # each factor is exactly i/4 - 1/2 - i/4
+        data = _data(4, [1, 2, 3], [0.25, 0.5, 0.25])
+        re, im = spectral._character_products(data, 5, [5 ** 10, -3 * 5 ** 10], [10, 10])
+        assert [complex(a, b) for a, b in zip(re, im)] == [-(2.0 ** -11) + 0j] * 2
 
     def test_pi_constant(self):
         with mpmath.workprec(300):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toruswalk.spectral import (
     CoefficientFunction,
     DiscreteMeasure,
+    FourierValue,
     SelfSimilarSpec,
     classify_index,
     convolve,
@@ -220,6 +221,14 @@ class TestIsHaar:
 
     def test_point_mass_fails_at_one(self):
         assert not is_haar_up_to(DiscreteMeasure.point_mass().coefficients(), 10)
+
+    def test_total_mass_off_by_1e13_refused(self):
+        # f(0) must be 1 within its certified error alone, here 0
+        haar = CoefficientFunction.haar()
+        heavy = CoefficientFunction(lambda n: FourierValue(1.0 + 1e-13 + 0j, 0.0) if n == 0 else haar(n))
+        assert not is_haar_up_to(heavy, 5)
+        covered = CoefficientFunction(lambda n: FourierValue(1.0 + 1e-13 + 0j, 2e-13) if n == 0 else haar(n))
+        assert is_haar_up_to(covered, 5)
 
     def test_routing_through_classification(self):
         nu_c = NU.coefficients()

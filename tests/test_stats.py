@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_output
+from toruswalk import stats
 from toruswalk.exactcore import IntMatrix, IrrationalBasis, Scalar, TorusPoint, fractional_part
 from toruswalk.fractal import AffineEndo, walk_trajectory
 from toruswalk.spectral import CoefficientFunction, DiscreteMeasure
@@ -267,6 +268,14 @@ class TestBlockFrequencies:
             want = window_loop_frequencies(given_digits, len(given_digits))
             assert list(got.items()) == list(want.items())
             assert got[tuple(digits)] == 1.0
+
+    @pytest.mark.parametrize("digits", [[2, 0, 2, 2, 1, 0, 0, 2, 1], [-3, 5, 5, -3, 0, 7, 5, -3]])
+    def test_unique_counting_agrees(self, monkeypatch, digits):
+        # codes needing more bins than _BINCOUNT_MAX are counted by np.unique
+        want = block_frequencies(digits, 4)
+        monkeypatch.setattr(stats, "_BINCOUNT_MAX", 1)
+        assert list(block_frequencies(digits, 4).items()) == list(want.items())
+        assert list(want.items()) == list(window_loop_frequencies(digits, 4).items())
 
     def test_lengths_out_of_range_rejected(self):
         for max_len in (0, 4):
