@@ -1,24 +1,31 @@
-"""q-scaling of the exact stationary-support solve.
+"""q-scaling of the exact stationary-support solve, and the carry walk of the
+rational case.
 
 Builds the stationary support of the walk D = [2, 3], alpha = [1/p1, 2/p2]
-for q = p1 p2 = 143, 323, 667 and 1147, whose chains are bijective and whose
-vectors need one word-size prime, and of the walk D = [2, 3], alpha =
-[0, 1/512], P = [1/7, 6/7], whose chain is not bijective and whose 512-state
-vector has denominators of 723 bits, so that it needs many primes.  For each
-it times the whole `build_finite_stationary` (`build_s`), the exact
-stationary solve inside it (`chains._terminal_class_stationary`: the row and
-class checks and the multi-modular path, `solve_s`) and the experiment end
-to end through `cli.main(["run", ...])` in this process (`run_s`), counts
-the word-size primes the solve used, and fits the growth exponent of the
-solve time in q over the bijective rows.  For q <= 323 it also times the
-fraction-free (Bareiss) elimination of the same system, the oracle, and
-checks that it gives the same vector.
+for q = p1 p2 = 143, 323, 667, 1147 and 2021, whose chains are bijective, so
+doubly stochastic, and whose vector is uniform, and of the walk D = [2, 3],
+alpha = [0, 1/512], P = [1/7, 6/7], whose chain is not bijective and whose
+512-state vector has denominators of 723 bits, so that it needs many primes.
+For each it times the whole `build_finite_stationary` (`build_s`), the exact
+stationary vector inside it (`chains._terminal_class_stationary`: the row and
+class checks, the uniform vector or the multi-modular solve, and the exact
+residual check, `solve_s`) and the experiment end to end through
+`cli.main(["run", ...])` in this process (`run_s`), counts the word-size
+primes the solve used (none for a uniform vector), and fits the growth
+exponents of the solve and build times in q over the bijective rows.  For
+q <= 323 it also times the fraction-free (Bareiss) elimination of the same
+system, the oracle, and checks that it gives the same vector.
+
+It then times `EtaChain.walk`, the carry chain's path, for the rational-case
+IFS D = 3, t = [1/5, 7/10] (q = 2) along N = 10^5 and 10^6 seeded letters
+(`walk_s`), and fits its growth exponent in N.
 
 With `--before SRC`, the toruswalk package under SRC (an older tree's `src`)
 is loaded next to this one, every timing alternates between the two, so that
 a change of machine load reaches both alike, and both trees must return the
-same vector.  The record keeps this tree's run under "after" and the older
-tree's under "before", and each run of the script rewrites the record:
+same vector and the same carry path.  The record keeps this tree's run under
+"after" and the older tree's under "before", and each run of the script
+rewrites the record:
 
     PYTHONPATH=src python3 bench/stationary_scaling.py [--out BENCH_stationary.json]
     PYTHONPATH=src python3 bench/stationary_scaling.py --before ../old/src
@@ -37,6 +44,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import toruswalk
 from toruswalk import exactcore
 
@@ -48,10 +57,14 @@ WALKS = {
     323: ([2, 3], ["1/17", "2/19"], None),
     667: ([2, 3], ["1/23", "2/29"], None),
     1147: ([2, 3], ["1/31", "2/37"], None),
+    2021: ([2, 3], ["1/43", "2/47"], None),
     512: ([2, 3], ["0", "1/512"], ["1/7", "6/7"]),
 }
-SCALING_Q = (143, 323, 667, 1147)
+SCALING_Q = (143, 323, 667, 1147, 2021)
 ORACLE_MAX_Q = 323
+# the rational-case carry chain: D, t, and the walk lengths
+CARRY = (3, ["1/5", "7/10"])
+CARRY_N = (100_000, 1_000_000)
 
 
 def _bareiss_vector(transition) -> tuple[list[Fraction], float]:
@@ -111,6 +124,13 @@ class _Tree:
             None if probabilities is None else [Fraction(x) for x in probabilities],
         )
 
+    def carry_chain(self):
+        d_value, translations = CARRY
+        basis = self.exact.IrrationalBasis(())
+        return self.chains.build_eta_chain(
+            d_value, [self.exact.parse_scalar(t, basis) for t in translations]
+        )
+
     def run(self, config: Path) -> None:
         # the run prints the report's path
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
@@ -162,6 +182,23 @@ def measure(trees: dict, q: int, repeats: int, workdir: Path) -> dict:
     return rows
 
 
+def measure_carry_walk(trees: dict, n: int, repeats: int) -> dict:
+    """Seconds of each tree's EtaChain.walk along the same n letters; the
+    trees must give the same path."""
+    chains = {label: tree.carry_chain() for label, tree in trees.items()}
+    letters = np.random.default_rng(n).integers(1, len(CARRY[1]) + 1, size=n)
+    paths = {label: eta.walk(letters) for label, eta in chains.items()}
+    first = next(iter(paths.values()))
+    if any(not np.array_equal(first, path) for path in paths.values()):
+        raise AssertionError(f"N={n}: the trees' carry walks differ")
+    walks = alternate_seconds([lambda e=eta: e.walk(letters) for eta in chains.values()], repeats)
+    return {
+        label: {"N": n, "D": CARRY[0], "t": CARRY[1], "q": chains[label].q,
+                "walk_s": statistics.median(spent), "walk_range_s": [min(spent), max(spent)]}
+        for label, spent in zip(chains, walks)
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_stationary.json")
@@ -173,24 +210,34 @@ def main() -> None:
         trees["before"] = _Tree(load_package(args.before))
     trees["after"] = _Tree(toruswalk)
     by_label = {label: [] for label in trees}
+    carry = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as workdir:
         for q in WALKS:
             for label, row in measure(trees, q, args.repeats, Path(workdir)).items():
                 by_label[label].append(row)
                 print(label, json.dumps(row))
+    for n in CARRY_N:
+        for label, row in measure_carry_walk(trees, n, args.repeats).items():
+            carry[label].append(row)
+            print(label, json.dumps(row))
     record = {
         "benchmark": "exact stationary-support solve and run: D = [2, 3], alpha = [1/p1, 2/p2];"
-        " D = [2, 3], alpha = [0, 1/512], P = [1/7, 6/7]",
-        "solver": "multi-modular (word-size primes, CRT, rational reconstruction, exact check)",
+        " D = [2, 3], alpha = [0, 1/512], P = [1/7, 6/7]; rational-case carry walk:"
+        " D = 3, t = [1/5, 7/10]",
+        "solver": "uniform vector for a doubly stochastic chain, otherwise multi-modular"
+        " (word-size primes, CRT, rational reconstruction); exact residual check on both",
         "oracle": "dense fraction-free (Bareiss) elimination, q <= %d" % ORACLE_MAX_Q,
         "runs": {},
     }
     for label, rows in by_label.items():
         scaling = [r for r in rows if r["q"] in SCALING_Q]
-        run = {"rows": rows, "repeats": args.repeats, "environment": environment()}
-        if len(scaling) > 1:
-            run["solve_growth_exponent_q"] = growth_exponent(scaling, "q", "solve_s")
-            print(f"{label}: growth exponent in q: {run['solve_growth_exponent_q']:.2f}")
+        run = {"rows": rows, "carry_walk": carry[label], "repeats": args.repeats,
+               "environment": environment()}
+        for seconds in ("solve_s", "build_s"):
+            key = f"{seconds[:-2]}_growth_exponent_q"
+            run[key] = growth_exponent(scaling, "q", seconds)
+            print(f"{label}: {seconds} growth exponent in q: {run[key]:.2f}")
+        run["walk_growth_exponent_n"] = growth_exponent(carry[label], "N", "walk_s")
         if args.before:
             run["alternated_with"] = [other for other in trees if other != label]
         record["runs"][label] = run

@@ -5,7 +5,11 @@ preserve a finite set A + x0 with x0 = -a_1/(D_1 - 1); its exact transition
 chain yields a finitely supported stationary measure.  For an IFS with all
 translation differences rational, the carry process eta_{m+1} = D eta_m +
 Dd_i mod 1 is a finite Markov chain whose exact stationary law enters the
-limit measure nu * p * mu_K.  All linear algebra is exact over Q.
+limit measure nu * p * mu_K.  All linear algebra is exact over Q: a
+doubly stochastic chain takes the uniform vector and any other chain goes to
+the multi-modular solve, and either vector must pass the same exact residual
+check.  The checks and the carry walk run on the integer residues q x of the
+states x, not on Fractions or TorusPoints.
 """
 
 from __future__ import annotations
@@ -60,9 +64,11 @@ class ChainSizeError(ValueError):
 
 
 #: Largest modulus q the two chain constructors accept: the report writes the
-#: transition as a dense q x q table and the stationary solve assembles an
-#: n x n system, both growing as q^2; a stationary-support run at q = 2021
-#: peaks at 339 MB.  A vector with large entries needs many primes, each a
+#: transition as a dense q x q table, growing as q^2; a stationary-support run
+#: at q = 2021 peaks at 339 MB.  A doubly stochastic chain (bijective maps)
+#: takes the uniform vector, certified by the same exact residual check as a
+#: solved one, so it assembles no system; any other chain's solve assembles
+#: an n x n system, and a vector with large entries needs many primes, each a
 #: solve mod p: about 1 s per prime at q = 1024 (alpha = [0, 1/1024]).
 MAX_STATES = 2048
 
@@ -155,20 +161,34 @@ def stationary_distribution(
 
 def _stationary_irreducible(rows: Sequence[dict[int, Fraction]]) -> tuple[Fraction, ...]:
     """The stationary vector of a row-stochastic chain already known to be
-    irreducible."""
+    irreducible.
+
+    When every column sums to 1 (a doubly stochastic chain, such as one whose
+    maps permute the states) the vector is uniform (Levin, Peres & Wilmer,
+    Markov Chains and Mixing Times, 2nd ed., 2017, ch. 1) and no system is
+    solved; any other chain goes to the multi-modular solve.  Either vector
+    must pass the same exact residual and sign checks.
+    """
     n = len(rows)
-    # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of T - I,
-    # the last one replaced by ones
-    a = [[0] * n for _ in range(n - 1)]
-    for j, row in enumerate(rows):
+    column_sums = [_Q0] * n
+    for row in rows:
         for i, x in row.items():
-            if i < n - 1:
-                a[i][j] = x
-    for i in range(n - 1):
-        a[i][i] -= 1
-    a.append([_Q1] * n)
-    b = [_Q0] * (n - 1) + [_Q1]
-    v = _solve_exact(a, b)
+            column_sums[i] += x
+    if all(s == 1 for s in column_sums):
+        v = [Fraction(1, n)] * n
+    else:
+        # solve v (T - I) = 0 with sum(v) = 1:   rows of A are columns of
+        # T - I, the last one replaced by ones
+        a = [[0] * n for _ in range(n - 1)]
+        for j, row in enumerate(rows):
+            for i, x in row.items():
+                if i < n - 1:
+                    a[i][j] = x
+        for i in range(n - 1):
+            a[i][i] -= 1
+        a.append([_Q1] * n)
+        b = [_Q0] * (n - 1) + [_Q1]
+        v = _solve_exact(a, b)
     residual = _residual_state(rows, v)
     if residual is not None:
         raise ExactCheckError(f"stationarity residual nonzero at state {residual}")
@@ -269,23 +289,45 @@ class FiniteStationary:
         """Image of a + x0 under h_i, expressed by its A-component."""
         return frac(self.d_values[i] * a + self.betas[i])
 
+    def _support_residues(self) -> list[int]:
+        """q a for each a in A, whose members are multiples of 1/q."""
+        return [a.numerator * (self.q // a.denominator) for a in self.a_values]
+
     def pushforward_is_stationary(self) -> bool:
-        """Exact check that sum_i P_i (h_i)_* nu = nu as atomic measures."""
-        acc: dict[Fraction, Fraction] = {a: _Q0 for a in self.a_values}
-        for i, p in enumerate(self.probabilities):
-            for a, w in zip(self.a_values, self.stationary):
-                acc[self.map_state(i, a)] += p * w
-        return all(acc[a] == w for a, w in zip(self.a_values, self.stationary))
+        """Exact check that sum_i P_i (h_i)_* nu = nu as atomic measures, on
+        the residues: h_i sends a + x0 to x0 + ((D_i q a + q beta_i) mod q)/q,
+        as map_state does."""
+        residues = self._support_residues()
+        position = {r: j for j, r in enumerate(residues)}
+        acc = [_Q0] * len(residues)
+        for d, beta, p in zip(self.d_values, self.betas, self.probabilities):
+            shift = beta.numerator * (self.q // beta.denominator)
+            for r, w in zip(residues, self.stationary):
+                acc[position[(d * r + shift) % self.q]] += p * w
+        return acc == list(self.stationary)
 
     def support_is_invariant(self) -> bool:
-        """Exact check, through Scalar arithmetic, that every map h_i(x) =
-        D_i x + alpha_i sends the support A + x0 into itself."""
-        support = {TorusPoint([self.x0 + a]) for a in self.a_values}
-        return all(
-            fractal.AffineEndo(IntMatrix.scalar(d), (alpha,))(pt) in support
-            for d, alpha in zip(self.d_values, self.alphas)
-            for pt in support
-        )
+        """Exact check that every map h_i(x) = D_i x + alpha_i sends the
+        support A + x0 into itself.
+
+        h_i(x0 + a) = x0 + D_i a + c_i with c_i = h_i(x0) - x0 = (D_i - 1) x0
+        + alpha_i, formed once per map in Scalar arithmetic from the kept x0
+        and alphas (never from the betas).  The image lies in A + x0 (mod 1)
+        iff c_i is rational, q c_i is an integer and (D_i q a + q c_i) mod q
+        is some q a' of A.
+        """
+        residues = self._support_residues()
+        support = set(residues)
+        for d, alpha in zip(self.d_values, self.alphas):
+            c = self.x0 * (d - 1) + alpha
+            if not c.is_rational():
+                return False
+            shift = c.rational_part * self.q
+            if shift.denominator != 1:
+                return False
+            if any((d * r + shift.numerator) % self.q not in support for r in residues):
+                return False
+        return True
 
     def stationary_is_exact(self) -> bool:
         """Exact check that v T = v for the stationary vector v."""
@@ -361,17 +403,24 @@ class EtaChain:
         return frac(self.d_value * state + self.deltas_tilde[letter - 1])
 
     def walk(self, letters: np.ndarray) -> np.ndarray:
-        """State indices of eta_1, ..., eta_n along n 1-based letters."""
-        k = len(self.deltas_tilde)
-        index = {a: i for i, a in enumerate(self.states)}
-        table = [[index[self.next_state(a, j)] for j in range(1, k + 1)] for a in self.states]
-        # eta_1 = Dd_{i_1} is the step from eta_0 = 0, a state since delta_1 = 0
-        state = index[_Q0]
-        path = []
-        for a in fractal._letter_indices(letters, k).tolist():
-            state = table[state][a]
-            path.append(state)
-        return np.array(path, dtype=np.int64)
+        """State indices of eta_1, ..., eta_n along n 1-based letters.
+
+        eta_1 = Dd_{i_1} is the step from eta_0 = 0, a state since delta_1 =
+        0; the residues q eta_m come from the closed form of _carry_residues
+        and one lookup turns them into state indices.
+        """
+        indices = fractal._letter_indices(letters, len(self.deltas_tilde))
+        q = self.q
+        states = np.array([a.numerator * (q // a.denominator) for a in self.states])
+        shifts = np.array([x.numerator * (q // x.denominator) for x in self.deltas_tilde])
+        position = np.full(q, -1, dtype=np.int64)
+        position[states] = np.arange(len(states))
+        if np.any(position[(self.d_value % q * states[:, None] + shifts) % q] < 0):
+            raise ValueError("the carry step leads out of the state set")
+        path = np.empty(indices.size, dtype=np.int64)
+        for start, residues in _carry_residues(self.d_value, q, shifts, indices):
+            path[start : start + residues.size] = position[residues]
+        return path
 
     def simulate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """State indices of an n-step run started from eta_1 = Dd_{i_1}."""
@@ -387,6 +436,66 @@ class EtaChain:
         exact_p = np.array([float(x) for x in self.stationary])
         rows = list(zip(self.states, self.stationary, freq.tolist()))
         return rows, float(np.max(np.abs(freq - exact_p)))
+
+
+#: letters per block of _carry_residues: its int64 temporaries stay small
+#: next to the path they fill
+_CARRY_BLOCK = 8192
+
+
+def _carry_residues(d: int, q: int, shifts: np.ndarray, indices: np.ndarray):
+    """Yield (start, s) over blocks of the 0-based letter `indices`, with s
+    the residues s_m, m = start + 1, ..., of s_m = (d s_{m-1} + c_m) mod q
+    from s_0 = 0, c_m = shifts[indices[m - 1]].
+
+    Closed form: s_m = sum_{j <= m} d^(m-j) c_j mod q.  Split q = q1 q2 with
+    d a unit mod q1 and every prime of q2 dividing d, so d^E = 0 mod q2 for
+    some E <= log2 q2.  Mod q1, s_m = d^m (s_0 + sum_{j <= m} d^-j c_j),
+    with the powers read from one period of d mod q1; mod q2 only the last E
+    letters and, for m < E, s_0 count.  The CRT joins the two: s = e1 (s mod
+    q1) + e2 (s mod q2) mod q, and e1 x, e2 y mod q depend only on x mod q1
+    and y mod q2, so the weights e1 and e2 ride in the powers.  Each block
+    starts from the last residue of the one before.  Every int64 below stays
+    under 2^13 q^2 + q^3, so none overflows for q < 2^20.
+    """
+    q1 = q
+    while (g := math.gcd(q1, d)) > 1:
+        q1 //= g
+    q2 = q // q1
+    e1 = q2 * pow(q2, -1, q1)
+    e2 = q1 * pow(q1, -1, q2)
+    # e2 d^e mod q for e < E
+    nilpotent = []
+    power = 1 % q2
+    while power:
+        nilpotent.append(e2 * power % q)
+        power = power * d % q2
+    # one period of d^e mod q1, e >= 0, then d^e e1 and d^-e for e = 1..block
+    period = [1 % q1]
+    power = d % q1
+    while power != period[0]:
+        period.append(power)
+        power = power * d % q1
+    period = np.array(period, dtype=np.int64)
+    reps = _CARRY_BLOCK // period.size + 2
+    up = np.tile(period * e1, reps)[1 : _CARRY_BLOCK + 1]
+    down = np.tile(np.roll(period[::-1], 1), reps)[1 : _CARRY_BLOCK + 1]
+    last = 0  # s_0
+    for start in range(0, indices.size, _CARRY_BLOCK):
+        c = shifts[indices[start : start + _CARRY_BLOCK]]
+        size = c.size
+        s = down[:size] * c
+        np.cumsum(s, out=s)
+        s += last % q1
+        s %= q1
+        s *= up[:size]
+        for e, power in enumerate(nilpotent[:size]):
+            s[e:] += power * c[: size - e]
+        for m, power in enumerate(nilpotent[1 : size + 1]):
+            s[m] += power * (last % q2)
+        s %= q
+        last = int(s[-1])
+        yield start, s
 
 
 def build_eta_chain(
@@ -541,8 +650,10 @@ def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
     tarr = np.array([f for f, _ in t_pairs])[indices]
     weights = (1.0 / d_value) ** np.arange(tail_len)
     tails = np.zeros(n_steps)
+    term = np.empty(n_steps)
     for j in range(tail_len):
-        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
+        tails += np.multiply(tarr[1 + j : 1 + j + n_steps], weights[j], out=term)
+    del tarr, term  # freed before the arrays below are formed
 
     # alpha_m: the exact preperiod and cycle when t_1 is rational, the
     # fixed-point orbit otherwise
@@ -552,7 +663,8 @@ def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
         c, preperiod, cycle = _alpha_orbit(d_value, t1.rational_part)
         head = [float(frac(o - c)) for o in preperiod[:n_steps]]
         repeat = [float(frac(o - c)) for o in cycle]
-        alphas = np.concatenate([head, np.resize(repeat, n_steps - len(head))])
+        rest = n_steps - len(head)
+        alphas = np.concatenate([head, np.tile(repeat, -(-rest // len(repeat)))[:rest]])
         alpha_err = _UNIT_ROUNDOFF
     else:
         c_scalar = t1 * Fraction(d_value, d_value - 1)

@@ -29,7 +29,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -453,6 +453,19 @@ def _write_points_csv(path: Path, points: np.ndarray) -> None:
             fh.write(fractal.points_csv(points[start : start + _POINTS_CHUNK_ROWS], start + 1))
 
 
+def _dense_table(rows: Sequence[dict], n: int) -> list[list[str]]:
+    """The sparse chain rows as a dense n x n table of str cells, "0" off
+    the rows' keys; each distinct probability is formatted once."""
+    text: dict = {}
+    table = []
+    for row in rows:
+        line = ["0"] * n
+        for j, x in row.items():
+            line[j] = text.get(x) or text.setdefault(x, str(x))
+        table.append(line)
+    return table
+
+
 def _discrepancy(sample: stats.OrbitSample, results: dict, sidecars: dict) -> None:
     """results.star_discrepancy and discrepancy.csv, the running star
     discrepancy whose last row is the whole sample."""
@@ -563,7 +576,7 @@ def _run_stationary_support(cfg: dict, rng) -> tuple[dict, dict, None]:
         "q": fs.q,
         "states": [str(a) for a in fs.a_values],
         "betas": [str(b) for b in fs.betas],
-        "transition": [[str(row.get(j, 0)) for j in range(fs.q)] for row in fs.transition],
+        "transition": _dense_table(fs.transition, fs.q),
         "stationary": [str(x) for x in fs.stationary],
         "invariance_exact": fs.support_is_invariant(),
         "stationary_exact": fs.stationary_is_exact(),
@@ -589,7 +602,7 @@ def _run_rational_case(cfg: dict, rng: np.random.Generator) -> tuple[dict, dict,
         "q": eta.q,
         "states": [str(a) for a in eta.states],
         "stationary": [str(x) for x in eta.stationary],
-        "transition": [[str(row.get(j, 0)) for j in range(len(eta.states))] for row in eta.transition],
+        "transition": _dense_table(eta.transition, len(eta.states)),
         "state_freq_dev": state_dev,
         "weyl": _weyl_table({k: abs(v) for k, v in means.items()}),
     }

@@ -627,8 +627,34 @@ class CoefficientFunction:
         return cls(lambda n: _ONE if n == 0 else _ZERO, name="haar")
 
 
+# a rational upper bound on sqrt(5) (2236068^2 > 5 10^12): the relative
+# error of a complex product by the componentwise formula, with or without
+# one fused multiply-add per part, is at most sqrt(5) u, u = 2^-53 (Brent,
+# Percival & Zimmermann, Math. Comp. 76, 2007)
+_SQRT5_UP = Fraction(2236068, 1000000)
+# factors whose complex products are exact: each part of x * y is then one
+# exact product, or a sum with an exact zero
+_EXACT_FACTORS = (0, 1, -1, 1j, -1j)
+
+
+def _product_error(a: FourierValue, b: FourierValue) -> float:
+    """Certified error of the computed a.value * b.value against the product
+    of the two exact coefficients: |a| e_b + |b| e_a + e_a e_b for the
+    inputs' errors, plus sqrt(5) u |a| |b| for the rounding of the complex
+    product unless a factor is 0, +-1 or +-i.  The sum is exact over
+    Fractions and rounded upward once."""
+    size_a, size_b = Fraction(abs(a.value)), Fraction(abs(b.value))
+    err_a, err_b = Fraction(a.error), Fraction(b.error)
+    err = size_a * err_b + size_b * err_a + err_a * err_b
+    if a.value not in _EXACT_FACTORS and b.value not in _EXACT_FACTORS:
+        err += _SQRT5_UP * size_a * size_b / 2**53
+    up = float(err)
+    return up if up >= err else math.nextafter(up, math.inf)
+
+
 def convolve(fa: CoefficientFunction, fb: CoefficientFunction) -> CoefficientFunction:
-    """Coefficients of the convolution: pointwise product; exact zeros OR."""
+    """Coefficients of the convolution: pointwise product, with the error of
+    _product_error; exact zeros OR."""
 
     def values(ns: Sequence[int]) -> list[FourierValue]:
         firsts = fa.table(ns)
@@ -640,8 +666,7 @@ def convolve(fa: CoefficientFunction, fb: CoefficientFunction) -> CoefficientFun
             if b.exact_zero:
                 out.append(_ZERO)
                 continue
-            err = abs(a.value) * b.error + abs(b.value) * a.error + a.error * b.error
-            out.append(FourierValue(a.value * b.value, err, exact_zero=False))
+            out.append(FourierValue(a.value * b.value, _product_error(a, b), exact_zero=False))
         return out
 
     return CoefficientFunction(name=f"({fa.name})*({fb.name})", batch=values)

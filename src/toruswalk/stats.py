@@ -108,25 +108,45 @@ def control_character(sample: OrbitSample, q: int) -> float:
     return float(abs(np.mean(np.exp(2j * np.pi * q * sample.points[:, 0]))))
 
 
-def star_discrepancy_1d(sample: OrbitSample) -> float:
-    """Exact order-statistics star discrepancy of a 1-dim sample."""
+def _checked_coordinates(sample: OrbitSample) -> np.ndarray:
+    """The coordinates of a 1-dim sample that the statistics accept."""
     sample._require_accuracy()
     if sample.dimension != 1:
         raise ValueError("star discrepancy implemented for d = 1 only")
-    xs = np.sort(sample.points[:, 0])
+    return sample.points[:, 0]
+
+
+def _sorted_star_discrepancy(xs: np.ndarray) -> float:
+    """Star discrepancy of the ascending points xs from their order statistics."""
     n = len(xs)
     idx = np.arange(1, n + 1)
     return float(np.max(np.maximum(idx / n - xs, xs - (idx - 1) / n)))
 
 
+def star_discrepancy_1d(sample: OrbitSample) -> float:
+    """Exact order-statistics star discrepancy of a 1-dim sample."""
+    return _sorted_star_discrepancy(np.sort(_checked_coordinates(sample)))
+
+
 def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
     """Rows (m, D*_m): the star discrepancy of the first m points at
     DISCREPANCY_CHECKPOINTS evenly spaced m.  The last m is N, so the last
-    row holds `star_discrepancy_1d(sample)`."""
+    row holds `star_discrepancy_1d(sample)`.
+
+    Each prefix's sorted points come from the last prefix's, in one buffer:
+    the new points are sorted after them, and a stable sort, which finds the
+    two ascending runs, merges them in place.
+    """
+    xs = _checked_coordinates(sample)
+    ordered = xs.copy()
     rows = []
+    done = 0
     for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
         m = max(1, (sample.size * i) // DISCREPANCY_CHECKPOINTS)
-        rows.append((m, star_discrepancy_1d(replace(sample, points=sample.points[:m]))))
+        ordered[done:m].sort()
+        ordered[:m].sort(kind="stable")
+        done = m
+        rows.append((m, _sorted_star_discrepancy(ordered[:m])))
     return rows
 
 

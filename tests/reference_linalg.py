@@ -5,9 +5,11 @@ expansion test and the fraction-free fixed-point conversion.
 Three Gauss-Jordan eliminations over Fraction (inverse, chain solve, rank and
 kernel), the division-by-previous-pivot determinant, the reachability
 searches that decided irreducibility and picked the terminal class, the
-carry chain's own search and fill over Fractions, the expansion test that
-probed roots of unity and then read float eigenvalues, and the fixed-point
-conversion of a Scalar through its Fraction value.  The
+carry chain's own search and fill over Fractions, its walk through a table
+of successors one letter at a time, the invariance and pushforward checks
+of a finite stationary support over TorusPoints and Fractions, the
+expansion test that probed roots of unity and then read float eigenvalues,
+and the fixed-point conversion of a Scalar through its Fraction value.  The
 library must agree with them exactly (see test_exact_elimination.py and
 test_exactcore.py); nothing in src/ imports this module.
 """
@@ -19,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from toruswalk.chains import ReducibleChainError
-from toruswalk.exactcore import IntMatrix, Scalar, frac
+from toruswalk import fractal
+from toruswalk.chains import EtaChain, FiniteStationary, ReducibleChainError
+from toruswalk.exactcore import IntMatrix, Scalar, TorusPoint, frac
 
 _Q0 = Fraction(0)
 
@@ -185,6 +188,40 @@ def eta_chain(
         for dt, p in zip(deltas_tilde, probabilities):
             transition[index[a]][index[frac(d_value * a + dt)]] += p
     return states, transition
+
+
+def eta_walk(eta: EtaChain, letters) -> np.ndarray:
+    """State indices of eta_1, ..., eta_n along 1-based letters, from eta_0 =
+    0 through a table of each state's successor under each letter."""
+    k = len(eta.deltas_tilde)
+    index = {a: i for i, a in enumerate(eta.states)}
+    table = [[index[eta.next_state(a, j)] for j in range(1, k + 1)] for a in eta.states]
+    state = index[_Q0]
+    path = []
+    for a in fractal._letter_indices(letters, k).tolist():
+        state = table[state][a]
+        path.append(state)
+    return np.array(path, dtype=np.int64)
+
+
+def support_is_invariant(fs: FiniteStationary) -> bool:
+    """Every map h_i(x) = D_i x + alpha_i, applied as an AffineEndo to each
+    TorusPoint x0 + a, lands in the support."""
+    support = {TorusPoint([fs.x0 + a]) for a in fs.a_values}
+    return all(
+        fractal.AffineEndo(IntMatrix.scalar(d), (alpha,))(pt) in support
+        for d, alpha in zip(fs.d_values, fs.alphas)
+        for pt in support
+    )
+
+
+def pushforward_is_stationary(fs: FiniteStationary) -> bool:
+    """sum_i P_i (h_i)_* nu = nu, accumulated over the Fractions of A."""
+    acc: dict[Fraction, Fraction] = {a: _Q0 for a in fs.a_values}
+    for i, p in enumerate(fs.probabilities):
+        for a, w in zip(fs.a_values, fs.stationary):
+            acc[fs.map_state(i, a)] += p * w
+    return all(acc[a] == w for a, w in zip(fs.a_values, fs.stationary))
 
 
 def is_expanding(d_matrix: IntMatrix, margin: float = 1e-9) -> bool:

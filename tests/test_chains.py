@@ -214,11 +214,66 @@ class TestStationaryDistribution:
             stationary_distribution(t)
 
     def test_nonnegativity_guard_raises_typed_error(self, monkeypatch):
-        # -pi is stationary for T but not a probability vector
-        monkeypatch.setattr(chains, "_solve_exact", lambda a, b: [F(-1, 2), F(-1, 2)])
-        t = [[F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)]]
+        # -pi is stationary for T but not a probability vector; T is not
+        # doubly stochastic, so the solve runs and the guard is reached
+        monkeypatch.setattr(chains, "_solve_exact", lambda a, b: [F(-3, 7), F(-4, 7)])
+        t = [[F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]]
         with pytest.raises(ExactCheckError, match="negative"):
             stationary_distribution(t)
+
+    def test_doubly_stochastic_chain_is_not_solved(self, monkeypatch):
+        def solve(a, b):
+            raise AssertionError("a doubly stochastic chain reached the solve")
+
+        monkeypatch.setattr(chains, "_solve_exact", solve)
+        row = [F(1, 6), F(2, 6), F(3, 6)]
+        t = [row, row[1:] + row[:1], row[2:] + row[:2]]
+        assert stationary_distribution(t) == (F(1, 3),) * 3
+        # the bijective walk of the stationary-support benchmark, q = 143
+        fs = build_finite_stationary([2, 3], [rational(F(1, 11)), rational(F(2, 13))])
+        assert fs.stationary == (F(1, 143),) * 143
+        assert fs.stationary_is_exact() and fs.pushforward_is_stationary()
+
+    def test_uniform_vector_passes_the_same_checks(self, monkeypatch):
+        # a residual check that sees a wrong vector refuses the uniform one too
+        monkeypatch.setattr(chains, "_residual_state", lambda rows, v: 0)
+        with pytest.raises(ExactCheckError, match="residual nonzero at state 0"):
+            stationary_distribution([[F(0), F(1)], [F(1), F(0)]])
+
+    # closed classes of 13 and 15 states inside the q = 108 and q = 40
+    # supports, whose chains are not doubly stochastic: one solve each, and
+    # the vectors the solve gave before the uniform shortcut
+    @pytest.mark.parametrize(
+        "d_values, alphas, vector",
+        [
+            (
+                [4, 6],
+                [F(1, 9), F(1, 12)],
+                {4: "1/73", 13: "1/28", 16: "40/511", 28: "2/73", 40: "10/511", 49: "1/14",
+                 52: "78/511", 64: "20/511", 67: "1/4", 76: "39/1022", 85: "1/7", 88: "4/73",
+                 100: "39/511"},
+            ),
+            (
+                [2, 5],
+                [F(1, 20), F(3, 8)],
+                {2: "1/17", 4: "1/20", 7: "2/17", 8: "1/20", 12: "8/255", 14: "1/10",
+                 16: "1/15", 17: "16/255", 22: "7/170", 24: "1/20", 27: "7/85", 28: "1/12",
+                 32: "7/102", 34: "1/15", 37: "6/85"},
+            ),
+        ],
+    )
+    def test_other_chains_solve_once(self, monkeypatch, d_values, alphas, vector):
+        calls = []
+        solve = chains._solve_exact
+
+        def counting(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(chains, "_solve_exact", counting)
+        fs = build_finite_stationary(d_values, [rational(x) for x in alphas])
+        assert calls == [len(vector)]
+        assert {i: str(x) for i, x in enumerate(fs.stationary) if x} == vector
 
     def test_exact_vs_power_iteration(self):
         t = [

@@ -1,7 +1,9 @@
 """Differential tests: the fraction-free elimination and the Tarjan pass
 against the Fraction Gauss-Jordan routines and reachability searches, the
-multi-modular chain solve against both, and the carry chain built on integer
-residues against its search and fill over Fractions.
+multi-modular chain solve against both, the carry chain built on integer
+residues against its search and fill over Fractions, its closed-form walk
+against the walk through a table of successors, and the residue checks of a
+finite stationary support against the TorusPoint and Fraction checks.
 
 reference_linalg.py keeps the routines as first written.  Determinants,
 inverses, chain solves, ranks, kernel vectors and terminal classes must be
@@ -9,6 +11,7 @@ identical, and singular input must raise the same error with the same
 message.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -404,3 +407,107 @@ class TestEtaChain:
             eta.stationary
         )
         assert eta.q == math.lcm(*(d.denominator for d in deltas))
+
+
+def carry_chain(d_value: int, q: int, rng) -> chains.EtaChain:
+    """A carry chain of modulus exactly q: the differences are 1/q and one
+    or two drawn multiples of 1/q, with drawn weights."""
+    numerators = [1] + [int(x) for x in rng.integers(0, q, size=int(rng.integers(1, 3)))]
+    translations = [Scalar.rational(0)] + [Scalar.rational(Fraction(n, q)) for n in numerators]
+    weights = [int(w) for w in rng.integers(1, 5, size=len(translations))]
+    eta = chains.build_eta_chain(d_value, translations, [Fraction(w, sum(weights)) for w in weights])
+    assert eta.q == q
+    return eta
+
+
+class TestCarryWalk:
+    """The closed-form walk against the table of successors, letter by
+    letter: moduli that are powers of two (only the part nilpotent under D
+    for even D), that share some primes with D, that share none, and the
+    largest one allowed.  The walk reads no stationary vector, so the
+    chains here skip the solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        monkeypatch.setattr(chains, "_stationary_irreducible", lambda rows: (Fraction(0),) * len(rows))
+
+    # D beyond int64 / q^2 must be reduced before any int64 product
+    @pytest.mark.parametrize("d_value", [2, 3, -3, 4, 6, 10, 12, -(2**62 + 5)])
+    @pytest.mark.parametrize("q", [2, 8, 64, 360, 2048, 1, 7, 45, 143])
+    def test_matches_the_table_walk(self, d_value, q):
+        rng = np.random.default_rng(abs(d_value) % 4099 * 4096 + q)
+        eta = carry_chain(d_value, q, rng) if q > 1 else chains.build_eta_chain(
+            d_value, [Scalar.rational(0), Scalar.rational(1)]
+        )
+        k = len(eta.deltas_tilde)
+        # 0 and 1 letters, a part of one block, and several blocks
+        for n in (0, 1, 2, 37, 3 * chains._CARRY_BLOCK + 5):
+            letters = rng.integers(1, k + 1, size=n)
+            path = eta.walk(letters)
+            assert path.dtype == np.int64
+            assert np.array_equal(path, ref.eta_walk(eta, letters))
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(270)
+        for _ in range(60):
+            d_value = int(rng.choice([-6, -5, -3, -2, 2, 3, 4, 5, 6, 10, 12]))
+            eta = carry_chain(d_value, int(rng.integers(2, 400)), rng)
+            letters = rng.integers(1, len(eta.deltas_tilde) + 1, size=int(rng.integers(0, 3000)))
+            assert np.array_equal(eta.walk(letters), ref.eta_walk(eta, letters))
+
+    @pytest.mark.parametrize("bad", [0, 5, 1.5])
+    def test_letters_refused_like_the_table_walk(self, bad):
+        eta = carry_chain(3, 10, np.random.default_rng(0))
+        letters = np.array([1, 2, bad, 1])
+        with pytest.raises(ValueError, match=r"^letters must index the map family \(1-based\)$"):
+            eta.walk(letters)
+        with pytest.raises(ValueError, match=r"^letters must index the map family \(1-based\)$"):
+            ref.eta_walk(eta, letters)
+
+
+def finite_stationary_cases():
+    """Finite stationary supports with their kept x0 and alphas, and copies
+    whose x0 or alpha was moved: seeded rational walks, and an irrational
+    alpha whose betas are rational."""
+    s2 = exactcore.IrrationalBasis(("sqrt2",))
+    sqrt2 = Scalar(s2, (Fraction(0), Fraction(1)))
+    cases = [chains.build_finite_stationary([2, 3], [sqrt2, sqrt2 * 2])]
+    cases.append(chains.build_finite_stationary([2, 3], [sqrt2, sqrt2 * 2 + Fraction(1, 5)]))
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        k = int(rng.integers(1, 4))
+        ds = [int(rng.choice([-3, -2, 2, 3, 4, 5, 6])) for _ in range(k)]
+        alphas = [
+            Scalar.rational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))))
+            for _ in range(k)
+        ]
+        cases.append(chains.build_finite_stationary(ds, alphas))
+    moved = []
+    for fs in cases:
+        moved.append(dataclasses.replace(fs, x0=fs.x0 + Fraction(1, 7 * fs.q)))
+        moved.append(dataclasses.replace(fs, x0=fs.x0 + Fraction(1, 2)))
+        moved.append(dataclasses.replace(fs, x0=fs.x0 + 1))
+        moved.append(dataclasses.replace(fs, alphas=(fs.alphas[0] + Fraction(1, 7),) + fs.alphas[1:]))
+        moved.append(dataclasses.replace(fs, alphas=fs.alphas[:-1] + (fs.alphas[-1] + Fraction(1, fs.q),)))
+        if not fs.x0.is_rational():
+            moved.append(dataclasses.replace(fs, alphas=(fs.alphas[0] + sqrt2,) + fs.alphas[1:]))
+    return cases + moved
+
+
+class TestFiniteStationaryChecks:
+    def test_invariance_matches_the_torus_point_check(self):
+        verdicts = []
+        for fs in finite_stationary_cases():
+            verdicts.append(fs.support_is_invariant())
+            assert verdicts[-1] == ref.support_is_invariant(fs)
+        # both verdicts occur
+        assert True in verdicts and False in verdicts
+
+    def test_pushforward_matches_the_fraction_check(self):
+        verdicts = []
+        for fs in finite_stationary_cases():
+            for stationary in (fs.stationary, fs.stationary[1:] + fs.stationary[:1]):
+                moved = dataclasses.replace(fs, stationary=stationary)
+                verdicts.append(moved.pushforward_is_stationary())
+                assert verdicts[-1] == ref.pushforward_is_stationary(moved)
+        assert True in verdicts and False in verdicts

@@ -3,6 +3,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -159,6 +161,69 @@ class TestConvolve:
     def test_probability_normalization(self):
         conv = convolve(MU0.coefficients(), NU.coefficients())
         assert conv(0).value == 1.0
+        assert conv(0) == FourierValue(1.0 + 0j, 0.0, exact_zero=False)
+
+
+def constant(value: complex, error: float = 0.0) -> CoefficientFunction:
+    return CoefficientFunction(lambda n: FourierValue(value, error), name="c")
+
+
+def unit_complex(rng) -> complex:
+    return complex(*rng.uniform(-1, 1, 2))
+
+
+class TestConvolveError:
+    """The stated error of a convolution coefficient against products of the
+    exact values at 200 bits (mpmath), as tests/reference_fourier.py does."""
+
+    def test_covers_the_rounding_of_the_product(self):
+        rng = np.random.default_rng(2007)
+        rounded = 0
+        for _ in range(2000):
+            x, y = unit_complex(rng), unit_complex(rng)
+            got = convolve(constant(x), constant(y))(1)
+            with mpmath.workprec(200):
+                miss = abs(mpmath.mpc(got.value) - mpmath.mpc(x) * mpmath.mpc(y))
+                assert miss <= got.error <= 2.3 * 2.0**-53 * abs(x) * abs(y)
+                rounded += miss > 0
+        # without its rounding term the stated error (0 here) would fail
+        assert rounded > 1000
+
+    def test_covers_every_value_within_the_inputs_errors(self):
+        # the worst true values lie along the computed ones: a + e_a a/|a|
+        rng = np.random.default_rng(76)
+        for _ in range(500):
+            x, y = unit_complex(rng), unit_complex(rng)
+            ex, ey = (float(e) for e in 2.0 ** rng.uniform(-60, -20, 2))
+            got = convolve(constant(x, ex), constant(y, ey))(1)
+            with mpmath.workprec(200):
+                tx = mpmath.mpc(x) * (1 + mpmath.mpf(ex) / abs(mpmath.mpc(x)))
+                ty = mpmath.mpc(y) * (1 + mpmath.mpf(ey) / abs(mpmath.mpc(y)))
+                assert abs(mpmath.mpc(got.value) - tx * ty) <= got.error
+
+    def test_error_sum_rounded_upward(self):
+        rng = np.random.default_rng(53)
+        short = 0
+        for _ in range(2000):
+            x, y = unit_complex(rng), unit_complex(rng)
+            ex, ey = (float(e) for e in rng.uniform(0, 1e-9, 2))
+            got = convolve(constant(x, ex), constant(y, ey))(1)
+            exact = F(abs(x)) * F(ey) + F(abs(y)) * F(ex) + F(ex) * F(ey)
+            with mpmath.workprec(200):
+                rounding = mpmath.sqrt(5) * mpmath.mpf(2) ** -53 * abs(x) * abs(y)
+                exact = mpmath.mpf(exact.numerator) / exact.denominator + rounding
+                assert mpmath.mpf(got.error) >= exact
+                # the same sum rounded to nearest in float64 falls short
+                near = abs(x) * ey + abs(y) * ex + ex * ey + math.sqrt(5) * 2.0**-53 * abs(x) * abs(y)
+                short += mpmath.mpf(near) < exact
+        assert short > 0
+
+    @pytest.mark.parametrize("exact", [0j, 1 + 0j, -1 + 0j, 1j, -1j])
+    def test_exact_factors_add_no_rounding(self, exact):
+        x = unit_complex(np.random.default_rng(1))
+        for a, b in ((exact, x), (x, exact)):
+            got = convolve(constant(a), constant(b))(1)
+            assert got.value == a * b and got.error == 0.0
 
 
 class TestAffineOffset:

@@ -148,6 +148,19 @@ class TestStarDiscrepancy:
         # bit for bit: the report reads D*_N from the last row
         assert rows[-1] == (n, star_discrepancy_1d(s))
 
+    @pytest.mark.parametrize("n", [5, 333, 4000])
+    def test_running_rows_with_ties(self, n):
+        # points on a grid of 16, so each merge of sorted runs meets ties
+        pts = np.random.default_rng(n).integers(0, 16, n) / 16
+        rows = running_discrepancy(sample_1d(pts))
+        assert rows == [(m, star_discrepancy_1d(sample_1d(pts[:m]))) for m, _ in rows]
+
+    def test_running_rows_check_the_sample(self):
+        with pytest.raises(ValueError, match="exceeds 2\\^-32"):
+            running_discrepancy(OrbitSample(np.full((4, 1), 0.3), 1e-3, 64))
+        with pytest.raises(ValueError, match="d = 1 only"):
+            running_discrepancy(OrbitSample(np.full((4, 2), 0.3), 0.0, 64))
+
     def test_multidim_rejected(self):
         s = OrbitSample(np.zeros((4, 2)) + 0.3, 0.0, 64)
         with pytest.raises(ValueError):
