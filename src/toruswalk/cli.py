@@ -631,13 +631,19 @@ def _run_fourier(cfg: dict, rng) -> tuple[dict, dict, None]:
     }
     coeff_fns = {name: spec.coefficients(tol) for name, spec in specs.items()}
     sidecars = {}
-    indices = range(-cfg["dump_range"], cfg["dump_range"] + 1)
+    half = cfg["dump_range"]
     for name, fn in coeff_fns.items():
+        # the value at -n is the conjugate of the one at n: each |n| is
+        # formatted once, and -n flips the sign of a nonzero im text
         rows = [
-            [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(v.error), int(v.exact_zero)]
-            for n, v in zip(indices, fn.table(indices))
+            [n, "0", "0", "0", 1] if v.exact_zero else [n, _fmt(v.value.real), _fmt(v.value.imag), _fmt(v.error), 0]
+            for n, v in enumerate(fn.table(range(-half, half + 1))[half:])
         ]
-        sidecars[f"coefficients_{name}.csv"] = (["n", "re", "im", "certified_error", "exact_zero"], rows)
+        mirror = [
+            [-n, re, im if im in ("0", "-0") else im[1:] if im[0] == "-" else "-" + im, err, zero]
+            for n, re, im, err, zero in rows[:0:-1]
+        ]
+        sidecars[f"coefficients_{name}.csv"] = (["n", "re", "im", "certified_error", "exact_zero"], mirror + rows)
 
     results: dict = {"zero_checks": []}
     for check in cfg["zero_checks"]:

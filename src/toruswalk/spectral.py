@@ -4,11 +4,13 @@ every nonzero frequency to a vanishing factor in the Haar counterexample.
 
 Coefficient functions are lazy (n -> value) with memoization, and
 `CoefficientFunction.table(ns)` evaluates every index of a list that is not
-memoized yet in one batch; a single f(n) is a batch of one.  Values carry a
-certified error bound and an `exact_zero` flag.  Exact zeros are detected
-only through the equal-weight two-atom cosine criterion (n * (a2 - a1) *
-D^-s in 1/2 + Z), which covers every exact claim needed; all other small
-values are reported as numerically below the certified error.
+memoized yet in one batch; a single f(n) is a batch of one.  Every measure
+is real, so a batch evaluates each distinct |n| once and gives -n the
+conjugate (`_selfsimilar_values`).  Values carry a certified error bound and
+an `exact_zero` flag.  Exact zeros are detected only through the
+equal-weight two-atom cosine criterion (n * (a2 - a1) * D^-s in 1/2 + Z),
+which covers every exact claim needed; all other small values are reported
+as numerically below the certified error.
 
 Every character average sum_i w_i e(n a_i D^-s), e(x) = exp(2 pi i x), goes
 through one float64 evaluator, `_character_products`, which takes a batch of
@@ -450,22 +452,25 @@ def fourier_discrete(measure: DiscreteMeasure, n: int) -> FourierValue:
 
 
 def _discrete_values(measure: DiscreteMeasure, ns: Sequence[int]) -> list[FourierValue]:
-    """`fourier_discrete` at every n of ns, in one batch."""
+    """`fourier_discrete` at every n of ns, in one batch that evaluates each
+    distinct |n| once.  An n < 0 takes the conjugate of the value at -n with
+    the same error and exact-zero flag, which is exact for a real measure;
+    at tie offsets it differs by a few ulps from a direct evaluation at -n
+    (see `_selfsimilar_values`)."""
     data = measure._data
-    out = [_ONE] * len(ns)
+    values = {}
     live = []
-    for j, n in enumerate(ns):
+    for n in sorted({abs(n) for n in ns}):
         if n == 0:
-            continue
-        if data.gap is not None and _half_odd(2 * abs(data.gap[0] * n), data.gap[1]):
-            out[j] = _ZERO
+            values[n] = _ONE
+        elif data.gap is not None and _half_odd(2 * data.gap[0] * n, data.gap[1]):
+            values[n] = _ZERO
         else:
-            live.append(j)
+            live.append(n)
     error = (len(measure.atoms) + 2) * 2.0 ** -52
-    values = _products(data, 1, [ns[j] for j in live], [0] * len(live))
-    for j, value in zip(live, values):
-        out[j] = FourierValue(value, error, exact_zero=False)
-    return out
+    for n, value in zip(live, _products(data, 1, live, [0] * len(live))):
+        values[n] = FourierValue(value, error, exact_zero=False)
+    return _mirrored(ns, values)
 
 
 @dataclass(frozen=True)
@@ -560,30 +565,58 @@ def _exact_zero(data: _MeasureData, n: int, d_abs: int) -> bool:
 
 
 def _selfsimilar_values(spec: SelfSimilarSpec, ns: Sequence[int], tol: float) -> list[FourierValue]:
-    """`fourier_selfsimilar` at every n of ns, in one batch."""
+    """`fourier_selfsimilar` at every n of ns, in one batch that evaluates
+    each distinct |n| once, in increasing order.
+
+    Every measure here is real, so mu^(-n) = conj mu^(n): an n < 0 takes the
+    conjugate of the value at -n, with the same error and exact-zero flag
+    (exact zeros, truncation depths and errors depend on |n| only).  The
+    bound stays exact, as |conj v - mu^(-n)| = |v - mu^(n)|.  A direct
+    evaluation at -n would give the conjugate bit for bit wherever
+    `_character_products` reduces the angles of -n to the negated offsets of
+    n: its Taylor polynomials are even and odd, and rounding to nearest is
+    symmetric.  The exception is a tie offset, 4 n A_i = M_s / 2 mod M_s,
+    which rounds to +M_s / 2 for either sign; there the two evaluations
+    differ by a few ulps (at most 2.1e-16 in the cases of
+    tests/test_fourier_float64.py, against errors near 7e-13), well inside
+    the certified error."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     data = spec._data
     d_abs = abs(spec.base)
-    out = [_ONE] * len(ns)
+    values = {}
     live = []
-    for j, n in enumerate(ns):
+    for n in sorted({abs(n) for n in ns}):
         if n == 0 or data.trivial:
-            continue
-        if _exact_zero(data, n, d_abs):
-            out[j] = _ZERO
+            values[n] = _ONE
+        elif _exact_zero(data, n, d_abs):
+            values[n] = _ZERO
         else:
-            live.append(j)
-    live.sort(key=lambda j: abs(ns[j]))
-    leads = [_lead(data, ns[j]) for j in live]
+            live.append(n)
+    leads = [_lead(data, n) for n in live]
     depths = _depths(leads, d_abs, tol)
-    values = _products(data, spec.base, [ns[j] for j in live], depths)
+    products = _products(data, spec.base, live, depths)
     atoms = len(spec.atoms)
-    for j, lead, s_cut, value in zip(live, leads, depths, values):
+    for n, lead, s_cut, value in zip(live, leads, depths, products):
         tail_err = math.expm1(lead * d_abs ** (-s_cut - 1) / (1.0 - 1.0 / d_abs))
         round_err = (s_cut + 2) * (atoms + 2) * 2.0 ** -52
-        out[j] = FourierValue(value, tail_err + round_err, exact_zero=False)
-    return out
+        values[n] = FourierValue(value, tail_err + round_err, exact_zero=False)
+    return _mirrored(ns, values)
+
+
+def _mirrored(ns: Sequence[int], values: dict[int, FourierValue]) -> list[FourierValue]:
+    """The coefficients at ns of a real measure from `values`, the ones at
+    |n|: n < 0 takes the conjugate of the value at -n.  A zero part keeps
+    its sign, so 1 and 0 are their own conjugates.  For the imaginary part
+    that is nearly always the sign a direct evaluation at -n gives; there a
+    zero real part from quarter turns (+-i) can carry the other sign."""
+    return [values[n] if n >= 0 else _conjugate(values[-n]) for n in ns]
+
+
+def _conjugate(v: FourierValue) -> FourierValue:
+    if not v.value.imag:
+        return v
+    return FourierValue(v.value.conjugate(), v.error, v.exact_zero)
 
 
 class CoefficientFunction:
@@ -637,13 +670,26 @@ _SQRT5_UP = Fraction(2236068, 1000000)
 _EXACT_FACTORS = (0, 1, -1, 1j, -1j)
 
 
+def _modulus_up(z: complex) -> Fraction:
+    """An upper bound on |z| within a relative 2^-63 of it, with no libm:
+    |z| = sqrt(p / q) for the exact Fraction p / q of re^2 + im^2, and
+    sqrt(p q 4^t) / (q 2^t) is rounded up by an integer square root, with t
+    such that p q 4^t has at least 128 bits."""
+    square = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    t = max(0, 64 - (square.numerator * square.denominator).bit_length() // 2)
+    scaled = (square.numerator * square.denominator) << (2 * t)
+    root = math.isqrt(scaled)
+    return Fraction(root + (root * root < scaled), square.denominator << t)
+
+
 def _product_error(a: FourierValue, b: FourierValue) -> float:
     """Certified error of the computed a.value * b.value against the product
     of the two exact coefficients: |a| e_b + |b| e_a + e_a e_b for the
     inputs' errors, plus sqrt(5) u |a| |b| for the rounding of the complex
-    product unless a factor is 0, +-1 or +-i.  The sum is exact over
-    Fractions and rounded upward once."""
-    size_a, size_b = Fraction(abs(a.value)), Fraction(abs(b.value))
+    product unless a factor is 0, +-1 or +-i.  The moduli are bounded from
+    above by `_modulus_up`, the sum is exact over Fractions and rounded
+    upward once, so the bound assumes nothing of libm."""
+    size_a, size_b = _modulus_up(a.value), _modulus_up(b.value)
     err_a, err_b = Fraction(a.error), Fraction(b.error)
     err = size_a * err_b + size_b * err_a + err_a * err_b
     if a.value not in _EXACT_FACTORS and b.value not in _EXACT_FACTORS:
@@ -686,15 +732,25 @@ def classify_index(w: int) -> tuple[int, str, int]:
 
 
 def is_haar_up_to(f: CoefficientFunction, n_max: int) -> bool:
-    """True iff f(0) = 1 and every 1 <= |n| <= n_max coefficient is provably 0."""
+    """True iff f(0) = 1 and every 1 <= |n| <= n_max coefficient is provably 0.
+
+    The indices +-n are read through `f.table` in doubling blocks, n in
+    [1, 2), [2, 4), [4, 8), ..., so that a fresh convolution evaluates about
+    log2(n_max) batches rather than 2 n_max single indices; the check stops
+    after the first block that holds a coefficient not provably 0, so a
+    measure that fails at n = 1 evaluates only +-1.  The verdict is that of
+    the index-by-index loop it replaces (`tests/reference_fourier.py`)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     zero = f(0)
     if abs(zero.value - 1.0) > zero.error:
         return False
-    for n in range(1, n_max + 1):
-        if not f(n).provably_zero() or not f(-n).provably_zero():
+    low = 1
+    while low <= n_max:
+        high = min(2 * low, n_max + 1)
+        if not all(v.provably_zero() for v in f.table([m for n in range(low, high) for m in (n, -n)])):
             return False
+        low = high
     return True
 
 

@@ -14,6 +14,10 @@ same integer reduction to an offset of at most 1/8 turn, libm `cos`/`sin` of
 that offset and Python complex products (`libm_character_average`).  The
 current path must give the same exact-zero flags and bitwise the same
 certified errors, and values within the sum of the two stated errors.
+
+`is_haar_up_to` is the Haar check that came before the block-wise one: one
+index at a time, f(n) then f(-n) for n = 1, 2, ..., stopping at the first
+coefficient that is not provably zero.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterable
 import mpmath
 
 from toruswalk.spectral import (
+    CoefficientFunction,
     DiscreteMeasure,
     FourierValue,
     SelfSimilarSpec,
@@ -212,3 +217,16 @@ def distance(value: complex, exact: mpmath.mpc, prec: int = 200) -> float:
     """|value - exact|, with the subtraction done at `prec` bits."""
     with mpmath.workprec(prec):
         return float(abs(mpmath.mpc(value) - exact))
+
+
+def is_haar_up_to(f: CoefficientFunction, n_max: int) -> bool:
+    """True iff f(0) = 1 and every 1 <= |n| <= n_max coefficient is provably 0."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    zero = f(0)
+    if abs(zero.value - 1.0) > zero.error:
+        return False
+    for n in range(1, n_max + 1):
+        if not f(n).provably_zero() or not f(-n).provably_zero():
+            return False
+    return True

@@ -390,6 +390,40 @@ class TestFourierRun:
         assert diag["tri"]["max_depth"] == spectral.truncation_depth(tri, 40, 1e-12)
         assert diag["tri"]["coefficients"] == 2 * 40 + 1
 
+    def test_dump_is_the_text_of_each_coefficient(self, tmp_path):
+        # each |n| is formatted once and -n mirrored: the rows must read as
+        # the values at -n format, with signed zeros (the product of "zero"
+        # at n = 8, 56, 60) and tie offsets (atom 1/8 in base 2)
+        measures = {
+            "zero": {"base": 3, "atoms": ["0", "1/4", "1/2"]},
+            "tie": {"base": 2, "atoms": ["0", "1/8"], "weights": ["1/3", "2/3"]},
+            "mu0": {"base": 4, "atoms": ["0", "1/2"]},
+            "tri": FOURIER_CFG["measures"]["tri"],
+        }
+        cfg = {"kind": "fourier", "measures": measures, "tol": 1e-12, "dump_range": 60}
+        run(cfg, tmp_path)
+        for name, m in measures.items():
+            spec = spectral.SelfSimilarSpec.create(
+                m["base"], [F(a) for a in m["atoms"]], [F(w) for w in m["weights"]] if "weights" in m else None
+            )
+            values = [spectral.fourier_selfsimilar(spec, n, 1e-12) for n in range(-60, 61)]
+            expected = [
+                [str(n), cli._fmt(v.value.real), cli._fmt(v.value.imag), cli._fmt(v.error), str(int(v.exact_zero))]
+                for n, v in zip(range(-60, 61), values)
+            ]
+            lines = (tmp_path / f"coefficients_{name}.csv").read_text().splitlines()
+            assert [line.split(",") for line in lines[1:]] == expected
+        assert "-0" in (tmp_path / "coefficients_zero.csv").read_text().split(",")
+
+    def test_dump_keeps_a_negative_zero(self, tmp_path, monkeypatch):
+        # the point mass at 1/2 is -1 - 0i at every odd n, also at -n: the
+        # mirrored im text of -0 stays -0
+        point = spectral.DiscreteMeasure.point_mass(F(1, 2))
+        monkeypatch.setattr(spectral.SelfSimilarSpec, "coefficients", lambda spec, tol: point.coefficients())
+        run({"kind": "fourier", "measures": {"mu0": {"base": 4, "atoms": ["0", "1/2"]}}, "dump_range": 3}, tmp_path)
+        rows = [line.split(",")[:3] for line in (tmp_path / "coefficients_mu0.csv").read_text().splitlines()[1:]]
+        assert rows == [[str(n), "-1" if n % 2 else "1", "-0" if n % 2 else "0"] for n in range(-3, 4)]
+
     def test_only_exact_zeros_have_no_depth(self, tmp_path):
         cfg = {"kind": "fourier", "measures": {"mu0": {"base": 4, "atoms": ["0", "1/2"]}},
                "dump_range": 0, "zero_checks": [{"measure": "mu0", "pattern": "odd"}]}

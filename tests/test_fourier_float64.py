@@ -257,3 +257,112 @@ class TestExactAngles:
         with mpmath.workprec(300):
             gap = mpmath.pi * mpmath.mpf(2) ** 124 - spectral._PI_SCALED
             assert 0 <= gap < 1
+
+
+def _conjugate_bits(value: FourierValue) -> tuple:
+    """`_bits` of the conjugate of a value, a zero imaginary part kept."""
+    im = value.value.imag
+    return value.value.real.hex(), (-im if im else im).hex(), value.error.hex(), value.exact_zero
+
+
+def _ties(data: spectral._MeasureData, base: int, n: int, depth: int) -> bool:
+    """Some scale s <= depth puts some atom at a tie offset: 4 n A_i = M_s / 2
+    mod M_s, where the reductions of n and -n are not mirror images."""
+    return any(
+        (2 * 4 * n * a) % (2 * data.modulus * abs(base) ** s) == data.modulus * abs(base) ** s
+        for s in range(depth + 1)
+        for a in data.numerators
+    )
+
+
+half_bases = st.sampled_from([b for b in range(-10, 11) if abs(b) >= 2])
+
+
+@st.composite
+def half_specs(draw) -> SelfSimilarSpec:
+    """One to four atoms over bases +-2..+-10; denominators 8 and 16 now and
+    then, whose atoms reach tie offsets."""
+    k = draw(st.integers(1, 4))
+    den = st.sampled_from([8, 16]) if draw(st.booleans()) else st.integers(1, 60)
+    points = draw(st.lists(st.builds(F, st.integers(-120, 120), den), min_size=k, max_size=k))
+    return SelfSimilarSpec.create(draw(half_bases), points, draw(weight_lists(k)))
+
+
+def _check_selfsimilar_mirror(spec: SelfSimilarSpec, n: int, tol: float) -> None:
+    """f(-n) is conj f(n) with the same error and flag, both within the
+    certified error of 200-bit products, and within the rounding term of
+    the truncated ones."""
+    plus, minus = fourier_selfsimilar(spec, n, tol), fourier_selfsimilar(spec, -n, tol)
+    assert _bits(minus) == _conjugate_bits(plus)
+    if plus.exact_zero:
+        return
+    stated = (truncation_depth(spec, n, tol) + 2) * (len(spec.atoms) + 2) * ULP_52
+    for m, value in ((n, plus), (-n, minus)):
+        miss = ref.distance(value.value, ref.truncated_product(spec, m, tol))
+        assert miss <= stated and miss <= value.error
+
+
+def _check_discrete_mirror(measure: DiscreteMeasure, n: int) -> None:
+    plus, minus = fourier_discrete(measure, n), fourier_discrete(measure, -n)
+    assert _bits(minus) == _conjugate_bits(plus)
+    for m, value in ((n, plus), (-n, minus)):
+        if not value.exact_zero:
+            assert ref.distance(value.value, ref.discrete_sum(measure, m)) <= value.error
+
+
+class TestHalfSpectrum:
+    """A real measure has mu^(-n) = conj mu^(n): each batch evaluates |n|
+    once and mirrors it.  The mirror is exact, so the value at -n keeps its
+    certified error against 200-bit values, also at the tie offsets where a
+    direct evaluation at -n would round the other way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(half_specs(), st.one_of(st.integers(1, 10 ** 9), st.integers(1, 64)), tols)
+    def test_selfsimilar(self, spec, n, tol):
+        _check_selfsimilar_mirror(spec, n, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discrete_measures(), st.integers(1, 10 ** 12))
+    def test_discrete(self, measure, n):
+        _check_discrete_mirror(measure, n)
+
+    @pytest.mark.parametrize(
+        "base, points, weights", [(2, ["0", "1/8"], ["1/3", "2/3"]), (-2, ["0", "3/8"], ["1/5", "4/5"])]
+    )
+    def test_selfsimilar_tie_offsets(self, base, points, weights):
+        # every n = 2^j m, m odd, puts the second atom at a tie at scale j;
+        # a direct evaluation at -n differed from the conjugate at 228 and
+        # 297 of these n
+        spec = SelfSimilarSpec.create(base, points, weights)
+        ns = range(1, 301)
+        assert all(_ties(spec._data, base, n, truncation_depth(spec, n, 1e-12)) for n in ns)
+        for n in ns:
+            _check_selfsimilar_mirror(spec, n, 1e-12)
+
+    def test_discrete_tie_offsets(self):
+        # the odd n put the atom 1/8 at a tie
+        measure = DiscreteMeasure([F(0), F(1, 8), F(1, 2)], [F(1, 4), F(1, 4), F(1, 2)])
+        assert sum(_ties(measure._data, 1, n, 0) for n in range(1, 65)) == 32
+        for n in range(1, 65):
+            _check_discrete_mirror(measure, n)
+
+    def test_zero_parts_keep_their_sign(self):
+        # e(n/2) = -1 - 0i at every odd n, as a direct evaluation at -n gives
+        # it too; a mirror that wrote 0 - (-0) = +0 would differ
+        measure = DiscreteMeasure.point_mass(F(1, 2))
+        for n in (1, -1, 3, -3):
+            assert _bits(fourier_discrete(measure, n)) == ((-1.0).hex(), (-0.0).hex(), (3 * ULP_52).hex(), False)
+
+    def test_a_batch_evaluates_each_modulus_once(self, monkeypatch):
+        spec = SelfSimilarSpec.create(-3, ["1/7", "2/5"], ["1/3", "2/3"])
+        seen = []
+        products = spectral._products
+
+        def recorded(data, base, ns, depths):
+            seen.append(list(ns))
+            return products(data, base, ns, depths)
+
+        monkeypatch.setattr(spectral, "_products", recorded)
+        table = spec.coefficients().table([5, -5, -9, 0, 9, 2, -7])
+        assert seen == [[2, 5, 7, 9]]
+        assert [_bits(v) for v in table[1:3]] == [_conjugate_bits(table[0]), _conjugate_bits(table[4])]

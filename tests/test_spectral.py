@@ -6,9 +6,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference_fourier
+from toruswalk import spectral
 from toruswalk.spectral import (
     CoefficientFunction,
     DiscreteMeasure,
@@ -218,6 +220,33 @@ class TestConvolveError:
                 short += mpmath.mpf(near) < exact
         assert short > 0
 
+    def test_covers_the_200_bit_bound(self):
+        # the stated error against |x| e_y + |y| e_x + e_x e_y + sqrt(5) u |x| |y|
+        # with every modulus and product at 200 bits; the moduli span
+        # subnormal to 1
+        rng = np.random.default_rng(2021)
+        for _ in range(1000):
+            x, y = (unit_complex(rng) * 2.0 ** -int(rng.integers(0, 1075)) for _ in range(2))
+            ex, ey = (float(e) for e in 2.0 ** rng.uniform(-60, -20, 2))
+            got = convolve(constant(x, ex), constant(y, ey))(1)
+            with mpmath.workprec(200):
+                size_x, size_y = abs(mpmath.mpc(x)), abs(mpmath.mpc(y))
+                bound = size_x * ey + size_y * ex + mpmath.mpf(ex) * ey
+                bound += mpmath.sqrt(5) * mpmath.mpf(2) ** -53 * size_x * size_y
+                assert mpmath.mpf(got.error) >= bound
+
+    def test_modulus_bound(self):
+        # an upper bound within 2^-63 of the 200-bit modulus, exact squares,
+        # subnormal and huge parts included
+        rng = np.random.default_rng(7)
+        fixed = [0j, 1 + 0j, -1j, 3 + 4j, 1 + 1j, complex(2.0**-1074, 1), complex(5e-324, 5e-324), 1e300 + 1e300j]
+        random = [unit_complex(rng) * 2.0 ** int(rng.integers(-1070, 1000)) for _ in range(2000)]
+        for z in fixed + random:
+            up = spectral._modulus_up(z)
+            with mpmath.workprec(200):
+                exact = abs(mpmath.mpc(z))
+                assert exact <= mpmath.mpf(up.numerator) / up.denominator <= exact * (1 + mpmath.mpf(2) ** -63)
+
     @pytest.mark.parametrize("exact", [0j, 1 + 0j, -1 + 0j, 1j, -1j])
     def test_exact_factors_add_no_rounding(self, exact):
         x = unit_complex(np.random.default_rng(1))
@@ -280,6 +309,13 @@ class TestClassifyIndex:
                 pytest.fail(f"reconstruction failed at {w}")
 
 
+def bump(at: int) -> CoefficientFunction:
+    """Haar's coefficients, except 1e-3 (certified to 1e-6) at index `at`."""
+    return CoefficientFunction(
+        lambda n: FourierValue(1e-3 + 0j, 1e-6) if n == at else CoefficientFunction.haar()(n)
+    )
+
+
 class TestIsHaar:
     def test_haar_is_haar(self):
         assert is_haar_up_to(CoefficientFunction.haar(), 50)
@@ -294,6 +330,39 @@ class TestIsHaar:
         assert not is_haar_up_to(heavy, 5)
         covered = CoefficientFunction(lambda n: FourierValue(1.0 + 1e-13 + 0j, 2e-13) if n == 0 else haar(n))
         assert is_haar_up_to(covered, 5)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 8, 9, 200, 1000])
+    def test_haar_measures_against_the_oracle(self, n_max):
+        for f in (CoefficientFunction.haar(), convolve(NU.coefficients(), MU0.coefficients())):
+            assert is_haar_up_to(f, n_max) and reference_fourier.is_haar_up_to(f, n_max)
+
+    # a failure at n = 1, at n = n_max (either sign) and just past n_max
+    @example(n_max=1, at=1, sign=1)
+    @example(n_max=8, at=8, sign=-1)
+    @example(n_max=100, at=100, sign=1)
+    @example(n_max=100, at=101, sign=-1)
+    @given(st.integers(1, 300), st.integers(1, 300), st.sampled_from([1, -1]))
+    def test_verdict_of_the_oracle(self, n_max, at, sign):
+        f = bump(sign * at)
+        assert is_haar_up_to(f, n_max) == reference_fourier.is_haar_up_to(f, n_max) == (at > n_max)
+
+    def test_total_mass_not_one(self):
+        for zero in (FourierValue(0.5 + 0j, 0.0), FourierValue(1.0 + 1e-9j, 1e-10)):
+            f = CoefficientFunction(lambda n: zero if n == 0 else FourierValue(0j, 0.0, exact_zero=True))
+            assert not is_haar_up_to(f, 10) and not reference_fourier.is_haar_up_to(f, 10)
+            assert sorted(f.evaluated()) == [0]
+
+    def test_a_failure_at_one_evaluates_the_first_block_only(self):
+        coeffs = DiscreteMeasure.point_mass().coefficients()
+        assert not is_haar_up_to(coeffs, 1000)
+        assert sorted(coeffs.evaluated()) == [-1, 0, 1]
+
+    def test_blocks_double(self):
+        asked = []
+        haar = CoefficientFunction.haar()
+        f = CoefficientFunction(batch=lambda ns: asked.append(list(ns)) or haar.table(ns))
+        assert is_haar_up_to(f, 10)
+        assert asked == [[0], [1, -1], [2, -2, 3, -3], [4, -4, 5, -5, 6, -6, 7, -7], [8, -8, 9, -9, 10, -10]]
 
     def test_routing_through_classification(self):
         nu_c = NU.coefficients()
