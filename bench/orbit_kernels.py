@@ -21,12 +21,22 @@ which is timed too where it exists, so an older tree is measured alike.  The
 same rows give the heap peak of one run (tracemalloc), and every
 `walk_orbit_fixed` row the quartiles of its timed runs next to the median.
 
-Fits the growth exponent in N of the d = 1 and d = 2 timings.  Letters are
-seeded uniform draws.  Each run is stored under its `--label` in the output
-file, next to the runs already there.  With `--before SRC`, the toruswalk
-package under SRC (an older tree's `src`) is loaded next to this one and
-every timing alternates between the two, so that a change of machine load
-reaches both alike; its run is stored under `--before-label`:
+The digit rows time the two layers of one normality run, the
+sqrt2-dilated middle-thirds Cantor set in base 3 (D = 3, r = [1, 1],
+t = [0, 2/3 sqrt2]), at N = 25k, 50k, 100k and 200k: `code_prefix_fixed`
+of the word that `stats.sample_digits` draws for N digits (seeded by N, at
+its precision), and `digits_from_fixed` of that coded value with the
+coding error; the digits, points, `error_bound` and `precision_bits` of
+both trees must be identical.  Each digit row also gives the heap peak of
+one `digits_from_fixed` run (tracemalloc).
+
+Fits the growth exponent in N of the d = 1 and d = 2 timings and of both
+digit layers.  Letters are seeded draws.  Each run is stored under its
+`--label` in the output file, next to the runs already there.  With
+`--before SRC`, the toruswalk package under SRC (an older tree's `src`) is
+loaded next to this one and every timing alternates between the two, so
+that a change of machine load reaches both alike; its run is stored under
+`--before-label`:
 
     PYTHONPATH=src python3 bench/orbit_kernels.py [--label after] [--out BENCH_orbit.json]
     PYTHONPATH=src python3 bench/orbit_kernels.py --before ../old/src --label after
@@ -46,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 import toruswalk
+from toruswalk import stats
 
 from harness import (
     alternate_seconds,
@@ -63,6 +74,7 @@ WALK_1D_SIZES = [25_000, 50_000, 100_000]
 ROTATION_SIZE = 100_000
 WALK_2D_SIZES = [500, 3000, 6000, 20_000]
 LOOP_MAX_N = 6000
+DIGIT_SIZES = [25_000, 50_000, 100_000, 200_000]
 MAP_SIZES = [("walk1d", 50_000), ("walk1d", 100_000), ("walk2d", 20_000), ("rotation", 100_000)]
 # what builds block maps in a run; names a tree lacks are skipped
 MAP_BUILDERS = ("_error_budget", "_map_of", "_tree", "_compose")
@@ -163,11 +175,11 @@ def _maps_seconds(fractal, endos, x0, letters) -> float:
     return spent
 
 
-def _heap_peak_mb(fractal, endos, x0, letters) -> float:
-    """Peak of the Python heap during one walk_orbit_fixed run."""
+def _heap_peak_mb(fn) -> float:
+    """Peak of the Python heap during one call of fn."""
     tracemalloc.start()
     try:
-        fractal.walk_orbit_fixed(endos, x0, letters)
+        fn()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -185,7 +197,7 @@ def measure_maps(trees: dict, name: str, count: int, repeats: int) -> dict:
         {"family": name, "N": count},
         lambda label, _: {
             "maps_s": statistics.median(spent[label]),
-            "heap_peak_mb": _heap_peak_mb(*walks[label], letters),
+            "heap_peak_mb": _heap_peak_mb(lambda f=walks[label]: f[0].walk_orbit_fixed(*f[1:], letters)),
         },
     )
 
@@ -229,6 +241,50 @@ def measure_walk(trees: dict, name: str, count: int, repeats: int) -> dict:
     return _each(trees, {"family": name}, fields)
 
 
+def _normality(tree):
+    """The normality IFS of the digit rows, built by `tree`."""
+    fractal, exact = tree
+    basis = exact.IrrationalBasis(("sqrt2",))
+    t = [[exact.parse_scalar(c, basis)] for c in ("0", "2/3*sqrt2")]
+    return fractal.AffineIFS.create(3, [1, 1], t)
+
+
+def measure_digits(trees: dict, count: int, repeats: int) -> dict:
+    # the word and precision of one normality run of N digits, from this tree
+    here = _modules(toruswalk)
+    ifs = _normality(here)
+    _, sample, word_len = stats.sample_digits(ifs, np.random.default_rng(count), count)
+    bits = sample.precision_bits
+    letters = here[0].walk_letter_stream(ifs.probabilities, np.random.default_rng(count), word_len)
+    fixed, err = here[0].code_prefix_fixed(ifs, letters, bits)
+    runs = {label: (tree[0], _normality(tree)) for label, tree in trees.items()}
+    digits, orbit = here[0].digits_from_fixed(fixed, err, bits, 3, count)
+    for label, (fractal, tree_ifs) in runs.items():
+        if fractal.code_prefix_fixed(tree_ifs, letters, bits) != (fixed, err):
+            raise AssertionError(f"{label} N={count}: coded prefixes differ")
+        other_digits, other = fractal.digits_from_fixed(fixed, err, bits, 3, count)
+        if other_digits != digits or not _same_orbit(other, orbit):
+            raise AssertionError(f"{label} N={count}: digit runs differ")
+    code = alternate_seconds(
+        [lambda r=r: r[0].code_prefix_fixed(r[1], letters, bits) for r in runs.values()], repeats
+    )
+    digit_runs = [lambda r=r: r[0].digits_from_fixed(fixed, err, bits, 3, count) for r in runs.values()]
+    spent = alternate_seconds(digit_runs, repeats)
+    columns = {label: (c, d, fn) for label, c, d, fn in zip(runs, code, spent, digit_runs)}
+
+    def fields(label, _):
+        code_s, digits_s, run = columns[label]
+        q1, median, q3 = statistics.quantiles(digits_s, n=4)
+        return {
+            "code_prefix_s": statistics.median(code_s),
+            "digits_s": median,
+            "digits_quartiles_s": [q1, q3],
+            "heap_peak_mb": _heap_peak_mb(run),
+        }
+
+    return _each(trees, {"N": count, "word_length": int(word_len), "precision_bits": bits}, fields)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_orbit.json")
@@ -258,10 +314,14 @@ def main() -> None:
             )
             for n in sizes
         ],
+        "digits": [measure_digits(trees, n, args.repeats) for n in DIGIT_SIZES],
     }
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {}
-    record["benchmark"] = "fixed-point orbit engine: fixed_point inputs, block maps, walk_orbit_fixed"
+    record["benchmark"] = (
+        "fixed-point orbit engine: fixed_point inputs, block maps, walk_orbit_fixed, "
+        "code_prefix_fixed and digits_from_fixed"
+    )
     for label in trees:
         run = {key: [by_label[label] for by_label in rows] for key, rows in measures.items()}
         walks = run["walk_orbit_fixed"]
@@ -273,18 +333,21 @@ def main() -> None:
             seed_loop_growth_exponent_n_d2=growth_exponent(
                 [r for r in two_d if "seed_loop_s" in r], "N", "seed_loop_s"
             ),
+            code_prefix_growth_exponent_n=growth_exponent(run["digits"], "N", "code_prefix_s"),
+            digits_growth_exponent_n=growth_exponent(run["digits"], "N", "digits_s"),
             repeats=args.repeats,
             environment=environment(),
         )
         if args.before:
             run["alternated_with"] = [other for other in trees if other != label]
         record.setdefault("runs", {})[label] = run
-        for key in ("fixed_point", "block_maps", "walk_orbit_fixed"):
+        for key in measures:
             for row in run[key]:
                 print(label, json.dumps(row))
         print(
             f"{label}: growth exponent in N: d=1 {run['engine_growth_exponent_n_d1']:.2f}, "
-            f"d=2 {run['engine_growth_exponent_n_d2']:.2f}"
+            f"d=2 {run['engine_growth_exponent_n_d2']:.2f}, code_prefix_fixed "
+            f"{run['code_prefix_growth_exponent_n']:.2f}, digits_from_fixed {run['digits_growth_exponent_n']:.2f}"
         )
     write_json(path, record)
     print(f"-> {args.out}")

@@ -704,9 +704,8 @@ def run(raw_config: dict, outdir: Path | str, seed_override: int | None = None) 
         "sidecars": list(sidecars),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with (outdir / "report.json").open("w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # one string and one write: json.dump would stream every token separately
+    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report
 
 

@@ -450,6 +450,12 @@ def _error_to_float(err_ulps: int, bits: int) -> float:
 # Every dropped bit is tracked in ulps, so each point is certified to lie
 # within TRUNCATION_SLACK of the step-by-step fixed-point recursion on the
 # same p-bit inputs, whose own error bookkeeping is replayed exactly.
+#
+# A digit run (x -> D x, one letter) does not step its leaves one by one:
+# _solve only records them (_defer_leaf), and _digit_lanes then advances all
+# of them as lanes of one Python integer, one multiplication by D^k per k
+# steps, with a certificate per lane; only a lane that the certificate cannot
+# clear runs the per-step loop, _digit_leaf.
 
 # Bits kept beyond what the amplification of a block uses, plus log2(N).
 _GUARD_BITS = 160
@@ -558,9 +564,10 @@ class _Orbit:
     """Inputs, precision schedule and outputs of one engine run.
 
     Letter k acts as x -> mats[k] x + offsets[k] / 2^p (mod 1), mats[k] a
-    plain int in one dimension; `leaf` is the plain loop that fills `points`
-    (and `digits`).  The run refers to nothing that refers back to it, so it
-    is freed as soon as the caller drops it.
+    plain int in one dimension; `leaf` is the plain loop that fills `points`,
+    or for a digit run _defer_leaf, which records the leaf in `leaves` for
+    _digit_lanes to fill `points` and `digits`.  The run refers to nothing
+    that refers back to it, so it is freed as soon as the caller drops it.
     """
 
     def __init__(self, mats, offsets, letters, p, leaf):
@@ -586,8 +593,11 @@ class _Orbit:
         self.leaf = leaf
         self.points = np.empty((len(letters), len(offsets[0])))
         self.spread = 0.0  # largest truncation error of a point
-        self.digits: list[int] = []
-        self.fixed = 0  # digit runs: the exact p-bit input and its error
+        # digit runs: the digit of every step, the leaves that _solve
+        # recorded, and the exact p-bit input and its error
+        self.digits = None
+        self.leaves: list[tuple] = []
+        self.fixed = 0
         self.fixed_err = 0
         # left-half block maps that _tree kept for the engine, (lo, hi) ->
         # (M, [C_k]); see _map_of
@@ -659,6 +669,8 @@ def _run(run: _Orbit, state, e=0) -> _Orbit:
     n = len(run.letters)
     bits = _amp_bits(run, 0, n)
     _solve(run, 0, n, bits, *_truncate(state, run.p, 0, e, math.ceil(bits) + run.guard))
+    if run.leaves:
+        _digit_lanes(run)
     if run.spread > TRUNCATION_SLACK:
         raise PrecisionExceededError(
             f"truncation error {run.spread:.3e} exceeds the engine's slack"
@@ -725,22 +737,25 @@ def _walk_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
 
 
 def _digit_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
-    """Plain loop x <- D x mod 2^q with the near-integer certificate.
+    """Plain loop x <- D x mod 2^q with the near-integer certificate: the
+    path of a lane that _digit_lanes cannot clear.
 
     A step is accepted when the state stays more than t + e ulps from an
     integer: the step-by-step recursion then passes its own test with the
     same digit.  Otherwise the loop restarts at that step from the exact
     p-bit state, where the test is the recursion's own and a failure raises.
+    Digits and points go to their steps' places in run.digits and
+    run.points, so a rerun overwrites what the lanes wrote.
     """
     base = run.mats[0]
     mask = (1 << q) - 1
     take = q - 53
     s = state[0]
     thr = t + e
-    digits = run.digits
     for start in range(lo, hi, _CHUNK_STEPS):
         stop = min(hi, start + _CHUNK_STEPS)
         out = []
+        digits = []
         for n in range(start, stop):
             s *= base
             thr *= base
@@ -753,13 +768,121 @@ def _digit_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
                         f"within its certified error of a base-{base} rational, and a "
                         "higher precision helps only if it is not one"
                     )
+                run.digits[start:n] = digits
                 _emit(run, start, n, out, t * base ** (n - lo), q)
                 power = base ** n
                 exact = (run.fixed * power) & ((1 << run.p) - 1)
                 return _digit_leaf(run, n, hi, [exact], run.p, 0, run.fixed_err * power)
             digits.append(digit)
             out.append(s >> take)
+        run.digits[start:stop] = digits
         _emit(run, start, stop, out, t * base ** (stop - lo), q)
+
+
+def _defer_leaf(run: _Orbit, lo, hi, state, q, t, e) -> None:
+    """The leaf of a digit run: recorded, in order, for _digit_lanes."""
+    if hi > lo:
+        run.leaves.append((lo, hi, state[0], q, t, e))
+
+
+def _head_steps(base: int) -> int:
+    """The largest k with base^k <= 2^63 (0 when base > 2^63): the steps a
+    lane's 8-byte head holds."""
+    k, power = 0, base
+    while power <= 1 << 63:
+        k, power = k + 1, power * base
+    return k
+
+
+def _digit_lanes(run: _Orbit) -> None:
+    """The digits and points of every recorded leaf of a digit run, all
+    leaves at once.
+
+    Layout: with Q = 8 ceil(q_max / 8) (at least 64), leaf i is a lane of
+    Q + 64 bits in one integer S: its q_i-bit state shifted up by Q - q_i,
+    under an 8-byte head.  S *= D^k advances every lane by k steps and keeps
+    the low Q - q_i zero bits, so the lane's low Q bits are its state mod
+    2^q_i shifted alike; with D^k <= 2^63 (_head_steps) the head stays below
+    2^63 and never carries into the next lane, and S &= MASK clears the
+    heads before the next k steps.  Each k steps cost one multiplication and
+    one to_bytes, from which numpy reads every lane's head H and its
+    fraction's top 64 bits.
+
+    Read-back: the fraction after step j of the k, F_j (F_0 cleared of its
+    head), satisfies D F_(j-1) = d_j 2^Q + F_j with digit d_j, so the head
+    is H = sum_j d_j D^(k-j), and the digits are H's base-D digits.  The
+    point X_j = F_j >> (Q - 53), the state's top 53 bits as the loop stores
+    them, follows from X_k backwards: X_(j-1) = floor((d_j 2^53 + X_j) / D),
+    because floor(floor(y) / D) = floor(y / D); it is computed in uint64 as
+    d_j A + floor((d_j B + X_j) / D) with 2^53 = A D + B, which stays below
+    D^2 + 2^53 <= 2^64 whenever k >= 2.
+
+    Certificate: the loop accepts step m of a leaf when its state s_m lies
+    more than thr_m = (t + e) D^m ulps from an integer, and thr_m is at most
+    T_i = (t + e) D^n for its n steps.  With T = (T_i >> (q - 53)) + 1, a
+    point T <= X < 2^53 - T gives s_m >= X 2^(q-53) > T_i and
+    s_m < (X + 1) 2^(q-53) <= 2^q - T 2^(q-53) < 2^q - T_i, so the loop
+    accepts the step with the same digit and point.  A lane whose every
+    point passes this test is done, and adds its truncation error
+    t D^n ulps at q bits to run.spread, as the loop would.  Every other lane
+    (and any lane of fewer than 53 bits) reruns _digit_leaf from its entry
+    state, leftmost first, so restarts, errors and their messages are the
+    loop's.  A base above 2^63, whose digit would not fit a head, runs
+    every leaf in _digit_leaf.
+    """
+    base = run.mats[0]
+    leaves = run.leaves
+    period = _head_steps(base)
+    if not period:
+        for lo, hi, s, q, t, e in leaves:
+            _digit_leaf(run, lo, hi, [s], q, t, e)
+        return
+    width = max(64, -(-max(leaf[3] for leaf in leaves) // 8) * 8)
+    size = width // 8 + 8
+    lanes = len(leaves)
+    starts = np.array([leaf[0] for leaf in leaves])
+    lengths = np.array([leaf[1] - leaf[0] for leaf in leaves])
+    bounds = [
+        min(((t + e) * base ** (hi - lo) >> (q - 53)) + 1, 1 << 53) if q >= 53 else 1 << 53
+        for lo, hi, _, q, t, e in leaves
+    ]
+    low = np.array(bounds, dtype=np.uint64)
+    high = np.uint64(1 << 53) - low
+    packed = b"".join((s << (width - q)).to_bytes(size, "little") for _, _, s, q, _, _ in leaves)
+    lane_sum = int.from_bytes(packed, "little")
+    mask = int.from_bytes((b"\xff" * (width // 8) + bytes(8)) * lanes, "little")
+    d = np.uint64(base)
+    a, b = (np.uint64(x) for x in divmod(1 << 53, base))
+    flagged = np.zeros(lanes, dtype=bool)
+    steps, shortest = int(lengths.max()), int(lengths.min())
+    for first in range(0, steps, period):
+        k = min(period, steps - first)
+        lane_sum = (lane_sum & mask) * base**k
+        buf = lane_sum.to_bytes(lanes * size, "little")
+        head = np.ndarray((lanes,), "<u8", buf, width // 8, (size,))
+        x = np.ndarray((lanes,), "<u8", buf, width // 8 - 8, (size,)) >> np.uint64(11)
+        points = np.empty((k, lanes), dtype=np.uint64)
+        digits = np.empty((k, lanes), dtype=np.uint64)
+        for j in range(k - 1, -1, -1):
+            points[j] = x
+            head, digits[j] = np.divmod(head, d)
+            if j:
+                x = digits[j] * a + (digits[j] * b + x) // d
+        step = np.arange(first, first + k)[:, None]
+        index = starts + step
+        bad = (points < low) | (points >= high)
+        if first + k > shortest:  # some lanes end within these steps
+            live = step < lengths
+            bad &= live
+            index, points, digits = index[live], points[live], digits[live]
+        flagged |= bad.any(axis=0)
+        run.points[index, 0] = points * _OUT_SCALE
+        run.digits[index] = digits
+    for (lo, hi, s, q, t, e), rerun in zip(leaves, flagged.tolist()):
+        if rerun:
+            _digit_leaf(run, lo, hi, [s], q, t, e)
+        else:
+            run.spread = max(run.spread, _error_to_float(t * base ** (hi - lo), q))
 
 
 def _orbit_error_bound(err_ulps: int, bits: int, dim: int = 1) -> float:
@@ -1027,11 +1150,15 @@ def digits_from_fixed(
     x being fixed / 2^bits with err_ulps of error.  The orbit x -> D x mod 1
     runs in the block engine in O(M(N) log N) instead of O(N^2): a block of
     n steps is x -> D^n x, the state entering it carries ceil(n log2 D) + 160 +
-    log2(N) bits (never more than `bits`), and blocks of at most 320 bits run
-    the plain loop.  Refusal is per digit, not at 2^-33: a step is accepted
-    when its state stays more than the tracked error from an integer;
-    otherwise it is redone from the exact state at `bits` bits, where the
-    test is the step-by-step recursion's own (err_ulps * D^m ulps), and its
+    log2(N) bits (never more than `bits`), and the blocks of at most 320 bits
+    (the leaves) all advance together as lanes of one integer
+    (_digit_lanes), one multiplication by D^k per k <= 63 / log2(D) steps.
+    Refusal is per digit, not at 2^-33: a step is accepted when its state
+    stays more than the tracked error from an integer.  A leaf whose every
+    point clears that error by the lanes' certificate is accepted as a
+    whole; any other leaf runs the per-step loop, where a step that fails
+    the test is redone from the exact state at `bits` bits, where the test
+    is the step-by-step recursion's own (err_ulps * D^m ulps), and its
     failure raises NearIntegerError for that digit.  Digits are those of the
     recursion.  The sample's error_bound is that of an engine orbit whose
     recursion ends with max(1, err_ulps) * D^count ulps at `bits` bits, and
@@ -1040,12 +1167,13 @@ def digits_from_fixed(
     """
     if base < 2:
         raise ValueError("base must be >= 2")
-    run = _Orbit([base], [(0,)], np.zeros(count, dtype=np.int8), bits, _digit_leaf)
+    run = _Orbit([base], [(0,)], np.zeros(count, dtype=np.int8), bits, _defer_leaf)
+    run.digits = np.empty(count, dtype=np.min_scalar_type(base - 1))
     run.fixed = fixed & ((1 << bits) - 1)
     run.fixed_err = max(1, err_ulps)
     _run(run, [run.fixed], run.fixed_err)
     bound = _orbit_error_bound(run.fixed_err * base ** count, bits)
-    return run.digits, OrbitSample(run.points, bound, bits)
+    return run.digits.tolist(), OrbitSample(run.points, bound, bits)
 
 
 def walk_letter_stream(

@@ -78,7 +78,25 @@ class FourierValue:
     exact_zero: bool = False
 
     def provably_zero(self) -> bool:
-        return self.exact_zero or abs(self.value) < self.error
+        """|value| < error, decided exactly (see _modulus_sign)."""
+        return self.exact_zero or _modulus_sign(self.value, self.error) < 0
+
+
+def _modulus_sign(z: complex, bound: float, centre: float = 0.0) -> int:
+    """The sign of |z - centre| - bound, decided exactly with no libm hypot:
+    each finite float is n / 2^j, so over the largest 2^j of the four all are
+    integers and (re - centre)^2 + im^2 - bound^2 is computed exactly.  A z
+    with a part that is not finite, and a bound that is negative or NaN,
+    give 1; an infinite bound gives -1 for every finite z."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag) and bound >= 0):
+        return 1
+    if bound == math.inf:
+        return -1
+    ratios = [x.as_integer_ratio() for x in (z.real, centre, z.imag, bound)]
+    k = max(d for _, d in ratios).bit_length()
+    re, c, im, b = (n << (k - d.bit_length()) for n, d in ratios)
+    gap = (re - c) ** 2 + im * im - b * b
+    return (gap > 0) - (gap < 0)
 
 
 _ONE = FourierValue(1.0 + 0j, 0.0, exact_zero=False)
@@ -739,11 +757,13 @@ def is_haar_up_to(f: CoefficientFunction, n_max: int) -> bool:
     log2(n_max) batches rather than 2 n_max single indices; the check stops
     after the first block that holds a coefficient not provably 0, so a
     measure that fails at n = 1 evaluates only +-1.  The verdict is that of
-    the index-by-index loop it replaces (`tests/reference_fourier.py`)."""
+    the index-by-index loop it replaces (`tests/reference_fourier.py`), save
+    that f(0) passes only when |f(0) - 1| <= error holds exactly, so a NaN
+    value or error at f(0) gives False."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     zero = f(0)
-    if abs(zero.value - 1.0) > zero.error:
+    if _modulus_sign(zero.value, zero.error, 1.0) > 0:
         return False
     low = 1
     while low <= n_max:

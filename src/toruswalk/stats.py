@@ -210,8 +210,9 @@ def sample_digits(
     bound_bits = math.log2(diameter) if diameter > 0 else 0.0
     per_step = min(ifs.exponents) * math.log2(ifs.adapted.rho_certified)
     word_len = int((bits + 16 + max(0.0, bound_bits)) / per_step) + 2
-    word = fractal.sample_word(ifs, rng, word_len)
-    fixed, err = fractal.code_prefix_fixed(ifs, word, bits)
+    # the letters sample_word draws, as the array it would wrap in a Word
+    letters = fractal.walk_letter_stream(ifs.probabilities, rng, word_len)
+    fixed, err = fractal.code_prefix_fixed(ifs, letters, bits)
     # word-truncation error in ulps, computed in log space (2^bits overflows)
     log2_tail = bound_bits - word_len * per_step
     tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))

@@ -7,10 +7,17 @@ with them (see test_orbit_engine.py); nothing in src/ imports this module.
 `walk_leaf` is the engine's plain loop as it was when it advanced the
 truncation error t step by step; fractal._walk_leaf bounds t once per chunk
 and must never store a point with less than this loop's t.
+
+`digits_run` is the engine's digit run as it was before its leaves became
+lanes (fractal._digit_lanes): the same schedule of splits, jumps and
+truncations (fractal._solve), with every leaf stepped by `digit_leaf`, the
+per-step loop.  The lanes must give its digits, point bytes, error bound,
+truncation error and exceptions exactly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +32,7 @@ from toruswalk.fractal import (
     Word,
     _error_to_float,
     _matvec,
+    _orbit_error_bound,
     precision_budget,
 )
 
@@ -187,3 +195,59 @@ def walk_leaf(run, lo, hi, state, q, t, e) -> None:
                 t = t * amps[a] + inexact[a]
                 out.extend([x >> take for x in state])
         fractal._emit(run, start, stop, out, t, q)
+
+
+def digit_leaf(run, lo, hi, state, q, t, e) -> None:
+    """fractal._digit_leaf as the only leaf of a digit run: digits appended
+    to the list run.digits, points stored through fractal._emit."""
+    base = run.mats[0]
+    mask = (1 << q) - 1
+    take = q - 53
+    s = state[0]
+    thr = t + e
+    digits = run.digits
+    for start in range(lo, hi, fractal._CHUNK_STEPS):
+        stop = min(hi, start + fractal._CHUNK_STEPS)
+        out = []
+        for n in range(start, stop):
+            s *= base
+            thr *= base
+            digit = s >> q
+            s &= mask
+            if s < thr or s > mask - thr:
+                if q == run.p and not t:
+                    raise NearIntegerError(
+                        f"digit {n + 1} not certifiable at {q} bits: the orbit point lies "
+                        f"within its certified error of a base-{base} rational, and a "
+                        "higher precision helps only if it is not one"
+                    )
+                fractal._emit(run, start, n, out, t * base ** (n - lo), q)
+                power = base ** n
+                exact = (run.fixed * power) & ((1 << run.p) - 1)
+                return digit_leaf(run, n, hi, [exact], run.p, 0, run.fixed_err * power)
+            digits.append(digit)
+            out.append(s >> take)
+        fractal._emit(run, start, stop, out, t * base ** (stop - lo), q)
+
+
+def digits_run(
+    fixed: int, err_ulps: int, bits: int, base: int, count: int
+) -> tuple[list[int], OrbitSample, float]:
+    """fractal.digits_from_fixed with every leaf stepped by digit_leaf and
+    the spread check of fractal._run: (digits, sample, the run's largest
+    truncation error)."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    run = fractal._Orbit([base], [(0,)], np.zeros(count, dtype=np.int8), bits, digit_leaf)
+    run.digits = []
+    run.fixed = fixed & ((1 << bits) - 1)
+    run.fixed_err = max(1, err_ulps)
+    amp = fractal._amp_bits(run, 0, count)
+    state = fractal._truncate([run.fixed], bits, 0, run.fixed_err, math.ceil(amp) + run.guard)
+    fractal._solve(run, 0, count, amp, *state)
+    if run.spread > fractal.TRUNCATION_SLACK:
+        raise PrecisionExceededError(
+            f"truncation error {run.spread:.3e} exceeds the engine's slack"
+        )
+    bound = _orbit_error_bound(run.fixed_err * base ** count, bits)
+    return run.digits, OrbitSample(run.points, bound, bits), run.spread

@@ -8,6 +8,7 @@ loops', identical digits, and raise exactly where the loops raise.
 import contextlib
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -718,3 +719,177 @@ class TestNoReferenceCycles:
             assert all(r() is None for r in alive)
         finally:
             gc.enable()
+
+
+def run_both(fixed, err, bits, base, count):
+    """(lanes, loop, reruns, leaves): the outcomes of digits_from_fixed, with
+    the truncation error its _run reports, and of the per-step oracle
+    (reference_orbits.digits_run); reruns lists the (lo, hi, q) of every
+    leaf that the lanes handed to the per-step loop, leaves the number of
+    lanes of each _digit_lanes call."""
+    spreads, reruns, leaves = [], [], []
+    run, leaf, lanes = fractal._run, fractal._digit_leaf, fractal._digit_lanes
+
+    def run_spy(*args):
+        result = run(*args)
+        spreads.append(result.spread)
+        return result
+
+    def leaf_spy(run, lo, hi, state, q, t, e):
+        reruns.append((lo, hi, q))
+        return leaf(run, lo, hi, state, q, t, e)
+
+    def lanes_spy(run):
+        leaves.append(len(run.leaves))
+        return lanes(run)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractal, "_run", run_spy)
+        mp.setattr(fractal, "_digit_leaf", leaf_spy)
+        mp.setattr(fractal, "_digit_lanes", lanes_spy)
+        new = outcome(digits_from_fixed, fixed, err, bits, base, count)
+    if new[0] == "ok":
+        new = ("ok", (*new[1], spreads[-1]))
+    return new, outcome(ref.digits_run, fixed, err, bits, base, count), reruns, leaves
+
+
+def assert_same_digits(new, old):
+    assert new[0] == old[0]
+    if new[0] == "raised":
+        assert new[1] == old[1]
+        return
+    (digits, sample, spread), (old_digits, old_sample, old_spread) = new[1], old[1]
+    assert digits == old_digits
+    assert all(type(d) is int for d in digits)
+    assert sample.points.tobytes() == old_sample.points.tobytes()
+    assert sample.error_bound == old_sample.error_bound
+    assert sample.precision_bits == old_sample.precision_bits
+    assert spread == old_spread
+
+
+LANE_BASES = [2, 3, 10, 255, 256, 2**20, 2**64 + 13]
+
+
+def lane_count(base, kind):
+    """One step; the longest run that is a single leaf (320 bits of
+    amplification); a prime count, a multiple of no mask period, over many
+    leaves; 20k steps."""
+    return {"one": 1, "leaf": int(320 / math.log2(base)), "prime": 997, "20k": 20_000}[kind]
+
+
+def placed(base, count, m, side, upper=False, high=0, err=3):
+    """(fixed, bits) of x = high / D^m + y with y the smallest (upper: the
+    largest) value whose p-bit state s after step m lies within (side -1),
+    at (0) or just outside (1) its error err * D^m of 0 (upper: of 1, where
+    the loop's test s > mask - thr puts "at" one ulp lower)."""
+    bits = math.ceil(count * math.log2(base)) + 96
+    power = base**m
+    if upper:
+        return ((high << bits) - (err + side) * power - 1) // power, bits
+    return -(-((high << bits) + (err + side) * power) // power), bits
+
+
+def generic_high(base, m, seed):
+    """A random c < D^m with c = 1 mod D: c / D^m keeps the orbit before
+    step m away from integers."""
+    return random.Random(seed).randrange(base**m) // base * base + 1
+
+
+class TestDigitLanes:
+    """The lanes of a digit run against the per-step loop on the same
+    schedule: identical digits, point bytes, bounds, truncation error and
+    exceptions."""
+
+    @pytest.mark.parametrize("kind", ["one", "leaf", "prime", "20k"])
+    @pytest.mark.parametrize("base", LANE_BASES)
+    def test_matches_the_loop(self, base, kind):
+        count = lane_count(base, kind)
+        bits = math.ceil(count * math.log2(base)) + 96
+        fixed = random.Random(count + base).getrandbits(bits)
+        new, old, reruns, leaves = run_both(fixed, 7, bits, base, count)
+        assert new[0] == "ok"
+        assert_same_digits(new, old)
+        assert len(leaves) == 1 and (leaves[0] == 1) == (kind in ("one", "leaf"))
+        if base <= 2**63:
+            assert reruns == []  # every lane cleared by the certificate
+        else:  # the digits do not fit a head: every leaf runs the loop
+            assert len(reruns) == leaves[0]
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("base", [2, 3, 10, 256])
+    def test_boundary_values(self, base, where, side, upper):
+        """A state placed within, at or just outside its error of a digit
+        boundary: the lane of that step (and, as the orbit then stays near
+        the boundary, every later one) fails the certificate and reruns the
+        loop, which restarts at p bits and raises or certifies as the oracle
+        does."""
+        count = 2000
+        m = {"first": 3, "middle": count // 2, "last": count - 2}[where]
+        fixed, bits = placed(base, count, m, side, upper, generic_high(base, m, m + side))
+        new, old, reruns, _ = run_both(fixed, 3, bits, base, count)
+        assert_same_digits(new, old)
+        assert new[0] == ("raised" if side < 0 else "ok")
+        if new[0] == "raised":
+            assert new[1][1].startswith(f"digit {m} not certifiable")
+        assert reruns and reruns[0][0] < m <= reruns[0][1]  # the lane of step m first
+        lanes = {lo for lo, _, q in reruns if q < bits}  # restarts run at p bits
+        if where == "last" or side < 0:
+            assert len(lanes) == 1
+        else:
+            assert len(lanes) > 1 and reruns[-1][1] == count
+
+    @pytest.mark.parametrize("fails", [True, False])
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("base", [3, 5, 7])
+    def test_certificate_edge(self, base, upper, fails):
+        """One leaf at the full p bits (t = 0): the last state lies one ulp
+        inside or one ulp outside the loop's threshold thr = err D^m, which
+        is the lane's T_i and not a multiple of 2^(p - 53).  The point of a
+        failing state is then T - 1 or 2^53 - T, which the certificate must
+        still hand to the loop, to raise there."""
+        count = m = 100
+        err = 5
+        bits = math.ceil(count * math.log2(base)) + 96  # below the leaf's own need: q = p
+        thr = err * base**m
+        step = 1 if fails else -1
+        state = (1 << bits) - thr + step if upper else thr - step
+        fixed = state * pow(base**m, -1, 1 << bits) % (1 << bits)
+        new, old, reruns, leaves = run_both(fixed, err, bits, base, count)
+        assert leaves == [1] and reruns == [(0, count, bits)]
+        assert_same_digits(new, old)
+        assert new[0] == ("raised" if fails else "ok")
+        if fails:
+            assert new[1][1].startswith(f"digit {m} not certifiable at {bits} bits")
+
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_failing_lane_right_of_a_rerun_that_passed(self, base):
+        """x D^m1 lies 1 / D^(m2 - m1) above an integer (far below 2^-53,
+        far above its error) and x D^m2 within its error of one: the lane of
+        step m1 reruns and passes, and the lane of step m2 raises."""
+        count, m1, m2 = 2000, 500, 1500
+        high = generic_high(base, m1, base) * base ** (m2 - m1) + 1
+        fixed, bits = placed(base, count, m2, -1, high=high)
+        new, old, reruns, _ = run_both(fixed, 3, bits, base, count)
+        assert_same_digits(new, old)
+        assert new[0] == "raised" and new[1][1].startswith(f"digit {m2} not")
+        assert reruns[0][0] < m1 <= reruns[0][1] < m2  # reran and passed
+        assert reruns[-1][0] < m2 <= reruns[-1][1]
+        # with err = 2 that state lies at, not within, its error: every digit certified
+        new, old, _, _ = run_both(fixed, 2, bits, base, count)
+        assert new[0] == "ok"
+        assert_same_digits(new, old)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 5, 10, 256]), st.integers(600, 2500))
+    def test_thin_guard(self, data, base, count):
+        """With so few guard bits that the truncation error shows, lanes
+        fail the certificate; everything still matches, and thin_guard sees
+        every digit run through _run."""
+        fixed, err, bits = value_for(data.draw, base, count)
+        with thin_guard(0) as spreads:
+            new, old, _, _ = run_both(fixed, err, bits, base, count)
+        assert_same_digits(new, old)
+        if new[0] == "ok":
+            assert spreads == [new[1][2]]

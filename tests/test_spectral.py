@@ -316,6 +316,104 @@ def bump(at: int) -> CoefficientFunction:
     )
 
 
+def below(value: complex, bound: float, centre: float = 0.0) -> bool:
+    """|value - centre| < bound over Fractions: the exact verdict."""
+    re, im = F(value.real) - F(centre), F(value.imag)
+    return re * re + im * im < F(bound) ** 2
+
+
+def ulps(x: float, k: int) -> float:
+    """x moved by k ulps."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+finite_parts = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e-280, 1e-280, allow_nan=False),  # squares that underflow in float
+    st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+)
+
+
+class TestZeroWithoutHypot:
+    """provably_zero and the f(0) test decide |z| against the error exactly,
+    with no libm hypot, even for values within an ulp of their error."""
+
+    @given(finite_parts, finite_parts, st.integers(-3, 3))
+    def test_within_an_ulp_of_the_error(self, re, im, k):
+        z = complex(re, im)
+        bound = ulps(abs(z), k)  # hypot places the error; the verdict must not use it
+        if bound < 0 or bound == math.inf:
+            return
+        assert FourierValue(z, bound).provably_zero() == below(z, bound)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-60, 2.0**-700, 2.0**-1040, 2.0**600])
+    def test_pythagorean_values(self, scale):
+        z = complex(3 * scale, 4 * scale)  # |z| = 5 scale, exactly
+        assert not FourierValue(z, 5 * scale).provably_zero()
+        assert FourierValue(z, ulps(5 * scale, 1)).provably_zero()
+        assert not FourierValue(z, ulps(5 * scale, -1)).provably_zero()
+
+    @pytest.mark.parametrize(
+        "re, im, bound",
+        [
+            (0.48162072173744286, 0.7227073396829082, 0.8684839770764006),
+            (0.5631426696730399, 0.23742231435568067, 0.6111456632918917),
+            (1.6030723648992038, 1.636443778311234, 2.2908053707543714),
+            (1.2501702243559587, 1.1644894325205997, 1.7084967744536061),
+        ],
+    )
+    def test_rounded_squares_that_mislead(self, re, im, bound):
+        # the float re^2 + im^2 and bound^2 compare the wrong way round here
+        z = complex(re, im)
+        assert (re * re + im * im < bound * bound) != below(z, bound)
+        assert re * re + im * im != bound * bound
+        assert FourierValue(z, bound).provably_zero() == below(z, bound)
+
+    def test_where_hypot_rounds_up(self):
+        # |1 + i| = sqrt 2 lies below its float, which hypot returns: abs(z)
+        # < bound says no, the exact comparison yes
+        z, bound = 1 + 1j, math.sqrt(2.0)
+        assert abs(z) == bound and below(z, bound)
+        assert FourierValue(z, bound).provably_zero()
+
+    @given(st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3), st.integers(-2, 2))
+    def test_total_mass_within_an_ulp(self, re, im, k):
+        z = complex(re, im)
+        bound = ulps(abs(z - 1), k)
+        if bound < 0:
+            return
+        haar = CoefficientFunction.haar()
+        f = CoefficientFunction(lambda n: FourierValue(z, bound) if n == 0 else haar(n))
+        assert is_haar_up_to(f, 3) == ((F(re) - 1) ** 2 + F(im) ** 2 <= F(bound) ** 2)
+
+    @pytest.mark.parametrize("k, haar", [(0, True), (-1, False), (1, True)])
+    def test_total_mass_exactly_at_the_error(self, k, haar):
+        tick = 2.0**-40
+        z = complex(1 + 3 * tick, 4 * tick)  # |z - 1| = 5 tick, exactly
+        error = ulps(5 * tick, k)
+        zeros = CoefficientFunction.haar()
+        f = CoefficientFunction(lambda n: FourierValue(z, error) if n == 0 else zeros(n))
+        assert is_haar_up_to(f, 2) == haar
+
+    def test_values_that_are_not_finite(self):
+        assert not FourierValue(complex(math.nan, 0.0), 1.0).provably_zero()
+        assert not FourierValue(complex(math.inf, 0.0), math.inf).provably_zero()
+        assert not FourierValue(0.5 + 0j, math.nan).provably_zero()
+        assert FourierValue(1e300 + 1e300j, math.inf).provably_zero()
+        assert not FourierValue(0j, -1.0).provably_zero()
+
+    @pytest.mark.parametrize(
+        "value, error", [(1 + 0j, math.nan), (complex(math.nan, 0.0), 1.0), (1 + 0j, math.inf)]
+    )
+    def test_total_mass_that_is_not_finite(self, value, error):
+        # a NaN value or error at f(0) is refused; an infinite error admits any finite value
+        zeros = CoefficientFunction.haar()
+        f = CoefficientFunction(lambda n: FourierValue(value, error) if n == 0 else zeros(n))
+        assert is_haar_up_to(f, 2) == (error == math.inf)
+
+
 class TestIsHaar:
     def test_haar_is_haar(self):
         assert is_haar_up_to(CoefficientFunction.haar(), 50)
