@@ -70,6 +70,192 @@ class ExactCheckError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# big-integer square roots and divisions by Newton's iteration
+#
+# math.isqrt and divmod cost O(n^2) on n-bit operands in CPython 3.11; the
+# helpers below use multiplications only (Karatsuba, O(n^1.585)), as in
+# Brent & Zimmermann, Modern Computer Arithmetic (2010), sections 3.4-3.5.
+# Each Newton result is an estimate whose distance from the answer is bounded
+# by the error argument in its docstring; an exact integer fix-up moves it to
+# the answer and raises ExactCheckError if that takes more than _NEWTON_FIXUP
+# steps, so no estimate is ever returned unchecked.
+
+#: Root size (bits) from which _sqrt_floor leaves math.isqrt, and size of
+#: the quotient and of the divisor (bits) from which _divmod leaves divmod;
+#: bench/fixed_point_scaling.py measures both sides (BENCH_scaling.json).
+SQRT_NEWTON_BITS = 4_000
+DIVMOD_NEWTON_BITS = 32_000
+#: Each Newton step of precision k -> K has K <= 2k - _NEWTON_SLACK and reads
+#: its operands at K + _NEWTON_GUARD bits; the first one starts from an exact
+#: floor at <= _NEWTON_BASE_BITS bits.  The error arguments bound every
+#: estimate within _NEWTON_FIXUP of its answer.
+_NEWTON_SLACK = 6
+_NEWTON_BASE_BITS = 48
+_NEWTON_GUARD = 4
+_NEWTON_FIXUP = 2
+
+
+def _newton_precisions(bits: int) -> list[int]:
+    """k_0 <= _NEWTON_BASE_BITS, then k_{i+1} <= 2 k_i - _NEWTON_SLACK up to bits."""
+    precisions = [bits]
+    while precisions[-1] > _NEWTON_BASE_BITS:
+        precisions.append((precisions[-1] + _NEWTON_SLACK + 1) // 2)
+    return precisions[::-1]
+
+
+def _inverse_sqrt(n: int, bits: int) -> int:
+    """Y with |Y / 2^bits - 1/sqrt(A)| < 2 * 2^-bits, A = n / 4^e in [1, 4)
+    for e = (bitlength(n) - 1) // 2.
+
+    Newton's iteration r <- r + r (1 - A r^2) / 2 with precision doubling,
+    from Y = floor(2^k0 / sqrt(A)).  With |r - 1/sqrt(A)| < 3 * 2^-k, a step
+    to K <= 2k - 6 bits, reading A and 1 - A r^2 at K + 4 bits, is off by at
+    most 54 * 2^-2k (the iteration's own error 1/sqrt(A) (3/2 d^2 + d^3 / 2),
+    |d| < 6 * 2^-k) plus 1.02 * 2^-(K+4) (the truncations) plus 2^-K (the
+    floor): less than 1.93 * 2^-K.
+    """
+    e2 = (n.bit_length() - 1) // 2 * 2
+    k0, *steps = _newton_precisions(bits)
+    y = math.isqrt((1 << (2 * k0 + e2)) // n)
+    k = k0
+    for big_k in steps:
+        f = big_k + _NEWTON_GUARD
+        shift = f - e2  # floor(A 2^f) = n << shift
+        square = y * y
+        t = (n * square) << shift if shift >= 0 else (n >> -shift) * square
+        defect = ((1 << (f + 2 * k)) - t) >> (2 * k)  # 1 - A r^2 at f bits
+        y = (y << (big_k - k)) + ((y * defect) >> (k + _NEWTON_GUARD + 1))
+        k = big_k
+    return y
+
+
+def _reciprocal(b: int, bits: int) -> int:
+    """V with |V / 2^bits - 1/B| < 2 * 2^-bits, B = b / 2^(bitlength(b) - 1)
+    in [1, 2), b > 0.
+
+    Newton's iteration v <- v + v (1 - B v) with precision doubling, from
+    V = floor(2^k0 / B).  With |v - 1/B| < 3 * 2^-k, a step to K <= 2k - 6
+    bits, reading B and 1 - B v at K + 4 bits, is off by at most 36 * 2^-2k
+    (the iteration's own error (1/B) d^2, |d| < 6 * 2^-k) plus 2.04 *
+    2^-(K+4) (the truncations) plus 2^-K (the floor): less than 1.69 * 2^-K.
+    """
+    top = b.bit_length() - 1
+    k0, *steps = _newton_precisions(bits)
+    v = (1 << (k0 + top)) // b
+    k = k0
+    for big_k in steps:
+        f = big_k + _NEWTON_GUARD
+        shift = top - f  # floor(B 2^f) = b >> shift
+        t = (b >> shift if shift >= 0 else b << -shift) * v
+        defect = ((1 << (f + k)) - t) >> k  # 1 - B v at f bits
+        v = (v << (big_k - k)) + ((v * defect) >> (k + _NEWTON_GUARD))
+        k = big_k
+    return v
+
+
+def _sqrt_floor(n: int, p: int) -> int:
+    """floor(2^p sqrt(n)), equal to math.isqrt(n << 2p), for n >= 0, p >= 0.
+
+    Below SQRT_NEWTON_BITS bits of root it is math.isqrt.  Above, with
+    a = n 4^p = A 4^E (A = n / 4^e as in _inverse_sqrt, E = e + p) and
+    h = (E + 16) // 2, y = Y / 2^h from _inverse_sqrt is within 2 * 2^-h of
+    1/sqrt(A), and X = floor(A y 2^h), A read at h + 2 bits, is within
+    10 * 2^-h of sqrt(A) 2^h; x0 = X 2^(E-h) is within 10 * 2^(E-h) of
+    sqrt(a).  One Karp-Markstein step s = x0 + floor(R y 2^-(E+1)), with
+    R = a - x0^2 exact and read at 2^(E-4), is within 293 * 2^(E-2h) + 1.04
+    < 1.05 of sqrt(a), so at most 2 from floor(sqrt(a)).  The fix-up forms
+    r = a - s^2 exactly (from R, X and s - x0) and steps s until
+    0 <= r <= 2s, which holds exactly when s = floor(sqrt(a)); more than 2
+    steps raise ExactCheckError.
+    """
+    if n < 0 or p < 0:
+        raise ValueError("_sqrt_floor needs n >= 0 and p >= 0")
+    e = (n.bit_length() - 1) // 2
+    big_e = e + p
+    if n == 0 or big_e < SQRT_NEWTON_BITS:
+        return math.isqrt(n << (2 * p))
+    h = (big_e + 16) // 2
+    y = _inverse_sqrt(n, h)
+    shift = h + 2 - 2 * e  # floor(A 2^(h+2)) = n << shift
+    x = ((n * y) << shift if shift >= 0 else (n >> -shift) * y) >> (h + 2)
+    low = big_e - h
+    residual = (n << (2 * p)) - (x * x << (2 * low))
+    step = ((residual >> (big_e - 4)) * y) >> (h + 5)
+    s = (x << low) + step
+    r = residual - (x * step << (low + 1)) - step * step
+    for _ in range(_NEWTON_FIXUP + 1):
+        if r < 0:
+            s -= 1
+            r += 2 * s + 1
+        elif r > 2 * s:
+            r -= 2 * s + 1
+            s += 1
+        else:
+            return s
+    raise ExactCheckError(
+        f"_sqrt_floor: Newton root of a {n.bit_length()}-bit n at p={p} is "
+        f"more than {_NEWTON_FIXUP} from floor(2^p sqrt(n))"
+    )
+
+
+def _newton_quotient(a: int, b: int, v: int, h: int) -> tuple[int, int]:
+    """divmod(a, b) for 0 <= a < 2^(h-4) b, b > 0, from V = v of
+    _reciprocal(b, h).
+
+    With l = bitlength(b) and m = bitlength(a) - l + 1 <= h - 4, V / 2^h is
+    within 2 * 2^-h of 2^(l-1) / b, and q = floor((a >> (l - 6)) V
+    2^-(h+5)) is within 2^m * 2 * 2^-h + 1.01 * 2^-5 + 1 < 1.16 of a / b
+    (a < 2^m 2^(l-1)), so at most 2 from a // b.  The fix-up forms
+    r = a - q b exactly and steps q until 0 <= r < b; more than 2 steps
+    raise ExactCheckError.
+    """
+    q = ((a >> (b.bit_length() - 6)) * v) >> (h + 5)
+    r = a - q * b
+    for _ in range(_NEWTON_FIXUP + 1):
+        if r < 0:
+            q -= 1
+            r += b
+        elif r >= b:
+            q += 1
+            r -= b
+        else:
+            return q, r
+    raise ExactCheckError(
+        f"_divmod: Newton quotient of a {a.bit_length()}-bit by a {b.bit_length()}-bit "
+        f"integer is more than {_NEWTON_FIXUP} from the floor"
+    )
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b), signs included.
+
+    Below DIVMOD_NEWTON_BITS bits of quotient or of divisor it is divmod.
+    Above, for a >= 0 < b (other signs reduce to it), the quotient of m bits
+    comes in two halves, each a _newton_quotient with one reciprocal of b at
+    h = m - m // 2 + 5 bits: the top half divides a >> (m // 2), and the low
+    half the remainder shifted back up plus a's low m // 2 bits.  Each half
+    is exact or raises ExactCheckError.  Halving the quotient lets the
+    reciprocal stop at half of its bits, where Newton's iteration spends
+    most of its work.
+    """
+    if b < 0:
+        q, r = _divmod(-a, -b)
+        return q, -r
+    if a < 0:
+        q, r = _divmod(-1 - a, b)
+        return -1 - q, b - 1 - r
+    quotient_bits = a.bit_length() - b.bit_length() + 1
+    if min(b.bit_length(), quotient_bits) < DIVMOD_NEWTON_BITS:
+        return divmod(a, b)
+    low = quotient_bits // 2
+    h = quotient_bits - low + 5
+    v = _reciprocal(b, h)
+    high, r = _newton_quotient(a >> low, b, v, h)
+    q, r = _newton_quotient((r << low) | (a & ((1 << low) - 1)), b, v, h)
+    return (high << low) | q, r
+
+
+# ---------------------------------------------------------------------------
 # evaluator registry
 
 
@@ -80,9 +266,14 @@ Dyadic = Callable[[int], tuple[int, int]]
 
 
 def _sqrt_dyadic(n: int) -> Dyadic:
+    """p -> (floor(2^p sqrt(n)), p): the floor is exact, so the truncation
+    error is < 2^-p.  _sqrt_floor computes it, above SQRT_NEWTON_BITS by a
+    Newton reciprocal square root whose estimate is within 2 of the floor
+    (its error argument), made exact by one residual r = n 4^p - s^2 and
+    steps of s until 0 <= r <= 2s, or refused by ExactCheckError."""
+
     def dyadic(p: int) -> tuple[int, int]:
-        # floor(2^p * sqrt(n)) is exact; the truncation error is < 2^-p.
-        return math.isqrt(n << (2 * p)), p
+        return _sqrt_floor(n, p), p
 
     return dyadic
 

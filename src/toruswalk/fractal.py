@@ -29,6 +29,7 @@ from .exactcore import (
     NearIntegerError,
     Scalar,
     TorusPoint,
+    _divmod,
     _matmul,
     adapted_norm,
     commute,
@@ -1119,7 +1120,14 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
     every level, costing O(M(N) log N).  X is one floor division of
     sum_k T_k U_k by D^S with T_k the translations at `bits` bits, and
     E = ceil(E_T sum_k |U_k| / |D^S|) plus one ulp when the division is
-    inexact.  Nothing is refused here: the digits drawn from X
+    inexact.  The division is exactcore._divmod: above DIVMOD_NEWTON_BITS it
+    takes the quotient in two halves, each from a Newton reciprocal of D^S
+    (at half the quotient's bits) applied to the top bits of what is left
+    to divide, which puts the half within 2 of its floor (the error
+    argument of exactcore._newton_quotient); one product r = rest - q D^S
+    per half, with steps of q until r lies in [0, D^S) (signs reduced to a
+    positive divisor), makes it exact or refuses it by ExactCheckError.
+    Nothing else is refused here: the digits drawn from X
     (digits_from_fixed) carry E and the word-truncation error.
     """
     if ifs.dimension != 1:
@@ -1135,7 +1143,7 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
         t_err = max(t_err, e)
     denom, sums = _tree(mults, [True] * len(mults), letters, 0, len(letters))
     numers = [c * m for c, m in zip(sums, mults)]
-    v, rem = divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
+    v, rem = _divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
     err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
     return v, err
 
@@ -1163,10 +1171,12 @@ def digits_from_fixed(
     recursion.  The sample's error_bound is that of an engine orbit whose
     recursion ends with max(1, err_ulps) * D^count ulps at `bits` bits, and
     its precision is `bits`; count = 0 raises ValueError, as an empty sample
-    does.
+    does, and so does `bits` below 64, as in walk_orbit_fixed.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
+    if bits < 64:
+        raise ValueError(f"precision must be at least 64 bits, got {bits}")
     run = _Orbit([base], [(0,)], np.zeros(count, dtype=np.int8), bits, _defer_leaf)
     run.digits = np.empty(count, dtype=np.min_scalar_type(base - 1))
     run.fixed = fixed & ((1 << bits) - 1)

@@ -133,20 +133,24 @@ def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
     DISCREPANCY_CHECKPOINTS evenly spaced m.  The last m is N, so the last
     row holds `star_discrepancy_1d(sample)`.
 
-    Each prefix's sorted points come from the last prefix's, in one buffer:
-    the new points are sorted after them, and a stable sort, which finds the
-    two ascending runs, merges them in place.
+    Each prefix is copied into one buffer and sorted there (numpy's default
+    sort), and `_sorted_star_discrepancy`'s operations run in the same order
+    into two more preallocated buffers, so every row is that function's.
     """
     xs = _checked_coordinates(sample)
-    ordered = xs.copy()
+    n = sample.size
+    above, below = np.arange(1, n + 1), np.arange(n)
+    ordered, upper, lower = np.empty(n), np.empty(n), np.empty(n)
     rows = []
-    done = 0
     for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
-        m = max(1, (sample.size * i) // DISCREPANCY_CHECKPOINTS)
-        ordered[done:m].sort()
-        ordered[:m].sort(kind="stable")
-        done = m
-        rows.append((m, _sorted_star_discrepancy(ordered[:m])))
+        m = max(1, (n * i) // DISCREPANCY_CHECKPOINTS)
+        x, up, low = ordered[:m], upper[:m], lower[:m]
+        x[:] = xs[:m]
+        x.sort()
+        # max(idx / m - x, x - (idx - 1) / m), idx = 1..m
+        np.subtract(np.divide(above[:m], m, out=up), x, out=up)
+        np.subtract(x, np.divide(below[:m], m, out=low), out=low)
+        rows.append((m, float(np.max(np.maximum(up, low, out=up)))))
     return rows
 
 

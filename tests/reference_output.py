@@ -8,7 +8,12 @@ must write the same bytes (see test_output.py).
 `character_means` is the Weyl grid before it was built from character
 powers: the d = 1 power recurrence, whose values `stats.character_means`
 must reproduce bit for bit, and one `np.exp` per pair +-k for d > 1 (see
-test_stats.py).  Nothing in src/ imports this module.
+test_stats.py).
+
+`running_discrepancy` is the checkpoint loop before each prefix was sorted
+afresh: it merged the new points into the last prefix's sorted buffer by a
+stable sort, and `stats.running_discrepancy` must give the same rows bit for
+bit (see test_stats.py).  Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from toruswalk.stats import OrbitSample, _frequency_grid
+from toruswalk.stats import (
+    DISCREPANCY_CHECKPOINTS,
+    OrbitSample,
+    _checked_coordinates,
+    _frequency_grid,
+    _sorted_star_discrepancy,
+)
 
 
 def _fmt(x: float) -> str:
@@ -56,3 +67,17 @@ def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], co
         phase = pts @ np.asarray(k, dtype=float)
         out[k] = complex(np.mean(np.exp(2j * np.pi * phase)))
     return out
+
+
+def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
+    xs = _checked_coordinates(sample)
+    ordered = xs.copy()
+    rows = []
+    done = 0
+    for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
+        m = max(1, (sample.size * i) // DISCREPANCY_CHECKPOINTS)
+        ordered[done:m].sort()
+        ordered[:m].sort(kind="stable")
+        done = m
+        rows.append((m, _sorted_star_discrepancy(ordered[:m])))
+    return rows

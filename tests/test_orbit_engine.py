@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_orbits as ref
-from toruswalk import cli, fractal
+from toruswalk import cli, exactcore, fractal
 from toruswalk.exactcore import (
     IntMatrix,
     IrrationalBasis,
@@ -227,6 +227,16 @@ class TestCodePrefix:
         assert abs(value - old_value) <= err + old_err
         assert err <= old_err
 
+    @settings(max_examples=20, deadline=None)
+    @given(cantor_like(), st.integers(1, 3000), st.integers(0, 2**32), st.integers(64, 4096))
+    def test_newton_division_gives_the_floor_division(self, ifs, n, seed, bits):
+        # _divmod's Newton path, forced on from 64 bits, against plain divmod
+        word = np.random.default_rng(seed).integers(1, ifs.alphabet + 1, n)
+        expected = code_prefix_fixed(ifs, word, bits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactcore, "DIVMOD_NEWTON_BITS", 64)
+            assert code_prefix_fixed(ifs, word, bits) == expected
+
 
 def value_for(draw, base, count):
     bits = math.ceil(count * math.log2(base)) + 96
@@ -281,6 +291,12 @@ class TestDigits:
             assert new[1] == old[1]
         else:
             assert new[1][0] == old[1][0]
+
+    @pytest.mark.parametrize("bits", [0, 40, 52, 53, 63])
+    def test_precision_below_64_rejected(self, bits):
+        # below 53 bits the points' read-back used to fail on a negative shift
+        with pytest.raises(ValueError, match=f"^precision must be at least 64 bits, got {bits}$"):
+            digits_from_fixed(123456789, 1, bits, 3, 5)
 
     def test_value_within_error_of_boundary_raises(self):
         base, count, m = 3, 1000, 400

@@ -155,6 +155,19 @@ class TestStarDiscrepancy:
         rows = running_discrepancy(sample_1d(pts))
         assert rows == [(m, star_discrepancy_1d(sample_1d(pts[:m]))) for m, _ in rows]
 
+    @pytest.mark.parametrize(
+        "n, grid", [(1, 0), (7, 0), (19, 0), (19, 4), (20, 0), (1001, 0), (4007, 16), (50_000, 0)]
+    )
+    def test_running_rows_match_the_merging_loop(self, n, grid):
+        # grid > 0 draws points from a grid of that many, so prefixes meet ties;
+        # n < 20 repeats checkpoints, and n not divisible by 20 gives uneven ones
+        rng = np.random.default_rng(1000 + n)
+        pts = rng.integers(0, grid, n) / grid if grid else rng.random(n)
+        rows = running_discrepancy(sample_1d(pts))
+        old = reference_output.running_discrepancy(sample_1d(pts))
+        assert [m for m, _ in rows] == [m for m, _ in old]
+        assert [np.float64(d).tobytes() for _, d in rows] == [np.float64(d).tobytes() for _, d in old]
+
     def test_running_rows_check_the_sample(self):
         with pytest.raises(ValueError, match="exceeds 2\\^-32"):
             running_discrepancy(OrbitSample(np.full((4, 1), 0.3), 1e-3, 64))
