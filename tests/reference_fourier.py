@@ -6,7 +6,9 @@ that came before the float64 character evaluator: every factor is a 96-bit
 mpmath character sum, rounded once to a complex.  `truncated_product`
 multiplies the same factors at 200 bits without rounding in between, which
 isolates the float64 rounding of the fast path from the truncation of the
-infinite product.
+infinite product.  It and `discrete_sum` add the weights of atoms at the
+same angle exactly before rounding (`_merged`), so a point mass, which the
+fast path states as exactly 1, is exactly 1 there too.
 
 `libm_fourier_discrete` and `libm_fourier_selfsimilar` are the float64 path
 that came before the batched Taylor evaluator: one coefficient per call, the
@@ -56,6 +58,16 @@ def _mp_character_sum(pairs: Iterable[tuple[Fraction, Fraction]]) -> mpmath.mpc:
         weight = mpmath.mpf(w.numerator) / w.denominator
         total += weight * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
     return total
+
+
+def _merged(pairs: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """The (w, a) of a character sum with the weights at each angle a mod 1
+    added exactly."""
+    total: dict[Fraction, Fraction] = {}
+    for w, a in pairs:
+        af = _frac(a)
+        total[af] = total.get(af, Fraction(0)) + w
+    return [(w, a) for a, w in total.items()]
 
 
 def character_sum(pairs: Iterable[tuple[Fraction, Fraction]], prec: int = 96) -> complex:
@@ -201,7 +213,7 @@ def truncated_product(
         scale = Fraction(n)
         for _ in range(truncation_depth(spec, n, tol) + 1):
             prod *= _mp_character_sum(
-                (w, a * scale) for a, w in zip(spec.atoms, spec.weights)
+                _merged((w, a * scale) for a, w in zip(spec.atoms, spec.weights))
             )
             scale /= spec.base
         return prod
@@ -210,7 +222,7 @@ def truncated_product(
 def discrete_sum(measure: DiscreteMeasure, n: int, prec: int = 200) -> mpmath.mpc:
     """The character average of `fourier_discrete` at `prec` bits."""
     with mpmath.workprec(prec):
-        return _mp_character_sum((w, a * n) for a, w in zip(measure.atoms, measure.weights))
+        return _mp_character_sum(_merged((w, a * n) for a, w in zip(measure.atoms, measure.weights)))
 
 
 def distance(value: complex, exact: mpmath.mpc, prec: int = 200) -> float:
