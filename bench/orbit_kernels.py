@@ -26,8 +26,9 @@ sqrt2-dilated middle-thirds Cantor set in base 3 (D = 3, r = [1, 1],
 t = [0, 2/3 sqrt2]), at N = 25k, 50k, 100k and 200k: `code_prefix_fixed`
 of the word that `stats.sample_digits` draws for N digits (seeded by N, at
 its precision), and `digits_from_fixed` of that coded value with the
-coding error; the digits, points, `error_bound` and `precision_bits` of
-both trees must be identical.  Each digit row also gives the heap peak of
+coding error; the coded value (an older tree's error may leave out the
+tail), digits, points, `error_bound` and `precision_bits` of both trees
+must be identical.  Each digit row also gives the heap peak of
 one `digits_from_fixed` run (tracemalloc).
 
 Fits the growth exponent in N of the d = 1 and d = 2 timings and of both
@@ -260,8 +261,8 @@ def measure_digits(trees: dict, count: int, repeats: int) -> dict:
     runs = {label: (tree[0], _normality(tree)) for label, tree in trees.items()}
     digits, orbit = here[0].digits_from_fixed(fixed, err, bits, 3, count)
     for label, (fractal, tree_ifs) in runs.items():
-        if fractal.code_prefix_fixed(tree_ifs, letters, bits) != (fixed, err):
-            raise AssertionError(f"{label} N={count}: coded prefixes differ")
+        if fractal.code_prefix_fixed(tree_ifs, letters, bits)[0] != fixed:
+            raise AssertionError(f"{label} N={count}: coded values differ")
         other_digits, other = fractal.digits_from_fixed(fixed, err, bits, 3, count)
         if other_digits != digits or not _same_orbit(other, orbit):
             raise AssertionError(f"{label} N={count}: digit runs differ")

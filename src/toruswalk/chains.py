@@ -399,9 +399,6 @@ class EtaChain:
     transition: tuple[dict[int, Fraction], ...]
     stationary: tuple[Fraction, ...]
 
-    def next_state(self, state: Fraction, letter: int) -> Fraction:
-        return frac(self.d_value * state + self.deltas_tilde[letter - 1])
-
     def walk(self, letters: np.ndarray) -> np.ndarray:
         """State indices of eta_1, ..., eta_n along n 1-based letters.
 
@@ -421,10 +418,6 @@ class EtaChain:
         for start, residues in _carry_residues(self.d_value, q, shifts, indices):
             path[start : start + residues.size] = position[residues]
         return path
-
-    def simulate(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """State indices of an n-step run started from eta_1 = Dd_{i_1}."""
-        return self.walk(fractal.walk_letter_stream(self.probabilities, rng, n))
 
     def stationary_measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.states, self.stationary)

@@ -32,8 +32,6 @@ __all__ = [
     "AdaptedNorm",
     "register_irrational",
     "resolve_evaluator",
-    "scalar_add",
-    "scalar_scale",
     "mat_apply",
     "evaluate",
     "fractional_part",
@@ -498,14 +496,6 @@ class Scalar:
 # module-level operation surface
 
 
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_scale(q: Rational, a: Scalar) -> Scalar:
-    return a * q
-
-
 def mat_apply(
     matrix: Sequence[Sequence[Rational]], vector: Sequence[Scalar]
 ) -> list[Scalar]:
@@ -941,13 +931,15 @@ class AdaptedNorm:
     """Norm on C^d making every matrix of a commuting expanding family expand.
 
     ||x|| = max_i weights[i] * |(Q^H x)_i| where Q unitarily triangularizes
-    the family.  `rho_certified` is the lower bound 1/max_A ||A^{-1}||_op on
-    ||Ax||/||x||, the one expansion factor that contraction estimates read.
+    the family.  `rho_certified` is the expansion factor 1/max_A ||A^{-1}||_op
+    of ||Ax||/||x||: in one dimension the integer min |D|, exactly; for d >= 2
+    a float estimate (numpy eigenvalues and inverses), which no certified
+    path reads.
     """
 
     change_of_basis: np.ndarray = field(repr=False)
     weights: tuple[int, ...]
-    rho_certified: float
+    rho_certified: int | float
 
     def norm(self, x: np.ndarray) -> float | np.ndarray:
         """Adapted norm of a vector (or row-stacked vectors) in C^d."""
@@ -980,12 +972,10 @@ def adapted_norm(matrices: Sequence[IntMatrix]) -> AdaptedNorm:
         if not is_expanding(m):
             raise ValueError(f"matrix is not expanding: {m}")
 
+    if d == 1:  # ||x|| = |x|, which each D stretches by exactly |D|
+        return AdaptedNorm(np.eye(1, dtype=complex), (1,), min(abs(m.rows[0][0]) for m in mats))
     arrays = [m.as_array() for m in mats]
-    if d == 1:
-        q = np.eye(1, dtype=complex)
-        tris = [a.astype(complex) for a in arrays]
-    else:
-        q, tris = _simultaneous_schur(arrays)
+    q, tris = _simultaneous_schur(arrays)
 
     lam = min(float(np.min(np.abs(np.linalg.eigvals(a)))) for a in arrays)
     a_max = max(float(np.max(np.abs(t))) for t in tris)

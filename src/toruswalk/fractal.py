@@ -45,7 +45,6 @@ __all__ = [
     "WindowUnavailableError",
     "PrecisionExceededError",
     "code_prefix",
-    "coding_tail_bound",
     "sample_word",
     "walk_trajectory",
     "h_word_at_zero",
@@ -243,22 +242,6 @@ def code_prefix(ifs: AffineIFS, w) -> list[Scalar]:
     return v
 
 
-def coding_tail_bound(ifs: AffineIFS, n: int) -> float:
-    """Adapted-norm distance bound between any coded point and the value of
-    its length-n prefix: M * c^n with c the certified contraction factor."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    norm = ifs.adapted
-    rmin = min(ifs.exponents)
-    contraction = norm.rho_certified ** (-rmin)
-    t_norms = []
-    for t in ifs.translations:
-        vec = np.array([float(c) for c in t.coords])
-        t_norms.append(float(norm.norm(vec)))
-    diameter = max(t_norms) / (1.0 - contraction) if max(t_norms) > 0 else 1.0
-    return diameter * contraction ** n
-
-
 def sample_word(ifs: AffineIFS, rng: np.random.Generator, n: int) -> Word:
     """n i.i.d. letters with law P from a seeded generator."""
     letters = walk_letter_stream(ifs.probabilities, rng, n)
@@ -405,7 +388,7 @@ class OrbitSample:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (N, d) array")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+        if not np.all((pts >= 0.0) & (pts < 1.0)):  # NaN fails both
             raise ValueError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
 
@@ -1015,9 +998,12 @@ def points_csv(points: np.ndarray, first: int) -> bytes:
 def _letter_indices(w, alphabet: int) -> np.ndarray:
     """0-based letter indices of a word over {1, ..., alphabet}."""
     letters = np.asarray(w.letters if isinstance(w, Word) else w).reshape(-1)
-    # a float or object array may hold non-integral letters, which astype would truncate
+    # a float or object array may hold non-integral letters, which astype would
+    # truncate; a boolean array would read True as letter 1
     integral = letters.dtype.kind in "iu" or not np.any(letters % 1)
-    if letters.size and (not integral or letters.min() < 1 or letters.max() > alphabet):
+    if letters.dtype.kind == "b" or letters.size and (
+        not integral or letters.min() < 1 or letters.max() > alphabet
+    ):
         raise ValueError("letters must index the map family (1-based)")
     indices = letters.astype(np.min_scalar_type(-alphabet - 1))  # holds alphabet: + 1 cannot wrap
     indices -= 1
@@ -1109,26 +1095,30 @@ def walk_orbit_fixed(
 
 
 def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
-    """Fixed-point value of a one-dimensional coded prefix.
+    """Fixed-point value of a one-dimensional coded point, with its error.
 
-    Returns (X, E), as Scalar.fixed_point does: X / 2^bits approximates
-    f_{w_1} o...o f_{w_n}(0) with error at most E ulps (word-truncation error
-    not included; see coding_tail_bound).  With S = r_{w_1} + ... + r_{w_n} the prefix is
+    Returns (X, E): every point of K whose coding begins with w lies within
+    E ulps of X / 2^bits, E being the prefix's error plus the tail's.  With
+    S = r_{w_1} + ... + r_{w_n} the prefix f_{w_1} o...o f_{w_n}(0) is
     exactly sum_k t_k U_k / D^S, where U_k sums D^(S - r_{w_1} - ... -
     r_{w_{j-1}}) over the positions j with w_j = k.  The integers D^S and U_k
     are the engine's block map of the word (_tree): a product tree, exact at
     every level, costing O(M(N) log N).  X is one floor division of
-    sum_k T_k U_k by D^S with T_k the translations at `bits` bits, and
-    E = ceil(E_T sum_k |U_k| / |D^S|) plus one ulp when the division is
-    inexact.  The division is exactcore._divmod: above DIVMOD_NEWTON_BITS it
-    takes the quotient in two halves, each from a Newton reciprocal of D^S
-    (at half the quotient's bits) applied to the top bits of what is left
-    to divide, which puts the half within 2 of its floor (the error
-    argument of exactcore._newton_quotient); one product r = rest - q D^S
-    per half, with steps of q until r lies in [0, D^S) (signs reduced to a
-    positive divisor), makes it exact or refuses it by ExactCheckError.
-    Nothing else is refused here: the digits drawn from X
-    (digits_from_fixed) carry E and the word-truncation error.
+    sum_k T_k U_k by D^S with T_k the translations at `bits` bits, within
+    E_T ulps each, and the prefix's error is ceil(E_T sum_k |U_k| / |D^S|)
+    plus one ulp when the division is inexact.  The tail: the coded point of
+    w w' is the prefix plus D^-S pi(w'), and |pi(w')| <= max_i |t_i| g / (g - 1)
+    with g = |D|^r_min (a geometric series of ratio 1/g), so it adds
+    ceil(max_i (|T_i| + E_T) g / ((g - 1) |D^S|)) ulps; for the empty word E
+    covers the whole of K.  The divisions are exactcore._divmod: above
+    DIVMOD_NEWTON_BITS it takes the quotient in two halves, each from a
+    Newton reciprocal of D^S (at half the quotient's bits) applied to the top
+    bits of what is left to divide, which puts the half within 2 of its
+    floor (the error argument of exactcore._newton_quotient); one product
+    r = rest - q D^S per half, with steps of q until r lies in [0, D^S)
+    (signs reduced to a positive divisor), makes it exact or refuses it by
+    ExactCheckError.  Nothing else is refused here: the digits drawn from X
+    (digits_from_fixed) carry E.
     """
     if ifs.dimension != 1:
         raise ValueError("fixed-point coding path is one-dimensional")
@@ -1145,7 +1135,10 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
     numers = [c * m for c, m in zip(sums, mults)]
     v, rem = _divmod(sum(x * u for x, u in zip(t_fixed, numers)), denom)
     err = -(-t_err * sum(abs(u) for u in numers) // abs(denom)) + (1 if rem else 0)
-    return v, err
+    g = abs(d_scalar) ** min(ifs.exponents)
+    reach = max(abs(x) for x in t_fixed) + t_err
+    tail, _ = _divmod(-reach * g, (g - 1) * abs(denom))  # -ceil(...)
+    return v, err - tail
 
 
 def digits_from_fixed(

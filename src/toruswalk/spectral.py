@@ -448,9 +448,6 @@ class DiscreteMeasure:
         k = len(atoms)
         return cls(list(atoms), [Fraction(1, k)] * k)
 
-    def fourier(self, n: int) -> FourierValue:
-        return fourier_discrete(self, n)
-
     def coefficients(self) -> "CoefficientFunction":
         return CoefficientFunction(name="discrete", batch=lambda ns: _discrete_values(self, ns))
 
@@ -521,9 +518,6 @@ class SelfSimilarSpec:
     @cached_property
     def _data(self) -> _MeasureData:
         return _measure_data(self.atoms, self.weights)
-
-    def fourier(self, n: int, tol: float = 1e-9) -> FourierValue:
-        return fourier_selfsimilar(self, n, tol)
 
     def coefficients(self, tol: float = 1e-9) -> "CoefficientFunction":
         return CoefficientFunction(name="selfsimilar", batch=lambda ns: _selfsimilar_values(self, ns, tol))

@@ -202,25 +202,25 @@ def sample_digits(
     """First `count` base-D digits of a point drawn from a one-dimensional
     IFS's self-similar measure, certified.
 
-    The point is the coded value of a random word long enough that the
-    coding tail stays far below one ulp of the precision budget (raised to
-    `min_bits` if smaller); its digits carry the coding error plus the tail.
-    Returns (digits, the orbit frac(D^m x) with its per-point bound and
-    precision, word length).
+    The point is the coded value of a random word at the precision budget
+    (raised to `min_bits` if smaller); its digits carry the error that
+    code_prefix_fixed states for every point whose coding begins with the
+    word, the tail included.  The word length comes from a float estimate,
+    not a bound: enough letters that max|t_i| g / ((g - 1) g^n), g = |D|^r_min,
+    falls 16 bits below one ulp.  Returns (digits, the orbit frac(D^m x) with
+    its per-point bound and precision, word length).
     """
     base = ifs.d_matrix.rows[0][0]
     bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
-    diameter = fractal.coding_tail_bound(ifs, 0)
-    bound_bits = math.log2(diameter) if diameter > 0 else 0.0
-    per_step = min(ifs.exponents) * math.log2(ifs.adapted.rho_certified)
-    word_len = int((bits + 16 + max(0.0, bound_bits)) / per_step) + 2
+    r_min = min(ifs.exponents)
+    t_max = max(abs(float(t.coords[0])) for t in ifs.translations)
+    diameter = t_max / (1.0 - float(abs(base)) ** -r_min) if t_max > 0 else 1.0
+    per_step = r_min * math.log2(abs(base))
+    word_len = int((bits + 16 + max(0.0, math.log2(diameter))) / per_step) + 2
     # the letters sample_word draws, as the array it would wrap in a Word
     letters = fractal.walk_letter_stream(ifs.probabilities, rng, word_len)
     fixed, err = fractal.code_prefix_fixed(ifs, letters, bits)
-    # word-truncation error in ulps, computed in log space (2^bits overflows)
-    log2_tail = bound_bits - word_len * per_step
-    tail_ulps = 1 if log2_tail + bits < 0 else 2 << max(0, math.ceil(log2_tail + bits))
-    digits, sample = digits_from_fixed(fixed, err + tail_ulps, bits, base, count)
+    digits, sample = digits_from_fixed(fixed, err, bits, base, count)
     return digits, sample, word_len
 
 

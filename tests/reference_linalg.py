@@ -195,7 +195,8 @@ def eta_walk(eta: EtaChain, letters) -> np.ndarray:
     0 through a table of each state's successor under each letter."""
     k = len(eta.deltas_tilde)
     index = {a: i for i, a in enumerate(eta.states)}
-    table = [[index[eta.next_state(a, j)] for j in range(1, k + 1)] for a in eta.states]
+    # the carry step eta -> frac(D eta + delta_j)
+    table = [[index[frac(eta.d_value * a + dt)] for dt in eta.deltas_tilde] for a in eta.states]
     state = index[_Q0]
     path = []
     for a in fractal._letter_indices(letters, k).tolist():

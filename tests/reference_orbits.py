@@ -18,6 +18,7 @@ truncation error and exceptions exactly.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -125,7 +126,18 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
         div = d_scalar ** ifs.exponents[a - 1]
         v = v // div + t_fixed[a - 1]
         err = -(-err // abs(div)) + 1 + t_err
-    return v, err
+    return v, err + coding_tail(ifs, letters, t_fixed, t_err)
+
+
+def coding_tail(ifs: AffineIFS, letters, t_fixed, t_err) -> int:
+    """Ulps within which D^-S pi(w') lies for every extension w' of a word
+    of exponent sum S: ceil(max_i (|T_i| + E_T) g / ((g - 1) |D|^S)) with
+    g = |D|^r_min, in Fractions."""
+    d_abs = abs(ifs.d_matrix.rows[0][0])
+    s = sum(ifs.exponents[a - 1] for a in letters)
+    g = d_abs ** min(ifs.exponents)
+    reach = max(abs(x) + t_err for x in t_fixed)
+    return math.ceil(Fraction(reach * g, g - 1) / d_abs ** s)
 
 
 def digits_from_fixed(

@@ -15,6 +15,7 @@ from toruswalk.chains import (
     stationary_distribution,
 )
 from toruswalk import chains
+from toruswalk.fractal import walk_letter_stream
 from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint, frac
 
 B = IrrationalBasis(("sqrt2",))
@@ -163,7 +164,7 @@ class TestEtaChain:
 
     def test_empirical_frequencies(self):
         eta = build_eta_chain(3, [rational(0), rational(F(1, 2))])
-        sim = eta.simulate(np.random.default_rng(42), 20000)
+        sim = eta.walk(walk_letter_stream(eta.probabilities, np.random.default_rng(42), 20000))
         freq = np.bincount(sim, minlength=2) / len(sim)
         for f, p in zip(freq, eta.stationary):
             assert abs(f - float(p)) < 0.02

@@ -176,6 +176,29 @@ class TestRunDeterminism:
         assert (tmp_path / "out" / "report.json").exists()
 
 
+class TestNormalityReadsNoFloatNorm:
+    def test_runs_without_adapted_norm_or_linalg(self, tmp_path, monkeypatch):
+        # the coded point's error is integer arithmetic in code_prefix_fixed;
+        # neither the float adapted norm nor numpy.linalg is read
+        from toruswalk import exactcore, fractal
+
+        cfg = {"kind": "normality", "irrationals": ["sqrt2"], "D": 3, "r": [1, 2],
+               "t": ["0", "2/3*sqrt2"], "N": 400}
+        expected = run(cfg, tmp_path / "free")
+
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.linalg.{name} read")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adapted_norm called")
+
+        monkeypatch.setattr(exactcore, "adapted_norm", refuse)
+        monkeypatch.setattr(fractal, "adapted_norm", refuse)
+        monkeypatch.setattr(np, "linalg", Refuse())
+        assert report_body(run(cfg, tmp_path / "patched")) == report_body(expected)
+
+
 class TestWorkedExamples:
     def test_dilated_cantor_condition(self, tmp_path):
         report = run(COND_CFG, tmp_path)
@@ -739,6 +762,7 @@ class TestRationalCasePoints:
         rest only for the exact tails) against the exact points, and return
         the bound."""
         from toruswalk import chains
+        from toruswalk.exactcore import frac
 
         sample, eta_idx = chains._rational_case_points(eta, letters[: n + tail_len], n)
         points, bound = sample.points[:, 0], sample.error_bound
@@ -749,7 +773,7 @@ class TestRationalCasePoints:
         worst = F(0)
         for m in range(n):
             if m:
-                state = eta.next_state(state, int(letters[m]))
+                state = frac(eta.d_value * state + eta.deltas_tilde[letters[m] - 1])
             assert eta.states[eta_idx[m]] == state
             depth = len(letters) - m - 1
             tail = sum(

@@ -25,8 +25,6 @@ from toruswalk.exactcore import (
     mat_apply,
     parse_scalar,
     register_irrational,
-    scalar_add,
-    scalar_scale,
 )
 from conftest import random_expanding_matrix, random_scalar
 import reference_linalg
@@ -52,12 +50,12 @@ class TestScalarArithmetic:
     def test_add_coefficientwise(self):
         a = S(Fraction(1, 2))
         b = Scalar(ALPHA, (Fraction(1, 3), Fraction(2)))
-        out = scalar_add(a, b)
+        out = a + b
         assert out.coeffs == (Fraction(5, 6), Fraction(2))
 
     def test_scale_by_zero(self):
         any_scalar = Scalar(ALPHA, (Fraction(7, 3), Fraction(-5, 2)))
-        out = scalar_scale(0, any_scalar)
+        out = any_scalar * 0
         assert out.coeffs == (Fraction(0), Fraction(0))
 
     def test_mat_apply_1x1(self):
@@ -340,6 +338,16 @@ class TestAdaptedNorm:
         norm = adapted_norm([IntMatrix.from_rows([[2]])])
         assert norm.weights == (1,)
         assert norm.rho_certified == pytest.approx(2.0)
+
+    def test_one_dimensional_factor_is_exactly_min_abs_d(self):
+        # 1 / float(1 / D) read above |D| for 5,741 of the bases 2..65535
+        bases = [*range(2, 5000), 49, 65535, 2**53 + 1, 10**30]
+        for d in bases:
+            for signed in (d, -d):
+                rho = adapted_norm([IntMatrix.scalar(signed)]).rho_certified
+                assert rho == d and type(rho) is int
+        family = [IntMatrix.scalar(d) for d in (-7, 5, 12)]
+        assert adapted_norm(family).rho_certified == 5
 
     def test_diag_2_3_weights_and_rho(self):
         norm = adapted_norm([IntMatrix.from_rows([[2, 0], [0, 3]])])

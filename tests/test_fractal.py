@@ -20,7 +20,6 @@ from toruswalk.fractal import (
     WindowUnavailableError,
     code_prefix,
     code_prefix_fixed,
-    coding_tail_bound,
     h_word_at_zero,
     kappa_ell_s,
     orbit_identity_check,
@@ -73,28 +72,108 @@ class TestCodePrefix:
         assert code_prefix(middle_thirds, ())[0].coeffs == (Fraction(0), Fraction(0))
 
 
+def _coding_families():
+    """One-dimensional IFS for the coded point's error: D in {3, -3, 49, 2},
+    some r_i > 1, rational and sqrt2 translations.  In the 49 and 2 families
+    the letter of largest |t_i| has the smallest exponent, so that letter
+    repeated comes near max|t_i| g / (g - 1), g = |D|^r_min, and a tail
+    term built from r_max falls short of it."""
+    s2 = lambda q: Scalar(B, (Fraction(0), Fraction(q)))  # noqa: E731
+    q = lambda q: Scalar.rational(Fraction(q), B)  # noqa: E731
+    return [
+        AffineIFS.create(3, [1, 1], [[q(0)], [s2("2/3")]], basis=B),
+        AffineIFS.create(-3, [2, 1, 3], [[q("1/5")], [s2(-1)], [q("1/2")]], basis=B),
+        AffineIFS.create(49, [1, 2], [[s2("3/7")], [q("-1/7")]], basis=B),
+        AffineIFS.create(2, [1, 3, 2], [[q("-1/3")], [s2("1/5")], [q(0)]], basis=B),
+    ]
+
+
+def _widest_letter(ifs) -> int:
+    return 1 + max(range(ifs.alphabet), key=lambda i: abs(float(ifs.translations[i].coords[0])))
+
+
+def _prefix_error(ifs, w, bits):
+    """(X, prefix error, T_i, E_T) of code_prefix_fixed without the tail,
+    from U_k summed letter by letter."""
+    d = ifs.d_matrix.rows[0][0]
+    fixed = [t.coords[0].fixed_point(bits) for t in ifs.translations]
+    t_err = max([1] + [e for _, e in fixed])
+    s = sum(ifs.exponents[a - 1] for a in w)
+    u = [0] * ifs.alphabet
+    done = 0
+    for a in w:
+        u[a - 1] += d ** (s - done)
+        done += ifs.exponents[a - 1]
+    x, rem = divmod(sum(t * c for (t, _), c in zip(fixed, u)), d ** s)
+    err = math.ceil(Fraction(t_err * sum(map(abs, u)), abs(d) ** s)) + (1 if rem else 0)
+    return x, err, [t for t, _ in fixed], t_err
+
+
 class TestCodingTailBound:
-    def test_starts_at_diameter(self, middle_thirds):
-        assert coding_tail_bound(middle_thirds, 0) >= 1.0 - 1e-12
+    """code_prefix_fixed's E covers every point of K whose coding begins with
+    the word: the prefix's error plus the tail max|t_i| g / ((g - 1) |D|^S)."""
 
-    def test_monotone_decay_to_zero(self, middle_thirds):
-        values = [coding_tail_bound(middle_thirds, n) for n in range(30)]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert values[-1] < 1e-13
+    def test_starts_at_diameter(self):
+        # the empty word: X = 0 and E covers max|t_i| g / (g - 1), hence all of K
+        bits = 128
+        for ifs in _coding_families():
+            fixed, err = code_prefix_fixed(ifs, [], bits)
+            assert fixed == 0
+            g = abs(ifs.d_matrix.rows[0][0]) ** min(ifs.exponents)
+            for t in ifs.translations:
+                val, eerr = t.coords[0].evaluate(bits + 64)
+                assert (abs(val) + eerr) * Fraction(g, g - 1) <= Fraction(err, 1 << bits)
 
-    def test_geometric_recursion(self, middle_thirds):
-        rho = middle_thirds.adapted.rho_certified
-        for n in range(5):
-            a, b = coding_tail_bound(middle_thirds, n), coding_tail_bound(middle_thirds, n + 1)
-            assert b <= a / rho * (1 + 1e-12)
+    @staticmethod
+    def _tails(ifs, w, bits):
+        """The exact tail tau of each prefix of w, tau shrinking by |D|^r with
+        each letter r appended; code_prefix_fixed must add ceil(tau) to the
+        prefix's error."""
+        d_abs = abs(ifs.d_matrix.rows[0][0])
+        g = d_abs ** min(ifs.exponents)
+        taus = []
+        for n in range(len(w) + 1):
+            x, err, t_fixed, t_err = _prefix_error(ifs, w[:n], bits)
+            if n == 0:
+                tau = Fraction(max(abs(t) for t in t_fixed) + t_err) * g / (g - 1)
+            else:
+                tau /= d_abs ** ifs.exponents[w[n - 1] - 1]
+            taus.append(tau)
+            assert code_prefix_fixed(ifs, w[:n], bits) == (x, err + math.ceil(tau))
+        return taus
 
-    def test_actual_tail_within_bound(self, middle_thirds, rng):
-        w = sample_word(middle_thirds, rng, 25)
-        full = code_prefix(middle_thirds, w)[0]
-        for n in (0, 3, 7):
-            prefix = code_prefix(middle_thirds, w.letters[:n])[0]
-            gap = abs(float(full - prefix))
-            assert gap <= coding_tail_bound(middle_thirds, n) + 1e-12
+    def test_geometric_recursion(self, rng):
+        for ifs in _coding_families():
+            w = [int(a) for a in rng.integers(1, ifs.alphabet + 1, 40)]
+            self._tails(ifs, w, int(rng.integers(64, 300)))
+
+    def test_monotone_decay_to_zero(self, rng):
+        # the tail term never grows along the word; once |D|^S passes 2^bits
+        # it is one ulp, the exact tail below 2^-20 ulps
+        bits = 200
+        for ifs in _coding_families():
+            w = [int(a) for a in rng.integers(1, ifs.alphabet + 1, 250)]
+            taus = self._tails(ifs, w, bits)
+            tails = [math.ceil(tau) for tau in taus]
+            assert all(b <= a for a, b in zip(tails, tails[1:]))
+            assert tails[-1] == 1 and taus[-1] < Fraction(1, 2**20)
+
+    def test_actual_tail_within_bound(self, rng):
+        # exact: the interval of the coded point of w w' (evaluated 64 bits
+        # further) lies inside X / 2^bits +- E / 2^bits, for random w and w'
+        # and for w' repeating the letter of largest |t_i|
+        for ifs in _coding_families():
+            widest = _widest_letter(ifs)
+            for trial in range(25):
+                bits = int(rng.integers(64, 300))
+                w = [int(a) for a in rng.integers(1, ifs.alphabet + 1, int(rng.integers(0, 12)))]
+                if trial % 3:
+                    ext = [int(a) for a in rng.integers(1, ifs.alphabet + 1, int(rng.integers(0, 30)))]
+                else:
+                    ext = [widest] * 40
+                fixed, err = code_prefix_fixed(ifs, w, bits)
+                val, eerr = code_prefix(ifs, w + ext)[0].evaluate(bits + 64)
+                assert abs(Fraction(fixed, 1 << bits) - val) + eerr <= Fraction(err, 1 << bits)
 
 
 class TestSampleWord:
@@ -356,9 +435,8 @@ class TestWordReaders:
             assert type(refused.value) is type(engine.value)
             assert str(refused.value) == str(engine.value)
 
-    @pytest.mark.parametrize("word", [[1.5], [1.5, 1.9], [1, 1.5] * 5, [float("nan")]])
-    def test_non_integral_letters_raise(self, word):
-        # astype would read 1.5 and 1.9 as letter 1
+    @staticmethod
+    def _assert_every_reader_refuses(word):
         from toruswalk.chains import build_eta_chain
 
         ifs = AffineIFS.create(3, [1, 2], [[0], [2]])
@@ -374,6 +452,16 @@ class TestWordReaders:
         for read in readers:
             with pytest.raises(ValueError, match=r"^letters must index the map family \(1-based\)$"):
                 read()
+
+    @pytest.mark.parametrize("word", [[1.5], [1.5, 1.9], [1, 1.5] * 5, [float("nan")]])
+    def test_non_integral_letters_raise(self, word):
+        # astype would read 1.5 and 1.9 as letter 1
+        self._assert_every_reader_refuses(word)
+
+    @pytest.mark.parametrize("word", [[True, True], [True], np.array([True, True, True])])
+    def test_boolean_letters_raise(self, word):
+        # astype would read True as letter 1 (and False as letter 0)
+        self._assert_every_reader_refuses(word)
 
     def test_last_of_128_letters(self):
         # the int8 indices of 128 letters wrapped index 127 + 1 to -128

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_output
-from toruswalk import stats
+from toruswalk import fractal, stats
 from toruswalk.exactcore import IntMatrix, IrrationalBasis, Scalar, TorusPoint, fractional_part
 from toruswalk.fractal import AffineEndo, walk_trajectory
 from toruswalk.spectral import CoefficientFunction, DiscreteMeasure
@@ -357,7 +357,7 @@ class TestCompareToFourier:
         from toruswalk.chains import build_eta_chain
 
         eta = build_eta_chain(3, [Scalar.rational(0, B), Scalar.rational(F(1, 2), B)])
-        sim = eta.simulate(np.random.default_rng(29), 100000)
+        sim = eta.walk(fractal.walk_letter_stream(eta.probabilities, np.random.default_rng(29), 100000))
         pts = np.array([float(eta.states[i]) for i in sim])
         means = character_means(sample_1d(pts), 8)
         dev = fourier_table(means, eta.stationary_measure().coefficients())[1]
@@ -368,6 +368,13 @@ class TestOrbitSampleValidation:
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             OrbitSample(np.array([1.0]), 0.0, 64)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_values_refused(self, bad):
+        # a NaN coordinate fails every comparison, and would turn the
+        # discrepancy and the Weyl sums into nan
+        with pytest.raises(ValueError, match=r"^coordinates must lie in \[0, 1\)$"):
+            OrbitSample(np.array([0.1, bad, 0.5]), 1e-20, None)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
