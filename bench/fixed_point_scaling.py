@@ -8,12 +8,13 @@ fresh process so that its peak RSS is its own:
   * normality of the sqrt2-dilated middle-thirds Cantor set in base 3
     (D = 3, r = [1, 1], t = [0, 2/3 sqrt2]), L = 4;
 
-at N = 10^5, 2 10^5, 5 10^5, 10^6 and 2 10^6.  Each row gives the wall
-seconds of the run, its peak RSS, the report's `precision_bits` (the largest
-`auto` precision of the run) and the seconds of its two certified-input
-steps: the square roots behind `Scalar.fixed_point` (every call of a sqrtN
-constant's dyadic function) and the division by D^S in `code_prefix_fixed`.
-Growth exponents in N are fitted per kind from 10^5 to 2 10^6.  With
+at N = 10^5, 2 10^5, 5 10^5, 10^6, 2 10^6 and 10^7 (`cli.MAX_STEPS`, the
+largest N a config may ask for).  Each row gives the wall seconds of the
+run, its peak RSS, the report's `precision_bits` (the largest `auto`
+precision of the run) and the seconds of its two certified-input steps: the
+square roots behind `Scalar.fixed_point` (every call of a sqrtN constant's
+dyadic function) and the division by D^S in `code_prefix_fixed`.  Growth
+exponents in N are fitted per kind over all the sizes run.  With
 `--before SRC`, the toruswalk package under SRC (an older tree's `src`) runs
 too, loaded in its processes by `harness.load_package`, and the runs of the
 two trees alternate.
@@ -46,7 +47,7 @@ from pathlib import Path
 
 from harness import alternate_seconds, environment, growth_exponent, load_package, write_json
 
-RUN_SIZES = [100_000, 200_000, 500_000, 1_000_000, 2_000_000]
+RUN_SIZES = [100_000, 200_000, 500_000, 1_000_000, 2_000_000, 10_000_000]
 HELPER_BITS = [
     2_000, 3_000, 5_000, 10_000, 20_000, 40_000, 80_000,
     160_000, 320_000, 640_000, 1_000_000, 2_000_000,

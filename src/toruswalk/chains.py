@@ -400,7 +400,8 @@ class EtaChain:
     stationary: tuple[Fraction, ...]
 
     def walk(self, letters: np.ndarray) -> np.ndarray:
-        """State indices of eta_1, ..., eta_n along n 1-based letters.
+        """State indices of eta_1, ..., eta_n along n 1-based letters, as
+        uint16: two bytes per step.
 
         eta_1 = Dd_{i_1} is the step from eta_0 = 0, a state since delta_1 =
         0; the residues q eta_m come from the closed form of _carry_residues
@@ -414,7 +415,7 @@ class EtaChain:
         position[states] = np.arange(len(states))
         if np.any(position[(self.d_value % q * states[:, None] + shifts) % q] < 0):
             raise ValueError("the carry step leads out of the state set")
-        path = np.empty(indices.size, dtype=np.int64)
+        path = np.empty(indices.size, dtype=np.uint16)  # q <= MAX_STATES
         for start, residues in _carry_residues(self.d_value, q, shifts, indices):
             path[start : start + residues.size] = position[residues]
         return path
@@ -613,7 +614,9 @@ def rational_case_points(eta: EtaChain, rng: np.random.Generator, n: int):
 
     Returns (sample, eta state index per step): the points with their
     per-point error bound and the precision of the alpha orbit, None when
-    t_1 is rational.
+    t_1 is rational.  Beside the 8-byte points it holds the 2-byte state
+    indices and the one-byte letters and letter indices; the tail sums and
+    the points run a block of fractal._SCRATCH_BLOCK steps at a time.
     """
     tail_len = max(8, math.ceil(60 / math.log2(abs(eta.d_value)))) + 4
     letters = fractal.walk_letter_stream(eta.probabilities, rng, n + tail_len)
@@ -638,26 +641,19 @@ def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
     eta_idx = eta.walk(letters[:n_steps])
     indices = fractal._letter_indices(letters, len(eta.translations))
 
-    # coded tails pi(T^m i) via a truncated moving sum (double precision)
-    t_pairs = [_float_and_error(s) for s in eta.translations]
-    tarr = np.array([f for f, _ in t_pairs])[indices]
-    weights = (1.0 / d_value) ** np.arange(tail_len)
-    tails = np.zeros(n_steps)
-    term = np.empty(n_steps)
-    for j in range(tail_len):
-        tails += np.multiply(tarr[1 + j : 1 + j + n_steps], weights[j], out=term)
-    del tarr, term  # freed before the arrays below are formed
-
     # alpha_m: the exact preperiod and cycle when t_1 is rational, the
     # fixed-point orbit otherwise
     t1 = eta.translations[0]
     precision_used = None
     if t1.is_rational():
         c, preperiod, cycle = _alpha_orbit(d_value, t1.rational_part)
-        head = [float(frac(o - c)) for o in preperiod[:n_steps]]
-        repeat = [float(frac(o - c)) for o in cycle]
-        rest = n_steps - len(head)
-        alphas = np.concatenate([head, np.tile(repeat, -(-rest // len(repeat)))[:rest]])
+        head = len(preperiod)
+        table = np.array([float(frac(o - c)) for o in preperiod + cycle])
+
+        def alphas(lo, hi):
+            m = np.arange(lo, hi)
+            return table[np.where(m < head, m, head + (m - head) % len(cycle))]
+
         alpha_err = _UNIT_ROUNDOFF
     else:
         c_scalar = t1 * Fraction(d_value, d_value - 1)
@@ -667,11 +663,27 @@ def _rational_case_points(eta: EtaChain, letters: np.ndarray, n_steps: int):
         )
         precision_used = orb.precision_bits
         c_float, c_err = _float_and_error(c_scalar)
-        alphas = (orb.points[:, 0] - c_float) % 1.0
+
+        def alphas(lo, hi):
+            return (orb.points[lo:hi, 0] - c_float) % 1.0
+
         alpha_err = orb.error_bound + c_err + (2.0 + abs(c_float)) * _UNIT_ROUNDOFF
 
+    # x_m = (alpha_m + eta_m + tail_m) mod 1, tail_m = pi(T^m i) by a moving
+    # sum truncated at tail_len letters, a block of steps at a time
+    t_pairs = [_float_and_error(s) for s in eta.translations]
+    t_floats = np.array([f for f, _ in t_pairs])
+    weights = (1.0 / d_value) ** np.arange(tail_len)
     state_floats = np.array([float(a) for a in eta.states])
-    points = (alphas + state_floats[eta_idx] + tails) % 1.0
+    points = np.empty(n_steps)
+    for lo in range(0, n_steps, fractal._SCRATCH_BLOCK):
+        hi = min(lo + fractal._SCRATCH_BLOCK, n_steps)
+        tarr = t_floats[indices[lo + 1 : hi + tail_len]]
+        tails = np.zeros(hi - lo)
+        term = np.empty(hi - lo)
+        for j in range(tail_len):
+            tails += np.multiply(tarr[j : j + hi - lo], weights[j], out=term)
+        points[lo:hi] = (alphas(lo, hi) + state_floats[eta_idx[lo:hi]] + tails) % 1.0
 
     geo = 1.0 / (1.0 - 1.0 / abs(d_value))
     t_max = max(abs(f) for f, _ in t_pairs)

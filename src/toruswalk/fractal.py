@@ -451,6 +451,10 @@ _LEAF_BITS = 320
 _MAP_LEAF_STEPS = 64
 # The plain loop stores its points after at most this many steps.
 _CHUNK_STEPS = 1024
+# Elements per block of the per-sample passes beside an orbit (the letter
+# stream, chains' rational-case points, stats' discrepancy and block counts):
+# their float and int64 temporaries stay below a megabyte whatever N is.
+_SCRATCH_BLOCK = 1 << 14
 _OUT_SCALE = 2.0 ** -53
 
 
@@ -1022,6 +1026,31 @@ def _error_budget(amps, letters, run=None):
     return _tree(amps, [True] * len(amps), letters, 0, len(letters), run)
 
 
+def _exhausted_step(amps, letters, err, offset_errs, limit) -> int:
+    """The first step (1-based) at which the recursion's error, entering
+    with err and moving by err <- amps[a] err + offset_errs[a], reaches
+    `limit`; len(letters) if it never does.  Every offset error is at least
+    1, so the error grows at every step and the range halves: the left
+    half's _error_budget carries the entry error across it, the descent goes
+    left if that reaches the limit and right with that error otherwise, and
+    the last _MAP_LEAF_STEPS steps at most are replayed one by one."""
+    lo, hi = 0, len(letters)
+    while hi - lo > _MAP_LEAF_STEPS:
+        mid = (lo + hi) // 2
+        growth, sums = _error_budget(amps, letters[lo:mid])
+        after = growth * err + sum(c * oe for c, oe in zip(sums, offset_errs))
+        if after >= limit:
+            hi = mid
+        else:
+            lo, err = mid, after
+    for a in letters[lo:hi].tolist():
+        err = err * amps[a] + offset_errs[a]
+        lo += 1
+        if err >= limit:
+            break
+    return lo
+
+
 def walk_orbit_fixed(
     endos: Sequence[AffineEndo],
     x0: TorusPoint,
@@ -1084,10 +1113,7 @@ def walk_orbit_fixed(
     final_err = growth * err + sum(c * oe for c, oe in zip(sums, offset_errs))
     limit = 1 << (p - 33)
     if n_steps and final_err >= limit:
-        for step, a in enumerate(letters.tolist(), 1):
-            err = err * run.amps[a] + offset_errs[a]
-            if err >= limit:
-                break
+        step = _exhausted_step(run.amps, letters, err, offset_errs, limit)
         raise PrecisionExceededError(f"error budget exhausted at step {step} of {n_steps}")
 
     _run(run, state)
@@ -1183,10 +1209,23 @@ def walk_letter_stream(
     probabilities: Sequence[Fraction], rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n i.i.d. 1-based letters with the given law (shared sampling helper);
-    the law must pass _probabilities."""
-    p = np.array([float(q) for q in _probabilities(probabilities, len(probabilities))])
+    the law must pass _probabilities.
+
+    The letters are those of one rng.choice(np.arange(1, k + 1), size=n, p=p)
+    call: choice with p reads one random() double per letter, so drawing
+    _SCRATCH_BLOCK letters at a time reads the same doubles.  They come in
+    np.min_scalar_type(k), one byte per letter for k <= 255; the draw of a
+    block (its doubles and their int64 positions) is the only other scratch.
+    """
+    k = len(probabilities)
+    p = np.array([float(q) for q in _probabilities(probabilities, k)])
     p /= p.sum()
-    return rng.choice(np.arange(1, len(probabilities) + 1), size=n, p=p)
+    alphabet = np.arange(1, k + 1, dtype=np.min_scalar_type(k))
+    letters = np.empty(n, dtype=alphabet.dtype)
+    for start in range(0, n, _SCRATCH_BLOCK):
+        size = min(_SCRATCH_BLOCK, n - start)
+        letters[start : start + size] = rng.choice(alphabet, size=size, p=p)
+    return letters
 
 
 def _probabilities(probabilities: Sequence[Fraction] | None, k: int) -> list[Fraction]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fractal
 from .exactcore import IntMatrix, Scalar, frac
-from .fractal import AffineIFS, OrbitSample, digits_from_fixed
+from .fractal import _SCRATCH_BLOCK, AffineIFS, OrbitSample, digits_from_fixed
 
 __all__ = [
     "OrbitSample",
@@ -117,10 +117,26 @@ def _checked_coordinates(sample: OrbitSample) -> np.ndarray:
 
 
 def _sorted_star_discrepancy(xs: np.ndarray) -> float:
-    """Star discrepancy of the ascending points xs from their order statistics."""
+    """Star discrepancy of the ascending points xs from their order
+    statistics: max over i = 1..n of max(i/n - x_i, x_i - (i - 1)/n).
+
+    The terms run over _SCRATCH_BLOCK points at a time, each from the same
+    correctly rounded operations, and max is exact, so the value does not
+    depend on the blocks; three block buffers are all the scratch.
+    """
     n = len(xs)
-    idx = np.arange(1, n + 1)
-    return float(np.max(np.maximum(idx / n - xs, xs - (idx - 1) / n)))
+    size = min(n, _SCRATCH_BLOCK)
+    steps = np.arange(size, dtype=np.float64)
+    upper, lower = np.empty(size), np.empty(size)
+    worst = -np.inf
+    for start in range(0, n, size):
+        x = xs[start : start + size]
+        up, low = upper[: x.size], lower[: x.size]
+        # i / n - x and x - (i - 1) / n, i = start + 1, ...; every i is exact
+        np.subtract(np.divide(np.add(steps[: x.size], start + 1, out=up), n, out=up), x, out=up)
+        np.subtract(x, np.divide(np.add(steps[: x.size], start, out=low), n, out=low), out=low)
+        worst = max(worst, float(np.max(np.maximum(up, low, out=up))))
+    return worst
 
 
 def star_discrepancy_1d(sample: OrbitSample) -> float:
@@ -134,23 +150,19 @@ def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
     row holds `star_discrepancy_1d(sample)`.
 
     Each prefix is copied into one buffer and sorted there (numpy's default
-    sort), and `_sorted_star_discrepancy`'s operations run in the same order
-    into two more preallocated buffers, so every row is that function's.
+    sort), and `_sorted_star_discrepancy` reads it in blocks, so the scratch
+    is that buffer, 8 bytes per point, and the blocks.
     """
     xs = _checked_coordinates(sample)
     n = sample.size
-    above, below = np.arange(1, n + 1), np.arange(n)
-    ordered, upper, lower = np.empty(n), np.empty(n), np.empty(n)
+    ordered = np.empty(n)
     rows = []
     for i in range(1, DISCREPANCY_CHECKPOINTS + 1):
         m = max(1, (n * i) // DISCREPANCY_CHECKPOINTS)
-        x, up, low = ordered[:m], upper[:m], lower[:m]
+        x = ordered[:m]
         x[:] = xs[:m]
         x.sort()
-        # max(idx / m - x, x - (idx - 1) / m), idx = 1..m
-        np.subtract(np.divide(above[:m], m, out=up), x, out=up)
-        np.subtract(x, np.divide(below[:m], m, out=low), out=low)
-        rows.append((m, float(np.max(np.maximum(up, low, out=up)))))
+        rows.append((m, _sorted_star_discrepancy(x)))
     return rows
 
 
@@ -233,32 +245,55 @@ def block_frequencies(
 
     A window of length L is coded as j B + d: j indexes the blocks of length
     L - 1 that occur, d is its last digit less the smallest digit, and B is
-    the digit range.  One `np.bincount` per length counts the codes (or
-    `np.unique`, when the codes would need more than _BINCOUNT_MAX bins)."""
+    the digit range.  Per length, the codes, their `np.bincount` and their
+    first occurrences (`np.minimum.at`) run over blocks of max(_SCRATCH_BLOCK,
+    bins) windows, the codes written over the window index in place, and a
+    second pass turns each code into the index of its block (or one
+    `np.unique` over all windows, when the codes would need more than
+    _BINCOUNT_MAX bins).  The digits less the smallest and the window index
+    are held in the narrowest unsigned dtype that fits, one byte each for a
+    base-3 run with L = 4; the int64 copy of a digit list lasts only until
+    the narrow one is made, so such a run peaks at 9 bytes per digit."""
     count = len(digits)
     if max_len < 1 or max_len > count:
         raise ValueError("need 1 <= max_len <= len(digits)")
     values = np.asarray(digits, dtype=np.int64)
     low = int(values.min())
     radix = int(values.max()) - low + 1
-    offsets = values - low
+    offsets = np.empty(count, np.min_scalar_type(radix - 1))
+    for start in range(0, count, _SCRATCH_BLOCK):
+        part = slice(start, start + _SCRATCH_BLOCK)
+        np.subtract(values[part], low, out=offsets[part], casting="unsafe")
+    del values
     freqs: dict[tuple[int, ...], float] = {}
     blocks: list[tuple[int, ...]] = [()]
-    index = np.zeros(count + 1, np.int64)  # each window's block of the previous length
+    index = np.zeros(count, np.uint8)  # each window's block of the previous length
     for length in range(1, max_len + 1):
         windows = count - length + 1
-        codes = index[:windows] * radix + offsets[length - 1 :]
         bins = len(blocks) * radix
         if bins <= _BINCOUNT_MAX:
-            counts = np.bincount(codes, minlength=bins)
+            wide = np.promote_types(index.dtype, np.min_scalar_type(bins - 1))
+            index = index.astype(wide, copy=False)  # holds every code and block index
+            step = max(_SCRATCH_BLOCK, bins)
+            counts = np.zeros(bins, np.int64)
             first = np.full(bins, windows)
-            np.minimum.at(first, codes, np.arange(windows))
+            for start in range(0, windows, step):
+                stop = min(start + step, windows)
+                codes = index[start:stop].astype(np.intp)
+                codes *= radix
+                codes += offsets[start + length - 1 : stop + length - 1]
+                counts += np.bincount(codes, minlength=bins)
+                np.minimum.at(first, codes, np.arange(start, stop))
+                index[start:stop] = codes
             present = np.flatnonzero(counts)
             counts, first = counts[present], first[present]
-            dense = np.zeros(bins, np.int64)
+            dense = np.zeros(bins, index.dtype)
             dense[present] = np.arange(len(present))
-            index = dense[codes]
+            for start in range(0, windows, step):
+                index[start : start + step] = dense[index[start : start + step]]
         else:
+            codes = index[:windows].astype(np.int64) * radix
+            codes += offsets[length - 1 :]
             present, first, index, counts = np.unique(
                 codes, return_index=True, return_inverse=True, return_counts=True
             )

@@ -13,16 +13,24 @@ test_stats.py).
 `running_discrepancy` is the checkpoint loop before each prefix was sorted
 afresh: it merged the new points into the last prefix's sorted buffer by a
 stable sort, and `stats.running_discrepancy` must give the same rows bit for
-bit (see test_stats.py).  Nothing in src/ imports this module.
+bit (see test_stats.py).
+
+`rational_case_points` is the rational case's point pass before it ran in
+blocks: the moving tail sum and the points over whole N-float arrays, whose
+points `chains._rational_case_points` must give bit for bit (see
+test_chains.py).  Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
 
 import csv
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from toruswalk import chains, fractal
+from toruswalk.exactcore import IntMatrix, Scalar, TorusPoint, frac
 from toruswalk.stats import (
     DISCREPANCY_CHECKPOINTS,
     OrbitSample,
@@ -81,3 +89,30 @@ def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:
         done = m
         rows.append((m, _sorted_star_discrepancy(ordered[:m])))
     return rows
+
+
+def rational_case_points(eta, letters: np.ndarray, n_steps: int) -> np.ndarray:
+    tail_len = len(letters) - n_steps
+    eta_idx = eta.walk(letters[:n_steps])
+    indices = np.asarray(letters) - 1
+    tarr = np.array([chains._float_and_error(s)[0] for s in eta.translations])[indices]
+    weights = (1.0 / eta.d_value) ** np.arange(tail_len)
+    tails = np.zeros(n_steps)
+    for j in range(tail_len):
+        tails += tarr[1 + j : 1 + j + n_steps] * weights[j]
+    t1 = eta.translations[0]
+    if t1.is_rational():
+        c, preperiod, cycle = chains._alpha_orbit(eta.d_value, t1.rational_part)
+        head = [float(frac(o - c)) for o in preperiod[:n_steps]]
+        repeat = [float(frac(o - c)) for o in cycle]
+        rest = n_steps - len(head)
+        alphas = np.concatenate([head, np.tile(repeat, -(-rest // len(repeat)))[:rest]])
+    else:
+        c_scalar = t1 * Fraction(eta.d_value, eta.d_value - 1)
+        endo = fractal.AffineEndo(IntMatrix.scalar(eta.d_value), (Scalar.rational(0, t1.basis),))
+        orb = fractal.walk_orbit_fixed(
+            [endo], TorusPoint([c_scalar]), np.ones(n_steps, dtype=np.int8)
+        )
+        alphas = (orb.points[:, 0] - chains._float_and_error(c_scalar)[0]) % 1.0
+    state_floats = np.array([float(a) for a in eta.states])
+    return (alphas + state_floats[eta_idx] + tails) % 1.0

@@ -14,7 +14,8 @@ from toruswalk.chains import (
     limit_law_fourier,
     stationary_distribution,
 )
-from toruswalk import chains
+import reference_output
+from toruswalk import chains, fractal
 from toruswalk.fractal import walk_letter_stream
 from toruswalk.exactcore import ExactCheckError, IrrationalBasis, Scalar, TorusPoint, frac
 
@@ -171,6 +172,33 @@ class TestEtaChain:
         rows, worst = eta.state_frequencies(sim)
         assert rows == list(zip(eta.states, eta.stationary, freq.tolist()))
         assert worst == max(abs(f - float(p)) for f, p in zip(freq, eta.stationary)) < 0.02
+
+
+class TestRationalCaseBlocks:
+    """The rational case's points, computed a block of steps at a time,
+    against the whole-array pass of reference_output, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d_value, ts",
+        [
+            (3, [rational(F(1, 5)), rational(F(7, 10))]),
+            (3, [rational(F(1, 27)), rational(F(1, 2))]),  # preperiod [1/6], cycle [1/2]
+            # c = 1/63: preperiod [1/21], a cycle of six sevenths
+            (3, [rational(F(2, 189)), rational(F(2, 189) + F(1, 2))]),
+            (2, [rational(F(1, 3)), rational(F(2, 3)), rational(0)]),
+            (3, [sqrt2(), sqrt2(plus=F(1, 3))]),  # the alpha orbit from the engine
+        ],
+    )
+    def test_points_match_the_whole_array_pass(self, d_value, ts):
+        eta = build_eta_chain(d_value, ts)
+        block = fractal._SCRATCH_BLOCK
+        for n in (1, block - 1, block, 2 * block + 5):
+            letters = walk_letter_stream(eta.probabilities, np.random.default_rng(n), n + 40)
+            sample, eta_idx = chains._rational_case_points(eta, letters, n)
+            assert eta_idx.dtype == np.uint16
+            assert np.array_equal(eta_idx, eta.walk(letters[:n]))
+            want = reference_output.rational_case_points(eta, letters, n)
+            assert sample.points[:, 0].tobytes() == want.tobytes()
 
 
 class TestStationaryDistribution:

@@ -444,7 +444,7 @@ class TestCarryWalk:
         for n in (0, 1, 2, 37, 3 * chains._CARRY_BLOCK + 5):
             letters = rng.integers(1, k + 1, size=n)
             path = eta.walk(letters)
-            assert path.dtype == np.int64
+            assert path.dtype == np.uint16
             assert np.array_equal(path, ref.eta_walk(eta, letters))
 
     def test_random_chains(self):

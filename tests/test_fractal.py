@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruswalk import fractal
 from toruswalk.exactcore import (
     IntMatrix,
     IrrationalBasis,
@@ -223,6 +224,24 @@ class TestSampleWord:
         want = np.random.default_rng(4).choice([1, 2, 3], size=500, p=p / p.sum())
         got = walk_letter_stream(law, np.random.default_rng(4), 500)
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "law", [[Fraction(1, 2)] * 2, [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]]
+    )
+    def test_letter_stream_blocks_draw_one_choice_call(self, seed, law):
+        # drawn a block at a time, the letters are those of one unblocked
+        # rng.choice call, element for element (the sampled orbit points of
+        # every walk and normality report follow from them), in the narrowest
+        # dtype that holds the alphabet
+        block = fractal._SCRATCH_BLOCK
+        k = len(law)
+        p = np.array([float(q) for q in law])
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            want = np.random.default_rng(seed).choice(np.arange(1, k + 1), size=n, p=p / p.sum())
+            got = walk_letter_stream(law, np.random.default_rng(seed), n)
+            assert got.dtype == np.min_scalar_type(k)
+            assert np.array_equal(got, want)
 
 
 class TestWalkTrajectory:

@@ -208,6 +208,53 @@ class TestWalkOrbit:
             walk_orbit_fixed([endo], TorusPoint([Scalar.rational(0, B)]), [1, 2])
 
 
+def replayed_step(amps, letters, err, offset_errs, limit):
+    """The budget's step, one step at a time: the first step whose error
+    reaches the limit, or the word's length."""
+    for step, a in enumerate(letters, 1):
+        err = err * amps[a] + offset_errs[a]
+        if err >= limit:
+            return step
+    return len(letters)
+
+
+class TestExhaustedStep:
+    """The step that the halving descent names against the step-by-step
+    replay of the recursion's error bookkeeping."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.data(),
+        st.lists(st.sampled_from([1, 1, 2, 3, 5, 7]), min_size=1, max_size=4),
+        st.integers(0, 700),
+        st.integers(1, 50),
+    )
+    def test_named_step_is_the_replays(self, data, amps, n, err):
+        letters = data.draw(st.lists(st.integers(0, len(amps) - 1), min_size=n, max_size=n))
+        letters = np.array(letters, np.int8)
+        offset_errs = data.draw(st.lists(st.integers(1, 9), min_size=len(amps), max_size=len(amps)))
+        # limits from below the entry error to past the end of the word, and
+        # limits met exactly at some step
+        errs = [err]
+        for a in letters.tolist():
+            errs.append(errs[-1] * amps[a] + offset_errs[a])
+        limit = data.draw(st.one_of(st.integers(1, 2 * errs[-1] + 2), st.sampled_from(errs)))
+        assert fractal._exhausted_step(amps, letters, err, offset_errs, limit) == replayed_step(
+            amps, letters.tolist(), err, offset_errs, limit
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), matrix_family(), st.integers(70, 400), st.integers(-20, 20))
+    def test_matrix_walk_raises_where_the_loop_raises(self, data, endos, n, slack):
+        # the 2 x 2 amplifications are max row sums; explicit precisions put
+        # the exhausted step anywhere in the word
+        letters = letters_for(data.draw, endos, n)
+        amp = max(math.log2(fractal._norm(e.linear.rows)) for e in endos)
+        precision = max(64, int(n * amp * data.draw(st.floats(0.3, 1.0))) + 33 + slack)
+        x0 = TorusPoint([data.draw(scalars), data.draw(scalars)])
+        assert_walks_agree(endos, x0, letters, precision)
+
+
 @st.composite
 def cantor_like(draw):
     d = draw(st.sampled_from([-3, -2, 2, 3, 4]))

@@ -168,6 +168,28 @@ class TestStarDiscrepancy:
         assert [m for m, _ in rows] == [m for m, _ in old]
         assert [np.float64(d).tobytes() for _, d in rows] == [np.float64(d).tobytes() for _, d in old]
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * fractal._SCRATCH_BLOCK + 7])
+    @pytest.mark.parametrize("grid", [0, 16])
+    def test_blocks_match_the_one_shot_formula(self, offset, grid):
+        # the terms run a block at a time; the value is the whole formula's,
+        # bit for bit, whichever block holds the worst term
+        n = fractal._SCRATCH_BLOCK + offset
+        rng = np.random.default_rng(n + grid)
+        xs = np.sort(rng.integers(0, grid, n) / grid if grid else rng.random(n))
+        idx = np.arange(1, n + 1)
+        want = float(np.max(np.maximum(idx / n - xs, xs - (idx - 1) / n)))
+        got = stats._sorted_star_discrepancy(xs)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # midpoints, each term 1/(2n), with one point moved by 0.4/n: the
+        # worst term, x - (i - 1)/n (up) or i/n - x (down), sits in the
+        # first, a middle or the last block
+        for j in (0, n // 2, n - 1):
+            for shift in (0.4 / n, -0.4 / n):
+                x = (idx - 0.5) / n
+                x[j] += shift
+                want = float(np.max(np.maximum(idx / n - x, x - (idx - 1) / n)))
+                assert stats._sorted_star_discrepancy(x) == want == pytest.approx(0.9 / n)
+
     def test_running_rows_check_the_sample(self):
         with pytest.raises(ValueError, match="exceeds 2\\^-32"):
             running_discrepancy(OrbitSample(np.full((4, 1), 0.3), 1e-3, 64))
@@ -302,6 +324,23 @@ class TestBlockFrequencies:
         monkeypatch.setattr(stats, "_BINCOUNT_MAX", 1)
         assert list(block_frequencies(digits, 4).items()) == list(want.items())
         assert list(want.items()) == list(window_loop_frequencies(digits, 4).items())
+
+    @pytest.mark.parametrize(
+        "radix, max_len, size",
+        [
+            (3, 4, 3 * fractal._SCRATCH_BLOCK + 7),  # one byte per digit and per window
+            (41, 3, 2 * fractal._SCRATCH_BLOCK + 3),  # the window index widens to 4 bytes
+            (200, 2, 3 * fractal._SCRATCH_BLOCK + 1),  # blocks of `bins` windows, above one block
+        ],
+    )
+    def test_blocks_agree_with_the_window_loop(self, radix, max_len, size):
+        digits = (np.random.default_rng(radix).integers(0, radix, size) - radix // 3).tolist()
+        # a long run of one digit puts first occurrences in later blocks
+        digits[fractal._SCRATCH_BLOCK - 2 : 2 * fractal._SCRATCH_BLOCK] = [digits[0]] * (
+            fractal._SCRATCH_BLOCK + 2
+        )
+        got = block_frequencies(digits, max_len)
+        assert list(got.items()) == list(window_loop_frequencies(digits, max_len).items())
 
     def test_lengths_out_of_range_rejected(self):
         for max_len in (0, 4):
