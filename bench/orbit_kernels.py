@@ -264,7 +264,7 @@ def measure_digits(trees: dict, count: int, repeats: int) -> dict:
         if fractal.code_prefix_fixed(tree_ifs, letters, bits)[0] != fixed:
             raise AssertionError(f"{label} N={count}: coded values differ")
         other_digits, other = fractal.digits_from_fixed(fixed, err, bits, 3, count)
-        if other_digits != digits or not _same_orbit(other, orbit):
+        if not np.array_equal(other_digits, digits) or not _same_orbit(other, orbit):
             raise AssertionError(f"{label} N={count}: digit runs differ")
     code = alternate_seconds(
         [lambda r=r: r[0].code_prefix_fixed(r[1], letters, bits) for r in runs.values()], repeats

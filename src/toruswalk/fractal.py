@@ -386,9 +386,9 @@ class OrbitSample:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError("points must be a nonempty (N, d) array")
-        if not np.all((pts >= 0.0) & (pts < 1.0)):  # NaN fails both
+        if not (pts.min() >= 0.0 and pts.max() < 1.0):  # a NaN is both, and fails both
             raise ValueError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
 
@@ -452,8 +452,9 @@ _MAP_LEAF_STEPS = 64
 # The plain loop stores its points after at most this many steps.
 _CHUNK_STEPS = 1024
 # Elements per block of the per-sample passes beside an orbit (the letter
-# stream, chains' rational-case points, stats' discrepancy and block counts):
-# their float and int64 temporaries stay below a megabyte whatever N is.
+# stream, the engine's prefix counts, chains' rational-case points, stats'
+# character nodes, discrepancy and block counts): their float, complex and
+# int64 temporaries stay below a megabyte or so whatever N is.
 _SCRATCH_BLOCK = 1 << 14
 _OUT_SCALE = 2.0 ** -53
 
@@ -567,11 +568,10 @@ class _Orbit:
             min((b & -b).bit_length() - 1 if b else p for b in off) for off in offsets
         ]
         self.amps = [max(_norm(m), 1) for m in mats]
-        # per amplifying letter: log2 of its amplification and its count in
-        # every prefix of the word, so that _amp_bits counts a range at once
-        count_type = np.min_scalar_type(len(letters))
+        # per amplifying letter: log2 of its amplification and its
+        # _prefix_counts, so that _amp_bits counts a range at once
         self.prefix_counts = [
-            (math.log2(amp), np.concatenate(([0], np.cumsum(letters == k, dtype=count_type))))
+            (math.log2(amp), *_prefix_counts(letters, k))
             for k, amp in enumerate(self.amps)
             if amp > 1
         ]
@@ -592,9 +592,39 @@ class _Orbit:
         self.kept: dict = {}
 
 
+def _prefix_counts(letters: np.ndarray, k: int) -> tuple[memoryview, memoryview]:
+    """(checkpoints, masks) of letter k in a word: checkpoints[j] counts it
+    among the first j _MAP_LEAF_STEPS letters, and bit i of masks[j] is set
+    when letter j _MAP_LEAF_STEPS + i is k, so that its count among the
+    first n letters is checkpoints[n // 64] plus the bits of masks[n // 64]
+    below n % 64.  4 + 8 bytes per 64 letters, built _SCRATCH_BLOCK letters
+    at a time; memoryviews of them index to Python ints."""
+    rows = len(letters) // _MAP_LEAF_STEPS + 1  # the last one partial or empty
+    bits = np.zeros(rows * _MAP_LEAF_STEPS // 8, np.uint8)
+    checkpoints = np.zeros(rows + 1, np.uintc)  # the last entry is past the word
+    for start in range(0, len(letters), _SCRATCH_BLOCK):
+        hits = letters[start : start + _SCRATCH_BLOCK] == k
+        bits[start // 8 : start // 8 + -(-hits.size // 8)] = np.packbits(hits, bitorder="little")
+        row = start // _MAP_LEAF_STEPS + 1
+        per_row = np.add.reduceat(hits, range(0, hits.size, _MAP_LEAF_STEPS), dtype=np.uintc)
+        checkpoints[row : row + per_row.size] = per_row
+    np.cumsum(checkpoints, out=checkpoints)
+    masks = bits.view("<u8").astype(np.uint64)
+    return memoryview(checkpoints[:rows]), memoryview(masks)
+
+
 def _amp_bits(run: _Orbit, lo: int, hi: int) -> float:
     """log2 of an upper bound on the amplification of steps lo+1..hi."""
-    return sum(log_amp * int(counts[hi] - counts[lo]) for log_amp, counts in run.prefix_counts)
+    qlo, qhi = lo // _MAP_LEAF_STEPS, hi // _MAP_LEAF_STEPS
+    below_lo = (1 << lo % _MAP_LEAF_STEPS) - 1
+    below_hi = (1 << hi % _MAP_LEAF_STEPS) - 1
+    bits = 0
+    for log_amp, checkpoints, masks in run.prefix_counts:
+        bits += log_amp * (
+            checkpoints[qhi] + (masks[qhi] & below_hi).bit_count()
+            - checkpoints[qlo] - (masks[qlo] & below_lo).bit_count()
+        )
+    return bits
 
 
 def _truncate(state, q, t, e, bits):
@@ -794,7 +824,7 @@ def _digit_lanes(run: _Orbit) -> None:
     2^63 and never carries into the next lane, and S &= MASK clears the
     heads before the next k steps.  Each k steps cost one multiplication and
     one to_bytes, from which numpy reads every lane's head H and its
-    fraction's top 64 bits.
+    fraction's top 64 bits, _SCRATCH_BLOCK lanes at a time.
 
     Read-back: the fraction after step j of the k, F_j (F_0 cleared of its
     head), satisfies D F_(j-1) = d_j 2^Q + F_j with digit d_j, so the head
@@ -842,30 +872,34 @@ def _digit_lanes(run: _Orbit) -> None:
     d = np.uint64(base)
     a, b = (np.uint64(x) for x in divmod(1 << 53, base))
     flagged = np.zeros(lanes, dtype=bool)
-    steps, shortest = int(lengths.max()), int(lengths.min())
+    steps = int(lengths.max())
     for first in range(0, steps, period):
         k = min(period, steps - first)
         lane_sum = (lane_sum & mask) * base**k
         buf = lane_sum.to_bytes(lanes * size, "little")
-        head = np.ndarray((lanes,), "<u8", buf, width // 8, (size,))
-        x = np.ndarray((lanes,), "<u8", buf, width // 8 - 8, (size,)) >> np.uint64(11)
-        points = np.empty((k, lanes), dtype=np.uint64)
-        digits = np.empty((k, lanes), dtype=np.uint64)
-        for j in range(k - 1, -1, -1):
-            points[j] = x
-            head, digits[j] = np.divmod(head, d)
-            if j:
-                x = digits[j] * a + (digits[j] * b + x) // d
+        heads = np.ndarray((lanes,), "<u8", buf, width // 8, (size,))
+        tops = np.ndarray((lanes,), "<u8", buf, width // 8 - 8, (size,))
         step = np.arange(first, first + k)[:, None]
-        index = starts + step
-        bad = (points < low) | (points >= high)
-        if first + k > shortest:  # some lanes end within these steps
-            live = step < lengths
-            bad &= live
-            index, points, digits = index[live], points[live], digits[live]
-        flagged |= bad.any(axis=0)
-        run.points[index, 0] = points * _OUT_SCALE
-        run.digits[index] = digits
+        # the read-back of _SCRATCH_BLOCK lanes at a time: its (k, lanes)
+        # arrays stay a few megabytes whatever the number of lanes
+        for part in (slice(i, i + _SCRATCH_BLOCK) for i in range(0, lanes, _SCRATCH_BLOCK)):
+            head, x = heads[part], tops[part] >> np.uint64(11)
+            points = np.empty((k, len(head)), dtype=np.uint64)
+            digits = np.empty((k, len(head)), dtype=np.uint64)
+            for j in range(k - 1, -1, -1):
+                points[j] = x
+                head, digits[j] = np.divmod(head, d)
+                if j:
+                    x = digits[j] * a + (digits[j] * b + x) // d
+            index = starts[part] + step
+            bad = (points < low[part]) | (points >= high[part])
+            if first + k > lengths[part].min():  # some lanes end within these steps
+                live = step < lengths[part]
+                bad &= live
+                index, points, digits = index[live], points[live], digits[live]
+            flagged[part] |= bad.any(axis=0)
+            run.points[index, 0] = points * _OUT_SCALE
+            run.digits[index] = digits
     for (lo, hi, s, q, t, e), rerun in zip(leaves, flagged.tolist()):
         if rerun:
             _digit_leaf(run, lo, hi, [s], q, t, e)
@@ -1022,7 +1056,10 @@ def _error_budget(amps, letters, run=None):
     (every rotation) these are 1 and the letter counts; otherwise they are
     the _tree of the amplifications, which keeps block maps for `run`."""
     if max(amps) == 1:
-        return 1, [int(np.count_nonzero(letters == k)) for k in range(len(amps))]
+        counts = np.zeros(len(amps), np.int64)
+        for start in range(0, len(letters), _SCRATCH_BLOCK):  # bincount reads an intp copy
+            counts += np.bincount(letters[start : start + _SCRATCH_BLOCK], minlength=len(amps))
+        return 1, counts.tolist()
     return _tree(amps, [True] * len(amps), letters, 0, len(letters), run)
 
 
@@ -1169,15 +1206,17 @@ def code_prefix_fixed(ifs: AffineIFS, w, bits: int) -> tuple[int, int]:
 
 def digits_from_fixed(
     fixed: int, err_ulps: int, bits: int, base: int, count: int
-) -> tuple[list[int], OrbitSample]:
+) -> tuple[np.ndarray, OrbitSample]:
     """Certified digits of a fixed-point value, plus the orbit sample.
 
     Returns (digits, sample) where digits[m-1] = floor(D * frac(D^(m-1) x))
     and the sample's points[m-1] = frac(D^m x) as floats, for m = 1..count,
-    x being fixed / 2^bits with err_ulps of error.  The orbit x -> D x mod 1
-    runs in the block engine in O(M(N) log N) instead of O(N^2): a block of
-    n steps is x -> D^n x, the state entering it carries ceil(n log2 D) + 160 +
-    log2(N) bits (never more than `bits`), and the blocks of at most 320 bits
+    x being fixed / 2^bits with err_ulps of error; the digits are the array
+    the engine fills, of np.min_scalar_type(D - 1), one byte per digit up to
+    base 256.  The orbit x -> D x mod 1 runs in the block engine in
+    O(M(N) log N) instead of O(N^2): a block of n steps is x -> D^n x, the
+    state entering it carries ceil(n log2 D) + 160 + log2(N) bits (never
+    more than `bits`), and the blocks of at most 320 bits
     (the leaves) all advance together as lanes of one integer
     (_digit_lanes), one multiplication by D^k per k <= 63 / log2(D) steps.
     Refusal is per digit, not at 2^-33: a step is accepted when its state
@@ -1202,7 +1241,7 @@ def digits_from_fixed(
     run.fixed_err = max(1, err_ulps)
     _run(run, [run.fixed], run.fixed_err)
     bound = _orbit_error_bound(run.fixed_err * base ** count, bits)
-    return run.digits.tolist(), OrbitSample(run.points, bound, bits)
+    return run.digits, OrbitSample(run.points, bound, bits)
 
 
 def walk_letter_stream(

@@ -2,9 +2,10 @@
 frequencies, and subsequence/Cesaro comparisons.
 
 Orbit samples carry a per-point error bound from their producer; every
-statistic refuses samples whose bound exceeds 2^-32.  Floating-point
-reductions go through numpy's pairwise summation, so partial results combine
-reproducibly.
+statistic refuses samples whose bound exceeds 2^-32.  Complex means are those
+of numpy's pairwise summation over the whole sample, bit for bit, computed a
+node of its tree at a time (`_pairwise_sums`), so no pass holds a complex
+array of the sample's length.
 """
 
 from __future__ import annotations
@@ -54,8 +55,32 @@ def _frequency_grid(k_max: int, dim: int) -> list[tuple[int, ...]]:
     return [k for k in itertools.product(range(-k_max, k_max + 1), repeat=dim) if any(k)]
 
 
+def _pairwise_sums(n: int, node_sums) -> dict:
+    """The sums that np.add.reduce of one contiguous complex128 array of n
+    elements gives, from node_sums(lo, hi): a dict of np.complex128 sums
+    (np.add.reduce) of arrays computed for elements lo..hi-1 alone.
+
+    numpy sums such an array as 2n floats pairwise: a node of f > 128
+    floats splits at f // 2 - (f // 2) % 8 floats and adds left + right,
+    real and imaginary parts alike.  Nodes of more than _SCRATCH_BLOCK
+    elements split here at the same element, lo + (m - m % 8) // 2 for m
+    elements, and smaller ones are summed by numpy itself, so every sum is
+    numpy's whole-array sum, and no array outlives its node.
+    """
+
+    def node(lo: int, hi: int) -> dict:
+        m = hi - lo
+        if m <= _SCRATCH_BLOCK:
+            return node_sums(lo, hi)
+        mid = lo + (m - m % 8) // 2
+        left, right = node(lo, mid), node(mid, hi)
+        return {key: total + right[key] for key, total in left.items()}
+
+    return node(0, n)
+
+
 def _character_powers(steps, k_max, prefix, factor, out) -> None:
-    """Fill out[k] with the mean of factor * prod_{j >= len(prefix)}
+    """Fill out[k] with the sum of factor * prod_{j >= len(prefix)}
     e(x_j)^{k_j} for every half-grid k extending `prefix`; steps[j] holds
     e(x_j) and, where k_j may be negative, its conjugate."""
     j = len(prefix)
@@ -63,13 +88,13 @@ def _character_powers(steps, k_max, prefix, factor, out) -> None:
     if not last:
         _character_powers(steps, k_max, prefix + (0,), factor, out)
     elif any(prefix):
-        out[prefix + (0,)] = complex(np.mean(factor))
+        out[prefix + (0,)] = np.add.reduce(factor)
     for sign, step in zip((1, -1), steps[j] if any(prefix) else steps[j][:1]):
         power = np.ones_like(step) if factor is None else factor.copy()
         for m in range(1, k_max + 1):
             power *= step
             if last:
-                out[prefix + (sign * m,)] = complex(np.mean(power))
+                out[prefix + (sign * m,)] = np.add.reduce(power)
             else:
                 _character_powers(steps, k_max, prefix + (sign * m,), power, out)
 
@@ -81,16 +106,25 @@ def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], co
     e(k.x) is the product of the powers e(x_j)^{k_j}: one np.exp per
     coordinate, then one complex multiplication per frequency of the half
     grid (the k whose first nonzero entry is positive), by e(x_j) or, for
-    k_j < 0, by its conjugate.  out[-k] is conj(out[k]).  One running power
-    per coordinate is alive at a time, never a table of powers.
+    k_j < 0, by its conjugate.  out[-k] is conj(out[k]).  The pass runs over
+    the nodes of `_pairwise_sums`, one running power per coordinate alive at
+    a time, never a table of powers; each mean is np.mean's over the whole
+    sample, the np.complex128 sum divided by N.
     """
     sample._require_accuracy()
     grid = _frequency_grid(k_max, sample.dimension)
-    zs = [np.exp(2j * np.pi * x) for x in sample.points.T]
-    # the first entry of a half-grid frequency is never negative
-    steps = [(zs[0],)] + [(z, np.conj(z)) for z in zs[1:]]
-    half: dict[tuple[int, ...], complex] = {}
-    _character_powers(steps, k_max, (), None, half)
+    coords = sample.points.T
+
+    def node_sums(lo: int, hi: int) -> dict:
+        zs = [np.exp(2j * np.pi * x[lo:hi]) for x in coords]
+        # the first entry of a half-grid frequency is never negative
+        steps = [(zs[0],)] + [(z, np.conj(z)) for z in zs[1:]]
+        sums: dict = {}
+        _character_powers(steps, k_max, (), None, sums)
+        return sums
+
+    n = sample.size
+    half = {k: complex(total / n) for k, total in _pairwise_sums(n, node_sums).items()}
     return {
         k: half[k] if k in half else half[tuple(-c for c in k)].conjugate() for k in grid
     }
@@ -103,9 +137,15 @@ def weyl_sums(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], float]:
 
 def control_character(sample: OrbitSample, q: int) -> float:
     """|(1/N) sum e^{2 pi i q x}| over the first coordinate: near 1 when the
-    orbit stays on the q-th roots of unity."""
+    orbit stays on the q-th roots of unity.  The value is that of np.mean
+    over the whole sample, from the nodes of `_pairwise_sums`."""
     sample._require_accuracy()
-    return float(abs(np.mean(np.exp(2j * np.pi * q * sample.points[:, 0]))))
+    x = sample.points[:, 0]
+
+    def node_sums(lo: int, hi: int) -> dict:
+        return {q: np.add.reduce(np.exp(2j * np.pi * q * x[lo:hi]))}
+
+    return float(abs(_pairwise_sums(sample.size, node_sums)[q] / sample.size))
 
 
 def _checked_coordinates(sample: OrbitSample) -> np.ndarray:
@@ -205,12 +245,12 @@ def extract_digits(x: Scalar, base: int, count: int) -> list[int]:
     bits = fractal.precision_budget([IntMatrix.scalar(base)], count)
     fixed, err = x.fixed_point(bits)
     digits, _ = digits_from_fixed(fixed, err, bits, base, count)
-    return digits
+    return digits.tolist()
 
 
 def sample_digits(
     ifs: AffineIFS, rng: np.random.Generator, count: int, min_bits: int = 0
-) -> tuple[list[int], OrbitSample, int]:
+) -> tuple[np.ndarray, OrbitSample, int]:
     """First `count` base-D digits of a point drawn from a one-dimensional
     IFS's self-similar measure, certified.
 
@@ -220,7 +260,8 @@ def sample_digits(
     word, the tail included.  The word length comes from a float estimate,
     not a bound: enough letters that max|t_i| g / ((g - 1) g^n), g = |D|^r_min,
     falls 16 bits below one ulp.  Returns (digits, the orbit frac(D^m x) with
-    its per-point bound and precision, word length).
+    its per-point bound and precision, word length); the digits are the
+    array of np.min_scalar_type(D - 1) that digits_from_fixed returns.
     """
     base = ifs.d_matrix.rows[0][0]
     bits = max(fractal.precision_budget([IntMatrix.scalar(base)], count), min_bits)
@@ -232,6 +273,7 @@ def sample_digits(
     # the letters sample_word draws, as the array it would wrap in a Word
     letters = fractal.walk_letter_stream(ifs.probabilities, rng, word_len)
     fixed, err = fractal.code_prefix_fixed(ifs, letters, bits)
+    del letters  # one byte per letter, not needed by the digit run
     digits, sample = digits_from_fixed(fixed, err, bits, base, count)
     return digits, sample, word_len
 
@@ -252,18 +294,22 @@ def block_frequencies(
     `np.unique` over all windows, when the codes would need more than
     _BINCOUNT_MAX bins).  The digits less the smallest and the window index
     are held in the narrowest unsigned dtype that fits, one byte each for a
-    base-3 run with L = 4; the int64 copy of a digit list lasts only until
-    the narrow one is made, so such a run peaks at 9 bytes per digit."""
+    base-3 run with L = 4.  An integer array, such as the digits of
+    `sample_digits`, is read as it is, so such a run holds 2 bytes per digit
+    beside it; any other sequence is first copied to int64, 8 bytes per digit
+    until the narrow copy is made."""
     count = len(digits)
     if max_len < 1 or max_len > count:
         raise ValueError("need 1 <= max_len <= len(digits)")
-    values = np.asarray(digits, dtype=np.int64)
+    values = np.asarray(digits)
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.int64)
     low = int(values.min())
     radix = int(values.max()) - low + 1
     offsets = np.empty(count, np.min_scalar_type(radix - 1))
     for start in range(0, count, _SCRATCH_BLOCK):
         part = slice(start, start + _SCRATCH_BLOCK)
-        np.subtract(values[part], low, out=offsets[part], casting="unsafe")
+        np.subtract(values[part], low, out=offsets[part], dtype=np.int64, casting="unsafe")
     del values
     freqs: dict[tuple[int, ...], float] = {}
     blocks: list[tuple[int, ...]] = [()]

@@ -8,7 +8,11 @@ must write the same bytes (see test_output.py).
 `character_means` is the Weyl grid before it was built from character
 powers: the d = 1 power recurrence, whose values `stats.character_means`
 must reproduce bit for bit, and one `np.exp` per pair +-k for d > 1 (see
-test_stats.py).
+test_stats.py).  `character_power_means` is the character-power pass as it
+ran over the whole sample, e(x) and one running power held for all N points
+and each mean one `np.mean`; `stats.character_means`, which runs over the
+nodes of numpy's pairwise summation, must give its values bit for bit for
+d = 2 and 3 (see test_stats.py).
 
 `running_discrepancy` is the checkpoint loop before each prefix was sorted
 afresh: it merged the new points into the last prefix's sorted buffer by a
@@ -75,6 +79,35 @@ def character_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], co
         phase = pts @ np.asarray(k, dtype=float)
         out[k] = complex(np.mean(np.exp(2j * np.pi * phase)))
     return out
+
+
+def _power_means(steps, k_max, prefix, factor, out) -> None:
+    j = len(prefix)
+    last = j + 1 == len(steps)
+    if not last:
+        _power_means(steps, k_max, prefix + (0,), factor, out)
+    elif any(prefix):
+        out[prefix + (0,)] = complex(np.mean(factor))
+    for sign, step in zip((1, -1), steps[j] if any(prefix) else steps[j][:1]):
+        power = np.ones_like(step) if factor is None else factor.copy()
+        for m in range(1, k_max + 1):
+            power *= step
+            if last:
+                out[prefix + (sign * m,)] = complex(np.mean(power))
+            else:
+                _power_means(steps, k_max, prefix + (sign * m,), power, out)
+
+
+def character_power_means(sample: OrbitSample, k_max: int) -> dict[tuple[int, ...], complex]:
+    sample._require_accuracy()
+    grid = _frequency_grid(k_max, sample.dimension)
+    zs = [np.exp(2j * np.pi * x) for x in sample.points.T]
+    steps = [(zs[0],)] + [(z, np.conj(z)) for z in zs[1:]]
+    half: dict[tuple[int, ...], complex] = {}
+    _power_means(steps, k_max, (), None, half)
+    return {
+        k: half[k] if k in half else half[tuple(-c for c in k)].conjugate() for k in grid
+    }
 
 
 def running_discrepancy(sample: OrbitSample) -> list[tuple[int, float]]:

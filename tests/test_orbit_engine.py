@@ -255,6 +255,36 @@ class TestExhaustedStep:
         assert_walks_agree(endos, x0, letters, precision)
 
 
+def test_rotation_budget_counts_every_block():
+    # amplification 1: the budget is the letter counts, taken a block at a time
+    letters = np.random.default_rng(9).integers(0, 3, 3 * fractal._SCRATCH_BLOCK + 7).astype(np.int8)
+    growth, sums = fractal._error_budget([1, 1, 1], letters)
+    assert growth == 1 and sums == [int(np.count_nonzero(letters == k)) for k in range(3)]
+
+
+class TestAmplificationBits:
+    """_amp_bits from the checkpoints and masks of _prefix_counts against
+    the letter counts of every prefix: the same float, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 63, 64, 65, 1000, fractal._SCRATCH_BLOCK, fractal._SCRATCH_BLOCK + 70, 40_001]
+    )
+    def test_counts_of_every_kind_of_range(self, n):
+        rng = np.random.default_rng(n)
+        letters = rng.integers(0, 4, n).astype(np.int8)
+        mats = [1, 2, 3, 5]  # letter 0 amplifies by nothing and is not counted
+        run = fractal._Orbit(mats, [(0,), (1,), (0,), (1,)], letters, 200, fractal._walk_leaf)
+        counts = [np.concatenate(([0], np.cumsum(letters == k))) for k in range(4)]
+        ends = {0, n, n - 1, 64 * (n // 64)} | {int(e) for e in rng.integers(0, n + 1, 60)}
+        for lo in ends:
+            for hi in ends:
+                if lo <= hi:
+                    want = sum(
+                        math.log2(m) * int(c[hi] - c[lo]) for m, c in zip(mats, counts) if m > 1
+                    )
+                    assert fractal._amp_bits(run, lo, hi) == want, (lo, hi)
+
+
 @st.composite
 def cantor_like(draw):
     d = draw(st.sampled_from([-3, -2, 2, 3, 4]))
@@ -307,7 +337,7 @@ class TestDigits:
             assert new[1] == old[1]
             return
         (digits, sample), (old_digits, old_points) = new[1], old[1]
-        assert digits == old_digits
+        assert digits.tolist() == old_digits
         assert sample.precision_bits == bits
         assert sample.error_bound == _orbit_error_bound(max(1, err) * base**count, bits)
         assert torus_gap(sample.points[:, 0], old_points) <= 2 * sample.error_bound
@@ -337,7 +367,18 @@ class TestDigits:
         if new[0] == "raised":
             assert new[1] == old[1]
         else:
-            assert new[1][0] == old[1][0]
+            assert new[1][0].tolist() == old[1][0]
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 256, 257, 2**16 + 1, 2**40, 2**64, 2**64 + 1])
+    def test_digits_are_the_narrow_array(self, base):
+        # the array the engine fills, one byte per digit up to base 256
+        count = 50
+        bits = math.ceil(count * math.log2(base)) + 96
+        fixed = random.Random(base).getrandbits(bits)
+        digits, _ = digits_from_fixed(fixed, 1, bits, base, count)
+        assert isinstance(digits, np.ndarray)
+        assert digits.dtype == np.min_scalar_type(base - 1) and digits.shape == (count,)
+        assert digits.tolist() == ref.digits_from_fixed(fixed, 1, bits, base, count)[0]
 
     @pytest.mark.parametrize("bits", [0, 40, 52, 53, 63])
     def test_precision_below_64_rejected(self, bits):
@@ -697,7 +738,7 @@ class TestTrackedTruncation:
             assert new[1] == old[1]
             return
         (digits, sample), (old_digits, old_points) = new[1], old[1]
-        assert digits == old_digits
+        assert digits.tolist() == old_digits
         assert torus_gap(sample.points[:, 0], old_points) <= spreads[-1] + 2.0 ** -53
 
 
@@ -812,6 +853,7 @@ def run_both(fixed, err, bits, base, count):
         mp.setattr(fractal, "_digit_lanes", lanes_spy)
         new = outcome(digits_from_fixed, fixed, err, bits, base, count)
     if new[0] == "ok":
+        assert new[1][0].dtype == np.min_scalar_type(base - 1)
         new = ("ok", (*new[1], spreads[-1]))
     return new, outcome(ref.digits_run, fixed, err, bits, base, count), reruns, leaves
 
@@ -822,8 +864,7 @@ def assert_same_digits(new, old):
         assert new[1] == old[1]
         return
     (digits, sample, spread), (old_digits, old_sample, old_spread) = new[1], old[1]
-    assert digits == old_digits
-    assert all(type(d) is int for d in digits)
+    assert digits.tolist() == old_digits
     assert sample.points.tobytes() == old_sample.points.tobytes()
     assert sample.error_bound == old_sample.error_bound
     assert sample.precision_bits == old_sample.precision_bits
@@ -877,6 +918,19 @@ class TestDigitLanes:
             assert reruns == []  # every lane cleared by the certificate
         else:  # the digits do not fit a head: every leaf runs the loop
             assert len(reruns) == leaves[0]
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("base", [2, 3, 10, 256])
+    def test_lane_blocks_match_the_loop(self, monkeypatch, base, side):
+        """The read-back of a few lanes at a time, some blocks holding the
+        shortest lanes and one a failing lane: the same outcome as the loop."""
+        monkeypatch.setattr(fractal, "_SCRATCH_BLOCK", 64)
+        count = 40_000
+        fixed, bits = placed(base, count, 30_000, side, high=generic_high(base, 30_000, side))
+        new, old, reruns, leaves = run_both(fixed, 3, bits, base, count)
+        assert leaves[0] > 64
+        assert_same_digits(new, old)
+        assert new[0] == ("raised" if side < 0 else "ok") and reruns
 
     @pytest.mark.parametrize("upper", [False, True])
     @pytest.mark.parametrize("side", [-1, 0, 1])

@@ -50,6 +50,10 @@ def van_der_corput(n, base=2):
     return out
 
 
+# sizes around one node of the pairwise pass, its first split, and deep trees
+PAIRWISE_SIZES = [1, 7, 16383, 16384, 16385, 32769, 10**6 + 3]
+
+
 class TestWeylSums:
     def test_cube_roots_of_unity(self):
         s = sample_1d([0.0, 1 / 3, 2 / 3])
@@ -114,15 +118,46 @@ class TestWeylSums:
             for got, want in ((value.real, conj.real), (value.imag, conj.imag)):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
 
-    @pytest.mark.parametrize("n, k_max", [(1, 1), (997, 8), (20000, 5)])
+    @pytest.mark.parametrize(
+        "n, k_max", [(1, 1), (997, 8), (20000, 5)] + [(n, 8) for n in PAIRWISE_SIZES[1:]]
+    )
     def test_one_dimensional_grid_is_the_power_recurrence(self, n, k_max):
-        # bit for bit: rational-case reports read these values
+        # bit for bit: rational-case reports read these values, and the
+        # pass sums the nodes of numpy's pairwise tree, not the whole array
         sample = sample_1d(np.random.default_rng(n).random(n))
         means = character_means(sample, k_max)
         old = reference_output.character_means(sample, k_max)
         assert sorted(means) == sorted(old)
         for k, value in means.items():
             assert np.complex128(value).tobytes() == np.complex128(old[k]).tobytes(), k
+
+
+class TestPairwiseNodes:
+    """The character pass and the control character run over the nodes of
+    numpy's pairwise summation; every value is that of np.mean over the
+    whole sample, bit for bit (d = 1: the power recurrence, above)."""
+
+    @pytest.mark.parametrize("n", PAIRWISE_SIZES)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_character_means_are_the_whole_array_means(self, dim, n):
+        # the grid shrinks with the size so that the reference's whole-array
+        # powers stay small
+        k_max = {2: 3 if n < 10**5 else 1, 3: 2 if n < 10**5 else 1}[dim]
+        pts = np.random.default_rng(dim * 100 + n % 97).random((n, dim))
+        sample = OrbitSample(pts, 0.0, 64)
+        means = character_means(sample, k_max)
+        old = reference_output.character_power_means(sample, k_max)
+        assert list(means) == list(old)
+        for k, value in means.items():
+            assert np.complex128(value).tobytes() == np.complex128(old[k]).tobytes(), k
+
+    @pytest.mark.parametrize("n", PAIRWISE_SIZES)
+    def test_control_character_is_the_whole_array_mean(self, n):
+        pts = np.random.default_rng(n % 89).random((n, 2))
+        for q in (1, 3, 7):
+            want = float(abs(np.mean(np.exp(2j * np.pi * q * pts[:, 0]))))
+            got = control_character(OrbitSample(pts, 0.0, 64), q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), q
 
 
 class TestStarDiscrepancy:
@@ -308,6 +343,20 @@ class TestBlockFrequencies:
             got = block_frequencies(given_digits, max_len)
             want = window_loop_frequencies(given_digits, max_len)
             assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "dtype, low, high",
+        [(np.uint8, 0, 3), (np.uint8, 250, 256), (np.int8, -100, 101), (np.int16, -30000, 30001),
+         (np.uint32, 7, 12)],
+    )
+    def test_integer_arrays_read_in_place(self, dtype, low, high):
+        # digits of any integer dtype, whose range may overflow the dtype
+        # itself, count as the same digits in a list
+        digits = np.random.default_rng(high).integers(low, high, 3000, dtype=dtype)
+        digits[:2] = low, high - 1
+        got = block_frequencies(digits, 3)
+        assert list(got.items()) == list(block_frequencies(digits.tolist(), 3).items())
+        assert list(got.items()) == list(window_loop_frequencies(digits.tolist(), 3).items())
 
     @pytest.mark.parametrize("digits", [[2], [0, 1, 0, 0, 1], list(range(7))])
     def test_max_len_equal_to_the_length(self, digits):
